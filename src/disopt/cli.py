@@ -1,8 +1,9 @@
 """Command-line experiment runner.
 
 Subcommands: ``run <config.json>``, ``sweep <grid.json>``, and
-``preset <name>``.  Exit codes: 0 on success, 1 when strict mode finds
-an invariant violation, 2 on usage or config errors.
+``preset <name>``.  Exit codes: 0 on success, 1 when strict mode
+(``--strict`` or the config's ``"strict": true``) finds a projection-error
+bound violation at an unsaturated step, 2 on usage or config errors.
 """
 
 from __future__ import annotations
@@ -103,20 +104,6 @@ def main(argv=None) -> int:
     outdir = _outdir(args)
 
     try:
-        if args.command == "run":
-            try:
-                text = args.config.read_text()
-            except OSError as exc:
-                print(f"cannot read {args.config}: {exc}", file=sys.stderr)
-                return EXIT_USAGE
-            config = parse_config(text)
-            if args.strict:
-                config = type(config)(**{**config.__dict__, "strict": True})
-            artifacts = run_experiment(
-                config, outdir, name=args.config.stem, include_agents=args.per_agent
-            )
-            return _finish(artifacts, config.strict)
-
         if args.command == "sweep":
             try:
                 doc = json.loads(args.grid.read_text())
@@ -130,19 +117,26 @@ def main(argv=None) -> int:
             print(f"wrote {outdir / 'sweep_summary.csv'} ({len(rows)} grid points)")
             return EXIT_OK
 
-        # preset
-        seeds = None
-        if args.seeds is not None:
-            if args.seeds < 1:
-                print("--seeds must be >= 1", file=sys.stderr)
+        if args.command == "run":
+            try:
+                text = args.config.read_text()
+            except OSError as exc:
+                print(f"cannot read {args.config}: {exc}", file=sys.stderr)
                 return EXIT_USAGE
-            seeds = range(args.seeds)
-        doc = preset_document(args.name, seeds=seeds, strict=args.strict)
-        config = parse_config(doc)
+            config, name = parse_config(text), args.config.stem
+        else:  # preset
+            seeds = None
+            if args.seeds is not None:
+                if args.seeds < 1:
+                    print("--seeds must be >= 1", file=sys.stderr)
+                    return EXIT_USAGE
+                seeds = range(args.seeds)
+            config = parse_config(preset_document(args.name, seeds=seeds))
+            name = args.name
         artifacts = run_experiment(
-            config, outdir, name=args.name, include_agents=args.per_agent
+            config, outdir, name=name, include_agents=args.per_agent
         )
-        return _finish(artifacts, args.strict)
+        return _finish(artifacts, args.strict or config.strict)
 
     except ConfigError as exc:
         _report_config_error(exc)

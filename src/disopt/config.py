@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,20 +54,22 @@ class ExperimentConfig:
     strict: bool
     init: tuple | None = None
 
-    # ---- component builders -------------------------------------------------
+    # ---- components, each built once per config ---------------------------
 
-    def build_topology(self):
+    @cached_property
+    def topology(self):
         if self.topology_type == "complete":
             return build_complete(self.n)
         return build_from_edge_list(self.n, self.edges)
 
-    def build_feasible_set(self) -> FeasibleSet:
+    @cached_property
+    def feasible_set(self) -> FeasibleSet:
         return FeasibleSet(lo=np.array(self.box_lo), hi=np.array(self.box_hi))
 
-    def build_objectives(self):
-        return make_objectives(
-            self.objective_name, self.n, self.p, self.build_feasible_set()
-        )
+    @cached_property
+    def objectives(self):
+        """The pair (per-agent objectives, shared minimizer x*)."""
+        return make_objectives(self.objective_name, self.n, self.p, self.feasible_set)
 
     def quantizer_for(self, agent: int) -> UniformQuantizer | None:
         if self.quantizer_bits is None:
@@ -76,18 +80,12 @@ class ExperimentConfig:
             bits=self.quantizer_bits, interval_length=length, midpoint=mid
         )
 
-    def build_specs(self):
-        specs = []
-        for i, role in enumerate(self.roles):
-            specs.append(
-                AgentSpec(
-                    id=i,
-                    role=role,
-                    quantizer=self.quantizer_for(i),
-                    attack=self.attack.get(i),
-                )
-            )
-        return specs
+    @cached_property
+    def specs(self):
+        return [
+            AgentSpec(id=i, role=role, quantizer=self.quantizer_for(i), attack=self.attack.get(i))
+            for i, role in enumerate(self.roles)
+        ]
 
     @property
     def max_interval_length(self) -> float:
@@ -114,6 +112,10 @@ _TOP_KEYS = {
 }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _reject_unknown(doc: dict, allowed, path: str, errors) -> None:
     for key in doc:
         if key not in allowed:
@@ -124,7 +126,7 @@ def _as_vector(value, p, path, errors, default=None):
     if value is None:
         value = default
     if np.isscalar(value):
-        return tuple(float(value) for _ in range(p))
+        value = [value] * p
     try:
         vec = tuple(float(v) for v in value)
     except (TypeError, ValueError):
@@ -132,6 +134,9 @@ def _as_vector(value, p, path, errors, default=None):
         return None
     if len(vec) != p:
         errors.append((path, f"expected length {p}, got {len(vec)}"))
+        return None
+    if not all(map(math.isfinite, vec)):
+        errors.append((path, "expected finite numbers"))
         return None
     return vec
 
@@ -206,8 +211,12 @@ def parse_config(document) -> ExperimentConfig:
     elif isinstance(alpha, (list, tuple)):
         errors.append(("alpha", "per-agent step sizes are not supported; use one scalar"))
         alpha = None
-    elif not isinstance(alpha, (int, float)) or isinstance(alpha, bool) or alpha <= 0:
-        errors.append(("alpha", f"must be a positive number, got {alpha!r}"))
+    elif (
+        not isinstance(alpha, (int, float))
+        or isinstance(alpha, bool)
+        or not 0 < alpha < math.inf
+    ):
+        errors.append(("alpha", f"must be a positive finite number, got {alpha!r}"))
         alpha = None
     else:
         alpha = float(alpha)
@@ -224,10 +233,13 @@ def parse_config(document) -> ExperimentConfig:
             edges = None
         elif topo_type == "edge_list":
             raw = topo.get("edges")
-            if not isinstance(raw, list):
-                errors.append(("topology.edges", "expected a list of [i, j] pairs"))
+            if isinstance(raw, list) and all(
+                isinstance(e, list) and len(e) == 2 and all(_is_int(v) for v in e)
+                for e in raw
+            ):
+                edges = tuple((e[0], e[1]) for e in raw)
             else:
-                edges = tuple((int(e[0]), int(e[1])) for e in raw)
+                errors.append(("topology.edges", "expected a list of [i, j] integer pairs"))
         else:
             errors.append(("topology.type", f"expected 'complete' or 'edge_list', got {topo_type!r}"))
 
@@ -293,10 +305,7 @@ def parse_config(document) -> ExperimentConfig:
                 bits = None
             raw_len = quant.get("interval_length", 1.0)
             if n is not None:
-                if np.isscalar(raw_len):
-                    lengths = tuple(float(raw_len) for _ in range(n))
-                else:
-                    lengths = _as_vector(raw_len, n, "quantizer.interval_length", errors)
+                lengths = _as_vector(raw_len, n, "quantizer.interval_length", errors)
                 if lengths is not None and any(l <= 0 for l in lengths):
                     errors.append(("quantizer.interval_length", "must be positive"))
                     lengths = None
@@ -344,9 +353,12 @@ def parse_config(document) -> ExperimentConfig:
     if (
         not isinstance(seeds_raw, list)
         or not seeds_raw
-        or not all(isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in seeds_raw)
+        or not all(_is_int(s) and s >= 0 for s in seeds_raw)
     ):
         errors.append(("seeds", "expected a nonempty list of nonnegative integers"))
+        seeds = None
+    elif len(set(seeds_raw)) != len(seeds_raw):
+        errors.append(("seeds", "seeds must be distinct"))
         seeds = None
     else:
         seeds = tuple(seeds_raw)
@@ -360,9 +372,15 @@ def parse_config(document) -> ExperimentConfig:
 
     init = document.get("init")
     if init is not None:
-        arr = np.asarray(init, dtype=float)
-        if n is not None and p is not None and arr.shape != (n, p):
-            errors.append(("init", f"expected shape ({n}, {p}), got {arr.shape}"))
+        try:
+            arr = np.asarray(init, dtype=float)
+        except (TypeError, ValueError):  # ragged rows or non-numbers
+            arr = None
+        if arr is None or (n is not None and p is not None and arr.shape != (n, p)):
+            errors.append(("init", f"expected an ({n}, {p}) array of numbers"))
+            init = None
+        elif box_lo and box_hi and not np.all((arr >= box_lo) & (arr <= box_hi)):
+            errors.append(("init", "every initial point must lie inside objective.box"))
             init = None
         else:
             init = tuple(tuple(row) for row in arr)
@@ -390,9 +408,10 @@ def parse_config(document) -> ExperimentConfig:
         strict=strict,
         init=init,
     )
-    # connectivity and similar structural errors surface with a field path too
+    # connectivity and similar structural errors surface with a field path
+    # too; the topology built here is the one every run of this config uses
     try:
-        cfg.build_topology()
+        cfg.topology
     except ValueError as exc:
         raise ConfigError([("topology", str(exc))]) from exc
     return cfg

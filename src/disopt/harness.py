@@ -25,6 +25,7 @@ from .objective import suite_subgrad_bound
 @dataclass(frozen=True)
 class ExperimentArtifacts:
     name: str
+    seeds: tuple
     csv_paths: tuple
     report_path: Path | None
     results: tuple  # one RunResult per seed
@@ -34,13 +35,9 @@ class ExperimentArtifacts:
     def strict_violations(self) -> list:
         """(seed, k) pairs where the projection-error bound failed unsaturated."""
         out = []
-        for seed, result in zip(self._seeds, self.results):
+        for seed, result in zip(self.seeds, self.results):
             out.extend((seed, k) for k in result.unsaturated_lemma1_violations)
         return out
-
-    @property
-    def _seeds(self):
-        return [int(p.stem.rsplit("seed", 1)[1]) for p in self.csv_paths]
 
     @property
     def mean_final_honest_err(self) -> float:
@@ -58,23 +55,19 @@ def _fmt(value) -> str:
 
 def run_single(config: ExperimentConfig, seed: int) -> engine.RunResult:
     """One deterministic run of a validated config with one seed."""
-    topology = config.build_topology()
-    objectives, x_star = config.build_objectives()
-    feasible = config.build_feasible_set()
-    specs = config.build_specs()
+    objectives, x_star = config.objectives
     init = np.asarray(config.init, dtype=float) if config.init is not None else None
     return engine.run(
-        specs=specs,
-        topology=topology,
+        specs=config.specs,
+        topology=config.topology,
         objectives=objectives,
-        feasible=feasible,
+        feasible=config.feasible_set,
         alpha=config.alpha,
         iterations=config.iterations,
         x_star=x_star,
         seed=seed,
         explicit_init=init,
         adversary_quantizes=config.adversary_quantizes,
-        strict=False,  # strict handling is aggregated at the harness level
     )
 
 
@@ -82,7 +75,7 @@ def build_bound_report(config: ExperimentConfig, results) -> BoundReport | None:
     """Closed-form report for a scenario; None in exact-communication mode."""
     if config.quantizer_bits is None:
         return None
-    objectives, _ = config.build_objectives()
+    objectives, _ = config.objectives
     attack_norm = 0.0
     for agent, policy in config.attack.items():
         attack_norm = max(attack_norm, max_attack_norm(policy, config.p))
@@ -187,6 +180,7 @@ def run_experiment(
 
     return ExperimentArtifacts(
         name=name,
+        seeds=config.seeds,
         csv_paths=tuple(csv_paths),
         report_path=report_path,
         results=tuple(results),
@@ -194,8 +188,8 @@ def run_experiment(
     )
 
 
-def run_preset(name: str, outdir, seeds=None, strict: bool = False, include_agents=False):
-    config = parse_config(preset_document(name, seeds=seeds, strict=strict))
+def run_preset(name: str, outdir, seeds=None, include_agents=False):
+    config = parse_config(preset_document(name, seeds=seeds))
     return run_experiment(config, outdir, name=name, include_agents=include_agents)
 
 

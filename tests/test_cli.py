@@ -58,6 +58,14 @@ def test_invalid_config_reports_field_paths(tmp_path, capsys):
     assert "alpha" in capsys.readouterr().err
 
 
+def test_config_that_used_to_crash_is_usage_error(tmp_path, capsys):
+    # a one-element edge once escaped parsing as a raw IndexError (exit 1)
+    doc = dict(SMALL_RUN, topology={"type": "edge_list", "edges": [[0]]})
+    cfg = _write(tmp_path, "bad.json", doc)
+    assert main(["run", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
+    assert "topology.edges" in capsys.readouterr().err
+
+
 def test_outdir_env_fallback(tmp_path, monkeypatch):
     cfg = _write(tmp_path, "small.json", SMALL_RUN)
     out = tmp_path / "envout"

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from disopt import config as config_module
 from disopt.config import (
     ConfigError,
     PRESETS,
@@ -9,6 +10,7 @@ from disopt.config import (
     preset_config,
     preset_document,
 )
+from disopt.harness import run_experiment
 
 
 def _doc(**overrides):
@@ -175,3 +177,39 @@ def test_preset_seed_override():
     assert cfg.strict
     with pytest.raises(KeyError):
         preset_document("fig9z")
+
+
+@pytest.mark.parametrize(
+    "overrides, path",
+    [
+        ({"topology": {"type": "edge_list", "edges": [[0]]}}, "topology.edges"),
+        ({"topology": {"type": "edge_list", "edges": [["a", 1]]}}, "topology.edges"),
+        ({"alpha": float("nan")}, "alpha"),
+        ({"alpha": float("inf")}, "alpha"),
+        ({"seeds": [0, 0]}, "seeds"),
+        ({"init": [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [2.0, 0.0]]}, "init"),
+        ({"init": [[0.0, 0.0], [0.0], [0.0, 0.0], [0.0, 0.0]]}, "init"),
+        ({"objective": {"name": "quadratic", "box": {"lo": "abc"}}}, "objective.box.lo"),
+        ({"objective": {"name": "quadratic", "box": {"hi": float("inf")}}}, "objective.box.hi"),
+        ({"quantizer": {"bits": 2, "interval_length": "x"}}, "quantizer.interval_length"),
+    ],
+)
+def test_malformed_values_rejected_at_parse_time(overrides, path):
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(_doc(**overrides))
+    assert _paths(excinfo) == [path]
+
+
+def test_topology_built_once_per_config(monkeypatch, tmp_path):
+    builds = []
+    real = config_module.build_complete
+
+    def counting(n):
+        builds.append(n)
+        return real(n)
+
+    monkeypatch.setattr(config_module, "build_complete", counting)
+    cfg = parse_config(_doc(seeds=[0, 1, 2]))
+    artifacts = run_experiment(cfg, tmp_path)
+    assert builds == [4]
+    assert artifacts.seeds == (0, 1, 2)

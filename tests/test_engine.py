@@ -15,7 +15,7 @@ from disopt.engine import (
     mean_recursion_residual,
 )
 from disopt.harness import run_single
-from disopt.objective import FeasibleSet, quadratic_suite
+from disopt.objective import FeasibleSet, LocalObjective, quadratic_suite
 from disopt.quantizer import UniformQuantizer
 from disopt.topology import build_complete, build_from_edge_list
 
@@ -167,6 +167,29 @@ def test_runs_are_bit_identical():
 def test_zero_iterations_rejected():
     with pytest.raises(Exception):
         parse_config(_run_doc(iterations=0))
+
+
+def test_nan_state_fails_the_invariant_check():
+    # every comparison with NaN is false, so the check must be "not <= tol"
+    nan_obj = LocalObjective(
+        dimension=1,
+        evaluate=lambda x: float("nan"),
+        subgradient=lambda x: np.full(1, np.nan),
+        mu=1.0,
+        lipschitz=1.0,
+        subgrad_bound=1.0,
+    )
+    specs = [AgentSpec(id=i, role="honest") for i in range(2)]
+    with pytest.raises(engine.BoundViolationError, match="k=0"):
+        engine.run(
+            specs=specs,
+            topology=build_complete(2),
+            objectives=[nan_obj] * 2,
+            feasible=BOX1,
+            alpha=0.5,
+            iterations=3,
+            x_star=np.zeros(1),
+        )
 
 
 def test_lemma1_quantities_recorded(preset_runs):
