@@ -13,7 +13,7 @@ from .bounds import (
     subgradient_admissible,
 )
 from .config import ConfigError, ExperimentConfig, parse_config, preset_config
-from .engine import AgentSpec, IterationTrace, RunResult, run
+from .engine import IterationTrace, RunResult, run
 from .harness import run_experiment, run_preset, sweep
 from .objective import FeasibleSet, LocalObjective, quadratic_suite
 from .quantizer import UniformQuantizer
@@ -22,7 +22,6 @@ from .topology import NetworkTopology, build_complete, build_from_edge_list, val
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgentSpec",
     "AttackPolicy",
     "BoundReport",
     "ConfigError",

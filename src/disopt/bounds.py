@@ -113,17 +113,15 @@ def neighborhood_size(
 ) -> float:
     """Limiting error radius around the optimum.
 
-    (sqrt(6)*(l + 2**b * Lbar * alpha) + 2**b * sqrt(3) * ||e||) / 2**b.
+    (sqrt(6)*(l + 2**b * Lbar * alpha) + 2**b * sqrt(3) * ||e||) / 2**b,
+    evaluated with the division first so no term overflows at large b
+    (scaling by a power of two is exact, so the value is the same).
     """
     if bits < 1:
         raise ValueError(f"bits must be >= 1, got {bits}")
     if min(interval_length, subgrad_bound, alpha, attack_norm) < 0:
         raise ValueError("inputs must be nonnegative")
-    scale = 2**bits
-    return (
-        SQRT6 * (interval_length + scale * subgrad_bound * alpha)
-        + scale * SQRT3 * attack_norm
-    ) / scale
+    return SQRT6 * (interval_length / 2**bits + subgrad_bound * alpha) + SQRT3 * attack_norm
 
 
 def recursion_bound(

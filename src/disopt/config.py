@@ -9,17 +9,28 @@ from __future__ import annotations
 
 import copy
 import json
-import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .adversary import AttackPolicy
-from .engine import ADVERSARIAL, HONEST, AgentSpec
 from .objective import FeasibleSet, make_objectives
 from .quantizer import UniformQuantizer
 from .topology import build_complete, build_from_edge_list
+
+HONEST = "honest"
+ADVERSARIAL = "adversarial"
+
+# Largest bit count whose step divisor 2**bits is a finite float.
+MAX_BITS = sys.float_info.max_exp - 1
+
+# Largest magnitude of a real-valued field (box, step size, interval
+# length, midpoint, attack range and value).  The update multiplies at
+# most two of them (alpha times a subgradient of box size), and a norm
+# squares the product, so 1e50 keeps every traced quantity finite.
+MAX_MAGNITUDE = 1e50
 
 
 class ConfigError(ValueError):
@@ -71,21 +82,17 @@ class ExperimentConfig:
         """The pair (per-agent objectives, shared minimizer x*)."""
         return make_objectives(self.objective_name, self.n, self.p, self.feasible_set)
 
-    def quantizer_for(self, agent: int) -> UniformQuantizer | None:
+    @cached_property
+    def quantizer(self) -> UniformQuantizer | None:
+        """The broadcast quantizer, one interval length per agent row;
+        None in exact-communication mode."""
         if self.quantizer_bits is None:
             return None
-        length = self.interval_lengths[agent]
-        mid = np.array(self.quantizer_midpoint)
         return UniformQuantizer(
-            bits=self.quantizer_bits, interval_length=length, midpoint=mid
+            bits=self.quantizer_bits,
+            interval_length=np.array(self.interval_lengths)[:, None],
+            midpoint=np.array(self.quantizer_midpoint),
         )
-
-    @cached_property
-    def specs(self):
-        return [
-            AgentSpec(id=i, role=role, quantizer=self.quantizer_for(i), attack=self.attack.get(i))
-            for i, role in enumerate(self.roles)
-        ]
 
     @property
     def max_interval_length(self) -> float:
@@ -129,19 +136,19 @@ def _as_vector(value, p, path, errors, default=None):
         value = [value] * p
     try:
         vec = tuple(float(v) for v in value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         errors.append((path, "expected a number or a list of numbers"))
         return None
     if len(vec) != p:
         errors.append((path, f"expected length {p}, got {len(vec)}"))
         return None
-    if not all(map(math.isfinite, vec)):
-        errors.append((path, "expected finite numbers"))
+    if not all(abs(v) <= MAX_MAGNITUDE for v in vec):  # nan and inf fail too
+        errors.append((path, f"expected numbers of magnitude at most {MAX_MAGNITUDE:g}"))
         return None
     return vec
 
 
-def _parse_attack_policy(doc, path, errors, default_seed=0):
+def _parse_attack_policy(doc, path, p, errors):
     allowed = {"kind", "sign", "range", "value", "seed"}
     if not isinstance(doc, dict):
         errors.append((path, "expected an object"))
@@ -152,24 +159,31 @@ def _parse_attack_policy(doc, path, errors, default_seed=0):
         errors.append((path + ".kind", "required"))
         return None
     rng = doc.get("range", [0.0, 0.0])
-    try:
-        low, high = float(rng[0]), float(rng[1])
-    except (TypeError, ValueError, IndexError):
+    if not isinstance(rng, list):
         errors.append((path + ".range", "expected [lo, hi]"))
         return None
+    bounds = _as_vector(rng, 2, path + ".range", errors)
+    if bounds is None:
+        return None
+    seed = doc.get("seed", 0)
+    if not _is_int(seed) or seed < 0:
+        errors.append((path + ".seed", f"expected a nonnegative integer, got {seed!r}"))
+        return None
     value = doc.get("value")
-    if value is not None:
-        value = np.asarray(value, dtype=float)
+    if value is not None and p is not None:
+        value = _as_vector(value, p, path + ".value", errors)
+        if value is None:
+            return None
     try:
         return AttackPolicy(
             kind=kind,
             sign=doc.get("sign", "positive"),
-            low=low,
-            high=high,
-            value=value,
-            seed=int(doc.get("seed", default_seed)),
+            low=bounds[0],
+            high=bounds[1],
+            value=None if value is None else np.array(value),
+            seed=seed,
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:  # TypeError: an unhashable kind
         errors.append((path, str(exc)))
         return None
 
@@ -214,9 +228,9 @@ def parse_config(document) -> ExperimentConfig:
     elif (
         not isinstance(alpha, (int, float))
         or isinstance(alpha, bool)
-        or not 0 < alpha < math.inf
+        or not 0 < alpha <= MAX_MAGNITUDE  # nan and inf fail too
     ):
-        errors.append(("alpha", f"must be a positive finite number, got {alpha!r}"))
+        errors.append(("alpha", f"must be a number in (0, {MAX_MAGNITUDE:g}], got {alpha!r}"))
         alpha = None
     else:
         alpha = float(alpha)
@@ -300,11 +314,17 @@ def parse_config(document) -> ExperimentConfig:
                 quant, {"bits", "interval_length", "midpoint"}, "quantizer.", errors
             )
             bits = quant.get("bits")
-            if not isinstance(bits, (int, np.integer)) or isinstance(bits, bool) or bits < 1:
-                errors.append(("quantizer.bits", f"expected an integer >= 1, got {bits!r}"))
+            if (
+                not isinstance(bits, (int, np.integer))
+                or isinstance(bits, bool)
+                or not 1 <= bits <= MAX_BITS
+            ):
+                errors.append(
+                    ("quantizer.bits", f"expected an integer in [1, {MAX_BITS}], got {bits!r}")
+                )
                 bits = None
             raw_len = quant.get("interval_length", 1.0)
-            if n is not None:
+            if roles is not None and n is not None:  # then n == len(roles)
                 lengths = _as_vector(raw_len, n, "quantizer.interval_length", errors)
                 if lengths is not None and any(l <= 0 for l in lengths):
                     errors.append(("quantizer.interval_length", "must be positive"))
@@ -313,6 +333,10 @@ def parse_config(document) -> ExperimentConfig:
                 midpoint = _as_vector(
                     quant.get("midpoint"), p, "quantizer.midpoint", errors, 0.0
                 )
+                if midpoint and box_lo and box_hi and not all(
+                    lo <= m <= hi for lo, m, hi in zip(box_lo, midpoint, box_hi)
+                ):
+                    errors.append(("quantizer.midpoint", "must lie inside objective.box"))
 
     # attack policies
     attack_doc = document.get("attack")
@@ -324,7 +348,7 @@ def parse_config(document) -> ExperimentConfig:
         if adversaries:
             errors.append(("attack", "required when adversarial agents are present"))
     elif isinstance(attack_doc, dict) and "kind" in attack_doc:
-        policy = _parse_attack_policy(attack_doc, "attack", errors)
+        policy = _parse_attack_policy(attack_doc, "attack", p, errors)
         if policy is not None:
             attack = {i: policy for i in adversaries}
     elif isinstance(attack_doc, dict):
@@ -339,9 +363,9 @@ def parse_config(document) -> ExperimentConfig:
             ):
                 errors.append((f"attack.{key}", "not an adversarial agent"))
                 continue
-            policy = _parse_attack_policy(sub, f"attack.{key}", errors)
-            if policy is not None:
-                attack[agent] = policy
+            # an invalid policy is kept as None: its error already stops
+            # the parse, and the agent is not also reported as missing
+            attack[agent] = _parse_attack_policy(sub, f"attack.{key}", p, errors)
         missing = [i for i in adversaries if i not in attack]
         if missing:
             errors.append(("attack", f"missing policy for adversarial agents {missing}"))
@@ -374,7 +398,7 @@ def parse_config(document) -> ExperimentConfig:
     if init is not None:
         try:
             arr = np.asarray(init, dtype=float)
-        except (TypeError, ValueError):  # ragged rows or non-numbers
+        except (TypeError, ValueError, OverflowError):  # ragged, non-numeric, 10**400
             arr = None
         if arr is None or (n is not None and p is not None and arr.shape != (n, p)):
             errors.append(("init", f"expected an ({n}, {p}) array of numbers"))

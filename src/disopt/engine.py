@@ -16,47 +16,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import adversary as adv
-from .adversary import AttackPolicy
 from .bounds import lemma1_bound
 from .objective import FeasibleSet, suite_subgrad_bound
 from .quantizer import UniformQuantizer
 
 # Tolerance of the mean-iterate bookkeeping identity; it is an exact
 # algebraic consequence of the update, so only rounding noise is allowed.
+# Rounding grows with the size of the identity's terms, so a run scales it
+# by the largest bound on them when that exceeds 1.
 MEAN_RECURSION_TOL = 1e-10
 
 # Rounding slack of the Lemma 1 comparison ``xi_bar_norm <= lemma1_rhs``.
 LEMMA1_TOL = 1e-12
 
-HONEST = "honest"
-ADVERSARIAL = "adversarial"
-
-
-class RoleError(ValueError):
-    """Agent role and attached policy/quantizer are inconsistent."""
-
 
 class BoundViolationError(RuntimeError):
     """An invariant check failed during a run: the mean-iterate identity
-    was off by more than ``MEAN_RECURSION_TOL``, or a state went NaN."""
-
-
-@dataclass(frozen=True)
-class AgentSpec:
-    """Fixed per-agent configuration: role plus its comm/attack behavior."""
-
-    id: int
-    role: str
-    quantizer: UniformQuantizer | None = None
-    attack: AttackPolicy | None = None
-
-    def __post_init__(self):
-        if self.role not in (HONEST, ADVERSARIAL):
-            raise RoleError(f"unknown role {self.role!r} for agent {self.id}")
-        if self.role == HONEST and self.attack is not None:
-            raise RoleError(f"honest agent {self.id} cannot carry an attack policy")
-        if self.role == ADVERSARIAL and self.attack is None:
-            raise RoleError(f"adversarial agent {self.id} needs an attack policy")
+    was off by more than its rounding tolerance, or a state went NaN."""
 
 
 @dataclass(frozen=True)
@@ -106,8 +82,6 @@ class RunResult:
     x_star: np.ndarray
     final_err_all: float
     final_err_honest: float
-    honest_ids: tuple
-    adversary_ids: tuple
     subgrad_bound: float
     alpha: float
 
@@ -121,26 +95,25 @@ class RunResult:
         ]
 
 
-def broadcast_phase(iterates: np.ndarray, specs, adversary_quantizes: bool = False):
+def broadcast_phase(
+    iterates: np.ndarray,
+    quantizer: UniformQuantizer | None,
+    honest: np.ndarray,
+    adversary_quantizes: bool = False,
+):
     """Per-agent broadcast values and quantizer saturation flags.
 
-    Honest agents send their quantized iterate (or the iterate itself in
-    exact-communication mode); adversaries send full precision unless
-    ``adversary_quantizes`` is set.
+    Honest agents (rows where ``honest`` is true) send their quantized
+    iterate, or the iterate itself in exact-communication mode
+    (``quantizer`` None); adversaries send full precision unless
+    ``adversary_quantizes`` is set.  An agent saturates when it quantizes
+    and some coordinate of its iterate lies outside the quantizer range.
     """
-    n = iterates.shape[0]
-    buffer = np.empty_like(iterates)
-    saturated = np.zeros(n, dtype=bool)
-    for spec in specs:
-        x = iterates[spec.id]
-        quantize = spec.quantizer is not None and (
-            spec.role == HONEST or adversary_quantizes
-        )
-        if quantize:
-            buffer[spec.id] = spec.quantizer.quantize(x)
-            saturated[spec.id] = spec.quantizer.saturates(x)
-        else:
-            buffer[spec.id] = x
+    if quantizer is None:
+        return iterates, np.zeros(iterates.shape[0], dtype=bool)
+    quantizes = honest | adversary_quantizes
+    buffer = np.where(quantizes[:, None], quantizer.quantize(iterates), iterates)
+    saturated = quantizes & ~quantizer.in_range(iterates).all(axis=1)
     return buffer, saturated
 
 
@@ -156,25 +129,13 @@ def matrix_form_update(
     return iterates - broadcasts + mixing - alpha * gradients
 
 
-def local_updates(topology, iterates, broadcasts, gradients, alpha) -> np.ndarray:
-    """Per-agent form of the same update, for cross-checking the matrix form."""
-    n = iterates.shape[0]
-    h = np.empty_like(iterates)
-    w = topology.weights
-    for i in range(n):
-        mix = w[i, i] * broadcasts[i]
-        for j in topology.neighbor_sets[i]:
-            mix = mix + w[i, j] * broadcasts[j]
-        h[i] = iterates[i] - broadcasts[i] + mix - alpha * gradients[i]
-    return h
-
-
 def step(
     k: int,
     iterates: np.ndarray,
     broadcasts: np.ndarray,
     saturated: np.ndarray,
-    specs,
+    honest: np.ndarray,
+    attacks: dict,
     weights: np.ndarray,
     objectives,
     feasible: FeasibleSet,
@@ -186,20 +147,18 @@ def step(
     n, p = iterates.shape
     gradients = np.stack([objectives[i].subgradient(iterates[i]) for i in range(n)])
 
-    attacks = np.zeros_like(iterates)
+    attack_rows = np.zeros_like(iterates)
     attack_norms = np.zeros(n)
-    for spec in specs:
-        if spec.role == ADVERSARIAL:
-            e = adv.attack_vector(spec.attack, spec.id, k, p)
-            attacks[spec.id] = e
-            attack_norms[spec.id] = np.linalg.norm(e)
+    for agent, policy in attacks.items():
+        e = adv.attack_vector(policy, agent, k, p)
+        attack_rows[agent] = e
+        attack_norms[agent] = np.linalg.norm(e)
 
     h_attack_free = matrix_form_update(weights, iterates, broadcasts, gradients, alpha)
-    h = h_attack_free + attacks
+    h = h_attack_free + attack_rows
     xi = h - np.clip(h, feasible.lo, feasible.hi)
     next_iterates = h - xi
 
-    honest = np.array([spec.role == HONEST for spec in specs])
     delta_bar = float(np.mean(np.linalg.norm(iterates - broadcasts, axis=1)))
     xi_bar = xi.mean(axis=0)
     xi_bar_norm = float(np.linalg.norm(xi_bar))
@@ -221,7 +180,7 @@ def step(
         xi_bar=xi_bar,
         xi_bar_norm=xi_bar_norm,
         xi_bar_attack_free_norm=xi_bar_attack_free_norm,
-        mean_attack=attacks.mean(axis=0),
+        mean_attack=attack_rows.mean(axis=0),
         attack_norms=attack_norms,
         saturation_count=int(saturated.sum()),
         lemma1_rhs=lemma1_rhs,
@@ -253,16 +212,16 @@ def initial_iterates(
             raise ValueError(
                 f"explicit init has shape {x0.shape}, expected {(n, feasible.dimension)}"
             )
-        for row in x0:
-            if not feasible.contains(row):
-                raise ValueError("explicit initial point outside the feasible set")
+        if not np.all((x0 >= feasible.lo) & (x0 <= feasible.hi)):
+            raise ValueError("explicit initial point outside the feasible set")
         return x0.copy()
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return np.stack([feasible.sample(rng) for _ in range(n)])
+    return rng.uniform(feasible.lo, feasible.hi, size=(n, feasible.dimension))
 
 
 def run(
-    specs,
+    attacks: dict,
+    quantizer: UniformQuantizer | None,
     topology,
     objectives,
     feasible: FeasibleSet,
@@ -275,6 +234,11 @@ def run(
 ) -> RunResult:
     """Execute a full deterministic run of ``iterations`` rounds.
 
+    ``attacks`` maps each adversarial agent to its :class:`AttackPolicy`;
+    every other agent is honest.  ``quantizer`` encodes every broadcast
+    (its interval length may be an (n, 1) column, one per agent), or is
+    None for exact communication.
+
     Raises :class:`BoundViolationError` at the first round whose
     mean-iterate identity fails or yields NaN.  Projection-error bound
     failures do not raise: they are recorded per round in the traces
@@ -283,37 +247,36 @@ def run(
     if iterations < 1:
         raise ValueError(f"need at least one iteration, got {iterations}")
     n = topology.n
-    if len(specs) != n or len(objectives) != n:
-        raise ValueError("specs/objectives length must match the agent count")
+    if len(objectives) != n:
+        raise ValueError("objectives length must match the agent count")
     if alpha <= 0:
         raise ValueError(f"step size must be positive, got {alpha}")
-    if not any(s.role == HONEST for s in specs):
-        raise RoleError("at least one honest agent is required")
+    honest = np.ones(n, dtype=bool)
+    honest[list(attacks)] = False
+    if not honest.any():
+        raise ValueError("at least one honest agent is required")
 
     subgrad_bound = suite_subgrad_bound(objectives)
-    per_run_specs = []
-    for spec in specs:
-        if spec.attack is not None:
-            spec = AgentSpec(
-                id=spec.id,
-                role=spec.role,
-                quantizer=spec.quantizer,
-                attack=adv.reseed(spec.attack, seed),
-            )
-        per_run_specs.append(spec)
-
+    tolerance = MEAN_RECURSION_TOL * max(
+        1.0,
+        feasible.corner_norm(),
+        alpha * subgrad_bound,
+        *(adv.max_attack_norm(policy, feasible.dimension) for policy in attacks.values()),
+    )
+    attacks = {agent: adv.reseed(policy, seed) for agent, policy in attacks.items()}
     iterates = initial_iterates(n, feasible, seed, explicit_init)
     traces = []
     for k in range(iterations):
         broadcasts, saturated = broadcast_phase(
-            iterates, per_run_specs, adversary_quantizes
+            iterates, quantizer, honest, adversary_quantizes
         )
         iterates, trace = step(
             k,
             iterates,
             broadcasts,
             saturated,
-            per_run_specs,
+            honest,
+            attacks,
             topology.weights,
             objectives,
             feasible,
@@ -322,24 +285,20 @@ def run(
             subgrad_bound,
         )
         residual = mean_recursion_residual(trace, alpha)
-        if not residual <= MEAN_RECURSION_TOL:  # NaN fails too
+        if not residual <= tolerance:  # NaN fails too
             raise BoundViolationError(
                 f"mean-iterate bookkeeping identity off by {residual} at k={k}"
             )
         traces.append(trace)
 
-    honest = tuple(s.id for s in per_run_specs if s.role == HONEST)
-    adversaries = tuple(s.id for s in per_run_specs if s.role == ADVERSARIAL)
     final_all = iterates.mean(axis=0)
-    final_honest = iterates[list(honest)].mean(axis=0)
+    final_honest = iterates[honest].mean(axis=0)
     return RunResult(
         traces=traces,
         final_iterates=iterates,
         x_star=x_star,
         final_err_all=float(np.linalg.norm(final_all - x_star)),
         final_err_honest=float(np.linalg.norm(final_honest - x_star)),
-        honest_ids=honest,
-        adversary_ids=adversaries,
         subgrad_bound=subgrad_bound,
         alpha=alpha,
     )

@@ -39,13 +39,14 @@ class ExperimentArtifacts:
             out.extend((seed, k) for k in result.unsaturated_lemma1_violations)
         return out
 
-    @property
-    def mean_final_honest_err(self) -> float:
-        return float(np.mean([r.final_err_honest for r in self.results]))
 
-    @property
-    def max_final_honest_err(self) -> float:
-        return float(np.max([r.final_err_honest for r in self.results]))
+def final_honest_err_stats(results) -> dict:
+    """Mean and max over a scenario's seeds of the final honest-mean error."""
+    errors = [r.final_err_honest for r in results]
+    return {
+        "mean_final_honest_err": float(np.mean(errors)),
+        "max_final_honest_err": float(np.max(errors)),
+    }
 
 
 def _fmt(value) -> str:
@@ -58,7 +59,8 @@ def run_single(config: ExperimentConfig, seed: int) -> engine.RunResult:
     objectives, x_star = config.objectives
     init = np.asarray(config.init, dtype=float) if config.init is not None else None
     return engine.run(
-        specs=config.specs,
+        attacks=config.attack,
+        quantizer=config.quantizer,
         topology=config.topology,
         objectives=objectives,
         feasible=config.feasible_set,
@@ -171,9 +173,9 @@ def run_experiment(
         report_path = outdir / f"{name}_bounds.json"
         payload = report.to_dict()
         payload["seeds"] = list(config.seeds)
-        payload["mean_final_honest_err"] = float(
-            np.mean([r.final_err_honest for r in results])
-        )
+        payload["mean_final_honest_err"] = final_honest_err_stats(results)[
+            "mean_final_honest_err"
+        ]
         with open(report_path, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -271,18 +273,13 @@ def sweep(grid_doc: dict, outdir) -> list:
         rows.append(
             {
                 **{k: point.get(k, "") for k in names},
-                "mean_final_honest_err": float(
-                    np.mean([r.final_err_honest for r in results])
-                ),
-                "max_final_honest_err": float(
-                    np.max([r.final_err_honest for r in results])
-                ),
+                **final_honest_err_stats(results),
                 "neighborhood": report.neighborhood if report else "",
             }
         )
 
     path = outdir / "sweep_summary.csv"
-    header = names + ["mean_final_honest_err", "max_final_honest_err", "neighborhood"]
+    header = list(rows[0])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

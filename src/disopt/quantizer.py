@@ -9,6 +9,11 @@ the error bound otherwise.
 
 ``interval_length == 0`` is the degenerate exact quantizer: inputs pass
 through unchanged.
+
+``interval_length`` may also be an array that broadcasts against the
+input, such as an (n, 1) column giving each row of an (n, p) input its
+own interval; its entries are then all positive or all zero.  A vector
+``midpoint`` is matched against the input's trailing axes.
 """
 
 from __future__ import annotations
@@ -21,14 +26,17 @@ import numpy as np
 @dataclass(frozen=True)
 class UniformQuantizer:
     bits: int
-    interval_length: float
+    interval_length: float | np.ndarray
     midpoint: float | np.ndarray = 0.0
 
     def __post_init__(self):
         if int(self.bits) != self.bits or self.bits < 1:
             raise ValueError(f"bits must be a positive integer, got {self.bits}")
-        if self.interval_length < 0:
-            raise ValueError(f"interval length must be >= 0, got {self.interval_length}")
+        length = np.asarray(self.interval_length, dtype=float)
+        if np.any(length < 0) or (np.any(length == 0) and not np.all(length == 0)):
+            raise ValueError(
+                f"interval lengths must be all positive or all zero, got {self.interval_length}"
+            )
         mid = np.asarray(self.midpoint, dtype=float)
         object.__setattr__(self, "midpoint", mid)
 
@@ -39,7 +47,7 @@ class UniformQuantizer:
     def _offsets(self, x) -> tuple:
         x = np.asarray(x, dtype=float)
         mid = self.midpoint
-        if mid.ndim > 0 and mid.shape != x.shape:
+        if mid.shape != x.shape[x.ndim - mid.ndim :]:
             raise ValueError(f"midpoint shape {mid.shape} does not match input {x.shape}")
         return x, x - mid
 
@@ -50,7 +58,7 @@ class UniformQuantizer:
         out-of-range offsets clamp to the outermost level.
         """
         x, offset = self._offsets(x)
-        if self.interval_length == 0:
+        if not np.any(self.interval_length):
             return x.copy()
         steps = np.floor(np.abs(offset) / self.step + 0.5)
         steps = np.minimum(steps, 2 ** (self.bits - 1))
@@ -68,7 +76,7 @@ class UniformQuantizer:
     def in_range(self, x) -> np.ndarray:
         """Per-coordinate mask of inputs inside the quantization interval."""
         _, offset = self._offsets(x)
-        if self.interval_length == 0:
+        if not np.any(self.interval_length):
             return np.ones_like(offset, dtype=bool)
         return np.abs(offset) <= self.interval_length / 2
 

@@ -100,6 +100,13 @@ def test_neighborhood_golden_values():
     )
 
 
+def test_neighborhood_finite_at_the_largest_bit_count():
+    # 2**1023 * Lbar * alpha overflowed when multiplied before dividing
+    assert neighborhood_size(1.0, 1023, 4.0, 0.7, 1.0) == pytest.approx(
+        math.sqrt(6) * 4.0 * 0.7 + math.sqrt(3), rel=REL
+    )
+
+
 def test_recursion_bound_golden_values():
     # rho = 3 - 3*0.9 = 0.3, so k=2 contributes rho^1 * 10 = 3
     assert recursion_bound(2, 10.0, 0.9, 1.0, 0.0, 1, 0.0, 0.0) == pytest.approx(

@@ -66,6 +66,16 @@ def test_config_that_used_to_crash_is_usage_error(tmp_path, capsys):
     assert "topology.edges" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bits, code", [(1023, EXIT_OK), (1024, EXIT_USAGE), (2000, EXIT_USAGE)])
+def test_bits_limit_keeps_the_step_divisor_finite(tmp_path, capsys, bits, code):
+    # 2**1024 overflows a float; above the limit the quantizer once
+    # raised a raw OverflowError mid-run (exit 1)
+    doc = dict(SMALL_RUN, quantizer={"bits": bits, "interval_length": 1.0})
+    cfg = _write(tmp_path, "bits.json", doc)
+    assert main(["run", str(cfg), "--out", str(tmp_path)]) == code
+    assert ("quantizer.bits" in capsys.readouterr().err) == (code == EXIT_USAGE)
+
+
 def test_outdir_env_fallback(tmp_path, monkeypatch):
     cfg = _write(tmp_path, "small.json", SMALL_RUN)
     out = tmp_path / "envout"

@@ -1,6 +1,9 @@
 import json
 
+import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from disopt import config as config_module
 from disopt.config import (
@@ -10,7 +13,7 @@ from disopt.config import (
     preset_config,
     preset_document,
 )
-from disopt.harness import run_experiment
+from disopt.harness import run_experiment, run_single
 
 
 def _doc(**overrides):
@@ -135,13 +138,13 @@ def test_per_agent_interval_lengths():
     cfg = parse_config(doc)
     assert cfg.interval_lengths == (1.0, 0.5, 1.0, 2.0)
     assert cfg.max_interval_length == 2.0
-    assert cfg.quantizer_for(1).interval_length == 0.5
+    assert cfg.quantizer.interval_length.tolist() == [[1.0], [0.5], [1.0], [2.0]]
 
 
 def test_exact_mode_has_no_quantizer():
     cfg = parse_config(_doc(quantizer=None))
     assert cfg.quantizer_bits is None
-    assert cfg.quantizer_for(0) is None
+    assert cfg.quantizer is None
     assert cfg.max_interval_length == 0.0
 
 
@@ -192,6 +195,8 @@ def test_preset_seed_override():
         ({"objective": {"name": "quadratic", "box": {"lo": "abc"}}}, "objective.box.lo"),
         ({"objective": {"name": "quadratic", "box": {"hi": float("inf")}}}, "objective.box.hi"),
         ({"quantizer": {"bits": 2, "interval_length": "x"}}, "quantizer.interval_length"),
+        ({"attack": {"kind": "uniform", "range": [0.0, 1.0], "seed": 1.5}}, "attack.seed"),
+        ({"attack": {"3": {"kind": "zero", "seed": "7"}}}, "attack.3.seed"),
     ],
 )
 def test_malformed_values_rejected_at_parse_time(overrides, path):
@@ -213,3 +218,79 @@ def test_topology_built_once_per_config(monkeypatch, tmp_path):
     artifacts = run_experiment(cfg, tmp_path)
     assert builds == [4]
     assert artifacts.seeds == (0, 1, 2)
+
+
+# Every field of a small valid document, as a path of keys.
+_FIELDS = [
+    ("n",), ("p",), ("alpha",), ("iterations",), ("seeds",), ("roles",),
+    ("strict",), ("adversary_quantizes",), ("init",),
+    ("topology",), ("topology", "type"), ("topology", "edges"),
+    ("objective",), ("objective", "name"), ("objective", "box"),
+    ("objective", "box", "lo"), ("objective", "box", "hi"),
+    ("quantizer",), ("quantizer", "bits"), ("quantizer", "interval_length"),
+    ("quantizer", "midpoint"),
+    ("attack",), ("attack", "2"), ("attack", "2", "kind"), ("attack", "2", "value"),
+    ("attack", "3"), ("attack", "3", "kind"), ("attack", "3", "sign"),
+    ("attack", "3", "range"), ("attack", "3", "value"), ("attack", "3", "seed"),
+]
+
+# 2**64 and 10**400 overflow an index and a float; a count that large
+# fails at once instead of sizing a list
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-3, max_value=5)
+    | st.sampled_from([2**64, 10**400])
+    | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(field=st.sampled_from(_FIELDS), value=_JSON)
+# inputs that once crashed: a huge step (mean-iterate tolerance must scale),
+# a constant attack of the wrong length, an unhashable kind, a range that
+# is not a list, a midpoint far outside the box
+@example(field=("alpha",), value=2**64)
+@example(field=("attack", "2", "value"), value=[])
+@example(field=("attack", "3", "kind"), value=[])
+@example(field=("attack", "3", "range"), value={})
+@example(field=("quantizer", "midpoint"), value=2**40)
+def test_any_one_field_either_rejected_or_runs_finite(field, value):
+    doc = _doc(
+        n=4,
+        p=2,
+        iterations=3,
+        seeds=[0],
+        init=[[0.1, -0.2], [0.0, 0.5], [-0.3, 0.3], [0.2, 0.0]],
+        roles=["honest", "honest", "adversarial", "adversarial"],
+        topology={"type": "edge_list", "edges": [[0, 1], [1, 2], [2, 3]]},
+        attack={
+            "2": {"kind": "constant", "value": [0.2, 0.1]},
+            "3": {"kind": "uniform", "sign": "positive", "range": [0.0, 1.0], "seed": 7},
+        },
+    )
+    doc["objective"]["box"] = {"lo": -1.0, "hi": 1.0}
+    node = doc
+    for key in field[:-1]:
+        node = node[key]
+    node[field[-1]] = value
+    # keep the run small: a drawn count may not grow the problem
+    assume(not (field in {("p",), ("iterations",)} and _is_count(value) and value > 5))
+    try:
+        cfg = parse_config(doc)
+    except ConfigError:
+        return
+    for seed in cfg.seeds:
+        result = run_single(cfg, seed)
+        assert np.all(np.isfinite(result.final_iterates))
+        for t in result.traces:
+            values = [t.err_all, t.err_honest, t.delta_bar, t.xi_bar_norm, t.lemma1_rhs]
+            assert np.all(np.isfinite(values)) and np.all(np.isfinite(t.per_agent_err))

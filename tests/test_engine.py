@@ -4,16 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from disopt import engine
-from disopt.adversary import AttackPolicy
 from disopt.config import parse_config
-from disopt.engine import (
-    AgentSpec,
-    RoleError,
-    broadcast_phase,
-    local_updates,
-    matrix_form_update,
-    mean_recursion_residual,
-)
+from disopt.engine import broadcast_phase, matrix_form_update, mean_recursion_residual
 from disopt.harness import run_single
 from disopt.objective import FeasibleSet, LocalObjective, quadratic_suite
 from disopt.quantizer import UniformQuantizer
@@ -38,45 +30,89 @@ def _run_doc(**overrides):
     return doc
 
 
-def test_role_consistency_enforced():
-    with pytest.raises(RoleError):
-        AgentSpec(id=0, role="honest", attack=AttackPolicy(kind="zero"))
-    with pytest.raises(RoleError):
-        AgentSpec(id=0, role="adversarial")
-    with pytest.raises(RoleError):
-        AgentSpec(id=0, role="observer")
+def local_updates(topology, iterates, broadcasts, gradients, alpha) -> np.ndarray:
+    """Per-agent form of the update, the oracle for the matrix form."""
+    n = iterates.shape[0]
+    h = np.empty_like(iterates)
+    w = topology.weights
+    for i in range(n):
+        mix = w[i, i] * broadcasts[i]
+        for j in topology.neighbor_sets[i]:
+            mix = mix + w[i, j] * broadcasts[j]
+        h[i] = iterates[i] - broadcasts[i] + mix - alpha * gradients[i]
+    return h
+
+
+def per_agent_broadcast(iterates, bits, lengths, midpoint, honest, adversary_quantizes):
+    """Per-agent form of the broadcast, the oracle for ``broadcast_phase``:
+    one scalar-interval quantizer per agent, applied row by row."""
+    buffer = iterates.copy()
+    saturated = np.zeros(iterates.shape[0], dtype=bool)
+    if bits is None:
+        return buffer, saturated
+    for i, x in enumerate(iterates):
+        if honest[i] or adversary_quantizes:
+            quant = UniformQuantizer(bits=bits, interval_length=lengths[i], midpoint=midpoint)
+            buffer[i] = quant.quantize(x)
+            saturated[i] = quant.saturates(x)
+    return buffer, saturated
+
+
+ONE_HONEST = np.array([True])
+ONE_ADVERSARY = np.array([False])
 
 
 def test_broadcast_honest_quantized():
     quant = UniformQuantizer(bits=1, interval_length=1.0)
-    specs = [AgentSpec(id=0, role="honest", quantizer=quant)]
-    buffer, saturated = broadcast_phase(np.array([[0.3]]), specs)
+    buffer, saturated = broadcast_phase(np.array([[0.3]]), quant, ONE_HONEST)
     assert buffer[0, 0] == pytest.approx(0.5)
     assert not saturated[0]
 
 
 def test_broadcast_adversary_full_precision():
     quant = UniformQuantizer(bits=1, interval_length=1.0)
-    specs = [
-        AgentSpec(
-            id=0,
-            role="adversarial",
-            quantizer=quant,
-            attack=AttackPolicy(kind="zero"),
-        )
-    ]
-    buffer, _ = broadcast_phase(np.array([[0.42]]), specs)
+    buffer, _ = broadcast_phase(np.array([[0.42]]), quant, ONE_ADVERSARY)
     assert buffer[0, 0] == 0.42
     # flipping the bandwidth assumption makes the adversary quantize too
-    buffer, _ = broadcast_phase(np.array([[0.42]]), specs, adversary_quantizes=True)
+    buffer, _ = broadcast_phase(
+        np.array([[0.42]]), quant, ONE_ADVERSARY, adversary_quantizes=True
+    )
     assert buffer[0, 0] == pytest.approx(0.5)
 
 
 def test_broadcast_exact_mode_passthrough():
-    specs = [AgentSpec(id=0, role="honest", quantizer=None)]
-    buffer, saturated = broadcast_phase(np.array([[0.3]]), specs)
+    buffer, saturated = broadcast_phase(np.array([[0.3]]), None, ONE_HONEST)
     assert buffer[0, 0] == 0.3
     assert not saturated.any()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=6),
+    p=st.integers(min_value=1, max_value=3),
+    bits=st.one_of(st.none(), st.integers(min_value=1, max_value=8)),
+    adversary_quantizes=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_broadcast_matches_per_agent_oracle(n, p, bits, adversary_quantizes, seed):
+    # per-agent interval lengths, a p-vector midpoint, and iterates that
+    # reach past +-2 interval halves, so some rows saturate
+    rng = np.random.default_rng(seed)
+    lengths = rng.choice([0.25, 0.5, 1.0, 2.0], size=n)
+    midpoint = rng.uniform(-0.5, 0.5, size=p)
+    iterates = midpoint + rng.uniform(-2.0, 2.0, size=(n, p)) * lengths[:, None]
+    honest = rng.random(n) < 0.6
+    quant = None
+    if bits is not None:
+        quant = UniformQuantizer(
+            bits=bits, interval_length=lengths[:, None], midpoint=midpoint
+        )
+    buffer, saturated = broadcast_phase(iterates, quant, honest, adversary_quantizes)
+    want_buffer, want_saturated = per_agent_broadcast(
+        iterates, bits, lengths, midpoint, honest, adversary_quantizes
+    )
+    assert np.array_equal(buffer, want_buffer)
+    assert np.array_equal(saturated, want_saturated)
 
 
 def test_single_agent_gradient_step():
@@ -179,10 +215,10 @@ def test_nan_state_fails_the_invariant_check():
         lipschitz=1.0,
         subgrad_bound=1.0,
     )
-    specs = [AgentSpec(id=i, role="honest") for i in range(2)]
     with pytest.raises(engine.BoundViolationError, match="k=0"):
         engine.run(
-            specs=specs,
+            attacks={},
+            quantizer=None,
             topology=build_complete(2),
             objectives=[nan_obj] * 2,
             feasible=BOX1,
