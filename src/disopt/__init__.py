@@ -1,7 +1,7 @@
 """Deterministic simulator and bound-analysis toolkit for distributed
 subgradient optimization with quantized broadcasts and adversarial agents."""
 
-from .adversary import AttackPolicy, attack_vector, max_attack_norm
+from .adversary import AttackPolicy, attack_table, attack_vector, max_attack_norm
 from .bounds import (
     BoundReport,
     admissible_step_window,
@@ -33,6 +33,7 @@ __all__ = [
     "RunResult",
     "UniformQuantizer",
     "admissible_step_window",
+    "attack_table",
     "attack_vector",
     "build_complete",
     "build_from_edge_list",

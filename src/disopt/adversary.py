@@ -3,6 +3,16 @@
 Every generated vector has all entries strictly of one sign, and
 generation is a pure function of (seed, agent id, iteration), so replays
 are bit-identical regardless of call order.
+
+The keyed stream.  A uniform policy's attack of agent i at iteration k
+is ``sgn * (low + (high - low) * u)``, with ``u`` the first p doubles of
+``numpy.random.default_rng(numpy.random.SeedSequence((seed, i, k)))``:
+the entropy words are the seed's 32-bit words followed by i and k (one
+word each, so both lie in [0, 2**32)), mixed into a 4-word pool and
+expanded to the 128-bit state and increment of a PCG64 generator, whose
+XSL-RR outputs ``x`` give ``u = (x >> 11) * 2**-53``.  ``attack_table``
+computes these four stages over a whole (k, agent) grid at once in uint64
+array arithmetic, bit for bit equal to drawing each key alone.
 """
 
 from __future__ import annotations
@@ -53,23 +63,159 @@ class AttackPolicy:
             object.__setattr__(self, "value", value)
 
 
-def attack_vector(policy: AttackPolicy, agent: int, k: int, p: int) -> np.ndarray:
-    """Attack vector e(k) for one adversary at one iteration."""
+# Round and agent indices enter the keyed stream as one 32-bit entropy word
+# each, so both must lie in [0, 2**32).
+MAX_KEY = 2**32 - 1
+
+_MASK32 = 0xFFFFFFFF
+
+# numpy.random.SeedSequence: hash constants of mix_entropy (A) and
+# generate_state (B), the pool-mixing multipliers and the xorshift.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+
+# numpy.random.PCG64: 128-bit LCG multiplier as (high, low) 64-bit words,
+# and the low word's 32-bit limbs.
+_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+_PCG_MULT_LO0, _PCG_MULT_LO1 = _PCG_MULT_LO & _MASK32, _PCG_MULT_LO >> 32
+
+
+def _int_words(value: int) -> list:
+    """An integer's little-endian 32-bit words, as SeedSequence reads it."""
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _key_words(values, name: str) -> np.ndarray:
+    values = [int(v) for v in values]
+    bad = [v for v in values if not 0 <= v <= MAX_KEY]
+    if bad:
+        raise ValueError(f"{name} must lie in [0, {MAX_KEY}], got {bad[0]}")
+    return np.array(values, dtype=np.uint32)
+
+
+def _seed_pool(entropy: list) -> list:
+    """SeedSequence.mix_entropy over uint32 word arrays: the 4-word pool."""
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = value * hash_const
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ (result >> _XSHIFT)
+
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    return pool
+
+
+def _seed_state(pool: list) -> list:
+    """SeedSequence.generate_state(4, uint64): four 64-bit words, each
+    built from two 32-bit words, low word first."""
+    hash_const = _INIT_B
+    words = []
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = value * hash_const
+        words.append((value ^ (value >> _XSHIFT)).astype(np.uint64))
+    return [lo | (hi << 32) for lo, hi in zip(words[::2], words[1::2])]
+
+
+def _mulhi_mult_lo(a: np.ndarray) -> np.ndarray:
+    """High 64 bits of the 128-bit product a * _PCG_MULT_LO, from 32-bit
+    limbs so that no partial product overflows."""
+    a0, a1 = a & _MASK32, a >> 32
+    p00, p01 = a0 * _PCG_MULT_LO0, a0 * _PCG_MULT_LO1
+    p10, p11 = a1 * _PCG_MULT_LO0, a1 * _PCG_MULT_LO1
+    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    return p11 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo):
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """One LCG step: state * multiplier + increment, modulo 2**128."""
+    prod_hi = _mulhi_mult_lo(lo) + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO
+    return _add128(prod_hi, lo * _PCG_MULT_LO, inc_hi, inc_lo)
+
+
+def _uniform_stream(seed: int, agents: np.ndarray, rounds: np.ndarray, p: int) -> np.ndarray:
+    """``default_rng(SeedSequence((seed, agent, k))).random(p)`` for every
+    (k, agent) pair at once, as a (K, A, p) array."""
+    shape = (rounds.shape[0], agents.shape[0])
+    entropy = [np.full(shape, w, dtype=np.uint32) for w in _int_words(seed)]
+    entropy += [np.broadcast_to(agents, shape), np.broadcast_to(rounds[:, None], shape)]
+    s_hi, s_lo, i_hi, i_lo = _seed_state(_seed_pool(entropy))
+    # PCG64 seeding: increment (words 2-3 << 1) | 1; from state 0, one
+    # step (giving the increment), add words 0-1, one more step
+    inc_hi = (i_hi << 1) | (i_lo >> 63)
+    inc_lo = (i_lo << 1) | 1
+    hi, lo = _pcg_step(*_add128(inc_hi, inc_lo, s_hi, s_lo), inc_hi, inc_lo)
+    out = np.empty(shape + (p,))
+    for j in range(p):
+        # each double: one step, the XSL-RR output, its top 53 bits
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+        x, rot = hi ^ lo, hi >> 58
+        x = (x >> rot) | (x << ((64 - rot) & 63))
+        out[..., j] = (x >> 11) * 2.0**-53
+    return out
+
+
+def attack_table(policy: AttackPolicy, agents, rounds, p: int) -> np.ndarray:
+    """Attack vectors e_i(k) of the listed adversaries at the listed rounds.
+
+    Returns a (len(rounds), len(agents), p) array; entry [r, a] is the
+    attack of ``agents[a]`` at iteration ``rounds[r]``.  A uniform
+    policy's entries are ``sgn * (low + (high - low) * u)``, where ``u``
+    is the keyed stream ``default_rng(SeedSequence((seed, agent, k)))
+    .random(p)``, reproduced bit for bit over the whole grid in uint64
+    array arithmetic.  Agent ids and rounds must lie in [0, 2**32): a
+    larger index would enter the stream as two words.
+    """
     if p < 1:
         raise ValueError(f"dimension must be >= 1, got {p}")
+    agents = _key_words(agents, "agent ids")
+    rounds = _key_words(rounds, "rounds")
+    shape = (rounds.shape[0], agents.shape[0], p)
     sgn = 1.0 if policy.sign == "positive" else -1.0
     if policy.kind == "zero":
-        return np.zeros(p)
+        return np.zeros(shape)
     if policy.kind == "constant":
         if policy.value.shape[0] != p:
             raise ValueError(
                 f"constant attack has dimension {policy.value.shape[0]}, expected {p}"
             )
-        return sgn * policy.value.copy()
-    # uniform: keyed stream, independent of evaluation order
-    rng = np.random.default_rng(np.random.SeedSequence((policy.seed, agent, k)))
-    draw = policy.low + (policy.high - policy.low) * rng.random(p)
-    return sgn * draw
+        return np.broadcast_to(sgn * policy.value, shape).copy()
+    u = _uniform_stream(policy.seed, agents, rounds, p)
+    return sgn * (policy.low + (policy.high - policy.low) * u)
+
+
+def attack_vector(policy: AttackPolicy, agent: int, k: int, p: int) -> np.ndarray:
+    """Attack vector e(k) for one adversary at one iteration."""
+    return attack_table(policy, [agent], [k], p)[0, 0]
 
 
 def max_attack_norm(policy: AttackPolicy, p: int) -> float:

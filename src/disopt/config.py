@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .adversary import AttackPolicy
+from .adversary import MAX_KEY, AttackPolicy
 from .objective import FeasibleSet, make_objectives
 from .quantizer import UniformQuantizer
 from .topology import build_complete, build_from_edge_list
@@ -25,6 +25,15 @@ ADVERSARIAL = "adversarial"
 
 # Largest bit count whose step divisor 2**bits is a finite float.
 MAX_BITS = sys.float_info.max_exp - 1
+
+# Largest dimension p.  A scalar box, midpoint or constant attack value
+# expands to p entries at parse time, so the cap is checked before any
+# vector is built; 2**16 keeps one expanded vector near 2 MB.
+MAX_DIMENSION = 2**16
+
+# Largest iteration count: the keyed attack stream takes each round index
+# k < iterations as one 32-bit word.
+MAX_ITERATIONS = MAX_KEY + 1
 
 # Largest magnitude of a real-valued field (box, step size, interval
 # length, midpoint, attack range and value).  The update multiplies at
@@ -201,11 +210,10 @@ def parse_config(document) -> ExperimentConfig:
     errors: list = []
     _reject_unknown(document, _TOP_KEYS, "", errors)
 
-    def intval(key, minimum, default=None, required=True):
-        raw = document.get(key, default)
+    def intval(key, minimum, maximum=None):
+        raw = document.get(key)
         if raw is None:
-            if required:
-                errors.append((key, "required"))
+            errors.append((key, "required"))
             return None
         if not isinstance(raw, (int, np.integer)) or isinstance(raw, bool):
             errors.append((key, f"expected an integer, got {raw!r}"))
@@ -213,11 +221,14 @@ def parse_config(document) -> ExperimentConfig:
         if raw < minimum:
             errors.append((key, f"must be >= {minimum}, got {raw}"))
             return None
+        if maximum is not None and raw > maximum:
+            errors.append((key, f"must be <= {maximum}, got {raw}"))
+            return None
         return int(raw)
 
     n = intval("n", 1)
-    p = intval("p", 1)
-    iterations = intval("iterations", 1)
+    p = intval("p", 1, MAX_DIMENSION)
+    iterations = intval("iterations", 1, MAX_ITERATIONS)
 
     alpha = document.get("alpha")
     if alpha is None:

@@ -135,24 +135,24 @@ def step(
     broadcasts: np.ndarray,
     saturated: np.ndarray,
     honest: np.ndarray,
-    attacks: dict,
+    attack_rows: np.ndarray,
     weights: np.ndarray,
-    objectives,
+    objective_rows: list,
     feasible: FeasibleSet,
     alpha: float,
     x_star: np.ndarray,
     subgrad_bound: float,
 ):
-    """Advance the network one round; returns (next iterates, trace)."""
-    n, p = iterates.shape
-    gradients = np.stack([objectives[i].subgradient(iterates[i]) for i in range(n)])
+    """Advance the network one round; returns (next iterates, trace).
 
-    attack_rows = np.zeros_like(iterates)
-    attack_norms = np.zeros(n)
-    for agent, policy in attacks.items():
-        e = adv.attack_vector(policy, agent, k, p)
-        attack_rows[agent] = e
-        attack_norms[agent] = np.linalg.norm(e)
+    ``attack_rows`` holds this round's attack e_i(k) per agent (zero rows
+    for honest agents); ``objective_rows`` pairs each distinct objective
+    with the index array of the agents that carry it.
+    """
+    n = iterates.shape[0]
+    gradients = np.empty_like(iterates)
+    for objective, rows in objective_rows:
+        gradients[rows] = objective.subgradient(iterates[rows])
 
     h_attack_free = matrix_form_update(weights, iterates, broadcasts, gradients, alpha)
     h = h_attack_free + attack_rows
@@ -181,7 +181,7 @@ def step(
         xi_bar_norm=xi_bar_norm,
         xi_bar_attack_free_norm=xi_bar_attack_free_norm,
         mean_attack=attack_rows.mean(axis=0),
-        attack_norms=attack_norms,
+        attack_norms=np.linalg.norm(attack_rows, axis=1),
         saturation_count=int(saturated.sum()),
         lemma1_rhs=lemma1_rhs,
         lemma1_ok=xi_bar_norm <= lemma1_rhs + LEMMA1_TOL,
@@ -200,6 +200,37 @@ def mean_recursion_residual(trace: IterationTrace, alpha: float) -> float:
         trace.x_bar - alpha * trace.grad_mean - trace.xi_bar + trace.mean_attack
     )
     return float(np.max(np.abs(predicted - trace.x_bar_next)))
+
+
+def _grouped(pairs) -> list:
+    """(object, index array) per distinct object of (index, object) pairs,
+    in order of first appearance; objects are told apart by identity."""
+    groups: dict = {}
+    for index, value in pairs:
+        groups.setdefault(id(value), (value, []))[1].append(index)
+    return [(value, np.array(rows, dtype=np.intp)) for value, rows in groups.values()]
+
+
+def _attack_schedule(attacks: dict, n: int, iterations: int, p: int, seed: int):
+    """Every attack of one run, as (fixed rows, keyed agents, keyed table).
+
+    Zero and constant rows do not change with k: they fill the (n, p)
+    ``fixed`` array once.  Each distinct uniform policy, reseeded for the
+    run, draws all rounds of its adversaries in one
+    :func:`adversary.attack_table` call; the tables stack into one
+    (K, len(keyed), p) array.  Round k's attack rows are ``fixed`` with
+    ``table[k]`` written at the rows ``keyed``.
+    """
+    fixed = np.zeros((n, p))
+    keyed, tables = [np.empty(0, dtype=np.intp)], [np.empty((iterations, 0, p))]
+    for policy, agents in _grouped(attacks.items()):
+        policy = adv.reseed(policy, seed)
+        if policy.kind == "uniform":
+            keyed.append(agents)
+            tables.append(adv.attack_table(policy, agents, range(iterations), p))
+        else:
+            fixed[agents] = adv.attack_table(policy, agents, [0], p)[0]
+    return fixed, np.concatenate(keyed), np.concatenate(tables, axis=1)
 
 
 def initial_iterates(
@@ -263,22 +294,27 @@ def run(
         alpha * subgrad_bound,
         *(adv.max_attack_norm(policy, feasible.dimension) for policy in attacks.values()),
     )
-    attacks = {agent: adv.reseed(policy, seed) for agent, policy in attacks.items()}
+    fixed_attacks, keyed, keyed_attacks = _attack_schedule(
+        attacks, n, iterations, feasible.dimension, seed
+    )
+    objective_rows = _grouped(enumerate(objectives))
     iterates = initial_iterates(n, feasible, seed, explicit_init)
     traces = []
     for k in range(iterations):
         broadcasts, saturated = broadcast_phase(
             iterates, quantizer, honest, adversary_quantizes
         )
+        attack_rows = fixed_attacks.copy()
+        attack_rows[keyed] = keyed_attacks[k]
         iterates, trace = step(
             k,
             iterates,
             broadcasts,
             saturated,
             honest,
-            attacks,
+            attack_rows,
             topology.weights,
-            objectives,
+            objective_rows,
             feasible,
             alpha,
             x_star,

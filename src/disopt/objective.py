@@ -69,6 +69,11 @@ class LocalObjective:
     ``subgrad_bound`` must dominate ``||subgradient(x)||`` over the
     feasible set; ``mu <= lipschitz`` is enforced at construction.
     Evaluation is pure and thread-safe.
+
+    ``subgradient`` is row-wise: given an (m, p) array of points, one per
+    row, it returns the (m, p) array of their subgradients, row i being
+    exactly what the point ``x[i]`` alone would give.  The engine makes
+    one call per round for all agents that share an objective.
     """
 
     dimension: int
@@ -92,10 +97,11 @@ class LocalObjective:
 def quadratic_suite(n: int, p: int, feasible: FeasibleSet) -> list:
     """The benchmark suite: every agent carries f_i(x) = 0.5 ||x||^2.
 
-    Each agent's subgradient is x itself, mu = lipschitz = 1 per agent,
-    and the shared minimizer x* = 0 must be feasible, so the box has to
-    contain the origin.  The subgradient bound is the largest norm on
-    the box (attained at a corner).
+    Each agent's subgradient is x itself (row by row on an (m, p)
+    array), mu = lipschitz = 1 per agent, and the shared minimizer
+    x* = 0 must be feasible, so the box has to contain the origin.  The
+    subgradient bound is the largest norm on the box (attained at a
+    corner).
     """
     if n < 1 or p < 1:
         raise ValueError(f"need n >= 1 and p >= 1, got n={n}, p={p}")

@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from stream_oracle import reference_attack_table
 
-from disopt.adversary import AttackPolicy, attack_vector, max_attack_norm, reseed
+from disopt.adversary import (
+    MAX_KEY,
+    AttackPolicy,
+    attack_table,
+    attack_vector,
+    max_attack_norm,
+    reseed,
+)
 
 
 def test_zero_policy_emits_zeros():
@@ -24,9 +34,7 @@ def test_constant_negative_sign():
 
 def test_uniform_entries_stay_in_range():
     policy = AttackPolicy(kind="uniform", low=0.0, high=1.0, seed=3)
-    draws = np.concatenate(
-        [attack_vector(policy, agent, k, 4) for agent in range(2) for k in range(1250)]
-    )
+    draws = attack_table(policy, range(2), range(1250), 4).ravel()
     assert draws.shape == (10_000,)
     assert np.all(draws > 0.0)
     assert np.all(draws < 1.0)
@@ -35,7 +43,7 @@ def test_uniform_entries_stay_in_range():
 
 def test_sign_discipline_negative_mode():
     policy = AttackPolicy(kind="uniform", sign="negative", low=0.1, high=0.9, seed=5)
-    draws = np.concatenate([attack_vector(policy, 0, k, 5) for k in range(2000)])
+    draws = attack_table(policy, [0], range(2000), 5)
     assert np.all(draws < 0.0)
 
 
@@ -53,8 +61,8 @@ def test_generation_is_pure_in_seed_agent_iteration():
 def test_norm_dominated_by_max_attack_norm():
     policy = AttackPolicy(kind="uniform", low=0.2, high=0.8, seed=11)
     bound = max_attack_norm(policy, 3)
-    for k in range(500):
-        assert np.linalg.norm(attack_vector(policy, 0, k, 3)) <= bound + 1e-12
+    norms = np.linalg.norm(attack_table(policy, [0], range(500), 3), axis=-1)
+    assert np.all(norms <= bound + 1e-12)
 
 
 def test_alias_kind_accepted():
@@ -81,3 +89,36 @@ def test_reseed_changes_stream_deterministically():
     b = reseed(policy, 1)
     assert a.seed != b.seed
     assert reseed(policy, 0).seed == a.seed
+
+
+# seeds one word long, at a word boundary, two words, three, and seven
+_SEEDS = st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 5, 2**200]) | st.integers(0, 2**256)
+_KEYS = st.sampled_from([0, MAX_KEY]) | st.integers(0, MAX_KEY)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=_SEEDS,
+    agents=st.lists(_KEYS, min_size=1, max_size=3),
+    rounds=st.lists(_KEYS, min_size=1, max_size=3),
+    p=st.integers(min_value=1, max_value=17),
+    low=st.floats(min_value=0.0, max_value=1.0),
+    width=st.floats(min_value=0.0, max_value=2.0),
+    sign=st.sampled_from(["positive", "negative"]),
+)
+# key (0, 0, 70): the first output's PCG state has rotation 0
+@example(seed=0, agents=[0], rounds=[70], p=1, low=0.0, width=1.0, sign="positive")
+def test_attack_table_matches_the_per_key_stream(seed, agents, rounds, p, low, width, sign):
+    policy = AttackPolicy(kind="uniform", sign=sign, low=low, high=low + width, seed=seed)
+    got = attack_table(policy, agents, rounds, p)
+    assert np.array_equal(got, reference_attack_table(policy, agents, rounds, p))
+
+
+@pytest.mark.parametrize(
+    "agents, rounds", [([MAX_KEY + 1], [0]), ([0], [MAX_KEY + 1]), ([-1], [0]), ([0], [-1])]
+)
+def test_attack_table_rejects_keys_outside_one_word(agents, rounds):
+    # a wider index would enter the stream as more words: a different stream
+    policy = AttackPolicy(kind="uniform", low=0.0, high=1.0)
+    with pytest.raises(ValueError, match="must lie in"):
+        attack_table(policy, agents, rounds, 2)

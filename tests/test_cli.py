@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -74,6 +75,22 @@ def test_bits_limit_keeps_the_step_divisor_finite(tmp_path, capsys, bits, code):
     cfg = _write(tmp_path, "bits.json", doc)
     assert main(["run", str(cfg), "--out", str(tmp_path)]) == code
     assert ("quantizer.bits" in capsys.readouterr().err) == (code == EXIT_USAGE)
+
+
+@pytest.mark.parametrize("field, value", [("p", 2**31), ("iterations", 2**32 + 1)])
+def test_count_limits_reject_before_building_anything(tmp_path, capsys, field, value):
+    # a scalar box once expanded to p entries first: 16 GiB at p = 2**31;
+    # a round index past 2**32 - 1 would not fit the keyed stream's word
+    cfg = _write(tmp_path, "big.json", dict(SMALL_RUN, **{field: value}))
+    tracemalloc.start()
+    try:
+        code = main(["run", str(cfg), "--out", str(tmp_path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_USAGE
+    assert f"{field}: must be <=" in capsys.readouterr().err
+    assert peak < 2**20
 
 
 def test_outdir_env_fallback(tmp_path, monkeypatch):

@@ -205,6 +205,12 @@ def test_malformed_values_rejected_at_parse_time(overrides, path):
     assert _paths(excinfo) == [path]
 
 
+def test_count_limits_are_inclusive():
+    cfg = parse_config(_doc(p=config_module.MAX_DIMENSION, iterations=2**32))
+    assert cfg.p == 2**16 and len(cfg.box_lo) == 2**16
+    assert cfg.iterations == config_module.MAX_ITERATIONS == 2**32
+
+
 def test_topology_built_once_per_config(monkeypatch, tmp_path):
     builds = []
     real = config_module.build_complete

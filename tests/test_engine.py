@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from stream_oracle import reference_attack_table
 
-from disopt import engine
+from disopt import adversary, engine
 from disopt.config import parse_config
 from disopt.engine import broadcast_phase, matrix_form_update, mean_recursion_residual
 from disopt.harness import run_single
@@ -198,6 +199,50 @@ def test_runs_are_bit_identical():
     for ta, tb in zip(a.traces, b.traces):
         assert np.array_equal(ta.xi_bar, tb.xi_bar)
         assert np.array_equal(ta.attack_norms, tb.attack_norms)
+
+
+_STEP = engine.step
+
+
+def _recorded_run(cfg, seed, monkeypatch):
+    """Run one seed; returns (result, the attack rows of every round)."""
+    rows = []
+
+    def recording_step(k, iterates, broadcasts, saturated, honest, attack_rows, *rest):
+        rows.append(attack_rows.copy())
+        return _STEP(k, iterates, broadcasts, saturated, honest, attack_rows, *rest)
+
+    monkeypatch.setattr(engine, "step", recording_step)
+    return run_single(cfg, seed), rows
+
+
+def test_per_agent_policies_match_the_per_key_oracle(monkeypatch):
+    doc = _run_doc(
+        n=6,
+        p=3,
+        roles=["honest"] * 2 + ["adversarial"] * 4,
+        quantizer={"bits": 2, "interval_length": 1.0, "midpoint": 0.0},
+        attack={
+            "2": {"kind": "uniform", "range": [0.1, 0.6], "sign": "positive", "seed": 3},
+            "3": {"kind": "uniform", "range": [0.2, 0.9], "sign": "negative", "seed": 11},
+            "4": {"kind": "constant", "value": [0.3, 0.2, 0.1], "sign": "negative"},
+            "5": {"kind": "zero"},
+        },
+        iterations=40,
+    )
+    cfg = parse_config(doc)
+    result, rows = _recorded_run(cfg, 4, monkeypatch)
+    # the same run with every attack drawn one key at a time
+    monkeypatch.setattr(adversary, "attack_table", reference_attack_table)
+    want, want_rows = _recorded_run(cfg, 4, monkeypatch)
+    assert len(rows) == len(want_rows) == 40
+    for t, u, r, s in zip(result.traces, want.traces, rows, want_rows):
+        assert np.array_equal(r, s)
+        assert np.array_equal(t.mean_attack, u.mean_attack)
+        assert np.array_equal(t.x_bar_next, u.x_bar_next)
+    assert np.all(rows[0][2] > 0) and np.all(rows[0][3] < 0)
+    assert np.array_equal(rows[7][4], [-0.3, -0.2, -0.1])
+    assert not rows[7][[0, 1, 5]].any()
 
 
 def test_zero_iterations_rejected():
