@@ -13,7 +13,7 @@ from .bounds import (
     subgradient_admissible,
 )
 from .config import ConfigError, ExperimentConfig, parse_config, preset_config
-from .engine import IterationTrace, RunResult, run
+from .engine import RunResult, Trace, run
 from .harness import run_experiment, run_preset, sweep
 from .objective import FeasibleSet, LocalObjective, quadratic_suite
 from .quantizer import UniformQuantizer
@@ -27,10 +27,10 @@ __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "FeasibleSet",
-    "IterationTrace",
     "LocalObjective",
     "NetworkTopology",
     "RunResult",
+    "Trace",
     "UniformQuantizer",
     "admissible_step_window",
     "attack_table",

@@ -1,10 +1,11 @@
 """Closed-form analysis kernel: constants, admissibility checks, and the
 per-iteration error bound used as an overlay against simulation traces.
 
-Everything here is a pure function of scalars.  Hypothesis violations
-(non-contractive factor, step size above 1) do not raise: the value is
-still computed and a ``RuntimeWarning`` is emitted so harnesses can
-surface the tension instead of hiding it.
+Everything here is a pure function of scalars, except that Lemma 1's
+bound also takes an array of per-round quantization errors.  Hypothesis
+violations (non-contractive factor, step size above 1) do not raise: the
+value is still computed and a ``RuntimeWarning`` is emitted so harnesses
+can surface the tension instead of hiding it.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+
+import numpy as np
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -83,15 +86,15 @@ def subgradient_admissible(subgrad_bound: float, alpha: float) -> bool:
     return subgrad_bound <= 1.0 / (SQRT6 * alpha)
 
 
-def lemma1_bound(
-    mean_quant_error: float, subgrad_bound: float, alpha: float, n: int
-) -> float:
+def lemma1_bound(mean_quant_error, subgrad_bound: float, alpha: float, n: int):
     """Bound sqrt(8)*Delta + sqrt(2)*Lbar*alpha/n on the mean projection error.
 
-    Warns (value still returned) when alpha > 1, which is outside the
-    hypothesis under which the bound is derived.
+    ``mean_quant_error`` may be an array of per-round values Delta, which
+    gives the array of bounds.  Warns once per call (value still
+    returned) when alpha > 1, which is outside the hypothesis under
+    which the bound is derived.
     """
-    if mean_quant_error < 0 or subgrad_bound < 0 or alpha < 0:
+    if np.any(np.asarray(mean_quant_error) < 0) or subgrad_bound < 0 or alpha < 0:
         raise ValueError("inputs must be nonnegative")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -215,19 +218,33 @@ class BoundReport:
             "alpha_le_1": self.alpha <= 1.0,
         }
 
+    def _recursion_bound(self, k: int) -> float:
+        return recursion_bound(
+            k,
+            self.initial_error,
+            self.alpha,
+            self.c2,
+            self.interval_length,
+            self.bits,
+            self.subgrad_bound,
+            self.attack_norm,
+        )
+
     def per_k_bound(self, k: int) -> float:
+        """The recursion bound after k iterations, hypothesis warnings muted."""
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            return recursion_bound(
-                k,
-                self.initial_error,
-                self.alpha,
-                self.c2,
-                self.interval_length,
-                self.bits,
-                self.subgrad_bound,
-                self.attack_norm,
-            )
+            return self._recursion_bound(k)
+
+    def bound_column(self, iterations: int) -> list:
+        """``per_k_bound(k)`` for k = 0..iterations, under one warning filter.
+
+        Each value is the scalar :func:`recursion_bound`: ``np.power`` over
+        a k array is not bit-identical to Python's ``**``.
+        """
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return [self._recursion_bound(k) for k in range(iterations + 1)]
 
     def to_dict(self) -> dict:
         return {

@@ -5,13 +5,21 @@ iterate, adversaries their full-precision one), then every agent mixes
 the received values, takes a subgradient step, adversaries add their
 perturbation, and the result is projected back onto the feasible set.
 
+A run is split in two.  The round loop only advances the state, writing
+each round's iterates, broadcasts, gradients and attack-free update into
+preallocated block buffers of at most ``BLOCK_BYTES`` each.  After every
+block, each column of the run's :class:`Trace` is filled by one array
+reduction over the block, and the mean-iterate invariant is checked
+there.  Memory therefore does not grow with the iteration count beyond
+the trace columns themselves.
+
 A single run is sequential and fully deterministic given its seed; runs
 share no mutable state, so seed sweeps may execute concurrently.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -29,21 +37,26 @@ MEAN_RECURSION_TOL = 1e-10
 # Rounding slack of the Lemma 1 comparison ``xi_bar_norm <= lemma1_rhs``.
 LEMMA1_TOL = 1e-12
 
+# Size of one (rounds, n, p) block buffer: a block holds
+# max(1, BLOCK_BYTES // (8 n p)) rounds, so the buffers stay bounded
+# however many rounds a run has.
+BLOCK_BYTES = 1 << 20
+
 
 class BoundViolationError(RuntimeError):
     """An invariant check failed during a run: the mean-iterate identity
     was off by more than its rounding tolerance, or a state went NaN."""
 
 
-@dataclass(frozen=True)
-class IterationTrace:
-    """Everything the bound checks consume, recorded at one iteration.
+@dataclass(eq=False)
+class Trace:
+    """Everything the bound checks consume, one row per round k = 0..K-1.
 
-    ``x_bar``/``err_*`` describe the state entering iteration k;
-    ``x_bar_next`` the state after the update.  ``delta_bar`` is the mean
-    of per-agent quantization error magnitudes, and ``saturation_count``
-    the number of agents whose broadcast input fell outside the quantizer
-    range this round.
+    Columns are (K,) scalars, (K, n) per-agent values and (K, p) vectors;
+    ``x_bar`` has K+1 rows, row k being the mean iterate entering round k
+    and row K the final one.  ``delta_bar`` is the mean of the per-agent
+    quantization error magnitudes, and ``saturation_count`` the number of
+    agents whose broadcast input fell outside the quantizer range.
 
     ``xi_bar`` is the mean projection residual of the update as run, with
     each adversary's attack ``e_i(k)`` inside the projected point.
@@ -57,27 +70,55 @@ class IterationTrace:
     a term the bound leaves out.
     """
 
-    k: int
     x_bar: np.ndarray
-    x_bar_next: np.ndarray
-    err_all: float
-    err_honest: float
+    err_all: np.ndarray
+    err_honest: np.ndarray
     per_agent_err: np.ndarray
     grad_mean: np.ndarray
-    delta_bar: float
+    delta_bar: np.ndarray
     xi_bar: np.ndarray
-    xi_bar_norm: float
-    xi_bar_attack_free_norm: float
+    xi_bar_norm: np.ndarray
+    xi_bar_attack_free_norm: np.ndarray
     mean_attack: np.ndarray
     attack_norms: np.ndarray
-    saturation_count: int
-    lemma1_rhs: float
-    lemma1_ok: bool
+    saturation_count: np.ndarray
+    lemma1_rhs: np.ndarray
+    lemma1_ok: np.ndarray
+
+    @classmethod
+    def empty(cls, iterations: int, n: int, p: int) -> Trace:
+        """Unfilled columns for a run of ``iterations`` rounds."""
+        k = iterations
+        return cls(
+            x_bar=np.empty((k + 1, p)),
+            err_all=np.empty(k),
+            err_honest=np.empty(k),
+            per_agent_err=np.empty((k, n)),
+            grad_mean=np.empty((k, p)),
+            delta_bar=np.empty(k),
+            xi_bar=np.empty((k, p)),
+            xi_bar_norm=np.empty(k),
+            xi_bar_attack_free_norm=np.empty(k),
+            mean_attack=np.empty((k, p)),
+            attack_norms=np.empty((k, n)),
+            saturation_count=np.empty(k, dtype=np.intp),
+            lemma1_rhs=np.empty(k),
+            lemma1_ok=np.empty(k, dtype=bool),
+        )
+
+    def __len__(self) -> int:
+        """Number of rounds recorded."""
+        return len(self.err_all)
+
+    def clear(self) -> None:
+        """Drop every row, releasing the columns' memory."""
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name)[:0].copy())
 
 
 @dataclass(frozen=True)
 class RunResult:
-    traces: list
+    traces: Trace
     final_iterates: np.ndarray
     x_star: np.ndarray
     final_err_all: float
@@ -88,11 +129,8 @@ class RunResult:
     @property
     def unsaturated_lemma1_violations(self) -> list:
         """Bound failures at rounds with no quantizer saturation at all."""
-        return [
-            t.k
-            for t in self.traces
-            if not t.lemma1_ok and t.saturation_count == 0
-        ]
+        t = self.traces
+        return np.flatnonzero(~t.lemma1_ok & (t.saturation_count == 0)).tolist()
 
 
 def broadcast_phase(
@@ -130,76 +168,107 @@ def matrix_form_update(
 
 
 def step(
-    k: int,
     iterates: np.ndarray,
     broadcasts: np.ndarray,
-    saturated: np.ndarray,
-    honest: np.ndarray,
     attack_rows: np.ndarray,
     weights: np.ndarray,
     objective_rows: list,
     feasible: FeasibleSet,
     alpha: float,
-    x_star: np.ndarray,
-    subgrad_bound: float,
 ):
-    """Advance the network one round; returns (next iterates, trace).
+    """Advance the network one round.
 
+    Returns (next iterates, gradients, attack-free update ``H_af``); the
+    projected point is ``H_af + attack_rows`` clipped to the box.
     ``attack_rows`` holds this round's attack e_i(k) per agent (zero rows
     for honest agents); ``objective_rows`` pairs each distinct objective
     with the index array of the agents that carry it.
     """
-    n = iterates.shape[0]
     gradients = np.empty_like(iterates)
     for objective, rows in objective_rows:
         gradients[rows] = objective.subgradient(iterates[rows])
-
     h_attack_free = matrix_form_update(weights, iterates, broadcasts, gradients, alpha)
     h = h_attack_free + attack_rows
     xi = h - np.clip(h, feasible.lo, feasible.hi)
-    next_iterates = h - xi
+    return h - xi, gradients, h_attack_free
 
-    delta_bar = float(np.mean(np.linalg.norm(iterates - broadcasts, axis=1)))
-    xi_bar = xi.mean(axis=0)
-    xi_bar_norm = float(np.linalg.norm(xi_bar))
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row of a 2-D array, bit for bit.
+
+    ``norm`` of a vector is a dot product; ``norm(v, axis=1)`` sums the
+    squares in another order and differs in the last bit at p > 1.  A
+    (1, p) @ (p, 1) matmul per row is that same dot product.
+    """
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+
+
+def _record_block(
+    trace: Trace,
+    start: int,
+    iterates: np.ndarray,
+    broadcasts: np.ndarray,
+    saturated: np.ndarray,
+    gradients: np.ndarray,
+    h_attack_free: np.ndarray,
+    attacks: np.ndarray,
+    honest: np.ndarray,
+    x_star: np.ndarray,
+    feasible: FeasibleSet,
+    subgrad_bound: float,
+    alpha: float,
+) -> None:
+    """Fill the trace rows of the rounds start..start+m-1 of one block.
+
+    ``iterates`` holds the m+1 states of the block, the others the m
+    rounds' (n, p) rows.  Each column is one reduction over the block,
+    bit for bit the per-round value: axis means and row norms reduce
+    each round's rows in the same order as a single (n, p) array would.
+    """
+    m = len(gradients)
+    rows = slice(start, start + m)
+    entering = iterates[:-1]
+    x_bar = iterates.mean(axis=1)
+    trace.x_bar[start : start + m + 1] = x_bar
+    trace.err_all[rows] = _norms(x_bar[:-1] - x_star)
+    trace.err_honest[rows] = _norms(entering[:, honest].mean(axis=1) - x_star)
+    trace.per_agent_err[rows] = np.linalg.norm(entering - x_star, axis=2)
+    trace.grad_mean[rows] = gradients.mean(axis=1)
+    delta_bar = np.linalg.norm(entering - broadcasts, axis=2).mean(axis=1)
+    trace.delta_bar[rows] = delta_bar
+
+    h = h_attack_free + attacks
+    xi_bar = (h - np.clip(h, feasible.lo, feasible.hi)).mean(axis=1)
+    xi_bar_norm = _norms(xi_bar)
     xi_attack_free = h_attack_free - np.clip(h_attack_free, feasible.lo, feasible.hi)
-    xi_bar_attack_free_norm = float(np.linalg.norm(xi_attack_free.mean(axis=0)))
-    lemma1_rhs = lemma1_bound(delta_bar, subgrad_bound, alpha, n)
+    trace.xi_bar[rows] = xi_bar
+    trace.xi_bar_norm[rows] = xi_bar_norm
+    trace.xi_bar_attack_free_norm[rows] = _norms(xi_attack_free.mean(axis=1))
+    trace.mean_attack[rows] = attacks.mean(axis=1)
+    trace.attack_norms[rows] = np.linalg.norm(attacks, axis=2)
+    trace.saturation_count[rows] = saturated.sum(axis=1)
 
-    x_bar = iterates.mean(axis=0)
-    x_bar_honest = iterates[honest].mean(axis=0)
-    trace = IterationTrace(
-        k=k,
-        x_bar=x_bar,
-        x_bar_next=next_iterates.mean(axis=0),
-        err_all=float(np.linalg.norm(x_bar - x_star)),
-        err_honest=float(np.linalg.norm(x_bar_honest - x_star)),
-        per_agent_err=np.linalg.norm(iterates - x_star, axis=1),
-        grad_mean=gradients.mean(axis=0),
-        delta_bar=delta_bar,
-        xi_bar=xi_bar,
-        xi_bar_norm=xi_bar_norm,
-        xi_bar_attack_free_norm=xi_bar_attack_free_norm,
-        mean_attack=attack_rows.mean(axis=0),
-        attack_norms=np.linalg.norm(attack_rows, axis=1),
-        saturation_count=int(saturated.sum()),
-        lemma1_rhs=lemma1_rhs,
-        lemma1_ok=xi_bar_norm <= lemma1_rhs + LEMMA1_TOL,
-    )
-    return next_iterates, trace
+    lemma1_rhs = lemma1_bound(delta_bar, subgrad_bound, alpha, iterates.shape[1])
+    trace.lemma1_rhs[rows] = lemma1_rhs
+    trace.lemma1_ok[rows] = xi_bar_norm <= lemma1_rhs + LEMMA1_TOL
 
 
-def mean_recursion_residual(trace: IterationTrace, alpha: float) -> float:
-    """Deviation from the exact mean-iterate bookkeeping identity.
+def mean_recursion_residual(
+    trace: Trace, alpha: float, start: int = 0, stop: int | None = None
+) -> np.ndarray:
+    """Per-round deviation from the exact mean-iterate bookkeeping identity.
 
     x_bar(k+1) = x_bar(k) - alpha * mean(g) - xi_bar(k) + mean(e); holds
     up to rounding for every run because the mixing matrix is doubly
-    stochastic.
+    stochastic.  Covers rounds start..stop-1 (default: all).
     """
+    stop = len(trace) if stop is None else stop
+    rows = slice(start, stop)
     predicted = (
-        trace.x_bar - alpha * trace.grad_mean - trace.xi_bar + trace.mean_attack
+        trace.x_bar[rows] - alpha * trace.grad_mean[rows] - trace.xi_bar[rows]
+        + trace.mean_attack[rows]
     )
-    return float(np.max(np.abs(predicted - trace.x_bar_next)))
+    return np.max(np.abs(predicted - trace.x_bar[start + 1 : stop + 1]), axis=1)
 
 
 def _grouped(pairs) -> list:
@@ -270,10 +339,11 @@ def run(
     (its interval length may be an (n, 1) column, one per agent), or is
     None for exact communication.
 
-    Raises :class:`BoundViolationError` at the first round whose
-    mean-iterate identity fails or yields NaN.  Projection-error bound
-    failures do not raise: they are recorded per round in the traces
-    (``lemma1_ok``) and surface through ``unsaturated_lemma1_violations``.
+    Raises :class:`BoundViolationError` for the first round whose
+    mean-iterate identity fails or yields NaN, once its block is reduced.
+    Projection-error bound failures do not raise: they are recorded per
+    round in the trace (``lemma1_ok``) and surface through
+    ``unsaturated_lemma1_violations``.
     """
     if iterations < 1:
         raise ValueError(f"need at least one iteration, got {iterations}")
@@ -287,51 +357,75 @@ def run(
     if not honest.any():
         raise ValueError("at least one honest agent is required")
 
+    p = feasible.dimension
     subgrad_bound = suite_subgrad_bound(objectives)
     tolerance = MEAN_RECURSION_TOL * max(
         1.0,
         feasible.corner_norm(),
         alpha * subgrad_bound,
-        *(adv.max_attack_norm(policy, feasible.dimension) for policy in attacks.values()),
+        *(adv.max_attack_norm(policy, p) for policy in attacks.values()),
     )
     fixed_attacks, keyed, keyed_attacks = _attack_schedule(
-        attacks, n, iterations, feasible.dimension, seed
+        attacks, n, iterations, p, seed
     )
     objective_rows = _grouped(enumerate(objectives))
-    iterates = initial_iterates(n, feasible, seed, explicit_init)
-    traces = []
-    for k in range(iterations):
-        broadcasts, saturated = broadcast_phase(
-            iterates, quantizer, honest, adversary_quantizes
-        )
-        attack_rows = fixed_attacks.copy()
-        attack_rows[keyed] = keyed_attacks[k]
-        iterates, trace = step(
-            k,
-            iterates,
-            broadcasts,
-            saturated,
-            honest,
-            attack_rows,
-            topology.weights,
-            objective_rows,
-            feasible,
-            alpha,
-            x_star,
-            subgrad_bound,
-        )
-        residual = mean_recursion_residual(trace, alpha)
-        if not residual <= tolerance:  # NaN fails too
-            raise BoundViolationError(
-                f"mean-iterate bookkeeping identity off by {residual} at k={k}"
-            )
-        traces.append(trace)
+    trace = Trace.empty(iterations, n, p)
 
-    final_all = iterates.mean(axis=0)
-    final_honest = iterates[honest].mean(axis=0)
+    block = min(iterations, max(1, BLOCK_BYTES // (8 * n * p)))
+    states = np.empty((block + 1, n, p))
+    broadcasts, gradients, h_attack_free, attack_rows = (
+        np.empty((block, n, p)) for _ in range(4)
+    )
+    saturated = np.empty((block, n), dtype=bool)
+    states[0] = initial_iterates(n, feasible, seed, explicit_init)
+    for start in range(0, iterations, block):
+        m = min(block, iterations - start)
+        attack_rows[:m] = fixed_attacks
+        attack_rows[:m, keyed] = keyed_attacks[start : start + m]
+        for j in range(m):
+            broadcasts[j], saturated[j] = broadcast_phase(
+                states[j], quantizer, honest, adversary_quantizes
+            )
+            states[j + 1], gradients[j], h_attack_free[j] = step(
+                states[j],
+                broadcasts[j],
+                attack_rows[j],
+                topology.weights,
+                objective_rows,
+                feasible,
+                alpha,
+            )
+        _record_block(
+            trace,
+            start,
+            states[: m + 1],
+            broadcasts[:m],
+            saturated[:m],
+            gradients[:m],
+            h_attack_free[:m],
+            attack_rows[:m],
+            honest,
+            x_star,
+            feasible,
+            subgrad_bound,
+            alpha,
+        )
+        residual = mean_recursion_residual(trace, alpha, start, start + m)
+        failed = np.flatnonzero(~(residual <= tolerance))  # NaN fails too
+        if failed.size:
+            j = int(failed[0])
+            raise BoundViolationError(
+                f"mean-iterate bookkeeping identity off by {float(residual[j])} "
+                f"at k={start + j}"
+            )
+        states[0] = states[m]
+
+    final = states[0].copy()
+    final_all = final.mean(axis=0)
+    final_honest = final[honest].mean(axis=0)
     return RunResult(
-        traces=traces,
-        final_iterates=iterates,
+        traces=trace,
+        final_iterates=final,
         x_star=x_star,
         final_err_all=float(np.linalg.norm(final_all - x_star)),
         final_err_honest=float(np.linalg.norm(final_honest - x_star)),

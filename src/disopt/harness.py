@@ -81,7 +81,7 @@ def build_bound_report(config: ExperimentConfig, results) -> BoundReport | None:
     attack_norm = 0.0
     for agent, policy in config.attack.items():
         attack_norm = max(attack_norm, max_attack_norm(policy, config.p))
-    initial_error = max(r.traces[0].err_all for r in results) if results else 0.0
+    initial_error = max(r.traces.err_all[0] for r in results) if results else 0.0
     return BoundReport(
         mu=min(o.mu for o in objectives),
         lipschitz=max(o.lipschitz for o in objectives),
@@ -97,10 +97,15 @@ def build_bound_report(config: ExperimentConfig, results) -> BoundReport | None:
 def write_trace_csv(
     path: Path,
     result: engine.RunResult,
-    report: BoundReport | None,
+    theorem_bounds: list | None,
     include_agents: bool = False,
 ) -> None:
-    """Trace rows k = 0..K-1 plus one closing row for the final state."""
+    """Trace rows k = 0..K-1 plus one closing row for the final state.
+
+    ``theorem_bounds`` is the scenario's :meth:`BoundReport.bound_column`
+    (K+1 values), or None in exact-communication mode.
+    """
+    t = result.traces
     n = result.final_iterates.shape[0]
     header = [
         "k",
@@ -114,35 +119,39 @@ def write_trace_csv(
     ]
     if include_agents:
         header += [f"err_agent_{i}" for i in range(n)]
+    rounds = len(t)
+    theorem = [_fmt(b) for b in theorem_bounds] if theorem_bounds else [""] * (rounds + 1)
+    per_agent = t.per_agent_err.tolist() if include_agents else None
+    columns = zip(
+        t.err_all.tolist(),
+        t.err_honest.tolist(),
+        t.delta_bar.tolist(),
+        t.xi_bar_norm.tolist(),
+        t.lemma1_rhs.tolist(),
+        theorem,
+        t.saturation_count.tolist(),
+    )
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for t in result.traces:
-            row = [
-                str(t.k),
-                _fmt(t.err_all),
-                _fmt(t.err_honest),
-                _fmt(t.delta_bar),
-                _fmt(t.xi_bar_norm),
-                _fmt(t.lemma1_rhs),
-                _fmt(report.per_k_bound(t.k)) if report else "",
-                str(t.saturation_count),
-            ]
+        for k, (*values, bound, saturated) in enumerate(columns):
+            row = [str(k), *map(_fmt, values), bound, str(saturated)]
             if include_agents:
-                row += [_fmt(e) for e in t.per_agent_err]
+                row += [_fmt(e) for e in per_agent[k]]
             writer.writerow(row)
-        final_k = len(result.traces)
         row = [
-            str(final_k),
+            str(rounds),
             _fmt(result.final_err_all),
             _fmt(result.final_err_honest),
             "",
             "",
             "",
-            _fmt(report.per_k_bound(final_k)) if report else "",
+            theorem[rounds],
             "",
         ]
         if include_agents:
+            # norm of each agent's vector (a dot product): norm(..., axis=1)
+            # differs from it in the last bit at p > 1
             row += [
                 _fmt(np.linalg.norm(result.final_iterates[i] - result.x_star))
                 for i in range(n)
@@ -161,11 +170,12 @@ def run_experiment(
     outdir.mkdir(parents=True, exist_ok=True)
     results = [run_single(config, seed) for seed in config.seeds]
     report = build_bound_report(config, results)
+    theorem_bounds = report.bound_column(config.iterations) if report else None
 
     csv_paths = []
     for seed, result in zip(config.seeds, results):
         path = outdir / f"{name}_seed{seed}.csv"
-        write_trace_csv(path, result, report, include_agents=include_agents)
+        write_trace_csv(path, result, theorem_bounds, include_agents=include_agents)
         csv_paths.append(path)
 
     report_path = None

@@ -74,11 +74,11 @@ def test_criterion_2_exact_mode_contraction(capsys):
         }
     )
     result = run_single(cfg, 1)
-    e0 = result.traces[0].err_all
-    errors = [t.err_all for t in result.traces] + [result.final_err_all]
+    e0 = result.traces.err_all[0]
+    errors = [*result.traces.err_all.tolist(), result.final_err_all]
     deviations = [abs(errors[k] - 0.3**k * e0) for k in range(31)]
     # precondition of the closed form: no projection residual anywhere
-    assert all(t.xi_bar_norm == 0.0 for t in result.traces)
+    assert not result.traces.xi_bar_norm.any()
     worst = max(deviations)
     elapsed = time.perf_counter() - start
     passed = worst <= 1e-9 and elapsed < 1.0
@@ -93,9 +93,8 @@ def test_criterion_3_mean_recursion_identity(preset_runs, capsys):
     steps = 0
     for name, (cfg, results) in preset_runs.items():
         for result in results:
-            for t in result.traces:
-                worst = max(worst, mean_recursion_residual(t, cfg.alpha))
-                steps += 1
+            worst = max(worst, float(np.max(mean_recursion_residual(result.traces, cfg.alpha))))
+            steps += len(result.traces)
     passed = worst <= 1e-10
     _report(capsys, 3, passed, f"max residual {worst:.3e} over {steps} steps")
     assert worst <= 1e-10
@@ -121,22 +120,26 @@ def test_criterion_4_projection_error_dominance(preset_runs, capsys):
     steps = 0
     for name, (cfg, results) in preset_runs.items():
         for seed, result in zip(cfg.seeds, results):
-            for t in result.traces:
-                steps += 1
-                if t.saturation_count > 0:
-                    saturated_excluded += 1
-                    continue
-                attack_term = float(np.mean(t.attack_norms))
-                if not t.xi_bar_attack_free_norm <= t.lemma1_rhs + LEMMA1_TOL:
+            t = result.traces
+            steps += len(t)
+            unsaturated = t.saturation_count == 0
+            saturated_excluded += int(np.sum(~unsaturated))
+            attack_term = t.attack_norms.mean(axis=1)
+            attack_free_bound = t.lemma1_rhs + LEMMA1_TOL
+            attack_aware_bound = t.xi_bar_attack_free_norm + attack_term + LEMMA1_TOL
+            for k in np.flatnonzero(unsaturated).tolist():
+                if not t.xi_bar_attack_free_norm[k] <= attack_free_bound[k]:
                     attack_free_violations.append(
-                        (name, seed, t.k, t.xi_bar_attack_free_norm, t.lemma1_rhs)
+                        (name, seed, k, t.xi_bar_attack_free_norm[k], t.lemma1_rhs[k])
                     )
-                if not t.xi_bar_norm <= t.xi_bar_attack_free_norm + attack_term + LEMMA1_TOL:
+                if not t.xi_bar_norm[k] <= attack_aware_bound[k]:
                     attack_term_violations.append(
-                        (name, seed, t.k, t.xi_bar_norm, t.xi_bar_attack_free_norm + attack_term)
+                        (name, seed, k, t.xi_bar_norm[k], attack_aware_bound[k] - LEMMA1_TOL)
                     )
-                if not t.lemma1_ok:
-                    raw_gaps.append((name, seed, t.k, t.xi_bar_norm, t.lemma1_rhs, attack_term))
+                if not t.lemma1_ok[k]:
+                    raw_gaps.append(
+                        (name, seed, k, t.xi_bar_norm[k], t.lemma1_rhs[k], attack_term[k])
+                    )
     passed = not attack_free_violations and not attack_term_violations
     unsaturated = steps - saturated_excluded
     _report(
@@ -251,7 +254,7 @@ def test_criterion_7_bound_dominance(capsys):
     worst_excess = -np.inf
     violations = 0
     for result in results:
-        errors = [t.err_all for t in result.traces] + [result.final_err_all]
+        errors = [*result.traces.err_all.tolist(), result.final_err_all]
         for k, err in enumerate(errors):
             excess = err - report.per_k_bound(k)
             worst_excess = max(worst_excess, excess)

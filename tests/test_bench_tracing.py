@@ -1,0 +1,92 @@
+"""The benchmark tracer's patch targets exist, and it leaves disopt as it
+found it.
+
+``bench/tracing.py`` is read as it is and never changed here.  It
+replaces the functions named by ``_spans()`` with span-recording
+wrappers, so a rename under ``src/`` breaks ``bench/run.py --trace 1``;
+these tests catch that first.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+import disopt
+from disopt.config import parse_config
+from disopt.harness import run_single
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _disopt_bindings() -> dict:
+    """Every attribute of every loaded disopt module and class, by identity."""
+    out = {}
+    for name, module in list(sys.modules.items()):
+        if module is None or not (name == "disopt" or name.startswith("disopt.")):
+            continue
+        for key, value in list(vars(module).items()):
+            out[(name, key)] = value
+            if isinstance(value, type) and value.__module__.startswith("disopt"):
+                for attr, member in list(vars(value).items()):
+                    out[(name, key, attr)] = member
+    return out
+
+
+def test_every_span_target_resolves(tracing):
+    spans = tracing._spans()
+    assert spans
+    missing = [(span, attr) for span, owner, attr in spans if not hasattr(owner, attr)]
+    assert missing == []
+
+
+def test_install_then_uninstall_restores_every_original(tracing):
+    import disopt.engine as engine
+
+    before = _disopt_bindings()
+    run = engine.run
+    recorder = tracing.Recorder()
+    recorder.install()
+    try:
+        assert engine.run is not run
+        # a traced run goes through the spans the engine still calls
+        doc = {
+            "n": 3,
+            "p": 1,
+            "topology": {"type": "complete"},
+            "roles": ["honest", "honest", "adversarial"],
+            "objective": {"name": "quadratic", "box": {"lo": -1.0, "hi": 1.0}},
+            "quantizer": {"bits": 2, "interval_length": 1.0},
+            "attack": {"kind": "uniform", "range": [0.0, 1.0], "seed": 1},
+            "alpha": 0.5,
+            "iterations": 4,
+        }
+        disopt.harness.run_single(parse_config(doc), 0)
+    finally:
+        recorder.uninstall()
+    after = _disopt_bindings()
+    changed = [key for key in before if after.get(key) is not before[key]]
+    assert changed == []
+    assert engine.run is run and disopt.harness.run_single is run_single
+
+    spans = recorder.totals()["spans"]
+    for name in (
+        "harness.run_single",
+        "engine.run",
+        "engine.broadcast_phase",
+        "engine.step",
+        "engine.matrix_form_update",
+        "quantizer.quantize",
+    ):
+        assert spans[name]["count"] >= 1, name
+    assert spans["engine.step"]["count"] == 4
+    assert recorder.counters["engine.agent_rounds"] == 3 * 4

@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -91,6 +93,21 @@ def test_lemma1_bound_warns_above_unit_step():
         lemma1_bound(-0.1, 0.1, 0.7, 10)
 
 
+def test_lemma1_bound_takes_an_array_of_rounds():
+    deltas = np.array([0.0, 0.015625, 0.25, 0.5])
+    bounds = lemma1_bound(deltas, 1.0, 0.7, 10)
+    assert bounds.tolist() == [lemma1_bound(float(d), 1.0, 0.7, 10) for d in deltas]
+    with pytest.raises(ValueError):
+        lemma1_bound(np.array([0.25, -0.1]), 0.1, 0.7, 10)
+    # one warning per call, however many rounds it covers
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        lemma1_bound(deltas, 1.0, 1.5, 10)
+    assert [str(w.message) for w in caught] == [
+        "projection-error bound assumes alpha <= 1, got 1.5"
+    ]
+
+
 def test_neighborhood_golden_values():
     assert neighborhood_size(1.0, 1, 0.0, 0.0, 0.0) == pytest.approx(
         1.224744871391589, rel=REL
@@ -152,6 +169,25 @@ def test_bound_report_is_consistent():
     d = report.to_dict()
     assert d["contraction_factor"] == report.rho
     assert d["step_window"]["empty"] is False
+
+
+@pytest.mark.parametrize("alpha", [0.7, 0.1, 1.5])
+def test_bound_column_is_per_k_bound_over_every_k(alpha):
+    # alpha 0.1 and 1.5 make the factor non-contractive (rho >= 1, rho < 0)
+    report = BoundReport(
+        mu=1.0,
+        lipschitz=1.0,
+        alpha=alpha,
+        bits=3,
+        interval_length=1.0,
+        subgrad_bound=0.5,
+        attack_norm=0.2,
+        initial_error=0.8,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        column = report.bound_column(200)
+    assert column == [report.per_k_bound(k) for k in range(201)]
 
 
 @settings(max_examples=200, deadline=None)

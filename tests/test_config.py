@@ -297,6 +297,7 @@ def test_any_one_field_either_rejected_or_runs_finite(field, value):
     for seed in cfg.seeds:
         result = run_single(cfg, seed)
         assert np.all(np.isfinite(result.final_iterates))
-        for t in result.traces:
-            values = [t.err_all, t.err_honest, t.delta_bar, t.xi_bar_norm, t.lemma1_rhs]
-            assert np.all(np.isfinite(values)) and np.all(np.isfinite(t.per_agent_err))
+        t = result.traces
+        for column in (t.err_all, t.err_honest, t.delta_bar, t.xi_bar_norm, t.lemma1_rhs):
+            assert np.all(np.isfinite(column))
+        assert np.all(np.isfinite(t.per_agent_err))

@@ -1,8 +1,12 @@
+import tracemalloc
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from stream_oracle import reference_attack_table
+from trace_oracle import reference_columns, reference_run
 
 from disopt import adversary, engine
 from disopt.config import parse_config
@@ -144,17 +148,17 @@ def test_identical_agents_stay_identical():
     )
     cfg = parse_config(doc)
     result = run_single(cfg, 0)
-    for t in result.traces:
-        assert t.per_agent_err[0] == t.per_agent_err[1]
+    per_agent = result.traces.per_agent_err
+    assert np.array_equal(per_agent[:, 0], per_agent[:, 1])
 
 
 def test_exact_mode_contraction_closed_form():
     doc = _run_doc(n=10, roles=["honest"] * 10, iterations=30)
     cfg = parse_config(doc)
     result = run_single(cfg, 3)
-    e0 = result.traces[0].err_all
-    for t in result.traces:
-        assert t.err_all == pytest.approx((1 - 0.5) ** t.k * e0, abs=1e-9)
+    errors = result.traces.err_all
+    k = np.arange(len(errors))
+    assert errors == pytest.approx((1 - 0.5) ** k * errors[0], abs=1e-9)
 
 
 def test_mean_recursion_identity_under_attack():
@@ -167,8 +171,8 @@ def test_mean_recursion_identity_under_attack():
     )
     cfg = parse_config(doc)
     result = run_single(cfg, 0)
-    for t in result.traces:
-        assert mean_recursion_residual(t, cfg.alpha) <= 1e-10
+    residual = mean_recursion_residual(result.traces, cfg.alpha)
+    assert residual.shape == (50,) and np.all(residual <= 1e-10)
 
 
 def test_iterates_stay_feasible():
@@ -196,24 +200,23 @@ def test_runs_are_bit_identical():
     cfg = parse_config(doc)
     a, b = run_single(cfg, 5), run_single(cfg, 5)
     assert np.array_equal(a.final_iterates, b.final_iterates)
-    for ta, tb in zip(a.traces, b.traces):
-        assert np.array_equal(ta.xi_bar, tb.xi_bar)
-        assert np.array_equal(ta.attack_norms, tb.attack_norms)
+    assert np.array_equal(a.traces.xi_bar, b.traces.xi_bar)
+    assert np.array_equal(a.traces.attack_norms, b.traces.attack_norms)
 
 
-_STEP = engine.step
-
-
-def _recorded_run(cfg, seed, monkeypatch):
-    """Run one seed; returns (result, the attack rows of every round)."""
-    rows = []
-
-    def recording_step(k, iterates, broadcasts, saturated, honest, attack_rows, *rest):
-        rows.append(attack_rows.copy())
-        return _STEP(k, iterates, broadcasts, saturated, honest, attack_rows, *rest)
-
-    monkeypatch.setattr(engine, "step", recording_step)
-    return run_single(cfg, seed), rows
+def _recorded_run(cfg, seed):
+    """Run one seed; returns (result, the (K, n, p) attack rows of every
+    round, rebuilt from the run's attack schedule)."""
+    fixed, keyed, table = engine._attack_schedule(
+        cfg.attack, cfg.n, cfg.iterations, cfg.p, seed
+    )
+    rows = np.broadcast_to(fixed, (cfg.iterations, cfg.n, cfg.p)).copy()
+    rows[:, keyed] = table
+    result = run_single(cfg, seed)
+    # the run added exactly these rows
+    assert np.array_equal(result.traces.mean_attack, rows.mean(axis=1))
+    assert np.array_equal(result.traces.attack_norms, np.linalg.norm(rows, axis=2))
+    return result, rows
 
 
 def test_per_agent_policies_match_the_per_key_oracle(monkeypatch):
@@ -231,15 +234,14 @@ def test_per_agent_policies_match_the_per_key_oracle(monkeypatch):
         iterations=40,
     )
     cfg = parse_config(doc)
-    result, rows = _recorded_run(cfg, 4, monkeypatch)
+    result, rows = _recorded_run(cfg, 4)
     # the same run with every attack drawn one key at a time
     monkeypatch.setattr(adversary, "attack_table", reference_attack_table)
-    want, want_rows = _recorded_run(cfg, 4, monkeypatch)
+    want, want_rows = _recorded_run(cfg, 4)
     assert len(rows) == len(want_rows) == 40
-    for t, u, r, s in zip(result.traces, want.traces, rows, want_rows):
-        assert np.array_equal(r, s)
-        assert np.array_equal(t.mean_attack, u.mean_attack)
-        assert np.array_equal(t.x_bar_next, u.x_bar_next)
+    assert np.array_equal(rows, want_rows)
+    assert np.array_equal(result.traces.mean_attack, want.traces.mean_attack)
+    assert np.array_equal(result.traces.x_bar, want.traces.x_bar)
     assert np.all(rows[0][2] > 0) and np.all(rows[0][3] < 0)
     assert np.array_equal(rows[7][4], [-0.3, -0.2, -0.1])
     assert not rows[7][[0, 1, 5]].any()
@@ -273,12 +275,184 @@ def test_nan_state_fails_the_invariant_check():
         )
 
 
+def _oracle_run(cfg, seed):
+    """The per-round reference run of ``run_single(cfg, seed)``."""
+    objectives, x_star = cfg.objectives
+    return reference_run(
+        cfg.attack,
+        cfg.quantizer,
+        cfg.topology,
+        objectives,
+        cfg.feasible_set,
+        cfg.alpha,
+        cfg.iterations,
+        x_star,
+        seed=seed,
+        adversary_quantizes=cfg.adversary_quantizes,
+    )
+
+
+def _blocked(monkeypatch, rounds_per_block, n, p):
+    """Make runs of n agents in p dimensions reduce every
+    ``rounds_per_block`` rounds; returns the list of block sizes seen."""
+    sizes = []
+    record = engine._record_block
+
+    def counting(trace, start, iterates, *rest):
+        sizes.append(len(iterates) - 1)
+        return record(trace, start, iterates, *rest)
+
+    monkeypatch.setattr(engine, "BLOCK_BYTES", 8 * n * p * rounds_per_block)
+    monkeypatch.setattr(engine, "_record_block", counting)
+    return sizes
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=6),
+    p=st.integers(min_value=1, max_value=17),
+    adversaries=st.integers(min_value=0, max_value=3),
+    attack=st.sampled_from(["uniform", "constant", "zero"]),
+    bits=st.one_of(st.none(), st.integers(min_value=1, max_value=4)),
+    adversary_quantizes=st.booleans(),
+    rounds_per_block=st.integers(min_value=1, max_value=6),
+    blocks=st.integers(min_value=2, max_value=5),
+    last=st.integers(min_value=1, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_block_columns_match_the_per_round_oracle(
+    n, p, adversaries, attack, bits, adversary_quantizes, rounds_per_block, blocks, last, seed
+):
+    # runs span 2-5 blocks, the last one partial whenever last < rounds_per_block
+    adversaries = min(adversaries, n - 1)
+    last = min(last, rounds_per_block)
+    iterations = (blocks - 1) * rounds_per_block + last
+    rng = np.random.default_rng(seed)
+    sign = str(rng.choice(["positive", "negative"]))
+    policy = {
+        "uniform": {"kind": "uniform", "range": [0.0, 0.8], "sign": sign, "seed": seed},
+        "constant": {
+            "kind": "constant",
+            "value": rng.uniform(0.05, 0.9, size=p).tolist(),
+            "sign": sign,
+        },
+        "zero": {"kind": "zero"},
+    }[attack]
+    doc = _run_doc(
+        n=n,
+        p=p,
+        roles=["honest"] * (n - adversaries) + ["adversarial"] * adversaries,
+        quantizer=None if bits is None else {"bits": bits, "interval_length": 1.0},
+        adversary_quantizes=adversary_quantizes,
+        alpha=float(rng.uniform(0.1, 0.9)),
+        iterations=iterations,
+    )
+    if adversaries:
+        doc["attack"] = policy
+    cfg = parse_config(doc)
+    with pytest.MonkeyPatch.context() as mp:
+        sizes = _blocked(mp, rounds_per_block, n, p)
+        result = run_single(cfg, seed)
+    assert sizes == [rounds_per_block] * (blocks - 1) + [last]
+
+    traces, final = _oracle_run(cfg, seed)
+    want = reference_columns(traces)
+    got = result.traces
+    assert len(got) == iterations
+    assert sorted(f.name for f in fields(got)) == sorted(want)
+    for name, column in want.items():
+        assert np.array_equal(getattr(got, name), column), name
+    assert np.array_equal(got.x_bar[1:], [t.x_bar_next for t in traces])
+    assert np.array_equal(result.final_iterates, final)
+
+
+def _objective_going_nan(after: int) -> LocalObjective:
+    """f(x) = x^2/2 whose subgradient turns NaN from its call ``after`` on."""
+    calls = 0
+
+    def subgradient(x):
+        nonlocal calls
+        calls += 1
+        return np.full_like(x, np.nan) if calls > after else x.copy()
+
+    return LocalObjective(
+        dimension=1,
+        evaluate=lambda x: 0.5 * float(x @ x),
+        subgradient=subgradient,
+        mu=1.0,
+        lipschitz=1.0,
+        subgrad_bound=1.0,
+    )
+
+
+def test_nan_in_a_later_block_raises_at_its_round(monkeypatch):
+    def nan_run(run):
+        # one objective object, so one subgradient call per round
+        return run(
+            {},
+            None,
+            build_complete(2),
+            [_objective_going_nan(after=7)] * 2,
+            BOX1,
+            0.5,
+            12,
+            np.zeros(1),
+        )
+
+    with pytest.raises(engine.BoundViolationError) as want:
+        nan_run(reference_run)
+    sizes = _blocked(monkeypatch, 3, n=2, p=1)
+    with pytest.raises(engine.BoundViolationError) as got:
+        nan_run(engine.run)
+    assert "k=7" in str(want.value)
+    assert str(got.value) == str(want.value)
+    assert sizes == [3, 3, 3]  # rounds 6..8 are the third block
+
+
+def test_block_memory_does_not_grow_with_iterations():
+    # one (K, n, p) array would hold 51.2 MB; the run keeps its (K, n) and
+    # (K, p) columns plus a few (rounds, n, p) block buffers of 1 MiB
+    n, p, iterations = 50, 64, 2000
+    cfg = parse_config(
+        _run_doc(
+            n=n,
+            p=p,
+            roles=["honest"] * 45 + ["adversarial"] * 5,
+            attack={"kind": "constant", "value": [0.05] * p},
+            iterations=iterations,
+        )
+    )
+    tracemalloc.start()
+    try:
+        result = run_single(cfg, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    t = result.traces
+    columns = sum(getattr(t, f.name).nbytes for f in fields(t))
+    assert peak < columns + 12 * engine.BLOCK_BYTES < iterations * n * p * 8 / 2
+
+
+def test_step_size_above_one_warns_from_the_run():
+    cfg = parse_config(_run_doc(alpha=1.5, iterations=3))
+    with pytest.warns(RuntimeWarning, match="projection-error bound assumes alpha <= 1"):
+        run_single(cfg, 0)
+
+
+def test_trace_length_and_clear():
+    cfg = parse_config(_run_doc(n=3, roles=["honest"] * 3, iterations=7))
+    t = run_single(cfg, 0).traces
+    assert len(t) == 7 and t.x_bar.shape == (8, 1) and t.per_agent_err.shape == (7, 3)
+    t.clear()
+    assert len(t) == 0 and t.x_bar.shape == (0, 1) and t.per_agent_err.shape == (0, 3)
+
+
 def test_lemma1_quantities_recorded(preset_runs):
     cfg, results = preset_runs["fig2b"]
-    t = results[0].traces[10]
+    t = results[0].traces
     n = cfg.n
-    rhs = np.sqrt(8) * t.delta_bar + np.sqrt(2) * results[0].subgrad_bound * cfg.alpha / n
-    assert t.lemma1_rhs == pytest.approx(rhs)
+    rhs = np.sqrt(8) * t.delta_bar[10] + np.sqrt(2) * results[0].subgrad_bound * cfg.alpha / n
+    assert t.lemma1_rhs[10] == pytest.approx(rhs)
 
 
 def test_attack_free_residual_without_adversaries():
@@ -292,10 +466,9 @@ def test_attack_free_residual_without_adversaries():
         iterations=3,
         init=[[0.49], [1.0], [1.0]],
     )
-    result = run_single(parse_config(doc), 0)
-    assert result.traces[0].xi_bar_norm > 0
-    for t in result.traces:
-        assert t.xi_bar_attack_free_norm == t.xi_bar_norm
+    t = run_single(parse_config(doc), 0).traces
+    assert t.xi_bar_norm[0] > 0
+    assert np.array_equal(t.xi_bar_attack_free_norm, t.xi_bar_norm)
 
 
 def test_attack_free_residual_excludes_clipped_attack():
@@ -307,9 +480,10 @@ def test_attack_free_residual_excludes_clipped_attack():
         attack={"kind": "constant", "value": [1.5], "seed": 0},
         init=[[0.0], [0.0]],
     )
-    (t,) = run_single(parse_config(doc), 0).traces
-    assert t.xi_bar_attack_free_norm == 0.0
-    assert t.xi_bar_norm == (1.5 - 1.0) / 2
+    t = run_single(parse_config(doc), 0).traces
+    assert len(t) == 1
+    assert t.xi_bar_attack_free_norm[0] == 0.0
+    assert t.xi_bar_norm[0] == (1.5 - 1.0) / 2
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,0 +1,133 @@
+"""Per-round reference for the engine's columnar trace.
+
+One round at a time, as the engine ran before its trace became columns:
+each round's trace quantities are reduced from that round's (n, p) rows
+alone and kept as one :class:`IterationTrace` per round.  The engine's
+block reductions must give every column bit for bit.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from disopt import adversary, engine
+from disopt.bounds import lemma1_bound
+from disopt.objective import suite_subgrad_bound
+
+
+@dataclass(frozen=True)
+class IterationTrace:
+    k: int
+    x_bar: np.ndarray
+    x_bar_next: np.ndarray
+    err_all: float
+    err_honest: float
+    per_agent_err: np.ndarray
+    grad_mean: np.ndarray
+    delta_bar: float
+    xi_bar: np.ndarray
+    xi_bar_norm: float
+    xi_bar_attack_free_norm: float
+    mean_attack: np.ndarray
+    attack_norms: np.ndarray
+    saturation_count: int
+    lemma1_rhs: float
+    lemma1_ok: bool
+
+
+def reference_step(
+    k, iterates, broadcasts, saturated, honest, attack_rows, weights,
+    objective_rows, feasible, alpha, x_star, subgrad_bound,
+):
+    """Advance one round; returns (next iterates, that round's trace)."""
+    n = iterates.shape[0]
+    gradients = np.empty_like(iterates)
+    for objective, rows in objective_rows:
+        gradients[rows] = objective.subgradient(iterates[rows])
+
+    h_attack_free = engine.matrix_form_update(weights, iterates, broadcasts, gradients, alpha)
+    h = h_attack_free + attack_rows
+    xi = h - np.clip(h, feasible.lo, feasible.hi)
+    next_iterates = h - xi
+
+    delta_bar = float(np.mean(np.linalg.norm(iterates - broadcasts, axis=1)))
+    xi_bar = xi.mean(axis=0)
+    xi_bar_norm = float(np.linalg.norm(xi_bar))
+    xi_attack_free = h_attack_free - np.clip(h_attack_free, feasible.lo, feasible.hi)
+    lemma1_rhs = lemma1_bound(delta_bar, subgrad_bound, alpha, n)
+
+    x_bar = iterates.mean(axis=0)
+    x_bar_honest = iterates[honest].mean(axis=0)
+    trace = IterationTrace(
+        k=k,
+        x_bar=x_bar,
+        x_bar_next=next_iterates.mean(axis=0),
+        err_all=float(np.linalg.norm(x_bar - x_star)),
+        err_honest=float(np.linalg.norm(x_bar_honest - x_star)),
+        per_agent_err=np.linalg.norm(iterates - x_star, axis=1),
+        grad_mean=gradients.mean(axis=0),
+        delta_bar=delta_bar,
+        xi_bar=xi_bar,
+        xi_bar_norm=xi_bar_norm,
+        xi_bar_attack_free_norm=float(np.linalg.norm(xi_attack_free.mean(axis=0))),
+        mean_attack=attack_rows.mean(axis=0),
+        attack_norms=np.linalg.norm(attack_rows, axis=1),
+        saturation_count=int(saturated.sum()),
+        lemma1_rhs=lemma1_rhs,
+        lemma1_ok=xi_bar_norm <= lemma1_rhs + engine.LEMMA1_TOL,
+    )
+    return next_iterates, trace
+
+
+def reference_run(
+    attacks, quantizer, topology, objectives, feasible, alpha, iterations, x_star,
+    seed=0, explicit_init=None, adversary_quantizes=False,
+):
+    """(per-round traces, final iterates) of the run ``engine.run`` makes.
+
+    Raises ``BoundViolationError`` at the first round whose mean-iterate
+    identity fails, before any later round runs.
+    """
+    n, p = topology.n, feasible.dimension
+    honest = np.ones(n, dtype=bool)
+    honest[list(attacks)] = False
+    subgrad_bound = suite_subgrad_bound(objectives)
+    tolerance = engine.MEAN_RECURSION_TOL * max(
+        1.0,
+        feasible.corner_norm(),
+        alpha * subgrad_bound,
+        *(adversary.max_attack_norm(policy, p) for policy in attacks.values()),
+    )
+    fixed, keyed, table = engine._attack_schedule(attacks, n, iterations, p, seed)
+    objective_rows = engine._grouped(enumerate(objectives))
+    iterates = engine.initial_iterates(n, feasible, seed, explicit_init)
+    traces = []
+    for k in range(iterations):
+        broadcasts, saturated = engine.broadcast_phase(
+            iterates, quantizer, honest, adversary_quantizes
+        )
+        attack_rows = fixed.copy()
+        attack_rows[keyed] = table[k]
+        iterates, trace = reference_step(
+            k, iterates, broadcasts, saturated, honest, attack_rows, topology.weights,
+            objective_rows, feasible, alpha, x_star, subgrad_bound,
+        )
+        predicted = trace.x_bar - alpha * trace.grad_mean - trace.xi_bar + trace.mean_attack
+        residual = float(np.max(np.abs(predicted - trace.x_bar_next)))
+        if not residual <= tolerance:
+            raise engine.BoundViolationError(
+                f"mean-iterate bookkeeping identity off by {residual} at k={k}"
+            )
+        traces.append(trace)
+    return traces, iterates
+
+
+def reference_columns(traces) -> dict:
+    """The per-round traces stacked into the engine's ``Trace`` columns."""
+    columns = {
+        name: np.array([getattr(t, name) for t in traces])
+        for name in IterationTrace.__dataclass_fields__
+        if name not in ("k", "x_bar", "x_bar_next")
+    }
+    columns["x_bar"] = np.array([t.x_bar for t in traces] + [traces[-1].x_bar_next])
+    return columns
