@@ -9,9 +9,9 @@ A run is split in two.  The round loop only advances the state, writing
 each round's iterates, broadcasts, gradients and attack-free update into
 preallocated block buffers of at most ``BLOCK_BYTES`` each.  After every
 block, each column of the run's :class:`Trace` is filled by one array
-reduction over the block, and the mean-iterate invariant is checked
-there.  Memory therefore does not grow with the iteration count beyond
-the trace columns themselves.
+reduction over the block, the quantizer saturation test included, and
+the mean-iterate invariant is checked there.  Memory therefore does not
+grow with the iteration count beyond the trace columns themselves.
 
 A single run is sequential and fully deterministic given its seed; runs
 share no mutable state, so seed sweeps may execute concurrently.
@@ -56,7 +56,9 @@ class Trace:
     ``x_bar`` has K+1 rows, row k being the mean iterate entering round k
     and row K the final one.  ``delta_bar`` is the mean of the per-agent
     quantization error magnitudes, and ``saturation_count`` the number of
-    agents whose broadcast input fell outside the quantizer range.
+    quantizing agents with some coordinate of their entering iterate
+    outside the quantizer range (NaN counts as outside; always 0 in exact
+    mode).  Like every column, it is reduced once per block of rounds.
 
     ``xi_bar`` is the mean projection residual of the update as run, with
     each adversary's attack ``e_i(k)`` inside the projected point.
@@ -138,21 +140,19 @@ def broadcast_phase(
     quantizer: UniformQuantizer | None,
     honest: np.ndarray,
     adversary_quantizes: bool = False,
-):
-    """Per-agent broadcast values and quantizer saturation flags.
+) -> np.ndarray:
+    """Per-agent broadcast values, the (n, p) buffer every agent receives.
 
     Honest agents (rows where ``honest`` is true) send their quantized
     iterate, or the iterate itself in exact-communication mode
     (``quantizer`` None); adversaries send full precision unless
-    ``adversary_quantizes`` is set.  An agent saturates when it quantizes
-    and some coordinate of its iterate lies outside the quantizer range.
+    ``adversary_quantizes`` is set.  Saturation is not tested here: the
+    trace's ``saturation_count`` tests a whole block of rounds at once.
     """
     if quantizer is None:
-        return iterates, np.zeros(iterates.shape[0], dtype=bool)
+        return iterates
     quantizes = honest | adversary_quantizes
-    buffer = np.where(quantizes[:, None], quantizer.quantize(iterates), iterates)
-    saturated = quantizes & ~quantizer.in_range(iterates).all(axis=1)
-    return buffer, saturated
+    return np.where(quantizes[:, None], quantizer.quantize(iterates), iterates)
 
 
 def matrix_form_update(
@@ -182,7 +182,7 @@ def step(
     projected point is ``H_af + attack_rows`` clipped to the box.
     ``attack_rows`` holds this round's attack e_i(k) per agent (zero rows
     for honest agents); ``objective_rows`` pairs each distinct objective
-    with the index array of the agents that carry it.
+    with the agents that carry it, as an index array or a slice.
     """
     gradients = np.empty_like(iterates)
     for objective, rows in objective_rows:
@@ -208,11 +208,12 @@ def _record_block(
     start: int,
     iterates: np.ndarray,
     broadcasts: np.ndarray,
-    saturated: np.ndarray,
     gradients: np.ndarray,
     h_attack_free: np.ndarray,
     attacks: np.ndarray,
     honest: np.ndarray,
+    quantizer: UniformQuantizer | None,
+    quantizes: np.ndarray,
     x_star: np.ndarray,
     feasible: FeasibleSet,
     subgrad_bound: float,
@@ -224,6 +225,7 @@ def _record_block(
     rounds' (n, p) rows.  Each column is one reduction over the block,
     bit for bit the per-round value: axis means and row norms reduce
     each round's rows in the same order as a single (n, p) array would.
+    ``quantizes`` marks the agents whose broadcast is quantized.
     """
     m = len(gradients)
     rows = slice(start, start + m)
@@ -246,7 +248,11 @@ def _record_block(
     trace.xi_bar_attack_free_norm[rows] = _norms(xi_attack_free.mean(axis=1))
     trace.mean_attack[rows] = attacks.mean(axis=1)
     trace.attack_norms[rows] = np.linalg.norm(attacks, axis=2)
-    trace.saturation_count[rows] = saturated.sum(axis=1)
+    if quantizer is None:
+        trace.saturation_count[rows] = 0
+    else:
+        saturated = quantizes & ~quantizer.in_range(entering).all(axis=2)
+        trace.saturation_count[rows] = saturated.sum(axis=1)
 
     lemma1_rhs = lemma1_bound(delta_bar, subgrad_bound, alpha, iterates.shape[1])
     trace.lemma1_rhs[rows] = lemma1_rhs
@@ -278,6 +284,14 @@ def _grouped(pairs) -> list:
     for index, value in pairs:
         groups.setdefault(id(value), (value, []))[1].append(index)
     return [(value, np.array(rows, dtype=np.intp)) for value, rows in groups.values()]
+
+
+def _as_slice(rows: np.ndarray):
+    """``rows`` as a basic slice when it is one contiguous ascending run,
+    so indexing with it makes views, not copies; else ``rows`` itself."""
+    if rows.size and np.array_equal(rows, np.arange(rows[0], rows[-1] + 1)):
+        return slice(int(rows[0]), int(rows[-1]) + 1)
+    return rows
 
 
 def _attack_schedule(attacks: dict, n: int, iterations: int, p: int, seed: int):
@@ -368,7 +382,9 @@ def run(
     fixed_attacks, keyed, keyed_attacks = _attack_schedule(
         attacks, n, iterations, p, seed
     )
-    objective_rows = _grouped(enumerate(objectives))
+    objective_rows = [
+        (objective, _as_slice(rows)) for objective, rows in _grouped(enumerate(objectives))
+    ]
     trace = Trace.empty(iterations, n, p)
 
     block = min(iterations, max(1, BLOCK_BYTES // (8 * n * p)))
@@ -376,14 +392,13 @@ def run(
     broadcasts, gradients, h_attack_free, attack_rows = (
         np.empty((block, n, p)) for _ in range(4)
     )
-    saturated = np.empty((block, n), dtype=bool)
     states[0] = initial_iterates(n, feasible, seed, explicit_init)
     for start in range(0, iterations, block):
         m = min(block, iterations - start)
         attack_rows[:m] = fixed_attacks
         attack_rows[:m, keyed] = keyed_attacks[start : start + m]
         for j in range(m):
-            broadcasts[j], saturated[j] = broadcast_phase(
+            broadcasts[j] = broadcast_phase(
                 states[j], quantizer, honest, adversary_quantizes
             )
             states[j + 1], gradients[j], h_attack_free[j] = step(
@@ -400,11 +415,12 @@ def run(
             start,
             states[: m + 1],
             broadcasts[:m],
-            saturated[:m],
             gradients[:m],
             h_attack_free[:m],
             attack_rows[:m],
             honest,
+            quantizer,
+            honest | adversary_quantizes,
             x_star,
             feasible,
             subgrad_bound,

@@ -73,7 +73,9 @@ class LocalObjective:
     ``subgradient`` is row-wise: given an (m, p) array of points, one per
     row, it returns the (m, p) array of their subgradients, row i being
     exactly what the point ``x[i]`` alone would give.  The engine makes
-    one call per round for all agents that share an objective.
+    one call per round for all agents that share an objective, passing a
+    view of the state when those agents are contiguous, so ``subgradient``
+    must not write to its argument.
     """
 
     dimension: int

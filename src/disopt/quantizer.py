@@ -3,9 +3,14 @@
 Step size is ``interval_length / 2**bits``.  For inputs whose offset
 from the midpoint stays within half the interval, the per-coordinate
 error never exceeds ``interval_length / 2**(bits + 1)``.  Out-of-range
-coordinates saturate to the end-of-range level; callers can detect this
-via :meth:`UniformQuantizer.saturates` since saturation silently breaks
-the error bound otherwise.
+coordinates saturate to the end-of-range level, which silently breaks
+the error bound; :meth:`UniformQuantizer.in_range` flags them.  It takes
+an input of any shape whose trailing axes match the midpoint, so the
+engine checks a whole block of rounds' states in one call.
+
+The step, the half interval, the level cap ``2**(bits-1)`` and the
+exact-mode flag are fixed when the quantizer is built, not per call;
+``dataclasses.replace`` builds a new quantizer and so recomputes them.
 
 ``interval_length == 0`` is the degenerate exact quantizer: inputs pass
 through unchanged.
@@ -18,7 +23,7 @@ own interval; its entries are then all positive or all zero.  A vector
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,6 +33,10 @@ class UniformQuantizer:
     bits: int
     interval_length: float | np.ndarray
     midpoint: float | np.ndarray = 0.0
+    step: float | np.ndarray = field(init=False, repr=False, compare=False)
+    _half: float | np.ndarray = field(init=False, repr=False, compare=False)
+    _cap: int = field(init=False, repr=False, compare=False)
+    _exact: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if int(self.bits) != self.bits or self.bits < 1:
@@ -39,10 +48,10 @@ class UniformQuantizer:
             )
         mid = np.asarray(self.midpoint, dtype=float)
         object.__setattr__(self, "midpoint", mid)
-
-    @property
-    def step(self) -> float:
-        return self.interval_length / 2**self.bits
+        object.__setattr__(self, "step", self.interval_length / 2**self.bits)
+        object.__setattr__(self, "_half", self.interval_length / 2)
+        object.__setattr__(self, "_cap", 2 ** (self.bits - 1))
+        object.__setattr__(self, "_exact", not np.any(self.interval_length))
 
     def _offsets(self, x) -> tuple:
         x = np.asarray(x, dtype=float)
@@ -58,10 +67,10 @@ class UniformQuantizer:
         out-of-range offsets clamp to the outermost level.
         """
         x, offset = self._offsets(x)
-        if not np.any(self.interval_length):
+        if self._exact:
             return x.copy()
         steps = np.floor(np.abs(offset) / self.step + 0.5)
-        steps = np.minimum(steps, 2 ** (self.bits - 1))
+        steps = np.minimum(steps, self._cap)
         return self.midpoint + np.sign(offset) * self.step * steps
 
     def quantization_error(self, x) -> np.ndarray:
@@ -74,11 +83,12 @@ class UniformQuantizer:
         return self.interval_length / 2 ** (self.bits + 1)
 
     def in_range(self, x) -> np.ndarray:
-        """Per-coordinate mask of inputs inside the quantization interval."""
+        """Per-coordinate mask of inputs inside the quantization interval
+        (NaN is outside); ``x`` may have any leading axes."""
         _, offset = self._offsets(x)
-        if not np.any(self.interval_length):
+        if self._exact:
             return np.ones_like(offset, dtype=bool)
-        return np.abs(offset) <= self.interval_length / 2
+        return np.abs(offset) <= self._half
 
     def saturates(self, x) -> bool:
         """True when any coordinate falls outside the quantization interval."""

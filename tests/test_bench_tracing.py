@@ -79,14 +79,14 @@ def test_install_then_uninstall_restores_every_original(tracing):
     assert engine.run is run and disopt.harness.run_single is run_single
 
     spans = recorder.totals()["spans"]
+    assert spans["harness.run_single"]["count"] == spans["engine.run"]["count"] == 1
+    # one call each per round: the bench divides by these counts
+    # (quantizer.calls, engine.mix_*_per_round), so none may be bypassed
     for name in (
-        "harness.run_single",
-        "engine.run",
-        "engine.broadcast_phase",
         "engine.step",
+        "engine.broadcast_phase",
         "engine.matrix_form_update",
         "quantizer.quantize",
     ):
-        assert spans[name]["count"] >= 1, name
-    assert spans["engine.step"]["count"] == 4
+        assert spans[name]["count"] == 4, name
     assert recorder.counters["engine.agent_rounds"] == 3 * 4

@@ -65,30 +65,74 @@ def per_agent_broadcast(iterates, bits, lengths, midpoint, honest, adversary_qua
 
 ONE_HONEST = np.array([True])
 ONE_ADVERSARY = np.array([False])
+HONEST_AND_ADVERSARY = np.array([True, False])
+
+
+def run_saturation(iterates, quant, honest, adversary_quantizes=False) -> int:
+    """``saturation_count`` of round 0 of a run started at ``iterates``:
+    the broadcast flags as the engine records them, per block."""
+    n, p = iterates.shape
+    box = FeasibleSet(lo=np.full(p, -8.0), hi=np.full(p, 8.0))
+    attacks = {int(i): adversary.AttackPolicy(kind="zero") for i in np.flatnonzero(~honest)}
+    result = engine.run(
+        attacks,
+        quant,
+        build_complete(n),
+        quadratic_suite(n, p, box),
+        box,
+        0.5,
+        1,
+        np.zeros(p),
+        explicit_init=iterates,
+        adversary_quantizes=adversary_quantizes,
+    )
+    return int(result.traces.saturation_count[0])
 
 
 def test_broadcast_honest_quantized():
     quant = UniformQuantizer(bits=1, interval_length=1.0)
-    buffer, saturated = broadcast_phase(np.array([[0.3]]), quant, ONE_HONEST)
+    buffer = broadcast_phase(np.array([[0.3]]), quant, ONE_HONEST)
     assert buffer[0, 0] == pytest.approx(0.5)
-    assert not saturated[0]
+    assert run_saturation(np.array([[0.3]]), quant, ONE_HONEST) == 0
+    assert run_saturation(np.array([[0.7]]), quant, ONE_HONEST) == 1
 
 
 def test_broadcast_adversary_full_precision():
     quant = UniformQuantizer(bits=1, interval_length=1.0)
-    buffer, _ = broadcast_phase(np.array([[0.42]]), quant, ONE_ADVERSARY)
+    buffer = broadcast_phase(np.array([[0.42]]), quant, ONE_ADVERSARY)
     assert buffer[0, 0] == 0.42
     # flipping the bandwidth assumption makes the adversary quantize too
-    buffer, _ = broadcast_phase(
+    buffer = broadcast_phase(
         np.array([[0.42]]), quant, ONE_ADVERSARY, adversary_quantizes=True
     )
     assert buffer[0, 0] == pytest.approx(0.5)
+    # an out-of-range adversary saturates only when it quantizes
+    iterates = np.array([[0.1], [3.0]])
+    assert run_saturation(iterates, quant, HONEST_AND_ADVERSARY) == 0
+    assert run_saturation(iterates, quant, HONEST_AND_ADVERSARY, True) == 1
 
 
 def test_broadcast_exact_mode_passthrough():
-    buffer, saturated = broadcast_phase(np.array([[0.3]]), None, ONE_HONEST)
+    buffer = broadcast_phase(np.array([[0.3]]), None, ONE_HONEST)
     assert buffer[0, 0] == 0.3
-    assert not saturated.any()
+    assert run_saturation(np.array([[3.0]]), None, ONE_HONEST) == 0
+
+
+def test_saturation_counts_a_nan_row_but_not_a_full_precision_adversary():
+    # a NaN state never survives a run's invariant check, so the block
+    # column is filled directly: one round, three agents, the NaN row honest
+    quant = UniformQuantizer(bits=2, interval_length=1.0)
+    honest = np.array([True, True, False])
+    states = np.zeros((2, 3, 1))
+    states[0, :, 0] = [np.nan, 0.1, 3.0]
+    rows = np.zeros((1, 3, 1))
+    for quantizes, want in ((honest, 1), (np.ones(3, dtype=bool), 2)):
+        trace = engine.Trace.empty(1, 3, 1)
+        engine._record_block(
+            trace, 0, states, rows, rows, rows, rows, honest, quant, quantizes,
+            np.zeros(1), BOX1, 1.0, 0.5,
+        )
+        assert trace.saturation_count[0] == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -112,12 +156,14 @@ def test_broadcast_matches_per_agent_oracle(n, p, bits, adversary_quantizes, see
         quant = UniformQuantizer(
             bits=bits, interval_length=lengths[:, None], midpoint=midpoint
         )
-    buffer, saturated = broadcast_phase(iterates, quant, honest, adversary_quantizes)
+    buffer = broadcast_phase(iterates, quant, honest, adversary_quantizes)
     want_buffer, want_saturated = per_agent_broadcast(
         iterates, bits, lengths, midpoint, honest, adversary_quantizes
     )
     assert np.array_equal(buffer, want_buffer)
-    assert np.array_equal(saturated, want_saturated)
+    if honest.any():  # a run needs an honest agent
+        saturated = run_saturation(iterates, quant, honest, adversary_quantizes)
+        assert saturated == want_saturated.sum()
 
 
 def test_single_agent_gradient_step():
@@ -364,6 +410,32 @@ def test_block_columns_match_the_per_round_oracle(
         assert np.array_equal(getattr(got, name), column), name
     assert np.array_equal(got.x_bar[1:], [t.x_bar_next for t in traces])
     assert np.array_equal(result.final_iterates, final)
+
+
+def test_saturation_is_tested_once_per_block(monkeypatch):
+    # 3 blocks of 4, 4 and 2 rounds: one in_range call each, not one per round
+    calls = []
+    in_range = UniformQuantizer.in_range
+
+    def counting(self, x):
+        calls.append(np.shape(x))
+        return in_range(self, x)
+
+    cfg = parse_config(
+        _run_doc(
+            n=3,
+            p=2,
+            roles=["honest"] * 3,
+            objective={"name": "quadratic", "box": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]}},
+            quantizer={"bits": 2, "interval_length": 1.0},
+            iterations=10,
+        )
+    )
+    sizes = _blocked(monkeypatch, 4, n=3, p=2)
+    monkeypatch.setattr(UniformQuantizer, "in_range", counting)
+    run_single(cfg, 0)
+    assert sizes == [4, 4, 2]
+    assert calls == [(4, 3, 2), (4, 3, 2), (2, 3, 2)]
 
 
 def _objective_going_nan(after: int) -> LocalObjective:

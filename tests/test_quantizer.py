@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from quantizer_oracle import reference_in_range, reference_quantize
 
 from disopt.quantizer import UniformQuantizer
 
@@ -104,3 +107,66 @@ def test_in_range_error_never_exceeds_bound(bits, length, offset):
     x = np.array([offset * length])
     err = abs(q.quantization_error(x)[0])
     assert err <= q.error_bound() * (1 + 1e-12)
+
+
+_ENTRIES = st.one_of(
+    st.floats(min_value=-4.0, max_value=4.0),
+    st.sampled_from([np.inf, -np.inf, np.nan, 0.0]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    bits=st.integers(min_value=1, max_value=1023),
+    n=st.integers(min_value=1, max_value=4),
+    p=st.integers(min_value=1, max_value=3),
+    length=st.sampled_from(["scalar", "column", "exact"]),
+    vector_midpoint=st.booleans(),
+    data=st.data(),
+)
+def test_cached_constants_match_the_per_call_oracle(
+    bits, n, p, length, vector_midpoint, data
+):
+    positive = st.floats(min_value=1e-3, max_value=8.0)
+    if length == "scalar":
+        interval = data.draw(positive)
+    elif length == "column":
+        interval = np.array(data.draw(st.lists(positive, min_size=n, max_size=n)))[:, None]
+    else:
+        interval = data.draw(st.sampled_from([0.0, np.zeros((n, 1))]))
+    midpoint = 0.0
+    if vector_midpoint:
+        midpoint = np.array(
+            data.draw(st.lists(st.floats(-1.0, 1.0), min_size=p, max_size=p))
+        )
+    x = np.array(data.draw(st.lists(_ENTRIES, min_size=n * p, max_size=n * p)))
+    x = x.reshape(n, p)
+    q = UniformQuantizer(bits=bits, interval_length=interval, midpoint=midpoint)
+    with np.errstate(all="ignore"):  # offset / step overflows at large bits
+        got, want = q.quantize(x), reference_quantize(q, x)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(q.in_range(x), reference_in_range(q, x))
+    # a leading block axis changes nothing per coordinate
+    block = np.stack([x, -x])
+    assert np.array_equal(q.in_range(block), reference_in_range(q, block))
+
+
+def test_replace_recomputes_the_cached_constants():
+    q = UniformQuantizer(bits=3, interval_length=1.0)
+    x = np.array([0.3, 0.45, 0.6])
+    finer = replace(q, bits=5)
+    assert finer.step == 1 / 32
+    assert np.array_equal(finer.quantize(x), reference_quantize(finer, x))
+    assert np.array_equal(finer.quantize(x), [0.3125, 0.4375, 0.5])
+    wider = replace(q, interval_length=2.0)
+    assert wider.step == 1 / 4
+    assert np.array_equal(wider.in_range(x), [True, True, True])
+    assert np.array_equal(wider.quantize(x), reference_quantize(wider, x))
+    exact = replace(q, interval_length=0.0)
+    assert exact.step == 0.0
+    assert np.array_equal(exact.quantize(x), x)
+    assert np.array_equal(exact.in_range(np.array([9.0])), [True])
+    # and back: the exact quantizer's flag does not stick
+    again = replace(exact, interval_length=1.0)
+    assert np.array_equal(again.quantize(x), q.quantize(x))
+    assert np.array_equal(again.in_range(x), [True, True, False])

@@ -3,7 +3,8 @@
 One round at a time, as the engine ran before its trace became columns:
 each round's trace quantities are reduced from that round's (n, p) rows
 alone and kept as one :class:`IterationTrace` per round.  The engine's
-block reductions must give every column bit for bit.
+block reductions must give every column bit for bit.  Saturation flags
+come from this round's own ``in_range`` test, not from the engine.
 """
 
 from dataclasses import dataclass
@@ -102,10 +103,12 @@ def reference_run(
     objective_rows = engine._grouped(enumerate(objectives))
     iterates = engine.initial_iterates(n, feasible, seed, explicit_init)
     traces = []
+    quantizes = honest | adversary_quantizes
     for k in range(iterations):
-        broadcasts, saturated = engine.broadcast_phase(
-            iterates, quantizer, honest, adversary_quantizes
-        )
+        broadcasts = engine.broadcast_phase(iterates, quantizer, honest, adversary_quantizes)
+        saturated = np.zeros(n, dtype=bool)
+        if quantizer is not None:
+            saturated = quantizes & ~quantizer.in_range(iterates).all(axis=1)
         attack_rows = fixed.copy()
         attack_rows[keyed] = table[k]
         iterates, trace = reference_step(
