@@ -6,8 +6,9 @@ the received values, takes a subgradient step, adversaries add their
 perturbation, and the result is projected back onto the feasible set.
 
 A run is split in two.  The round loop only advances the state, writing
-each round's iterates, broadcasts, gradients and attack-free update into
-preallocated block buffers of at most ``BLOCK_BYTES`` each.  After every
+each round's iterates, broadcasts, gradients, attack rows and attack-free
+update into block buffers of at most ``BLOCK_BYTES`` each, all views of
+one workspace allocated once per run.  After every
 block, each column of the run's :class:`Trace` is filled by one array
 reduction over the block, the quantizer saturation test included, and
 the mean-iterate invariant is checked there.  Memory therefore does not
@@ -39,8 +40,9 @@ LEMMA1_TOL = 1e-12
 
 # Size of one (rounds, n, p) block buffer: a block holds
 # max(1, BLOCK_BYTES // (8 n p)) rounds, so the buffers stay bounded
-# however many rounds a run has.
-BLOCK_BYTES = 1 << 20
+# however many rounds a run has.  Each reduction over a block allocates
+# a temporary as large as a buffer; small blocks keep them in cache.
+BLOCK_BYTES = 1 << 18
 
 
 class BoundViolationError(RuntimeError):
@@ -388,9 +390,13 @@ def run(
     trace = Trace.empty(iterations, n, p)
 
     block = min(iterations, max(1, BLOCK_BYTES // (8 * n * p)))
-    states = np.empty((block + 1, n, p))
-    broadcasts, gradients, h_attack_free, attack_rows = (
-        np.empty((block, n, p)) for _ in range(4)
+    # one allocation for all five buffers: freeing it lifts glibc's mmap
+    # threshold above its size, so later runs take it and the block
+    # temporaries from the heap, not from fresh page-faulting mappings
+    workspace = np.empty((5 * block + 1, n, p))
+    states = workspace[: block + 1]
+    broadcasts, gradients, h_attack_free, attack_rows = workspace[block + 1 :].reshape(
+        4, block, n, p
     )
     states[0] = initial_iterates(n, feasible, seed, explicit_init)
     for start in range(0, iterations, block):

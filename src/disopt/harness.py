@@ -122,23 +122,24 @@ def write_trace_csv(
     rounds = len(t)
     theorem = [_fmt(b) for b in theorem_bounds] if theorem_bounds else [""] * (rounds + 1)
     per_agent = t.per_agent_err.tolist() if include_agents else None
+    # .tolist() yields Python floats, whose repr is _fmt's output; neither
+    # float reprs nor the header names ever need csv quoting
     columns = zip(
-        t.err_all.tolist(),
-        t.err_honest.tolist(),
-        t.delta_bar.tolist(),
-        t.xi_bar_norm.tolist(),
-        t.lemma1_rhs.tolist(),
+        map(repr, t.err_all.tolist()),
+        map(repr, t.err_honest.tolist()),
+        map(repr, t.delta_bar.tolist()),
+        map(repr, t.xi_bar_norm.tolist()),
+        map(repr, t.lemma1_rhs.tolist()),
         theorem,
-        t.saturation_count.tolist(),
+        map(str, t.saturation_count.tolist()),
     )
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k, (*values, bound, saturated) in enumerate(columns):
-            row = [str(k), *map(_fmt, values), bound, str(saturated)]
+        fh.write(",".join(header) + "\r\n")
+        for k, cells in enumerate(columns):
+            row = [str(k), *cells]
             if include_agents:
-                row += [_fmt(e) for e in per_agent[k]]
-            writer.writerow(row)
+                row += map(repr, per_agent[k])
+            fh.write(",".join(row) + "\r\n")
         row = [
             str(rounds),
             _fmt(result.final_err_all),
@@ -156,7 +157,7 @@ def write_trace_csv(
                 _fmt(np.linalg.norm(result.final_iterates[i] - result.x_star))
                 for i in range(n)
             ]
-        writer.writerow(row)
+        fh.write(",".join(row) + "\r\n")
 
 
 def run_experiment(

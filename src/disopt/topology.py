@@ -5,12 +5,17 @@ The mixing matrix is built with the Metropolis rule
 entry absorbing the remaining row mass.  This yields a symmetric doubly
 stochastic matrix on any connected undirected graph without global
 coordination, which is why it is the default here.
+
+A topology is stored as arrays: the sorted (E, 2) edge index with
+``i < j`` in every row, the degree vector and the (n, n) weights.  One
+builder, :func:`build_from_edge_list`, makes every topology with array
+operations over a boolean adjacency matrix; :func:`build_complete` hands
+it the upper-triangle pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable
 
 import numpy as np
@@ -23,92 +28,81 @@ class TopologyError(ValueError):
     """Invalid graph input: bad size, bad edge, or disconnected graph."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetworkTopology:
     """An undirected graph together with its mixing matrix.
 
-    Agent indices are 0-based.  Instances are immutable after
-    construction and safe to share across threads.
+    Agent indices are 0-based.  ``edges`` is the (E, 2) integer edge index,
+    each row ``(i, j)`` with ``i < j``, rows in lexicographic order;
+    ``degrees`` holds each agent's neighbor count.  Instances are not
+    changed after construction and are safe to share across threads.
     """
 
     n: int
-    edges: frozenset
-    neighbor_sets: tuple
+    edges: np.ndarray
+    degrees: np.ndarray
     weights: np.ndarray
 
-    def degree(self, i: int) -> int:
-        return len(self.neighbor_sets[i])
 
-    def neighbors(self, i: int) -> frozenset:
-        return self.neighbor_sets[i]
+def _checked_pairs(n: int, edges) -> np.ndarray:
+    """``edges`` as an (E, 2) index array, once every pair is checked.
 
-
-def _normalize_edges(n: int, edges: Iterable) -> frozenset:
-    out = set()
-    for edge in edges:
-        i, j = edge
-        i, j = int(i), int(j)
-        if not (0 <= i < n) or not (0 <= j < n):
-            raise TopologyError(
-                f"edge ({i}, {j}) has an endpoint outside [0, {n})"
-            )
-        if i == j:
-            raise TopologyError(f"self-loop at node {i} is not allowed")
-        out.add((min(i, j), max(i, j)))
-    return frozenset(out)
-
-
-def _neighbor_sets(n: int, edges: frozenset) -> tuple:
-    nbrs = [set() for _ in range(n)]
-    for i, j in edges:
-        nbrs[i].add(j)
-        nbrs[j].add(i)
-    return tuple(frozenset(s) for s in nbrs)
-
-
-def _is_connected(n: int, neighbor_sets: tuple) -> bool:
-    seen = {0}
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in neighbor_sets[i]:
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
-    return len(seen) == n
-
-
-def metropolis_weights(n: int, edges: frozenset, neighbor_sets: tuple) -> np.ndarray:
-    """Metropolis weight matrix for the given edge set.
-
-    Deterministic: edges are visited in sorted order, so two builds from
-    the same input are bit-identical.
+    Python input is held as objects until then, so an endpoint beyond
+    int64 is compared as given, never wrapped, rounded or overflowed; the
+    error names the first bad edge in input order.
     """
-    deg = [len(s) for s in neighbor_sets]
-    w = np.zeros((n, n))
-    for i, j in sorted(edges):
-        w_ij = 1.0 / (1 + max(deg[i], deg[j]))
-        w[i, j] = w_ij
-        w[j, i] = w_ij
-    for i in range(n):
-        w[i, i] = 1.0 - w[i].sum()
-    return w
+    pairs = edges if isinstance(edges, np.ndarray) else np.array(list(edges), dtype=object)
+    if pairs.size == 0:
+        pairs = pairs.reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise TopologyError(f"expected (i, j) pairs, got an array of shape {pairs.shape}")
+    i, j = pairs.T
+    outside = ~((0 <= i) & (i < n) & (0 <= j) & (j < n))  # NaN is outside too
+    bad = np.flatnonzero(outside | (i == j))
+    if bad.size:
+        i, j = i[bad[0]], j[bad[0]]
+        if outside[bad[0]]:
+            raise TopologyError(f"edge ({i}, {j}) has an endpoint outside [0, {n})")
+        raise TopologyError(f"self-loop at node {i} is not allowed")
+    return pairs.astype(np.intp)
+
+
+def _adjacency(n: int, edges: np.ndarray) -> np.ndarray:
+    """Symmetric (n, n) boolean adjacency matrix of (E, 2) edges."""
+    adj = np.zeros((n, n), dtype=bool)
+    adj[edges[:, 0], edges[:, 1]] = True
+    return adj | adj.T
+
+
+def _is_connected(adj: np.ndarray) -> bool:
+    """Whether every node is reachable from node 0, by a frontier sweep."""
+    seen = np.zeros(len(adj), dtype=bool)
+    seen[0] = True
+    frontier = seen
+    while frontier.any():
+        frontier = adj[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return bool(seen.all())
 
 
 def build_from_edge_list(n: int, edges: Iterable) -> NetworkTopology:
     """Build a Metropolis-weighted topology from an explicit edge list.
 
-    Raises :class:`TopologyError` on invalid size, out-of-range
+    ``edges`` holds (i, j) pairs in any order and orientation; duplicates
+    collapse.  Raises :class:`TopologyError` on invalid size, out-of-range
     endpoints, self-loops, or a disconnected graph.
     """
     if n < 1:
         raise TopologyError(f"agent count must be >= 1, got {n}")
-    edge_set = _normalize_edges(n, edges)
-    nbrs = _neighbor_sets(n, edge_set)
-    if not _is_connected(n, nbrs):
+    adj = _adjacency(n, _checked_pairs(n, edges))
+    if not _is_connected(adj):
         raise TopologyError("graph is disconnected")
-    weights = metropolis_weights(n, edge_set, nbrs)
-    return NetworkTopology(n=n, edges=edge_set, neighbor_sets=nbrs, weights=weights)
+    degrees = adj.sum(axis=1)
+    weights = np.where(adj, 1 / (1 + np.maximum.outer(degrees, degrees)), 0.0)
+    np.fill_diagonal(weights, 1 - weights.sum(axis=1))
+    # row-major order of the upper triangle: sorted, distinct, i < j
+    edge_index = np.argwhere(np.triu(adj))
+    return NetworkTopology(n=n, edges=edge_index, degrees=degrees, weights=weights)
 
 
 def build_complete(n: int) -> NetworkTopology:
@@ -119,8 +113,7 @@ def build_complete(n: int) -> NetworkTopology:
     """
     if n < 1:
         raise TopologyError(f"agent count must be >= 1, got {n}")
-    edges = combinations(range(n), 2)
-    return build_from_edge_list(n, edges)
+    return build_from_edge_list(n, np.stack(np.triu_indices(n, 1), axis=1))
 
 
 @dataclass(frozen=True)
@@ -153,13 +146,10 @@ def validate(topology: NetworkTopology) -> ValidationReport:
     sym_dev = float(np.max(np.abs(w - w.T)))
     neg_dev = float(max(0.0, -np.min(w)))
 
-    off_graph = 0.0
-    for i in range(n):
-        for j in range(n):
-            if i != j and (min(i, j), max(i, j)) not in topology.edges:
-                off_graph = max(off_graph, abs(w[i, j]))
+    adj = _adjacency(n, topology.edges)
+    off_graph = float(np.max(np.abs(w[~adj & ~np.eye(n, dtype=bool)]), initial=0.0))
 
-    connected = _is_connected(n, topology.neighbor_sets)
+    connected = _is_connected(adj)
 
     checks = {
         "row_sums": CheckResult(row_dev <= STOCHASTIC_TOL, row_dev),

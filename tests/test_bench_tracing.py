@@ -1,5 +1,6 @@
-"""The benchmark tracer's patch targets exist, and it leaves disopt as it
-found it.
+"""The benchmark tracer's patch targets exist, every topology build passes
+through the span its topology metrics count, and the tracer leaves disopt
+as it found it.
 
 ``bench/tracing.py`` is read as it is and never changed here.  It
 replaces the functions named by ``_spans()`` with span-recording
@@ -90,3 +91,33 @@ def test_install_then_uninstall_restores_every_original(tracing):
     ):
         assert spans[name]["count"] == 4, name
     assert recorder.counters["engine.agent_rounds"] == 3 * 4
+
+
+@pytest.mark.parametrize(
+    "topology, n, edges",
+    [
+        ({"type": "complete"}, 5, 10),
+        # a repeated and a reversed pair count once
+        ({"type": "edge_list", "edges": [[0, 1], [1, 0], [1, 2], [3, 2], [2, 3], [4, 0]]}, 5, 4),
+    ],
+)
+def test_every_topology_build_is_one_edge_list_span(tracing, topology, n, edges):
+    # topology.builds and topology.edges count build_from_edge_list spans;
+    # a builder that bypassed it would read 0 there
+    doc = {
+        "n": n,
+        "p": 1,
+        "topology": topology,
+        "roles": ["honest"] * n,
+        "quantizer": None,
+        "alpha": 0.5,
+        "iterations": 1,
+    }
+    recorder = tracing.Recorder()
+    recorder.install()
+    try:
+        parse_config(doc)
+    finally:
+        recorder.uninstall()
+    assert recorder.totals()["spans"]["topology.build_from_edge_list"]["count"] == 1
+    assert recorder.counters["topology.edges"] == edges

@@ -67,6 +67,18 @@ def test_config_that_used_to_crash_is_usage_error(tmp_path, capsys):
     assert "topology.edges" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("endpoint", [2**63, 2**64 - 1, 2**70, -(2**70)])
+def test_huge_edge_endpoint_is_usage_error(tmp_path, capsys, endpoint):
+    # numpy holds endpoints beyond int64 as Python ints or rounded floats:
+    # converting them to int64 before the range check raises OverflowError
+    # or misreports the value; the self-loop after the bad edge is not reported
+    edges = [[0, 1], [1, endpoint], [2, 2]]
+    doc = dict(SMALL_RUN, topology={"type": "edge_list", "edges": edges})
+    cfg = _write(tmp_path, "huge.json", doc)
+    assert main(["run", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
+    assert f"edge (1, {endpoint}) has an endpoint outside [0, 3)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("bits, code", [(1023, EXIT_OK), (1024, EXIT_USAGE), (2000, EXIT_USAGE)])
 def test_bits_limit_keeps_the_step_divisor_finite(tmp_path, capsys, bits, code):
     # 2**1024 overflows a float; above the limit the quantizer once

@@ -197,6 +197,7 @@ def test_preset_seed_override():
         ({"quantizer": {"bits": 2, "interval_length": "x"}}, "quantizer.interval_length"),
         ({"attack": {"kind": "uniform", "range": [0.0, 1.0], "seed": 1.5}}, "attack.seed"),
         ({"attack": {"3": {"kind": "zero", "seed": "7"}}}, "attack.3.seed"),
+        ({"topology": {"type": "edge_list", "edges": [[0, 1], [1, 2**70]]}}, "topology"),
     ],
 )
 def test_malformed_values_rejected_at_parse_time(overrides, path):

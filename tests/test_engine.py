@@ -38,13 +38,14 @@ def _run_doc(**overrides):
 def local_updates(topology, iterates, broadcasts, gradients, alpha) -> np.ndarray:
     """Per-agent form of the update, the oracle for the matrix form."""
     n = iterates.shape[0]
-    h = np.empty_like(iterates)
     w = topology.weights
+    mix = [w[i, i] * broadcasts[i] for i in range(n)]
+    for i, j in topology.edges.tolist():
+        mix[i] = mix[i] + w[i, j] * broadcasts[j]
+        mix[j] = mix[j] + w[j, i] * broadcasts[i]
+    h = np.empty_like(iterates)
     for i in range(n):
-        mix = w[i, i] * broadcasts[i]
-        for j in topology.neighbor_sets[i]:
-            mix = mix + w[i, j] * broadcasts[j]
-        h[i] = iterates[i] - broadcasts[i] + mix - alpha * gradients[i]
+        h[i] = iterates[i] - broadcasts[i] + mix[i] - alpha * gradients[i]
     return h
 
 
