@@ -14,7 +14,7 @@ from .bounds import (
 )
 from .config import ConfigError, ExperimentConfig, parse_config, preset_config
 from .engine import RunResult, Trace, run
-from .harness import run_experiment, run_preset, sweep
+from .harness import run_experiment, sweep
 from .objective import FeasibleSet, LocalObjective, quadratic_suite
 from .quantizer import UniformQuantizer
 from .topology import NetworkTopology, build_complete, build_from_edge_list, validate
@@ -48,7 +48,6 @@ __all__ = [
     "recursion_bound",
     "run",
     "run_experiment",
-    "run_preset",
     "subgradient_admissible",
     "sweep",
     "validate",

@@ -28,6 +28,7 @@ STRICT_HELP = (
     "Lemma 1's attack-free bound at an unsaturated step; the fig2c preset "
     "trips it at seed 0, k=170"
 )
+PER_AGENT_HELP = "include per-agent error columns"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -50,9 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", parents=[common], help="run one experiment config")
     p_run.add_argument("config", type=Path, help="path to a config JSON document")
     p_run.add_argument("--strict", action="store_true", help=STRICT_HELP)
-    p_run.add_argument(
-        "--per-agent", action="store_true", help="include per-agent error columns"
-    )
+    p_run.add_argument("--per-agent", action="store_true", help=PER_AGENT_HELP)
 
     p_sweep = sub.add_parser("sweep", parents=[common], help="run a parameter grid")
     p_sweep.add_argument("grid", type=Path, help="path to a sweep JSON document")
@@ -65,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--seeds", type=int, default=None, help="use only the first N preset seeds"
     )
     p_preset.add_argument("--strict", action="store_true", help=STRICT_HELP)
-    p_preset.add_argument("--per-agent", action="store_true")
+    p_preset.add_argument("--per-agent", action="store_true", help=PER_AGENT_HELP)
 
     return parser
 

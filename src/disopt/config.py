@@ -132,6 +132,11 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    # a JSON true/false or a numeric string is not a number
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _reject_unknown(doc: dict, allowed, path: str, errors) -> None:
     for key in doc:
         if key not in allowed:
@@ -146,6 +151,8 @@ def _as_vector(value, p, path, errors, default=None):
     try:
         vec = tuple(float(v) for v in value)
     except (TypeError, ValueError, OverflowError):
+        vec = None
+    if vec is None or not all(map(_is_number, value)):
         errors.append((path, "expected a number or a list of numbers"))
         return None
     if len(vec) != p:
@@ -236,11 +243,7 @@ def parse_config(document) -> ExperimentConfig:
     elif isinstance(alpha, (list, tuple)):
         errors.append(("alpha", "per-agent step sizes are not supported; use one scalar"))
         alpha = None
-    elif (
-        not isinstance(alpha, (int, float))
-        or isinstance(alpha, bool)
-        or not 0 < alpha <= MAX_MAGNITUDE  # nan and inf fail too
-    ):
+    elif not _is_number(alpha) or not 0 < alpha <= MAX_MAGNITUDE:  # nan, inf fail too
         errors.append(("alpha", f"must be a number in (0, {MAX_MAGNITUDE:g}], got {alpha!r}"))
         alpha = None
     else:
@@ -410,6 +413,10 @@ def parse_config(document) -> ExperimentConfig:
         try:
             arr = np.asarray(init, dtype=float)
         except (TypeError, ValueError, OverflowError):  # ragged, non-numeric, 10**400
+            arr = None
+        if arr is not None and arr.ndim == 2 and not all(
+            _is_number(v) for row in init for v in row
+        ):
             arr = None
         if arr is None or (n is not None and p is not None and arr.shape != (n, p)):
             errors.append(("init", f"expected an ({n}, {p}) array of numbers"))

@@ -42,16 +42,11 @@ class ExperimentArtifacts:
 
 def final_honest_err_stats(results) -> dict:
     """Mean and max over a scenario's seeds of the final honest-mean error."""
-    errors = [r.final_err_honest for r in results]
+    errors = [r.traces.err_honest[-1] for r in results]
     return {
         "mean_final_honest_err": float(np.mean(errors)),
         "max_final_honest_err": float(np.max(errors)),
     }
-
-
-def _fmt(value) -> str:
-    # shortest round-trip decimal form keeps the CSV deterministic
-    return repr(float(value))
 
 
 def run_single(config: ExperimentConfig, seed: int) -> engine.RunResult:
@@ -81,7 +76,7 @@ def build_bound_report(config: ExperimentConfig, results) -> BoundReport | None:
     attack_norm = 0.0
     for agent, policy in config.attack.items():
         attack_norm = max(attack_norm, max_attack_norm(policy, config.p))
-    initial_error = max(r.traces.err_all[0] for r in results) if results else 0.0
+    initial_error = max(float(r.traces.err_all[0]) for r in results) if results else 0.0
     return BoundReport(
         mu=min(o.mu for o in objectives),
         lipschitz=max(o.lipschitz for o in objectives),
@@ -100,13 +95,14 @@ def write_trace_csv(
     theorem_bounds: list | None,
     include_agents: bool = False,
 ) -> None:
-    """Trace rows k = 0..K-1 plus one closing row for the final state.
+    """Trace rows k = 0..K, row K being the final state.
 
+    The columns of a state (mean errors, theorem bound, per-agent errors)
+    have K+1 values; the per-round columns are blank in row K.
     ``theorem_bounds`` is the scenario's :meth:`BoundReport.bound_column`
-    (K+1 values), or None in exact-communication mode.
+    (K+1 floats), or None in exact-communication mode.
     """
     t = result.traces
-    n = result.final_iterates.shape[0]
     header = [
         "k",
         "err_mean_all",
@@ -117,47 +113,25 @@ def write_trace_csv(
         "theorem_bound",
         "saturation_count",
     ]
-    if include_agents:
-        header += [f"err_agent_{i}" for i in range(n)]
-    rounds = len(t)
-    theorem = [_fmt(b) for b in theorem_bounds] if theorem_bounds else [""] * (rounds + 1)
-    per_agent = t.per_agent_err.tolist() if include_agents else None
-    # .tolist() yields Python floats, whose repr is _fmt's output; neither
-    # float reprs nor the header names ever need csv quoting
-    columns = zip(
+    # .tolist() yields Python floats, whose repr is the shortest
+    # round-trip form; neither it nor a header name ever needs csv quoting
+    columns = [
+        map(str, range(len(t) + 1)),
         map(repr, t.err_all.tolist()),
         map(repr, t.err_honest.tolist()),
-        map(repr, t.delta_bar.tolist()),
-        map(repr, t.xi_bar_norm.tolist()),
-        map(repr, t.lemma1_rhs.tolist()),
-        theorem,
-        map(str, t.saturation_count.tolist()),
-    )
+        [*map(repr, t.delta_bar.tolist()), ""],
+        [*map(repr, t.xi_bar_norm.tolist()), ""],
+        [*map(repr, t.lemma1_rhs.tolist()), ""],
+        map(repr, theorem_bounds) if theorem_bounds else itertools.repeat(""),
+        [*map(str, t.saturation_count.tolist()), ""],
+    ]
+    if include_agents:
+        header += [f"err_agent_{i}" for i in range(t.per_agent_err.shape[1])]
+        columns.append(",".join(map(repr, row)) for row in t.per_agent_err.tolist())
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for k, cells in enumerate(columns):
-            row = [str(k), *cells]
-            if include_agents:
-                row += map(repr, per_agent[k])
-            fh.write(",".join(row) + "\r\n")
-        row = [
-            str(rounds),
-            _fmt(result.final_err_all),
-            _fmt(result.final_err_honest),
-            "",
-            "",
-            "",
-            theorem[rounds],
-            "",
-        ]
-        if include_agents:
-            # norm of each agent's vector (a dot product): norm(..., axis=1)
-            # differs from it in the last bit at p > 1
-            row += [
-                _fmt(np.linalg.norm(result.final_iterates[i] - result.x_star))
-                for i in range(n)
-            ]
-        fh.write(",".join(row) + "\r\n")
+        for cells in zip(*columns):
+            fh.write(",".join(cells) + "\r\n")
 
 
 def run_experiment(
@@ -199,11 +173,6 @@ def run_experiment(
         results=tuple(results),
         report=report,
     )
-
-
-def run_preset(name: str, outdir, seeds=None, include_agents=False):
-    config = parse_config(preset_document(name, seeds=seeds))
-    return run_experiment(config, outdir, name=name, include_agents=include_agents)
 
 
 # ---- sweeps ----------------------------------------------------------------
@@ -290,12 +259,9 @@ def sweep(grid_doc: dict, outdir) -> list:
         )
 
     path = outdir / "sweep_summary.csv"
-    header = list(rows[0])
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [_fmt(row[c]) if isinstance(row[c], float) else str(row[c]) for c in header]
-            )
+        # csv writes a float as its repr, the shortest round-trip form
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
     return rows

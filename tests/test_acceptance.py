@@ -74,9 +74,8 @@ def test_criterion_2_exact_mode_contraction(capsys):
         }
     )
     result = run_single(cfg, 1)
-    e0 = result.traces.err_all[0]
-    errors = [*result.traces.err_all.tolist(), result.final_err_all]
-    deviations = [abs(errors[k] - 0.3**k * e0) for k in range(31)]
+    errors = result.traces.err_all.tolist()
+    deviations = [abs(errors[k] - 0.3**k * errors[0]) for k in range(31)]
     # precondition of the closed form: no projection residual anywhere
     assert not result.traces.xi_bar_norm.any()
     worst = max(deviations)
@@ -168,7 +167,7 @@ def test_criterion_5_ordinal_reproduction(preset_runs, capsys):
     """Seed-averaged final honest error orders fig2b < fig2a < fig2c."""
     means = {}
     for name, (cfg, results) in preset_runs.items():
-        means[name] = float(np.mean([r.final_err_honest for r in results]))
+        means[name] = float(np.mean([r.traces.err_honest[-1] for r in results]))
     margin_ab = (means["fig2a"] - means["fig2b"]) / means["fig2a"]
     margin_ac = (means["fig2c"] - means["fig2a"]) / means["fig2c"]
     passed = means["fig2b"] < means["fig2a"] < means["fig2c"] and min(margin_ab, margin_ac) >= 0.10
@@ -254,8 +253,7 @@ def test_criterion_7_bound_dominance(capsys):
     worst_excess = -np.inf
     violations = 0
     for result in results:
-        errors = [*result.traces.err_all.tolist(), result.final_err_all]
-        for k, err in enumerate(errors):
+        for k, err in enumerate(result.traces.err_all.tolist()):
             excess = err - report.per_k_bound(k)
             worst_excess = max(worst_excess, excess)
             if excess > 0:
@@ -326,9 +324,8 @@ def test_criteria_3_4_7_on_sparse_graphs(graph, adversaries, capsys):
         )
         raw_gaps += int(np.sum(free & ~t.lemma1_ok))
         if admissible:
-            errors = [*t.err_all.tolist(), result.final_err_all]
             bound_violations += sum(
-                err > report.per_k_bound(k) for k, err in enumerate(errors)
+                err > report.per_k_bound(k) for k, err in enumerate(t.err_all.tolist())
             )
     passed = (
         worst_identity <= 1e-10

@@ -1,9 +1,12 @@
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from disopt.cli import EXIT_OK, EXIT_STRICT, EXIT_USAGE, main
+from disopt.config import parse_config
+from disopt.harness import run_single
 
 
 def _write(tmp_path, name, doc):
@@ -45,6 +48,37 @@ def test_run_per_agent_columns(tmp_path):
     assert main(["run", str(cfg), "--out", str(out), "--per-agent"]) == EXIT_OK
     header = (out / "small_seed0.csv").read_text().splitlines()[0]
     assert "err_agent_0" in header and "err_agent_2" in header
+
+
+def test_per_agent_closing_row_is_the_final_state(tmp_path):
+    # at p > 1 the per-vector norm and norm(..., axis=1) can differ in the
+    # last bit (they do for two agents of this run); the closing row has
+    # always held the per-vector one
+    doc = {
+        **SMALL_RUN,
+        "n": 5,
+        "p": 3,
+        "roles": ["honest"] * 3 + ["adversarial"] * 2,
+        "attack": {"kind": "uniform", "range": [0.0, 0.4], "seed": 3},
+        "seeds": [0],
+    }
+    cfg = _write(tmp_path, "wide.json", doc)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out), "--per-agent"]) == EXIT_OK
+    last = (out / "wide_seed0.csv").read_text().splitlines()[-1].split(",")
+
+    config = parse_config(doc)
+    _, x_star = config.objectives
+    final = run_single(config, 0).final_iterates
+    honest = np.array([role == "honest" for role in config.roles])
+    assert last[0] == str(config.iterations)
+    assert last[1:3] == [
+        repr(float(np.linalg.norm(final.mean(axis=0) - x_star))),
+        repr(float(np.linalg.norm(final[honest].mean(axis=0) - x_star))),
+    ]
+    assert last[3:6] == ["", "", ""] and last[7] == ""
+    assert last[8:] == [repr(float(np.linalg.norm(row - x_star))) for row in final]
+    assert last[8:] != list(map(repr, np.linalg.norm(final - x_star, axis=1).tolist()))
 
 
 def test_missing_config_is_usage_error(tmp_path, capsys):

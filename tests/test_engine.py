@@ -12,7 +12,7 @@ from disopt import adversary, engine
 from disopt.config import parse_config
 from disopt.engine import broadcast_phase, matrix_form_update, mean_recursion_residual
 from disopt.harness import run_single
-from disopt.objective import FeasibleSet, LocalObjective, quadratic_suite
+from disopt.objective import FeasibleSet, LocalObjective, quadratic_suite, suite_subgrad_bound
 from disopt.quantizer import UniformQuantizer
 from disopt.topology import build_complete, build_from_edge_list
 
@@ -403,7 +403,8 @@ def test_block_columns_match_the_per_round_oracle(
     assert sizes == [rounds_per_block] * (blocks - 1) + [last]
 
     traces, final = _oracle_run(cfg, seed)
-    want = reference_columns(traces)
+    honest = ~np.isin(np.arange(n), list(cfg.attack))
+    want = reference_columns(traces, final, honest, cfg.objectives[1])
     got = result.traces
     assert len(got) == iterations
     assert sorted(f.name for f in fields(got)) == sorted(want)
@@ -515,7 +516,8 @@ def test_step_size_above_one_warns_from_the_run():
 def test_trace_length_and_clear():
     cfg = parse_config(_run_doc(n=3, roles=["honest"] * 3, iterations=7))
     t = run_single(cfg, 0).traces
-    assert len(t) == 7 and t.x_bar.shape == (8, 1) and t.per_agent_err.shape == (7, 3)
+    assert len(t) == 7 and t.x_bar.shape == (8, 1) and t.per_agent_err.shape == (8, 3)
+    assert t.err_all.shape == t.err_honest.shape == (8,) and t.delta_bar.shape == (7,)
     t.clear()
     assert len(t) == 0 and t.x_bar.shape == (0, 1) and t.per_agent_err.shape == (0, 3)
 
@@ -524,7 +526,8 @@ def test_lemma1_quantities_recorded(preset_runs):
     cfg, results = preset_runs["fig2b"]
     t = results[0].traces
     n = cfg.n
-    rhs = np.sqrt(8) * t.delta_bar[10] + np.sqrt(2) * results[0].subgrad_bound * cfg.alpha / n
+    subgrad_bound = suite_subgrad_bound(cfg.objectives[0])
+    rhs = np.sqrt(8) * t.delta_bar[10] + np.sqrt(2) * subgrad_bound * cfg.alpha / n
     assert t.lemma1_rhs[10] == pytest.approx(rhs)
 
 

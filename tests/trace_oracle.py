@@ -125,12 +125,20 @@ def reference_run(
     return traces, iterates
 
 
-def reference_columns(traces) -> dict:
-    """The per-round traces stacked into the engine's ``Trace`` columns."""
+def reference_columns(traces, final, honest, x_star) -> dict:
+    """The per-round traces stacked into the engine's ``Trace`` columns.
+
+    The columns of a state get a row K built from the final iterates;
+    its per-agent errors are per-vector norms, as the CSV's closing row
+    has always been written, not ``norm(..., axis=1)`` as the rows k < K.
+    """
     columns = {
-        name: np.array([getattr(t, name) for t in traces])
+        name: [getattr(t, name) for t in traces]
         for name in IterationTrace.__dataclass_fields__
-        if name not in ("k", "x_bar", "x_bar_next")
+        if name not in ("k", "x_bar_next")
     }
-    columns["x_bar"] = np.array([t.x_bar for t in traces] + [traces[-1].x_bar_next])
-    return columns
+    columns["x_bar"].append(final.mean(axis=0))
+    columns["err_all"].append(float(np.linalg.norm(final.mean(axis=0) - x_star)))
+    columns["err_honest"].append(float(np.linalg.norm(final[honest].mean(axis=0) - x_star)))
+    columns["per_agent_err"].append(np.array([np.linalg.norm(row - x_star) for row in final]))
+    return {name: np.array(column) for name, column in columns.items()}
