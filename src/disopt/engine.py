@@ -8,12 +8,17 @@ perturbation, and the result is projected back onto the feasible set.
 A run is split in two.  The round loop only advances the state, writing
 each round's iterates, broadcasts, gradients, attack rows and attack-free
 update into block buffers of at most ``BLOCK_BYTES`` each, all views of
-one workspace allocated once per run.  After every
-block, each column of the run's :class:`Trace` is filled by one array
-reduction over the block, the quantizer saturation test included, and
-the mean-iterate invariant is checked there.  The block buffers are
-bounded; what grows with the iteration count is the trace columns and,
-under a uniform attack, the keyed attack table, which
+one workspace allocated once per run, together with the (n, p) scratch
+row that holds the round's temporaries.  The loop allocates nothing per
+round: ``broadcast_phase``, ``matrix_form_update`` and ``step`` take
+numpy-style ``out`` buffers and write every per-round value in place.
+The one exception is the subgradient call: an objective returns a new
+array, and is handed a row copy when its agents are not contiguous.
+After every block, each column of the run's :class:`Trace` is filled by
+one array reduction over the block, the quantizer saturation test
+included, and the mean-iterate invariant is checked there.  The block
+buffers are bounded; what grows with the iteration count is the trace
+columns and, under a uniform attack, the keyed attack table, which
 :func:`_attack_schedule` draws for all K rounds up front together with
 its uint64 temporaries (n = 10, p = 1, 7 uniform adversaries, a repeated
 run under tracemalloc: a 1.1 MB peak against 0.25 MB of columns at
@@ -141,21 +146,31 @@ class RunResult:
 def broadcast_phase(
     iterates: np.ndarray,
     quantizer: UniformQuantizer | None,
-    honest: np.ndarray,
-    adversary_quantizes: bool = False,
+    full_precision: np.ndarray,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-agent broadcast values, the (n, p) buffer every agent receives.
 
-    Honest agents (rows where ``honest`` is true) send their quantized
-    iterate, or the iterate itself in exact-communication mode
-    (``quantizer`` None); adversaries send full precision unless
-    ``adversary_quantizes`` is set.  Saturation is not tested here: the
-    trace's ``saturation_count`` tests a whole block of rounds at once.
+    Every agent sends its quantized iterate except the rows where the
+    (n, 1) boolean column ``full_precision`` is true, which send the
+    iterate itself; with ``quantizer`` None (exact communication) every
+    agent does.  Saturation is not tested here: the trace's
+    ``saturation_count`` tests a whole block of rounds at once.
+
+    The result is written into the (n, p) buffer ``out`` and returned;
+    ``scratch`` is an (n, p) buffer the quantizer may overwrite.  Either
+    is allocated when None.  ``out`` must not alias ``iterates``, whose
+    full-precision rows are copied in after the quantizer has written.
     """
+    if out is None:
+        out = np.empty_like(iterates)
     if quantizer is None:
-        return iterates
-    quantizes = honest | adversary_quantizes
-    return np.where(quantizes[:, None], quantizer.quantize(iterates), iterates)
+        out[...] = iterates
+    else:
+        quantizer.quantize(iterates, out=out, scratch=scratch)
+        np.copyto(out, iterates, where=full_precision)
+    return out
 
 
 def matrix_form_update(
@@ -164,10 +179,25 @@ def matrix_form_update(
     broadcasts: np.ndarray,
     gradients: np.ndarray,
     alpha: float,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Pre-projection update H = W X + (I - W)(X - Q) - alpha G."""
-    mixing = weights @ broadcasts
-    return iterates - broadcasts + mixing - alpha * gradients
+    """Pre-projection update H = W X + (I - W)(X - Q) - alpha G.
+
+    Evaluated as ``((X - Q) + W Q) - alpha G`` into the (n, p) buffer
+    ``out``, which is returned; ``scratch`` is an (n, p) buffer that holds
+    ``W Q`` and then ``alpha G``.  Either is allocated when None; neither
+    may alias an input or the other.
+    """
+    if out is None:
+        out = np.empty_like(iterates)
+    if scratch is None:
+        scratch = np.empty_like(iterates)
+    mixing = np.matmul(weights, broadcasts, out=scratch)
+    np.subtract(iterates, broadcasts, out=out)
+    np.add(out, mixing, out=out)
+    np.subtract(out, np.multiply(alpha, gradients, out=scratch), out=out)
+    return out
 
 
 def step(
@@ -178,6 +208,7 @@ def step(
     objective_rows: list,
     feasible: FeasibleSet,
     alpha: float,
+    out: tuple | None = None,
 ):
     """Advance the network one round.
 
@@ -186,14 +217,29 @@ def step(
     ``attack_rows`` holds this round's attack e_i(k) per agent (zero rows
     for honest agents); ``objective_rows`` pairs each distinct objective
     with the agents that carry it, as an index array or a slice.
+
+    ``out`` is four (n, p) buffers, (next iterates, gradients, ``H_af``,
+    scratch): the first three receive the results, which are returned,
+    and the scratch holds temporaries.  They are allocated when None; no
+    buffer may alias an input or another buffer.
     """
-    gradients = np.empty_like(iterates)
+    if out is None:
+        out = np.empty((4, *iterates.shape))
+    next_iterates, gradients, h_attack_free, scratch = out
     for objective, rows in objective_rows:
         gradients[rows] = objective.subgradient(iterates[rows])
-    h_attack_free = matrix_form_update(weights, iterates, broadcasts, gradients, alpha)
-    h = h_attack_free + attack_rows
-    xi = h - np.clip(h, feasible.lo, feasible.hi)
-    return h - xi, gradients, h_attack_free
+    matrix_form_update(
+        weights, iterates, broadcasts, gradients, alpha, out=h_attack_free, scratch=scratch
+    )
+    h = np.add(h_attack_free, attack_rows, out=next_iterates)
+    # the projection stays clip, not np.maximum/np.minimum, which can give
+    # the other signed zero at a zero bound: np.clip(-0.0, 0.0, 1.0) is
+    # -0.0 where np.maximum(-0.0, 0.0) is 0.0
+    xi = h.clip(feasible.lo, feasible.hi, out=scratch)
+    np.subtract(h, xi, out=xi)
+    # h - xi, not the clipped point: far outside the box they differ
+    np.subtract(h, xi, out=next_iterates)
+    return next_iterates, gradients, h_attack_free
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
@@ -394,24 +440,28 @@ def run(
     trace = Trace.empty(iterations, n, p)
 
     block = min(iterations, max(1, BLOCK_BYTES // (8 * n * p)))
-    # one allocation for all five buffers: freeing it lifts glibc's mmap
-    # threshold above its size, so later runs take it and the block
-    # temporaries from the heap, not from fresh page-faulting mappings
-    workspace = np.empty((5 * block + 1, n, p))
+    # one allocation for all five buffers and the rounds' scratch row:
+    # freeing it lifts glibc's mmap threshold above its size, so later runs
+    # take it and the block temporaries from the heap, not from fresh
+    # page-faulting mappings
+    workspace = np.empty((5 * block + 2, n, p))
     states = workspace[: block + 1]
-    broadcasts, gradients, h_attack_free, attack_rows = workspace[block + 1 :].reshape(
-        4, block, n, p
-    )
+    broadcasts, gradients, h_attack_free, attack_rows = workspace[
+        block + 1 : -1
+    ].reshape(4, block, n, p)
+    scratch = workspace[-1]
+    quantizes = honest | adversary_quantizes
+    full_precision = ~quantizes[:, None]
     states[0] = initial_iterates(n, feasible, seed, explicit_init)
     for start in range(0, iterations, block):
         m = min(block, iterations - start)
         attack_rows[:m] = fixed_attacks
         attack_rows[:m, keyed] = keyed_attacks[start : start + m]
         for j in range(m):
-            broadcasts[j] = broadcast_phase(
-                states[j], quantizer, honest, adversary_quantizes
+            broadcast_phase(
+                states[j], quantizer, full_precision, out=broadcasts[j], scratch=scratch
             )
-            states[j + 1], gradients[j], h_attack_free[j] = step(
+            step(
                 states[j],
                 broadcasts[j],
                 attack_rows[j],
@@ -419,6 +469,7 @@ def run(
                 objective_rows,
                 feasible,
                 alpha,
+                out=(states[j + 1], gradients[j], h_attack_free[j], scratch),
             )
         _record_block(
             trace,
@@ -430,7 +481,7 @@ def run(
             attack_rows[:m],
             honest,
             quantizer,
-            honest | adversary_quantizes,
+            quantizes,
             x_star,
             feasible,
             subgrad_bound,

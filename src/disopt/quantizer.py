@@ -11,6 +11,8 @@ engine checks a whole block of rounds' states in one call.
 The step, the half interval, the level cap ``2**(bits-1)`` and the
 exact-mode flag are fixed when the quantizer is built, not per call;
 ``dataclasses.replace`` builds a new quantizer and so recomputes them.
+:meth:`UniformQuantizer.quantize` can write into caller-supplied
+buffers, so the engine's broadcast allocates nothing per round.
 
 ``interval_length == 0`` is the degenerate exact quantizer: inputs pass
 through unchanged.
@@ -53,29 +55,49 @@ class UniformQuantizer:
         object.__setattr__(self, "_cap", 2 ** (self.bits - 1))
         object.__setattr__(self, "_exact", not np.any(self.interval_length))
 
-    def _offsets(self, x) -> tuple:
+    def _checked(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         mid = self.midpoint
         if mid.shape != x.shape[x.ndim - mid.ndim :]:
             raise ValueError(f"midpoint shape {mid.shape} does not match input {x.shape}")
-        return x, x - mid
+        return x
 
-    def quantize(self, x) -> np.ndarray:
+    def quantize(self, x, out=None, scratch=None) -> np.ndarray:
         """Nearest quantization level per coordinate, ties resolved by floor.
 
         Levels are ``midpoint + m * step`` with ``|m| <= 2**(bits-1)``;
         out-of-range offsets clamp to the outermost level.
+
+        The result is written into ``out`` and returned.  ``out`` has the
+        shape ``x`` broadcast against the interval length (an (n, 1)
+        column gives a (p,) input n rows), or ``x``'s shape in exact
+        mode; ``scratch``, of the same shape, holds the offsets while the
+        levels are formed.  Either is allocated when None.  The two must
+        not overlap, but either may be ``x`` itself.
         """
-        x, offset = self._offsets(x)
+        x = self._checked(x)
+        if out is None:
+            out = np.empty_like(x) if self._exact else np.empty(np.broadcast(x, self.step).shape)
         if self._exact:
-            return x.copy()
-        steps = np.floor(np.abs(offset) / self.step + 0.5)
-        steps = np.minimum(steps, self._cap)
-        return self.midpoint + np.sign(offset) * self.step * steps
+            out[...] = x
+            return out
+        if scratch is None:
+            scratch = np.empty_like(out)
+        # mid + (sign(offset) * step) * min(floor(|offset| / step + 0.5), cap)
+        offset = np.subtract(x, self.midpoint, out=scratch)
+        np.sign(offset, out=out)
+        np.multiply(out, self.step, out=out)
+        steps = np.abs(offset, out=offset)
+        np.divide(steps, self.step, out=steps)
+        np.add(steps, 0.5, out=steps)
+        np.floor(steps, out=steps)
+        np.minimum(steps, self._cap, out=steps)
+        np.multiply(out, steps, out=out)
+        return np.add(self.midpoint, out, out=out)
 
     def quantization_error(self, x) -> np.ndarray:
         """Signed error ``x - quantize(x)``."""
-        x, _ = self._offsets(x)
+        x = self._checked(x)
         return x - self.quantize(x)
 
     def error_bound(self) -> float:
@@ -85,7 +107,7 @@ class UniformQuantizer:
     def in_range(self, x) -> np.ndarray:
         """Per-coordinate mask of inputs inside the quantization interval
         (NaN is outside); ``x`` may have any leading axes."""
-        _, offset = self._offsets(x)
+        offset = self._checked(x) - self.midpoint
         if self._exact:
             return np.ones_like(offset, dtype=bool)
         return np.abs(offset) <= self._half

@@ -65,8 +65,9 @@ def per_agent_broadcast(iterates, bits, lengths, midpoint, honest, adversary_qua
 
 
 ONE_HONEST = np.array([True])
-ONE_ADVERSARY = np.array([False])
 HONEST_AND_ADVERSARY = np.array([True, False])
+QUANTIZED = np.array([[False]])
+FULL_PRECISION = np.array([[True]])
 
 
 def run_saturation(iterates, quant, honest, adversary_quantizes=False) -> int:
@@ -92,7 +93,7 @@ def run_saturation(iterates, quant, honest, adversary_quantizes=False) -> int:
 
 def test_broadcast_honest_quantized():
     quant = UniformQuantizer(bits=1, interval_length=1.0)
-    buffer = broadcast_phase(np.array([[0.3]]), quant, ONE_HONEST)
+    buffer = broadcast_phase(np.array([[0.3]]), quant, QUANTIZED)
     assert buffer[0, 0] == pytest.approx(0.5)
     assert run_saturation(np.array([[0.3]]), quant, ONE_HONEST) == 0
     assert run_saturation(np.array([[0.7]]), quant, ONE_HONEST) == 1
@@ -100,12 +101,10 @@ def test_broadcast_honest_quantized():
 
 def test_broadcast_adversary_full_precision():
     quant = UniformQuantizer(bits=1, interval_length=1.0)
-    buffer = broadcast_phase(np.array([[0.42]]), quant, ONE_ADVERSARY)
+    buffer = broadcast_phase(np.array([[0.42]]), quant, FULL_PRECISION)
     assert buffer[0, 0] == 0.42
     # flipping the bandwidth assumption makes the adversary quantize too
-    buffer = broadcast_phase(
-        np.array([[0.42]]), quant, ONE_ADVERSARY, adversary_quantizes=True
-    )
+    buffer = broadcast_phase(np.array([[0.42]]), quant, QUANTIZED)
     assert buffer[0, 0] == pytest.approx(0.5)
     # an out-of-range adversary saturates only when it quantizes
     iterates = np.array([[0.1], [3.0]])
@@ -114,7 +113,7 @@ def test_broadcast_adversary_full_precision():
 
 
 def test_broadcast_exact_mode_passthrough():
-    buffer = broadcast_phase(np.array([[0.3]]), None, ONE_HONEST)
+    buffer = broadcast_phase(np.array([[0.3]]), None, QUANTIZED)
     assert buffer[0, 0] == 0.3
     assert run_saturation(np.array([[3.0]]), None, ONE_HONEST) == 0
 
@@ -157,10 +156,15 @@ def test_broadcast_matches_per_agent_oracle(n, p, bits, adversary_quantizes, see
         quant = UniformQuantizer(
             bits=bits, interval_length=lengths[:, None], midpoint=midpoint
         )
-    buffer = broadcast_phase(iterates, quant, honest, adversary_quantizes)
+    full_precision = ~(honest | adversary_quantizes)[:, None]
     want_buffer, want_saturated = per_agent_broadcast(
         iterates, bits, lengths, midpoint, honest, adversary_quantizes
     )
+    assert np.array_equal(broadcast_phase(iterates, quant, full_precision), want_buffer)
+    # into NaN-filled buffers: every row is written, and ``out`` returned
+    out, scratch = np.full((2, n, p), np.nan)
+    buffer = broadcast_phase(iterates, quant, full_precision, out=out, scratch=scratch)
+    assert buffer is out
     assert np.array_equal(buffer, want_buffer)
     if honest.any():  # a run needs an honest agent
         saturated = run_saturation(iterates, quant, honest, adversary_quantizes)
@@ -583,3 +587,7 @@ def test_matrix_form_matches_per_agent_updates(n, p, seed):
     h_matrix = matrix_form_update(topo.weights, X, Q, G, alpha)
     h_local = local_updates(topo, X, Q, G, alpha)
     assert np.max(np.abs(h_matrix - h_local)) <= 1e-12
+    # into NaN-filled buffers: the same bytes, and ``out`` returned
+    out, scratch = np.full((2, n, p), np.nan)
+    assert matrix_form_update(topo.weights, X, Q, G, alpha, out=out, scratch=scratch) is out
+    assert np.array_equal(out, h_matrix)

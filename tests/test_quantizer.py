@@ -144,7 +144,12 @@ def test_cached_constants_match_the_per_call_oracle(
     q = UniformQuantizer(bits=bits, interval_length=interval, midpoint=midpoint)
     with np.errstate(all="ignore"):  # offset / step overflows at large bits
         got, want = q.quantize(x), reference_quantize(q, x)
+        out, scratch = np.full((2, *want.shape), np.nan)
+        into = q.quantize(x, out=out, scratch=scratch)
     assert np.array_equal(got, want, equal_nan=True)
+    # into NaN-filled buffers: the same values, and ``out`` returned
+    assert into is out
+    assert np.array_equal(into, want, equal_nan=True)
     assert np.array_equal(q.in_range(x), reference_in_range(q, x))
     # a leading block axis changes nothing per coordinate
     block = np.stack([x, -x])

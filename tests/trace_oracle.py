@@ -4,12 +4,16 @@ One round at a time, as the engine ran before its trace became columns:
 each round's trace quantities are reduced from that round's (n, p) rows
 alone and kept as one :class:`IterationTrace` per round.  The engine's
 block reductions must give every column bit for bit.  Saturation flags
-come from this round's own ``in_range`` test, not from the engine.
+come from this round's own ``in_range`` test, not from the engine.  The
+broadcast and the update are written out here from the quantizer's
+per-call reference and the update's formula, so a fault in the engine's
+``broadcast_phase`` or ``matrix_form_update`` shows as a column mismatch.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from quantizer_oracle import reference_quantize
 
 from disopt import adversary, engine
 from disopt.bounds import lemma1_bound
@@ -46,7 +50,7 @@ def reference_step(
     for objective, rows in objective_rows:
         gradients[rows] = objective.subgradient(iterates[rows])
 
-    h_attack_free = engine.matrix_form_update(weights, iterates, broadcasts, gradients, alpha)
+    h_attack_free = iterates - broadcasts + weights @ broadcasts - alpha * gradients
     h = h_attack_free + attack_rows
     xi = h - np.clip(h, feasible.lo, feasible.hi)
     next_iterates = h - xi
@@ -105,9 +109,11 @@ def reference_run(
     traces = []
     quantizes = honest | adversary_quantizes
     for k in range(iterations):
-        broadcasts = engine.broadcast_phase(iterates, quantizer, honest, adversary_quantizes)
+        broadcasts = iterates
         saturated = np.zeros(n, dtype=bool)
         if quantizer is not None:
+            quantized = reference_quantize(quantizer, iterates)
+            broadcasts = np.where(quantizes[:, None], quantized, iterates)
             saturated = quantizes & ~quantizer.in_range(iterates).all(axis=1)
         attack_rows = fixed.copy()
         attack_rows[keyed] = table[k]
