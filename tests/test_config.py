@@ -218,6 +218,220 @@ def test_malformed_values_rejected_at_parse_time(overrides, path):
     assert _paths(excinfo) == [path]
 
 
+_DELETE = object()
+
+
+def _edited(**edits):
+    """``_doc()`` with each key set to its value, or removed for ``_DELETE``."""
+    doc = _doc(**edits)
+    return {key: value for key, value in doc.items() if value is not _DELETE}
+
+
+_QUANT = {"bits": 2, "interval_length": 1.0, "midpoint": 0.0}
+
+
+# One document per distinct check, each with the exact (path, message) list
+# it reports.
+@pytest.mark.parametrize(
+    "edits, expected",
+    [
+        ({"bogus": 1}, [("bogus", "unknown key")]),
+        ({"n": _DELETE}, [("n", "required")]),
+        ({"n": "4"}, [("n", "expected an integer, got '4'")]),
+        ({"iterations": 0}, [("iterations", "must be >= 1, got 0")]),
+        ({"p": 2**16 + 1}, [("p", "must be <= 65536, got 65537")]),
+        ({"alpha": _DELETE}, [("alpha", "required")]),
+        (
+            {"alpha": [0.7]},
+            [("alpha", "per-agent step sizes are not supported; use one scalar")],
+        ),
+        ({"alpha": -1}, [("alpha", "must be a number in (0, 1e+50], got -1")]),
+        ({"topology": 5}, [("topology", "expected an object")]),
+        (
+            {"topology": {"type": "edge_list", "edges": [[0]]}},
+            [("topology.edges", "expected a list of [i, j] integer pairs")],
+        ),
+        (
+            {"topology": {"type": "ring"}},
+            [("topology.type", "expected 'complete' or 'edge_list', got 'ring'")],
+        ),
+        (
+            {"topology": {"type": "edge_list", "edges": [[0, 1], [2, 3]]}},
+            [("topology", "graph is disconnected")],
+        ),
+        ({"roles": _DELETE}, [("roles", "required")]),
+        (
+            {"roles": ["honest", "x", "honest", "adversarial"]},
+            [("roles", "expected a list of 'honest'/'adversarial'")],
+        ),
+        (
+            {"roles": ["honest", "honest", "adversarial"]},
+            [("roles", "expected length 4, got 3")],
+        ),
+        ({"roles": ["adversarial"] * 4}, [("roles", "at least one honest agent is required")]),
+        ({"objective": 5}, [("objective", "expected an object")]),
+        ({"objective": {"name": "linear"}}, [("objective.name", "unknown objective 'linear'")]),
+        ({"objective": {"box": 5}}, [("objective.box", "expected an object")]),
+        (
+            {"objective": {"box": {"lo": "abc"}}},
+            [("objective.box.lo", "expected a number or a list of numbers")],
+        ),
+        (
+            {"objective": {"box": {"lo": [-1.0] * 3}}},
+            [("objective.box.lo", "expected length 2, got 3")],
+        ),
+        (
+            {"objective": {"box": {"hi": float("inf")}}},
+            [("objective.box.hi", "expected numbers of magnitude at most 1e+50")],
+        ),
+        (
+            {"objective": {"box": {"lo": 0.0, "hi": 0.0}}},
+            [("objective.box", "requires lo < hi componentwise")],
+        ),
+        (
+            {"objective": {"box": {"lo": 0.5}}, "quantizer": None},
+            [("objective.box", "quadratic objective needs the origin inside the box")],
+        ),
+        ({"quantizer": 5}, [("quantizer", "expected an object or null")]),
+        (
+            {"quantizer": dict(_QUANT, bits=0)},
+            [("quantizer.bits", "expected an integer in [1, 1023], got 0")],
+        ),
+        (
+            {"quantizer": dict(_QUANT, interval_length=0.0)},
+            [("quantizer.interval_length", "must be positive")],
+        ),
+        (
+            {"quantizer": dict(_QUANT, midpoint=2.0)},
+            [("quantizer.midpoint", "must lie inside objective.box")],
+        ),
+        ({"attack": _DELETE}, [("attack", "required when adversarial agents are present")]),
+        (
+            {"attack": 5},
+            [("attack", "expected a policy object or a mapping of agent ids")],
+        ),
+        ({"attack": {}}, [("attack", "missing policy for adversarial agents [3]")]),
+        (
+            {"attack": {"x": {"kind": "zero"}, "3": {"kind": "zero"}}},
+            [("attack.x", "expected an agent id")],
+        ),
+        (
+            {"attack": {"0": {"kind": "zero"}, "3": {"kind": "zero"}}},
+            [("attack.0", "not an adversarial agent")],
+        ),
+        ({"attack": {"3": 5}}, [("attack.3", "expected an object")]),
+        ({"attack": {"3": {"seed": 1}}}, [("attack.3.kind", "required")]),
+        ({"attack": {"kind": "uniform", "range": 5}}, [("attack.range", "expected [lo, hi]")]),
+        (
+            {"attack": {"kind": "uniform", "range": [0.0]}},
+            [("attack.range", "expected length 2, got 1")],
+        ),
+        (
+            {"attack": {"kind": "zero", "seed": -1}},
+            [("attack.seed", "expected a nonnegative integer, got -1")],
+        ),
+        (
+            {"attack": {"kind": "constant", "value": [1.0]}},
+            [("attack.value", "expected length 2, got 1")],
+        ),
+        ({"attack": {"kind": "bogus"}}, [("attack", "unknown attack kind 'bogus'")]),
+        ({"seeds": []}, [("seeds", "expected a nonempty list of nonnegative integers")]),
+        ({"seeds": [0, 0]}, [("seeds", "seeds must be distinct")]),
+        ({"adversary_quantizes": "yes"}, [("adversary_quantizes", "expected a boolean")]),
+        ({"strict": 1}, [("strict", "expected a boolean")]),
+        ({"init": [[0.0, 0.0]]}, [("init", "expected an (4, 2) array of numbers")]),
+        (
+            {"init": [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [2.0, 0.0]]},
+            [("init", "every initial point must lie inside objective.box")],
+        ),
+        # every top-level field wrong: unknown keys first, then table order
+        (
+            {
+                "n": "x",
+                "p": True,
+                "iterations": None,
+                "alpha": [1],
+                "topology": 5,
+                "bogus": 1,
+                "roles": 5,
+                "objective": 5,
+                "quantizer": 5,
+                "attack": 5,
+                "seeds": 5,
+                "adversary_quantizes": 5,
+                "strict": 5,
+                "init": "x",
+            },
+            [
+                ("bogus", "unknown key"),
+                ("n", "expected an integer, got 'x'"),
+                ("p", "expected an integer, got True"),
+                ("iterations", "required"),
+                ("alpha", "per-agent step sizes are not supported; use one scalar"),
+                ("topology", "expected an object"),
+                ("roles", "expected a list of 'honest'/'adversarial'"),
+                ("objective", "expected an object"),
+                ("quantizer", "expected an object or null"),
+                ("attack", "expected a policy object or a mapping of agent ids"),
+                ("seeds", "expected a nonempty list of nonnegative integers"),
+                ("adversary_quantizes", "expected a boolean"),
+                ("strict", "expected a boolean"),
+                ("init", "expected an (None, None) array of numbers"),
+            ],
+        ),
+        # every nested field wrong, and checks that compare fields
+        (
+            {
+                "topology": {"w": 1, "type": "edge_list", "edges": 5},
+                "objective": {"y": 1, "name": "x", "box": {"z": 0, "lo": 1.0, "hi": 0.5}},
+                "quantizer": {"r": 1, "bits": 0, "interval_length": -1.0, "midpoint": "m"},
+                "attack": {"9": {"kind": "zero"}, "x": 1, "3": {"kind": "zero"}},
+                "seeds": [1, 1],
+            },
+            [
+                ("topology.w", "unknown key"),
+                ("topology.edges", "expected a list of [i, j] integer pairs"),
+                ("objective.y", "unknown key"),
+                ("objective.name", "unknown objective 'x'"),
+                ("objective.box.z", "unknown key"),
+                ("objective.box", "requires lo < hi componentwise"),
+                ("quantizer.r", "unknown key"),
+                ("quantizer.bits", "expected an integer in [1, 1023], got 0"),
+                ("quantizer.interval_length", "must be positive"),
+                ("quantizer.midpoint", "expected a number or a list of numbers"),
+                ("attack.9", "not an adversarial agent"),
+                ("attack.x", "expected an agent id"),
+                ("seeds", "seeds must be distinct"),
+            ],
+        ),
+        # a check that compares fields reports in its field's place
+        (
+            {
+                "roles": ["honest", "adversarial", "adversarial"],
+                "objective": {"name": "x"},
+                "quantizer": {"bits": True, "midpoint": 3.0},
+                "attack": {"kind": "uniform", "range": [1.0, 0.0]},
+                "seeds": "0",
+                "strict": None,
+            },
+            [
+                ("roles", "expected length 4, got 3"),
+                ("objective.name", "unknown objective 'x'"),
+                ("quantizer.bits", "expected an integer in [1, 1023], got True"),
+                ("quantizer.midpoint", "must lie inside objective.box"),
+                ("attack", "need 0 <= low <= high, got (1.0, 0.0)"),
+                ("seeds", "expected a nonempty list of nonnegative integers"),
+                ("strict", "expected a boolean"),
+            ],
+        ),
+    ],
+)
+def test_every_check_reports_its_exact_message(edits, expected):
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(_edited(**edits))
+    assert excinfo.value.errors == expected
+
+
 def test_count_limits_are_inclusive():
     cfg = parse_config(_doc(p=config_module.MAX_DIMENSION, iterations=2**32))
     assert cfg.p == 2**16 and len(cfg.box_lo) == 2**16
