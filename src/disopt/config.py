@@ -2,13 +2,19 @@
 
 ``parse_config`` validates an entire document and raises a single
 :class:`ConfigError` carrying every violation with its field path, so a
-user can fix a config in one pass.  Unknown keys are rejected.
+user can fix a config in one pass.  One table, ``_FIELDS``, gives every
+field's dotted path, checker and default (``_POLICY_FIELDS`` those of an
+attack policy); its rows are also each object's only allowed keys.  The
+rules that compare fields (roles against n, the box, the per-agent interval
+lengths, the attack map, init) run after the table, and each files its
+errors under its field, so errors come out in table order.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -25,6 +31,10 @@ ADVERSARIAL = "adversarial"
 
 # Largest bit count whose step divisor 2**bits is a finite float.
 MAX_BITS = sys.float_info.max_exp - 1
+
+# Largest agent count n.  A complete graph's (n, n) Metropolis weights are
+# 32 MiB at the cap, and building them peaks near 136 MiB (tracemalloc).
+MAX_AGENTS = 2**11
 
 # Largest dimension p.  A scalar box, midpoint or constant attack value
 # expands to p entries at parse time, so the cap is checked before any
@@ -111,25 +121,16 @@ class ExperimentConfig:
         return max(self.interval_lengths)
 
 
-_TOP_KEYS = {
-    "n",
-    "p",
-    "topology",
-    "roles",
-    "objective",
-    "quantizer",
-    "attack",
-    "adversary_quantizes",
-    "alpha",
-    "iterations",
-    "seeds",
-    "strict",
-    "init",
-}
+class _Invalid(ValueError):
+    """A checker's verdict on one value, reported at the field's path."""
+
+
+_REQUIRED = object()  # default of a field that must be given and not null
 
 
 def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    # a numpy integer counts, so a library caller may pass one; a bool does not
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _is_number(value) -> bool:
@@ -137,71 +138,235 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _reject_unknown(doc: dict, allowed, path: str, errors) -> None:
-    for key in doc:
-        if key not in allowed:
-            errors.append((f"{path}{key}", "unknown key"))
+# ---- checkers: (value, parsed) -> the value to keep, or raise _Invalid;
+# ``parsed`` maps each table path checked so far to its value
 
 
-def _as_vector(value, p, path, errors, default=None):
-    if value is None:
-        value = default
+def _rule(ok, message, convert=None):
+    """``convert(value)``, or the value, if ``ok(value)``; else ``message``."""
+
+    def check(value, parsed):
+        if not ok(value):
+            raise _Invalid(message.format(value))
+        return value if convert is None else convert(value)
+
+    return check
+
+
+def _integer(lo, hi=math.inf, message=None):
+    """An integer in [lo, hi], kept as an int; ``message`` reports any failure."""
+
+    def check(value, parsed):
+        if _is_int(value) and lo <= value <= hi:
+            return int(value)
+        if message:
+            raise _Invalid(f"{message}, got {value!r}")
+        if not _is_int(value):
+            raise _Invalid(f"expected an integer, got {value!r}")
+        if value < lo:
+            raise _Invalid(f"must be >= {lo}, got {value}")
+        raise _Invalid(f"must be <= {hi}, got {value}")
+
+    return check
+
+
+def _ints(value, lo=-math.inf) -> bool:  # a list of integers >= lo
+    return isinstance(value, list) and all(_is_int(v) and v >= lo for v in value)
+
+
+def _step_size(value, parsed):
+    if isinstance(value, (list, tuple)):
+        raise _Invalid("per-agent step sizes are not supported; use one scalar")
+    if not _is_number(value) or not 0 < value <= MAX_MAGNITUDE:  # nan, inf fail too
+        raise _Invalid(f"must be a number in (0, {MAX_MAGNITUDE:g}], got {value!r}")
+    return float(value)
+
+
+def _as_vector(value, length):
+    """``length`` floats of magnitude at most MAX_MAGNITUDE; a scalar repeats."""
     if np.isscalar(value):
-        value = [value] * p
+        value = [value] * length
     try:
         vec = tuple(float(v) for v in value)
     except (TypeError, ValueError, OverflowError):
         vec = None
     if vec is None or not all(map(_is_number, value)):
-        errors.append((path, "expected a number or a list of numbers"))
-        return None
-    if len(vec) != p:
-        errors.append((path, f"expected length {p}, got {len(vec)}"))
-        return None
+        raise _Invalid("expected a number or a list of numbers")
+    if len(vec) != length:
+        raise _Invalid(f"expected length {length}, got {len(vec)}")
     if not all(abs(v) <= MAX_MAGNITUDE for v in vec):  # nan and inf fail too
-        errors.append((path, f"expected numbers of magnitude at most {MAX_MAGNITUDE:g}"))
-        return None
+        raise _Invalid(f"expected numbers of magnitude at most {MAX_MAGNITUDE:g}")
     return vec
 
 
-def _parse_attack_policy(doc, path, p, errors):
-    allowed = {"kind", "sign", "range", "value", "seed"}
-    if not isinstance(doc, dict):
-        errors.append((path, "expected an object"))
-        return None
-    _reject_unknown(doc, allowed, path + ".", errors)
-    kind = doc.get("kind")
-    if kind is None:
-        errors.append((path + ".kind", "required"))
-        return None
-    rng = doc.get("range", [0.0, 0.0])
-    if not isinstance(rng, list):
-        errors.append((path + ".range", "expected [lo, hi]"))
-        return None
-    bounds = _as_vector(rng, 2, path + ".range", errors)
-    if bounds is None:
-        return None
-    seed = doc.get("seed", 0)
-    if not _is_int(seed) or seed < 0:
-        errors.append((path + ".seed", f"expected a nonnegative integer, got {seed!r}"))
-        return None
-    value = doc.get("value")
-    if value is not None and p is not None:
-        value = _as_vector(value, p, path + ".value", errors)
-        if value is None:
+def _vector(fill=None):
+    """p numbers, ``fill`` when null; not checked unless p is valid."""
+
+    def check(value, parsed):
+        value = fill if value is None else value
+        if value is None or parsed.get("p") is None:
             return None
-    try:
-        return AttackPolicy(
-            kind=kind,
-            sign=doc.get("sign", "positive"),
-            low=bounds[0],
-            high=bounds[1],
-            value=None if value is None else np.array(value),
-            seed=seed,
-        )
-    except (TypeError, ValueError) as exc:  # TypeError: an unhashable kind
-        errors.append((path, str(exc)))
+        return _as_vector(value, parsed["p"])
+
+    return check
+
+
+def _edges(value, parsed):
+    if parsed.get("topology.type") != "edge_list":  # only an edge list reads them
         return None
+    if not isinstance(value, list) or not all(_ints(e) and len(e) == 2 for e in value):
+        raise _Invalid("expected a list of [i, j] integer pairs")
+    return tuple((int(i), int(j)) for i, j in value)
+
+
+def _seeds(value, parsed):
+    if not _ints(value, 0) or not value:
+        raise _Invalid("expected a nonempty list of nonnegative integers")
+    if len(set(value)) != len(value):
+        raise _Invalid("seeds must be distinct")
+    return tuple(map(int, value))
+
+
+_boolean = _rule(lambda v: isinstance(v, bool), "expected a boolean")
+_object = _rule(lambda v: isinstance(v, dict), "expected an object")
+_object_or_null = _rule(lambda v: v is None or isinstance(v, dict), "expected an object or null")
+_range = _rule(lambda v: isinstance(v, list), "expected [lo, hi]", lambda v: _as_vector(v, 2))
+_roles = _rule(
+    lambda v: isinstance(v, list) and all(r in (HONEST, ADVERSARIAL) for r in v),
+    f"expected a list of '{HONEST}'/'{ADVERSARIAL}'",
+    tuple,
+)
+_topology_type = _rule(
+    lambda v: v in ("complete", "edge_list"), "expected 'complete' or 'edge_list', got {!r}"
+)
+
+# ---- field tables: path -> (checker, default).  A field is read as
+# ``parent.get(key, default)`` and checked in table order; a None checker
+# leaves it to the rules after the walk.  An object's keys are its rows.
+
+_FIELDS = {
+    "n": (_integer(1, MAX_AGENTS), _REQUIRED),
+    "p": (_integer(1, MAX_DIMENSION), _REQUIRED),
+    "iterations": (_integer(1, MAX_ITERATIONS), _REQUIRED),
+    "alpha": (_step_size, _REQUIRED),
+    "topology": (_object, {"type": "complete"}),
+    "topology.type": (_topology_type, None),
+    "topology.edges": (_edges, None),
+    "roles": (_roles, _REQUIRED),
+    "objective": (_object, {}),
+    "objective.name": (_rule(lambda v: v == "quadratic", "unknown objective {!r}"), "quadratic"),
+    "objective.box": (_object, {}),
+    "objective.box.lo": (_vector(-1.0), None),
+    "objective.box.hi": (_vector(1.0), None),
+    "quantizer": (_object_or_null, None),
+    "quantizer.bits": (_integer(1, MAX_BITS, f"expected an integer in [1, {MAX_BITS}]"), None),
+    "quantizer.interval_length": (None, 1.0),  # one per agent, so checked against roles
+    "quantizer.midpoint": (_vector(0.0), None),
+    "attack": (None, None),  # one policy, or a mapping of agent ids to policies
+    "seeds": (_seeds, [0]),
+    "adversary_quantizes": (_boolean, False),
+    "strict": (_boolean, False),
+    "init": (None, None),
+}
+
+# One attack policy, at "attack" or "attack.<id>"; its first error ends it.
+_POLICY_FIELDS = {
+    "kind": (None, _REQUIRED),
+    "range": (_range, [0.0, 0.0]),
+    "seed": (_integer(0, message="expected a nonnegative integer"), 0),
+    "value": (_vector(), None),
+    "sign": (None, "positive"),
+}
+
+
+def _walk(node, fields, errors, parsed, prefix="", bucket=None, stop=False) -> bool:
+    """Check the object ``node`` against a field table, putting each valid
+    field's value into ``parsed`` under its path, and each error, at
+    ``prefix`` + path, into its row's list in ``errors`` (or ``bucket``'s).
+    With ``stop`` the first invalid field ends the walk and returns False."""
+
+    def reject_unknown(path, obj):  # an object's keys must be its rows
+        for key in obj:
+            row = f"{path}.{key}" if path else f"{key}"
+            if row not in fields or row.rpartition(".")[0] != path:  # "a.b" is one key
+                errors[bucket or path].append((prefix + row, "unknown key"))
+
+    reject_unknown("", node)
+    for path, (check, default) in fields.items():
+        parent, _, key = path.rpartition(".")
+        obj = parsed.get(parent) if parent else node
+        if not isinstance(obj, dict):  # absent or invalid
+            continue
+        value = obj.get(key, default)
+        try:
+            if default is _REQUIRED and (value is None or value is _REQUIRED):
+                raise _Invalid("required")
+            parsed[path] = value = value if check is None else check(value, parsed)
+        except _Invalid as exc:
+            errors[bucket or path].append((prefix + path, str(exc)))
+            if stop:
+                return False
+            continue
+        if check is not None and isinstance(value, dict):  # a checked object
+            reject_unknown(path, value)
+    return True
+
+
+def check_value(path, checker, value):
+    """``value`` through a table checker, or a ConfigError at ``path``."""
+    try:
+        return checker(value, {})
+    except _Invalid as exc:
+        raise ConfigError([(path, str(exc))]) from None
+
+
+def _parse_attack_policy(doc, path, p, errors):
+    policy = {"p": p}  # the length of the value row
+    if not isinstance(doc, dict):
+        errors["attack"].append((path, "expected an object"))
+    elif _walk(doc, _POLICY_FIELDS, errors, policy, path + ".", "attack", stop=True):
+        # while p is invalid, a value is passed on unchecked
+        (low, high), value = policy["range"], policy["value"] if p else doc.get("value")
+        try:
+            value = None if value is None else np.array(value)
+            return AttackPolicy(policy["kind"], policy["sign"], low, high, value, policy["seed"])
+        except (TypeError, ValueError, OverflowError) as exc:  # an unhashable kind, 10**400
+            errors["attack"].append((path, str(exc)))
+    return None
+
+
+def _parse_attack(doc, roles, p, errors) -> dict:
+    """Agent id -> policy, from one shared policy or a mapping of agent ids;
+    a policy with an error maps to None, so its agent is not also missing."""
+    found = errors["attack"]
+    adversaries = [i for i, r in enumerate(roles or ()) if r == ADVERSARIAL]
+    if doc is None:
+        if adversaries:
+            found.append(("attack", "required when adversarial agents are present"))
+        return {}
+    if not isinstance(doc, dict):
+        found.append(("attack", "expected a policy object or a mapping of agent ids"))
+        return {}
+    if "kind" in doc:
+        policy = _parse_attack_policy(doc, "attack", p, errors)
+        return {} if policy is None else dict.fromkeys(adversaries, policy)
+    attack = {}
+    for key, sub in doc.items():
+        try:
+            agent = int(key)
+        except (TypeError, ValueError):
+            agent = None
+        # "02", " 2" or "+2" would alias agent 2 and shadow its own policy
+        if key != str(agent):
+            found.append((f"attack.{key}", "expected an agent id"))
+        elif roles is not None and (agent not in range(len(roles)) or roles[agent] != ADVERSARIAL):
+            found.append((f"attack.{key}", "not an adversarial agent"))
+        else:
+            attack[agent] = _parse_attack_policy(sub, f"attack.{key}", p, errors)
+    missing = [i for i in adversaries if i not in attack]
+    if missing:
+        found.append(("attack", f"missing policy for adversarial agents {missing}"))
+    return attack
 
 
 def parse_config(document) -> ExperimentConfig:
@@ -214,240 +379,72 @@ def parse_config(document) -> ExperimentConfig:
     if not isinstance(document, dict):
         raise ConfigError([("<document>", "top level must be an object")])
 
-    errors: list = []
-    _reject_unknown(document, _TOP_KEYS, "", errors)
+    errors = {path: [] for path in ("", *_FIELDS)}
+    v: dict = {}
+    _walk(document, _FIELDS, errors, v)
 
-    def intval(key, minimum, maximum=None):
-        raw = document.get(key)
-        if raw is None:
-            errors.append((key, "required"))
-            return None
-        if not isinstance(raw, (int, np.integer)) or isinstance(raw, bool):
-            errors.append((key, f"expected an integer, got {raw!r}"))
-            return None
-        if raw < minimum:
-            errors.append((key, f"must be >= {minimum}, got {raw}"))
-            return None
-        if maximum is not None and raw > maximum:
-            errors.append((key, f"must be <= {maximum}, got {raw}"))
-            return None
-        return int(raw)
+    def fail(field, message):
+        errors[field].append((field, message))
 
-    n = intval("n", 1)
-    p = intval("p", 1, MAX_DIMENSION)
-    iterations = intval("iterations", 1, MAX_ITERATIONS)
+    def inside(vec):  # within the box componentwise
+        return all(lo <= x <= hi for lo, x, hi in zip(box_lo, vec, box_hi))
 
-    alpha = document.get("alpha")
-    if alpha is None:
-        errors.append(("alpha", "required"))
-    elif isinstance(alpha, (list, tuple)):
-        errors.append(("alpha", "per-agent step sizes are not supported; use one scalar"))
-        alpha = None
-    elif not _is_number(alpha) or not 0 < alpha <= MAX_MAGNITUDE:  # nan, inf fail too
-        errors.append(("alpha", f"must be a number in (0, {MAX_MAGNITUDE:g}], got {alpha!r}"))
-        alpha = None
-    else:
-        alpha = float(alpha)
+    # ---- rules that compare fields, each filed under its field
+    n, p, roles = v.get("n"), v.get("p"), v.get("roles")
+    if roles is not None and n is not None and len(roles) != n:
+        fail("roles", f"expected length {n}, got {len(roles)}")
+        roles = None
+    elif roles is not None and HONEST not in roles:
+        fail("roles", "at least one honest agent is required")
+        roles = None
 
-    # topology
-    topo = document.get("topology", {"type": "complete"})
-    topo_type, edges = None, None
-    if not isinstance(topo, dict):
-        errors.append(("topology", "expected an object"))
-    else:
-        _reject_unknown(topo, {"type", "edges"}, "topology.", errors)
-        topo_type = topo.get("type")
-        if topo_type == "complete":
-            edges = None
-        elif topo_type == "edge_list":
-            raw = topo.get("edges")
-            if isinstance(raw, list) and all(
-                isinstance(e, list) and len(e) == 2 and all(_is_int(v) for v in e)
-                for e in raw
-            ):
-                edges = tuple((e[0], e[1]) for e in raw)
-            else:
-                errors.append(("topology.edges", "expected a list of [i, j] integer pairs"))
-        else:
-            errors.append(("topology.type", f"expected 'complete' or 'edge_list', got {topo_type!r}"))
+    box_lo, box_hi = v.get("objective.box.lo"), v.get("objective.box.hi")
+    if box_lo and box_hi:
+        if not all(lo < hi for lo, hi in zip(box_lo, box_hi)):
+            fail("objective.box", "requires lo < hi componentwise")
+        elif v.get("objective.name") == "quadratic" and not inside([0] * p):
+            fail("objective.box", "quadratic objective needs the origin inside the box")
 
-    # roles
-    roles_raw = document.get("roles")
-    roles = None
-    if roles_raw is None:
-        errors.append(("roles", "required"))
-    elif not isinstance(roles_raw, list) or not all(
-        r in (HONEST, ADVERSARIAL) for r in roles_raw
-    ):
-        errors.append(("roles", f"expected a list of '{HONEST}'/'{ADVERSARIAL}'"))
-    else:
-        roles = tuple(roles_raw)
-        if n is not None and len(roles) != n:
-            errors.append(("roles", f"expected length {n}, got {len(roles)}"))
-            roles = None
-        elif HONEST not in roles:
-            errors.append(("roles", "at least one honest agent is required"))
-            roles = None
+    lengths = None
+    if v.get("quantizer") is not None and roles is not None and n is not None:
+        try:
+            lengths = _as_vector(v["quantizer.interval_length"], n)
+            if any(length <= 0 for length in lengths):
+                raise _Invalid("must be positive")
+        except _Invalid as exc:
+            fail("quantizer.interval_length", str(exc))
+    midpoint = v.get("quantizer.midpoint")
+    if midpoint and box_lo and box_hi and not inside(midpoint):
+        fail("quantizer.midpoint", "must lie inside objective.box")
 
-    # objective
-    obj = document.get("objective", {"name": "quadratic"})
-    obj_name, box_lo, box_hi = None, None, None
-    if not isinstance(obj, dict):
-        errors.append(("objective", "expected an object"))
-    else:
-        _reject_unknown(obj, {"name", "box"}, "objective.", errors)
-        obj_name = obj.get("name", "quadratic")
-        if obj_name != "quadratic":
-            errors.append(("objective.name", f"unknown objective {obj_name!r}"))
-        box = obj.get("box", {"lo": -1.0, "hi": 1.0})
-        if not isinstance(box, dict):
-            errors.append(("objective.box", "expected an object"))
-        else:
-            _reject_unknown(box, {"lo", "hi"}, "objective.box.", errors)
-            if p is not None:
-                box_lo = _as_vector(box.get("lo"), p, "objective.box.lo", errors, -1.0)
-                box_hi = _as_vector(box.get("hi"), p, "objective.box.hi", errors, 1.0)
-                if box_lo and box_hi:
-                    if not all(lo < hi for lo, hi in zip(box_lo, box_hi)):
-                        errors.append(("objective.box", "requires lo < hi componentwise"))
-                    elif obj_name == "quadratic" and not all(
-                        lo <= 0 <= hi for lo, hi in zip(box_lo, box_hi)
-                    ):
-                        errors.append(
-                            ("objective.box", "quadratic objective needs the origin inside the box")
-                        )
+    attack = _parse_attack(v.get("attack"), roles, p, errors)
 
-    # quantizer
-    quant = document.get("quantizer")
-    bits, lengths, midpoint = None, None, None
-    if quant is not None:
-        if not isinstance(quant, dict):
-            errors.append(("quantizer", "expected an object or null"))
-        else:
-            _reject_unknown(
-                quant, {"bits", "interval_length", "midpoint"}, "quantizer.", errors
-            )
-            bits = quant.get("bits")
-            if (
-                not isinstance(bits, (int, np.integer))
-                or isinstance(bits, bool)
-                or not 1 <= bits <= MAX_BITS
-            ):
-                errors.append(
-                    ("quantizer.bits", f"expected an integer in [1, {MAX_BITS}], got {bits!r}")
-                )
-                bits = None
-            raw_len = quant.get("interval_length", 1.0)
-            if roles is not None and n is not None:  # then n == len(roles)
-                lengths = _as_vector(raw_len, n, "quantizer.interval_length", errors)
-                if lengths is not None and any(l <= 0 for l in lengths):
-                    errors.append(("quantizer.interval_length", "must be positive"))
-                    lengths = None
-            if p is not None:
-                midpoint = _as_vector(
-                    quant.get("midpoint"), p, "quantizer.midpoint", errors, 0.0
-                )
-                if midpoint and box_lo and box_hi and not all(
-                    lo <= m <= hi for lo, m, hi in zip(box_lo, midpoint, box_hi)
-                ):
-                    errors.append(("quantizer.midpoint", "must lie inside objective.box"))
-
-    # attack policies
-    attack_doc = document.get("attack")
-    attack: dict = {}
-    adversaries = (
-        [i for i, r in enumerate(roles) if r == ADVERSARIAL] if roles is not None else []
-    )
-    if attack_doc is None:
-        if adversaries:
-            errors.append(("attack", "required when adversarial agents are present"))
-    elif isinstance(attack_doc, dict) and "kind" in attack_doc:
-        policy = _parse_attack_policy(attack_doc, "attack", p, errors)
-        if policy is not None:
-            attack = {i: policy for i in adversaries}
-    elif isinstance(attack_doc, dict):
-        for key, sub in attack_doc.items():
-            try:
-                agent = int(key)
-            except ValueError:
-                errors.append((f"attack.{key}", "expected an agent id"))
-                continue
-            if roles is not None and (
-                agent not in range(len(roles)) or roles[agent] != ADVERSARIAL
-            ):
-                errors.append((f"attack.{key}", "not an adversarial agent"))
-                continue
-            # an invalid policy is kept as None: its error already stops
-            # the parse, and the agent is not also reported as missing
-            attack[agent] = _parse_attack_policy(sub, f"attack.{key}", p, errors)
-        missing = [i for i in adversaries if i not in attack]
-        if missing:
-            errors.append(("attack", f"missing policy for adversarial agents {missing}"))
-    else:
-        errors.append(("attack", "expected a policy object or a mapping of agent ids"))
-
-    # seeds
-    seeds_raw = document.get("seeds", [0])
-    if (
-        not isinstance(seeds_raw, list)
-        or not seeds_raw
-        or not all(_is_int(s) and s >= 0 for s in seeds_raw)
-    ):
-        errors.append(("seeds", "expected a nonempty list of nonnegative integers"))
-        seeds = None
-    elif len(set(seeds_raw)) != len(seeds_raw):
-        errors.append(("seeds", "seeds must be distinct"))
-        seeds = None
-    else:
-        seeds = tuple(seeds_raw)
-
-    adversary_quantizes = document.get("adversary_quantizes", False)
-    if not isinstance(adversary_quantizes, bool):
-        errors.append(("adversary_quantizes", "expected a boolean"))
-    strict = document.get("strict", False)
-    if not isinstance(strict, bool):
-        errors.append(("strict", "expected a boolean"))
-
-    init = document.get("init")
+    init = v.get("init")
     if init is not None:
         try:
             arr = np.asarray(init, dtype=float)
         except (TypeError, ValueError, OverflowError):  # ragged, non-numeric, 10**400
             arr = None
-        if arr is not None and arr.ndim == 2 and not all(
-            _is_number(v) for row in init for v in row
+        if (
+            arr is None
+            or arr.ndim != 2
+            or not all(_is_number(x) for row in init for x in row)
+            or arr.shape != (n or len(arr), p or arr.shape[1])  # as far as n and p are known
         ):
-            arr = None
-        if arr is None or (n is not None and p is not None and arr.shape != (n, p)):
-            errors.append(("init", f"expected an ({n}, {p}) array of numbers"))
-            init = None
+            fail("init", f"expected an ({n}, {p}) array of numbers")
         elif box_lo and box_hi and not np.all((arr >= box_lo) & (arr <= box_hi)):
-            errors.append(("init", "every initial point must lie inside objective.box"))
-            init = None
+            fail("init", "every initial point must lie inside objective.box")
         else:
             init = tuple(tuple(row) for row in arr)
 
-    if errors:
-        raise ConfigError(errors)
-
+    if any(errors.values()):
+        raise ConfigError([error for found in errors.values() for error in found])
     cfg = ExperimentConfig(
-        n=n,
-        p=p,
-        topology_type=topo_type,
-        edges=edges,
-        roles=roles,
-        objective_name=obj_name,
-        box_lo=box_lo,
-        box_hi=box_hi,
-        quantizer_bits=bits,
-        interval_lengths=lengths,
-        quantizer_midpoint=midpoint,
-        attack=attack,
-        adversary_quantizes=adversary_quantizes,
-        alpha=alpha,
-        iterations=iterations,
-        seeds=seeds,
-        strict=strict,
+        n=n, p=p, topology_type=v["topology.type"], edges=v["topology.edges"], roles=roles,
+        objective_name=v["objective.name"], box_lo=box_lo, box_hi=box_hi,
+        quantizer_bits=v.get("quantizer.bits"), interval_lengths=lengths,
+        quantizer_midpoint=midpoint, attack=attack, adversary_quantizes=v["adversary_quantizes"],
+        alpha=v["alpha"], iterations=v["iterations"], seeds=v["seeds"], strict=v["strict"],
         init=init,
     )
     # connectivity and similar structural errors surface with a field path

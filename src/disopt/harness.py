@@ -18,7 +18,8 @@ import numpy as np
 from . import engine
 from .adversary import max_attack_norm
 from .bounds import BoundReport
-from .config import ConfigError, ExperimentConfig, parse_config, preset_document
+from .config import PRESETS, ConfigError, ExperimentConfig, parse_config, preset_document
+from .config import _object, _range, _rule, check_value
 from .objective import suite_subgrad_bound
 
 
@@ -178,23 +179,27 @@ def run_experiment(
 # ---- sweeps ----------------------------------------------------------------
 
 _GRID_KEYS = ("bits", "interval_length", "alpha", "attack_high")
+_AXIS = _rule(lambda v: isinstance(v, list) and v, "every axis must be a nonempty list")
+_BASE = _rule(
+    lambda v: isinstance(v, dict) or (isinstance(v, str) and v in PRESETS),
+    f"expected a config object or a preset name in {sorted(PRESETS)}",
+    lambda v: preset_document(v) if isinstance(v, str) else v,
+)
 
 
 def _apply_point(base: dict, point: dict) -> dict:
     doc = json.loads(json.dumps(base))  # deep copy via round-trip
-    if "bits" in point:
-        doc.setdefault("quantizer", {})["bits"] = point["bits"]
-    if "interval_length" in point:
-        doc.setdefault("quantizer", {})["interval_length"] = point["interval_length"]
+    quantizer = {k: point[k] for k in ("bits", "interval_length") if k in point}
+    if quantizer:
+        check_value("base.quantizer", _object, doc.setdefault("quantizer", {})).update(quantizer)
     if "alpha" in point:
         doc["alpha"] = point["alpha"]
     if "attack_high" in point:
-        if "attack" not in doc or "kind" not in doc["attack"]:
-            raise ConfigError(
-                [("grid.attack_high", "base config has no shared attack policy")]
-            )
-        lo = doc["attack"].get("range", [0.0, 0.0])[0]
-        doc["attack"]["range"] = [lo, point["attack_high"]]
+        attack = doc.get("attack")
+        if not isinstance(attack, dict) or "kind" not in attack:
+            raise ConfigError([("grid.attack_high", "base config has no shared attack policy")])
+        lo, _ = check_value("base.attack.range", _range, attack.get("range", [0.0, 0.0]))
+        attack["range"] = [lo, point["attack_high"]]
     return doc
 
 
@@ -206,10 +211,8 @@ def expand_grid(grid_doc: dict) -> list:
     """
     if not isinstance(grid_doc, dict) or "base" not in grid_doc:
         raise ConfigError([("base", "sweep document needs a 'base' config or preset name")])
-    base = grid_doc["base"]
-    if isinstance(base, str):
-        base = preset_document(base)
-    axes = grid_doc.get("grid", {})
+    base = check_value("base", _BASE, grid_doc["base"])
+    axes = check_value("grid", _object, grid_doc.get("grid", {}))
     unknown = [k for k in axes if k not in _GRID_KEYS]
     if unknown:
         raise ConfigError([(f"grid.{k}", "unknown grid axis") for k in unknown])
@@ -218,15 +221,12 @@ def expand_grid(grid_doc: dict) -> list:
         raise ConfigError([(k, "unknown key") for k in extra])
 
     names = [k for k in _GRID_KEYS if k in axes]
-    value_lists = [axes[k] for k in names]
-    if any(not isinstance(v, list) or not v for v in value_lists):
-        raise ConfigError([("grid", "every axis must be a nonempty list")])
-    combos = list(itertools.product(*value_lists)) if names else []
-    if not combos:
+    value_lists = [check_value("grid", _AXIS, axes[k]) for k in names]
+    if not names:
         raise ConfigError([("grid", "empty grid: provide at least one axis")])
 
     points = []
-    for combo in combos:
+    for combo in itertools.product(*value_lists):
         point = dict(zip(names, combo))
         doc = _apply_point(base, point)
         try:

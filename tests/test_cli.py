@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from disopt.cli import EXIT_OK, EXIT_STRICT, EXIT_USAGE, main
-from disopt.config import parse_config
+from disopt.config import MAX_AGENTS, parse_config
 from disopt.harness import run_single
 
 
@@ -123,10 +123,13 @@ def test_bits_limit_keeps_the_step_divisor_finite(tmp_path, capsys, bits, code):
     assert ("quantizer.bits" in capsys.readouterr().err) == (code == EXIT_USAGE)
 
 
-@pytest.mark.parametrize("field, value", [("p", 2**31), ("iterations", 2**32 + 1)])
+@pytest.mark.parametrize(
+    "field, value", [("p", 2**31), ("iterations", 2**32 + 1), ("n", MAX_AGENTS + 1)]
+)
 def test_count_limits_reject_before_building_anything(tmp_path, capsys, field, value):
     # a scalar box once expanded to p entries first: 16 GiB at p = 2**31;
-    # a round index past 2**32 - 1 would not fit the keyed stream's word
+    # a round index past 2**32 - 1 would not fit the keyed stream's word;
+    # n = 20000 once died building a complete graph's (n, n) weights
     cfg = _write(tmp_path, "big.json", dict(SMALL_RUN, **{field: value}))
     tracemalloc.start()
     try:
@@ -184,6 +187,35 @@ def test_sweep_invalid_grid_point(tmp_path, capsys):
     path = _write(tmp_path, "grid.json", grid)
     assert main(["sweep", str(path), "--out", str(tmp_path)]) == EXIT_USAGE
     assert "alpha" in capsys.readouterr().err
+
+
+_SHARED = {"kind": "uniform", "range": [0.0, 1.0]}
+_HIGH = {"attack_high": [1.0]}
+
+
+# each of these once escaped expand_grid as a raw exception (exit 1)
+@pytest.mark.parametrize(
+    "base, axes, path",
+    [
+        ("fig9z", {"alpha": [0.5]}, "base"),
+        ([1], {"alpha": [0.5]}, "base"),
+        (dict(SMALL_RUN, quantizer=None), {"bits": [2]}, "base.quantizer"),
+        (dict(SMALL_RUN, attack=dict(_SHARED, range=5)), _HIGH, "base.attack.range"),
+        (dict(SMALL_RUN, attack=dict(_SHARED, range=[])), _HIGH, "base.attack.range"),
+        (dict(SMALL_RUN, attack=["kind"]), _HIGH, "grid.attack_high"),
+        (SMALL_RUN, 5, "grid"),
+        # a non-canonical agent id reaches parse_config through a grid point
+        (
+            dict(SMALL_RUN, attack={"2": {"kind": "zero"}, "02": {"kind": "zero"}}),
+            {"alpha": [0.5]},
+            "grid point {'alpha': 0.5}: attack.02",
+        ),
+    ],
+)
+def test_malformed_sweep_document_is_usage_error(tmp_path, capsys, base, axes, path):
+    path_file = _write(tmp_path, "grid.json", {"base": base, "grid": axes})
+    assert main(["sweep", str(path_file), "--out", str(tmp_path)]) == EXIT_USAGE
+    assert f"  {path}: " in capsys.readouterr().err
 
 
 def test_strict_mode_exit_code(tmp_path):

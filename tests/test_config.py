@@ -210,6 +210,12 @@ def test_preset_seed_override():
         ({"attack": {"kind": "constant", "value": False}}, "attack.value"),
         ({"init": [[0.0, 0.0], [0.0, True], [0.0, 0.0], [0.0, 0.0]]}, "init"),
         ({"init": [[0.0, 0.0], [0.0, "0.5"], [0.0, 0.0], [0.0, 0.0]]}, "init"),
+        # an agent id is canonical: "03" once aliased agent 3 and replaced
+        # the policy given under "3"
+        *(
+            ({"attack": {"3": {"kind": "zero"}, key: {"kind": "uniform"}}}, f"attack.{key}")
+            for key in ("03", " 3", "3 ", "+3", "0_3", "-0")
+        ),
     ],
 )
 def test_malformed_values_rejected_at_parse_time(overrides, path):
@@ -430,6 +436,41 @@ def test_every_check_reports_its_exact_message(edits, expected):
     with pytest.raises(ConfigError) as excinfo:
         parse_config(_edited(**edits))
     assert excinfo.value.errors == expected
+
+
+# a non-2-D init, or one whose rows do not match a valid p, once escaped as a
+# TypeError or ValueError when n was invalid
+@pytest.mark.parametrize("init", [0.5, [], [0.5, 0.5], [[0.0, 0.0, 0.0]] * 4])
+def test_init_is_a_matrix_even_when_n_is_invalid(init):
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(_doc(n="4", init=init))
+    assert excinfo.value.errors == [
+        ("n", "expected an integer, got '4'"),
+        ("init", "expected an (None, 2) array of numbers"),
+    ]
+
+
+def test_attack_value_passed_on_while_p_is_invalid_is_still_checked():
+    # a value of 10**400 once escaped AttackPolicy as a raw OverflowError
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(_doc(p="2", attack={"kind": "constant", "value": [10**400]}))
+    assert _paths(excinfo) == ["p", "attack"]
+
+
+def test_integer_fields_take_numpy_integers_and_keep_python_ints(tmp_path):
+    doc = _doc(
+        n=np.int64(4),
+        quantizer={"bits": np.int64(2), "interval_length": 1.0},
+        seeds=[np.int64(0), np.int64(3)],
+        topology={"type": "edge_list", "edges": [[np.int64(0), np.int64(1)], [1, 2], [2, 3]]},
+        attack={"kind": "uniform", "range": [0.0, 0.5], "seed": np.int64(5)},
+    )
+    cfg = parse_config(doc)
+    values = [cfg.n, cfg.quantizer_bits, *cfg.seeds, *sum(cfg.edges, ()), cfg.attack[3].seed]
+    assert values == [4, 2, 0, 3, 0, 1, 1, 2, 2, 3, 5]
+    assert all(type(value) is int for value in values)
+    artifacts = run_experiment(cfg, tmp_path)
+    assert json.loads(artifacts.report_path.read_text())["bits"] == 2
 
 
 def test_count_limits_are_inclusive():
