@@ -6,6 +6,8 @@ bound also takes an array of per-round quantization errors.  Hypothesis
 violations (non-contractive factor, step size above 1) do not raise: the
 value is still computed and a ``RuntimeWarning`` is emitted so harnesses
 can surface the tension instead of hiding it.
+:func:`recursion_bound` and :meth:`BoundReport.per_k_bound` evaluate one
+formula.  Only the former warns: a report states the hypotheses as flags.
 """
 
 from __future__ import annotations
@@ -127,6 +129,18 @@ def neighborhood_size(
     return SQRT6 * (interval_length / 2**bits + subgrad_bound * alpha) + SQRT3 * attack_norm
 
 
+def _recursion_kernel(
+    k, initial_error, rho, bits, interval_length, subgrad_bound, alpha, attack_norm
+) -> float:
+    # |rho| keeps the half-power real when rho < 0
+    return (
+        abs(rho) ** (k / 2.0) * initial_error
+        + SQRT3 * attack_norm
+        + (SQRT6 / 2**bits) * interval_length
+        + SQRT6 * subgrad_bound * alpha
+    )
+
+
 def recursion_bound(
     k: int,
     initial_error: float,
@@ -160,13 +174,8 @@ def recursion_bound(
             RuntimeWarning,
             stacklevel=2,
         )
-    # |rho| keeps the half-power real when rho < 0
-    transient = abs(rho) ** (k / 2.0) * initial_error
-    return (
-        transient
-        + SQRT3 * attack_norm
-        + (SQRT6 / 2**bits) * interval_length
-        + SQRT6 * subgrad_bound * alpha
+    return _recursion_kernel(
+        k, initial_error, rho, bits, interval_length, subgrad_bound, alpha, attack_norm
     )
 
 
@@ -218,33 +227,28 @@ class BoundReport:
             "alpha_le_1": self.alpha <= 1.0,
         }
 
-    def _recursion_bound(self, k: int) -> float:
-        return recursion_bound(
+    def per_k_bound(self, k: int) -> float:
+        """:func:`recursion_bound` after k iterations, without its warnings."""
+        if k < 0:
+            raise ValueError(f"iteration index must be >= 0, got {k}")
+        return _recursion_kernel(
             k,
             self.initial_error,
-            self.alpha,
-            self.c2,
-            self.interval_length,
+            self.rho,
             self.bits,
+            self.interval_length,
             self.subgrad_bound,
+            self.alpha,
             self.attack_norm,
         )
 
-    def per_k_bound(self, k: int) -> float:
-        """The recursion bound after k iterations, hypothesis warnings muted."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            return self._recursion_bound(k)
-
     def bound_column(self, iterations: int) -> list:
-        """``per_k_bound(k)`` for k = 0..iterations, under one warning filter.
+        """``per_k_bound(k)`` for k = 0..iterations.
 
-        Each value is the scalar :func:`recursion_bound`: ``np.power`` over
-        a k array is not bit-identical to Python's ``**``.
+        Each value is the scalar bound: ``np.power`` over a k array is not
+        bit-identical to Python's ``**``.
         """
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            return [self._recursion_bound(k) for k in range(iterations + 1)]
+        return [self.per_k_bound(k) for k in range(iterations + 1)]
 
     def to_dict(self) -> dict:
         return {

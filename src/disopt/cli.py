@@ -4,12 +4,13 @@ Subcommands: ``run <config.json>``, ``sweep <grid.json>``, and
 ``preset <name>``.  Exit codes: 0 on success, 1 when strict mode
 (``--strict`` or the config's ``"strict": true``) finds a projection-error
 bound violation at an unsaturated step, 2 on usage or config errors.
+``run`` and ``sweep`` read their file the same way, so malformed JSON in
+either is the config error ``<document>: malformed JSON``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -103,27 +104,7 @@ def main(argv=None) -> int:
     outdir = _outdir(args)
 
     try:
-        if args.command == "sweep":
-            try:
-                doc = json.loads(args.grid.read_text())
-            except OSError as exc:
-                print(f"cannot read {args.grid}: {exc}", file=sys.stderr)
-                return EXIT_USAGE
-            except json.JSONDecodeError as exc:
-                print(f"malformed JSON in {args.grid}: {exc}", file=sys.stderr)
-                return EXIT_USAGE
-            rows = sweep(doc, outdir)
-            print(f"wrote {outdir / 'sweep_summary.csv'} ({len(rows)} grid points)")
-            return EXIT_OK
-
-        if args.command == "run":
-            try:
-                text = args.config.read_text()
-            except OSError as exc:
-                print(f"cannot read {args.config}: {exc}", file=sys.stderr)
-                return EXIT_USAGE
-            config, name = parse_config(text), args.config.stem
-        else:  # preset
+        if args.command == "preset":
             seeds = None
             if args.seeds is not None:
                 if args.seeds < 1:
@@ -132,6 +113,18 @@ def main(argv=None) -> int:
                 seeds = range(args.seeds)
             config = parse_config(preset_document(args.name, seeds=seeds))
             name = args.name
+        else:
+            path = args.config if args.command == "run" else args.grid
+            try:
+                text = path.read_text()
+            except OSError as exc:
+                print(f"cannot read {path}: {exc}", file=sys.stderr)
+                return EXIT_USAGE
+            if args.command == "sweep":
+                rows = sweep(text, outdir)
+                print(f"wrote {outdir / 'sweep_summary.csv'} ({len(rows)} grid points)")
+                return EXIT_OK
+            config, name = parse_config(text), path.stem
         artifacts = run_experiment(
             config, outdir, name=name, include_agents=args.per_agent
         )

@@ -41,6 +41,10 @@ MAX_AGENTS = 2**11
 # vector is built; 2**16 keeps one expanded vector near 2 MB.
 MAX_DIMENSION = 2**16
 
+# Largest state size n * p: a run's workspace holds at least seven (n, p)
+# float arrays, 56 MiB at the cap.
+MAX_STATE = 2**20
+
 # Largest iteration count: the keyed attack stream takes each round index
 # k < iterations as one 32-bit word.
 MAX_ITERATIONS = MAX_KEY + 1
@@ -174,6 +178,10 @@ def _ints(value, lo=-math.inf) -> bool:  # a list of integers >= lo
     return isinstance(value, list) and all(_is_int(v) and v >= lo for v in value)
 
 
+def _dimension(value, parsed):  # p, capped by n * p <= MAX_STATE while n is valid
+    return _integer(1, min(MAX_DIMENSION, MAX_STATE // parsed.get("n", 1)))(value, parsed)
+
+
 def _step_size(value, parsed):
     if isinstance(value, (list, tuple)):
         raise _Invalid("per-agent step sizes are not supported; use one scalar")
@@ -246,7 +254,7 @@ _topology_type = _rule(
 
 _FIELDS = {
     "n": (_integer(1, MAX_AGENTS), _REQUIRED),
-    "p": (_integer(1, MAX_DIMENSION), _REQUIRED),
+    "p": (_dimension, _REQUIRED),
     "iterations": (_integer(1, MAX_ITERATIONS), _REQUIRED),
     "alpha": (_step_size, _REQUIRED),
     "topology": (_object, {"type": "complete"}),
@@ -369,13 +377,19 @@ def _parse_attack(doc, roles, p, errors) -> dict:
     return attack
 
 
+def read_document(document):
+    """A parsed JSON document: ``document`` itself, or its text decoded."""
+    if not isinstance(document, str):
+        return document
+    try:
+        return json.loads(document)
+    except json.JSONDecodeError as exc:
+        raise ConfigError([("<document>", f"malformed JSON: {exc}")]) from exc
+
+
 def parse_config(document) -> ExperimentConfig:
     """Validate a JSON document (text, path contents, or parsed dict)."""
-    if isinstance(document, str):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise ConfigError([("<document>", f"malformed JSON: {exc}")]) from exc
+    document = read_document(document)
     if not isinstance(document, dict):
         raise ConfigError([("<document>", "top level must be an object")])
 
@@ -479,7 +493,7 @@ PRESETS = {
 }
 
 
-def preset_document(name: str, seeds=None, strict: bool = False) -> dict:
+def preset_document(name: str, seeds=None) -> dict:
     """Raw JSON document for a named preset scenario."""
     if name not in PRESETS:
         raise KeyError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
@@ -490,9 +504,8 @@ def preset_document(name: str, seeds=None, strict: bool = False) -> dict:
     doc["quantizer"] = {"bits": params["bits"], "interval_length": 1.0, "midpoint": 0.0}
     if seeds is not None:
         doc["seeds"] = list(seeds)
-    doc["strict"] = strict
     return doc
 
 
-def preset_config(name: str, seeds=None, strict: bool = False) -> ExperimentConfig:
-    return parse_config(preset_document(name, seeds=seeds, strict=strict))
+def preset_config(name: str, seeds=None) -> ExperimentConfig:
+    return parse_config(preset_document(name, seeds=seeds))

@@ -19,7 +19,7 @@ from . import engine
 from .adversary import max_attack_norm
 from .bounds import BoundReport
 from .config import PRESETS, ConfigError, ExperimentConfig, parse_config, preset_document
-from .config import _object, _range, _rule, check_value
+from .config import _object, _range, _rule, check_value, read_document
 from .objective import suite_subgrad_bound
 
 
@@ -203,12 +203,14 @@ def _apply_point(base: dict, point: dict) -> dict:
     return doc
 
 
-def expand_grid(grid_doc: dict) -> list:
-    """Validate a sweep document and return (point, config) pairs.
+def expand_grid(grid_doc) -> list:
+    """Validate a sweep document (JSON text or parsed) and return
+    (point, config) pairs.
 
     Every grid point is validated before anything runs; an invalid point
     aborts the whole sweep with its field path.
     """
+    grid_doc = read_document(grid_doc)
     if not isinstance(grid_doc, dict) or "base" not in grid_doc:
         raise ConfigError([("base", "sweep document needs a 'base' config or preset name")])
     base = check_value("base", _BASE, grid_doc["base"])
@@ -239,7 +241,7 @@ def expand_grid(grid_doc: dict) -> list:
     return points
 
 
-def sweep(grid_doc: dict, outdir) -> list:
+def sweep(grid_doc, outdir) -> list:
     """Run a validated grid and write one summary row per point."""
     points = expand_grid(grid_doc)
     outdir = Path(outdir)

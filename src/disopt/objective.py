@@ -13,6 +13,8 @@ from typing import Callable
 
 import numpy as np
 
+from .bounds import _check_moduli
+
 
 @dataclass(frozen=True)
 class FeasibleSet:
@@ -86,12 +88,7 @@ class LocalObjective:
     subgrad_bound: float
 
     def __post_init__(self):
-        if self.mu <= 0:
-            raise ValueError(f"strong convexity modulus must be positive, got {self.mu}")
-        if self.mu > self.lipschitz:
-            raise ValueError(
-                f"modulus {self.mu} exceeds Lipschitz constant {self.lipschitz}"
-            )
+        _check_moduli(self.mu, self.lipschitz)
         if self.subgrad_bound < 0:
             raise ValueError("subgradient bound must be nonnegative")
 

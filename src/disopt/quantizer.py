@@ -8,19 +8,17 @@ the error bound; :meth:`UniformQuantizer.in_range` flags them.  It takes
 an input of any shape whose trailing axes match the midpoint, so the
 engine checks a whole block of rounds' states in one call.
 
-The step, the half interval, the level cap ``2**(bits-1)`` and the
-exact-mode flag are fixed when the quantizer is built, not per call;
-``dataclasses.replace`` builds a new quantizer and so recomputes them.
+The step, the half interval and the level cap ``2**(bits-1)`` are fixed
+when the quantizer is built, not per call; ``dataclasses.replace`` builds
+a new quantizer and so recomputes them.
 :meth:`UniformQuantizer.quantize` can write into caller-supplied
 buffers, so the engine's broadcast allocates nothing per round.
 
-``interval_length == 0`` is the degenerate exact quantizer: inputs pass
-through unchanged.
-
-``interval_length`` may also be an array that broadcasts against the
-input, such as an (n, 1) column giving each row of an (n, p) input its
-own interval; its entries are then all positive or all zero.  A vector
-``midpoint`` is matched against the input's trailing axes.
+``interval_length`` is positive: a scalar, or an array that broadcasts
+against the input, such as an (n, 1) column giving each row of an (n, p)
+input its own interval.  A vector ``midpoint`` is matched against the
+input's trailing axes.  Exact communication is no quantizer at all (the
+engine's ``quantizer=None``), not a zero-length interval.
 """
 
 from __future__ import annotations
@@ -38,22 +36,18 @@ class UniformQuantizer:
     step: float | np.ndarray = field(init=False, repr=False, compare=False)
     _half: float | np.ndarray = field(init=False, repr=False, compare=False)
     _cap: int = field(init=False, repr=False, compare=False)
-    _exact: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if int(self.bits) != self.bits or self.bits < 1:
             raise ValueError(f"bits must be a positive integer, got {self.bits}")
         length = np.asarray(self.interval_length, dtype=float)
-        if np.any(length < 0) or (np.any(length == 0) and not np.all(length == 0)):
-            raise ValueError(
-                f"interval lengths must be all positive or all zero, got {self.interval_length}"
-            )
+        if not np.all(length > 0):  # NaN fails too
+            raise ValueError(f"interval lengths must be positive, got {self.interval_length}")
         mid = np.asarray(self.midpoint, dtype=float)
         object.__setattr__(self, "midpoint", mid)
         object.__setattr__(self, "step", self.interval_length / 2**self.bits)
         object.__setattr__(self, "_half", self.interval_length / 2)
         object.__setattr__(self, "_cap", 2 ** (self.bits - 1))
-        object.__setattr__(self, "_exact", not np.any(self.interval_length))
 
     def _checked(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -70,17 +64,14 @@ class UniformQuantizer:
 
         The result is written into ``out`` and returned.  ``out`` has the
         shape ``x`` broadcast against the interval length (an (n, 1)
-        column gives a (p,) input n rows), or ``x``'s shape in exact
-        mode; ``scratch``, of the same shape, holds the offsets while the
-        levels are formed.  Either is allocated when None.  The two must
-        not overlap, but either may be ``x`` itself.
+        column gives a (p,) input n rows); ``scratch``, of the same
+        shape, holds the offsets while the levels are formed.  Either is
+        allocated when None.  The two must not overlap, but either may be
+        ``x`` itself.
         """
         x = self._checked(x)
         if out is None:
-            out = np.empty_like(x) if self._exact else np.empty(np.broadcast(x, self.step).shape)
-        if self._exact:
-            out[...] = x
-            return out
+            out = np.empty(np.broadcast(x, self.step).shape)
         if scratch is None:
             scratch = np.empty_like(out)
         # mid + (sign(offset) * step) * min(floor(|offset| / step + 0.5), cap)
@@ -107,10 +98,7 @@ class UniformQuantizer:
     def in_range(self, x) -> np.ndarray:
         """Per-coordinate mask of inputs inside the quantization interval
         (NaN is outside); ``x`` may have any leading axes."""
-        offset = self._checked(x) - self.midpoint
-        if self._exact:
-            return np.ones_like(offset, dtype=bool)
-        return np.abs(offset) <= self._half
+        return np.abs(self._checked(x) - self.midpoint) <= self._half
 
     def saturates(self, x) -> bool:
         """True when any coordinate falls outside the quantization interval."""

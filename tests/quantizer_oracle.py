@@ -1,9 +1,8 @@
 """Per-call reference for the quantizer.
 
-Every call derives the step, the half interval, the level cap and the
-exact-mode test afresh from ``bits``, ``interval_length`` and
-``midpoint``: the formulas that ``UniformQuantizer`` evaluates once, when
-it is built.
+Every call derives the step, the half interval and the level cap afresh
+from ``bits``, ``interval_length`` and ``midpoint``: the formulas that
+``UniformQuantizer`` evaluates once, when it is built.
 """
 
 import numpy as np
@@ -13,8 +12,6 @@ def reference_quantize(q, x) -> np.ndarray:
     """Nearest level per coordinate, ties by floor, clamped to the range."""
     x = np.asarray(x, dtype=float)
     offset = x - q.midpoint
-    if not np.any(q.interval_length):
-        return x.copy()
     step = q.interval_length / 2**q.bits
     steps = np.floor(np.abs(offset) / step + 0.5)
     steps = np.minimum(steps, 2 ** (q.bits - 1))
@@ -24,6 +21,4 @@ def reference_quantize(q, x) -> np.ndarray:
 def reference_in_range(q, x) -> np.ndarray:
     """Per-coordinate mask of inputs inside the quantization interval."""
     offset = np.asarray(x, dtype=float) - q.midpoint
-    if not np.any(q.interval_length):
-        return np.ones_like(offset, dtype=bool)
     return np.abs(offset) <= q.interval_length / 2

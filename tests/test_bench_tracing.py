@@ -16,7 +16,7 @@ import pytest
 
 import disopt
 from disopt.config import parse_config
-from disopt.harness import run_single
+from disopt.harness import run_experiment, run_single
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -121,3 +121,26 @@ def test_every_topology_build_is_one_edge_list_span(tracing, topology, n, edges)
         recorder.uninstall()
     assert recorder.totals()["spans"]["topology.build_from_edge_list"]["count"] == 1
     assert recorder.counters["topology.edges"] == edges
+
+
+def test_every_bound_column_value_is_one_per_k_bound_span(tracing, tmp_path):
+    # bounds.per_k_calls and bounds.per_k_s count these spans: a bound
+    # column that bypassed per_k_bound would read 0 there
+    doc = {
+        "n": 3,
+        "p": 1,
+        "roles": ["honest", "honest", "adversarial"],
+        "quantizer": {"bits": 2, "interval_length": 1.0},
+        "attack": {"kind": "uniform", "range": [0.0, 1.0], "seed": 1},
+        "alpha": 0.5,
+        "iterations": 6,
+        "seeds": [0, 1],
+    }
+    config = parse_config(doc)
+    recorder = tracing.Recorder()
+    recorder.install()
+    try:
+        run_experiment(config, tmp_path)
+    finally:
+        recorder.uninstall()
+    assert recorder.totals()["spans"]["bounds.per_k_bound"]["count"] == 6 + 1

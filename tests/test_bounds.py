@@ -188,6 +188,14 @@ def test_bound_column_is_per_k_bound_over_every_k(alpha):
         warnings.simplefilter("error")
         column = report.bound_column(200)
     assert column == [report.per_k_bound(k) for k in range(201)]
+    # the public bound, bit for bit (c2 = 1 at mu = L = 1); only it warns
+    with warnings.catch_warnings():
+        if alpha != 0.7:
+            warnings.simplefilter("ignore", RuntimeWarning)
+        public = [recursion_bound(k, 0.8, alpha, 1.0, 1.0, 3, 0.5, 0.2) for k in range(201)]
+    assert column == public
+    with pytest.raises(ValueError, match=">= 0"):
+        report.per_k_bound(-1)
 
 
 @settings(max_examples=200, deadline=None)

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from disopt.cli import EXIT_OK, EXIT_STRICT, EXIT_USAGE, main
-from disopt.config import MAX_AGENTS, parse_config
-from disopt.harness import run_single
+from disopt.config import MAX_AGENTS, MAX_DIMENSION, parse_config
+from disopt.harness import run_single, sweep
 
 
 def _write(tmp_path, name, doc):
@@ -123,14 +123,32 @@ def test_bits_limit_keeps_the_step_divisor_finite(tmp_path, capsys, bits, code):
     assert ("quantizer.bits" in capsys.readouterr().err) == (code == EXIT_USAGE)
 
 
+# n and p each at their cap: a 7 GiB run workspace
+_WIDE = {
+    "n": MAX_AGENTS,
+    "p": MAX_DIMENSION,
+    "roles": ["honest"] * MAX_AGENTS,
+    "quantizer": None,
+    "attack": None,
+}
+
+
 @pytest.mark.parametrize(
-    "field, value", [("p", 2**31), ("iterations", 2**32 + 1), ("n", MAX_AGENTS + 1)]
+    "field, value",
+    [
+        ("p", 2**31),
+        ("iterations", 2**32 + 1),
+        ("n", MAX_AGENTS + 1),
+        pytest.param("p", _WIDE, id="n*p"),
+    ],
 )
 def test_count_limits_reject_before_building_anything(tmp_path, capsys, field, value):
     # a scalar box once expanded to p entries first: 16 GiB at p = 2**31;
     # a round index past 2**32 - 1 would not fit the keyed stream's word;
-    # n = 20000 once died building a complete graph's (n, n) weights
-    cfg = _write(tmp_path, "big.json", dict(SMALL_RUN, **{field: value}))
+    # n = 20000 once died building a complete graph's (n, n) weights;
+    # n and p within their caps once died allocating the workspace (exit 1)
+    overrides = value if isinstance(value, dict) else {field: value}
+    cfg = _write(tmp_path, "big.json", dict(SMALL_RUN, **overrides))
     tracemalloc.start()
     try:
         code = main(["run", str(cfg), "--out", str(tmp_path)])
@@ -216,6 +234,20 @@ def test_malformed_sweep_document_is_usage_error(tmp_path, capsys, base, axes, p
     path_file = _write(tmp_path, "grid.json", {"base": base, "grid": axes})
     assert main(["sweep", str(path_file), "--out", str(tmp_path)]) == EXIT_USAGE
     assert f"  {path}: " in capsys.readouterr().err
+
+
+def test_malformed_sweep_json_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "grid.json"
+    path.write_text('{"base": "fig2a", "grid": ')
+    assert main(["sweep", str(path), "--out", str(tmp_path)]) == EXIT_USAGE
+    assert "  <document>: malformed JSON" in capsys.readouterr().err
+
+
+def test_sweep_takes_json_text(tmp_path):
+    grid = {"base": dict(SMALL_RUN, seeds=[0]), "grid": {"bits": [1, 3]}}
+    rows = sweep(json.dumps(grid), tmp_path / "text")
+    assert rows == sweep(grid, tmp_path / "dict")
+    assert [row["bits"] for row in rows] == [1, 3]
 
 
 def test_strict_mode_exit_code(tmp_path):

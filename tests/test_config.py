@@ -175,7 +175,8 @@ def test_presets_are_valid_and_distinct():
 
 
 def test_preset_seed_override():
-    cfg = preset_config("fig2a", seeds=range(3), strict=True)
+    # strict mode is the document's "strict" key, as in any config
+    cfg = parse_config(dict(preset_document("fig2a", seeds=range(3)), strict=True))
     assert cfg.seeds == (0, 1, 2)
     assert cfg.strict
     with pytest.raises(KeyError):
@@ -477,6 +478,16 @@ def test_count_limits_are_inclusive():
     cfg = parse_config(_doc(p=config_module.MAX_DIMENSION, iterations=2**32))
     assert cfg.p == 2**16 and len(cfg.box_lo) == 2**16
     assert cfg.iterations == config_module.MAX_ITERATIONS == 2**32
+
+
+def test_state_size_cap_is_inclusive():
+    doc = _doc(n=32, p=2**15, roles=["honest"] * 31 + ["adversarial"], quantizer=None)
+    assert parse_config(doc).p * 32 == config_module.MAX_STATE
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(dict(doc, p=2**15 + 1))
+    assert excinfo.value.errors == [
+        ("p", "must be <= 32768, got 32769")
+    ]
 
 
 def test_topology_built_once_per_config(monkeypatch, tmp_path):
