@@ -91,7 +91,7 @@ def _finish(artifacts, strict: bool) -> int:
     if violations:
         print(
             f"projection-error bound violated at {len(violations)} "
-            f"unsaturated step(s), e.g. {violations[:5]}",
+            f"unsaturated step(s), e.g. {list(violations[:5])}",
             file=sys.stderr,
         )
         if strict:

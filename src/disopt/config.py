@@ -117,13 +117,6 @@ class ExperimentConfig:
             midpoint=np.array(self.quantizer_midpoint),
         )
 
-    @property
-    def max_interval_length(self) -> float:
-        """Single scalar interval length the bound formulas consume."""
-        if self.interval_lengths is None:
-            return 0.0
-        return max(self.interval_lengths)
-
 
 class _Invalid(ValueError):
     """A checker's verdict on one value, reported at the field's path."""

@@ -6,12 +6,13 @@ the received values, takes a subgradient step, adversaries add their
 perturbation, and the result is projected back onto the feasible set.
 
 A run is split in two.  The round loop only advances the state, writing
-each round's iterates, broadcasts, gradients, attack rows and attack-free
-update into block buffers of at most ``BLOCK_BYTES`` each, all views of
-one workspace allocated once per run, together with the (n, p) scratch
-row that holds the round's temporaries.  The loop allocates nothing per
-round: ``broadcast_phase``, ``matrix_form_update`` and ``step`` take
-numpy-style ``out`` buffers and write every per-round value in place.
+each round's iterates, broadcasts, gradients, attack rows, attack-free
+update and projection residual into block buffers of at most
+``BLOCK_BYTES`` each, all views of one workspace allocated once per run;
+a round's residual row holds its temporaries until ``step`` writes the
+residual there.  The loop allocates nothing per round:
+``broadcast_phase``, ``matrix_form_update`` and ``step`` take numpy-style
+``out`` buffers and write every per-round value in place.
 The one exception is the subgradient call: an objective returns a new
 array, and is handed a row copy when its agents are not contiguous.
 After every block, each column of the run's :class:`Trace` is filled by
@@ -82,7 +83,8 @@ class Trace:
     ``xi_bar_norm`` with that attack-free bound, so it records the known
     gap: it can fail at an unsaturated step because adversaries clipped
     back into the box add up to ``mean_i ||e_i(k)||`` to the residual,
-    a term the bound leaves out.
+    a term the bound leaves out.  ``mean_attack_norm`` is that term,
+    ``mean_i ||e_i(k)||`` over all n agents (an honest row is zero).
     """
 
     x_bar: np.ndarray
@@ -95,7 +97,7 @@ class Trace:
     xi_bar_norm: np.ndarray
     xi_bar_attack_free_norm: np.ndarray
     mean_attack: np.ndarray
-    attack_norms: np.ndarray
+    mean_attack_norm: np.ndarray
     saturation_count: np.ndarray
     lemma1_rhs: np.ndarray
     lemma1_ok: np.ndarray
@@ -115,7 +117,7 @@ class Trace:
             xi_bar_norm=np.empty(k),
             xi_bar_attack_free_norm=np.empty(k),
             mean_attack=np.empty((k, p)),
-            attack_norms=np.empty((k, n)),
+            mean_attack_norm=np.empty(k),
             saturation_count=np.empty(k, dtype=np.intp),
             lemma1_rhs=np.empty(k),
             lemma1_ok=np.empty(k, dtype=bool),
@@ -212,34 +214,35 @@ def step(
 ):
     """Advance the network one round.
 
-    Returns (next iterates, gradients, attack-free update ``H_af``); the
-    projected point is ``H_af + attack_rows`` clipped to the box.
+    Returns (next iterates, gradients, attack-free update ``H_af``,
+    projection residual ``xi``): with ``h = H_af + attack_rows``, ``xi``
+    is ``h - clip(h)`` and the next iterates are ``h - xi``.
     ``attack_rows`` holds this round's attack e_i(k) per agent (zero rows
     for honest agents); ``objective_rows`` pairs each distinct objective
     with the agents that carry it, as an index array or a slice.
 
     ``out`` is four (n, p) buffers, (next iterates, gradients, ``H_af``,
-    scratch): the first three receive the results, which are returned,
-    and the scratch holds temporaries.  They are allocated when None; no
-    buffer may alias an input or another buffer.
+    ``xi``), which receive the results and are returned; ``xi`` holds the
+    update's temporaries before the residual.  They are allocated when
+    None; no buffer may alias an input or another buffer.
     """
     if out is None:
         out = np.empty((4, *iterates.shape))
-    next_iterates, gradients, h_attack_free, scratch = out
+    next_iterates, gradients, h_attack_free, xi = out
     for objective, rows in objective_rows:
         gradients[rows] = objective.subgradient(iterates[rows])
     matrix_form_update(
-        weights, iterates, broadcasts, gradients, alpha, out=h_attack_free, scratch=scratch
+        weights, iterates, broadcasts, gradients, alpha, out=h_attack_free, scratch=xi
     )
     h = np.add(h_attack_free, attack_rows, out=next_iterates)
     # the projection stays clip, not np.maximum/np.minimum, which can give
     # the other signed zero at a zero bound: np.clip(-0.0, 0.0, 1.0) is
     # -0.0 where np.maximum(-0.0, 0.0) is 0.0
-    xi = h.clip(feasible.lo, feasible.hi, out=scratch)
+    h.clip(feasible.lo, feasible.hi, out=xi)
     np.subtract(h, xi, out=xi)
     # h - xi, not the clipped point: far outside the box they differ
     np.subtract(h, xi, out=next_iterates)
-    return next_iterates, gradients, h_attack_free
+    return next_iterates, gradients, h_attack_free, xi
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
@@ -259,6 +262,7 @@ def _record_block(
     broadcasts: np.ndarray,
     gradients: np.ndarray,
     h_attack_free: np.ndarray,
+    xi: np.ndarray,
     attacks: np.ndarray,
     honest: np.ndarray,
     quantizer: UniformQuantizer | None,
@@ -271,12 +275,13 @@ def _record_block(
     """Fill the trace rows of the rounds start..start+m-1 of one block.
 
     ``iterates`` holds the m+1 states of the block, the others the m
-    rounds' (n, p) rows.  ``x_bar`` and the mean errors get rows
-    start..start+m; the next block writes the last one again, with the
-    same value.  Each column is one reduction over the block, bit for
-    bit the per-round value: axis means and row norms reduce each
-    round's rows in the same order as a single (n, p) array would.
-    ``quantizes`` marks the agents whose broadcast is quantized.
+    rounds' (n, p) rows, ``xi`` the projection residuals ``step``
+    recorded.  ``x_bar`` and the mean errors get rows start..start+m; the
+    next block writes the last one again, with the same value.  Each
+    column is one reduction over the block, bit for bit the per-round
+    value: axis means and row norms reduce each round's rows in the same
+    order as a single (n, p) array would.  ``quantizes`` marks the agents
+    whose broadcast is quantized.
     """
     m = len(gradients)
     rows = slice(start, start + m)
@@ -291,15 +296,14 @@ def _record_block(
     delta_bar = np.linalg.norm(entering - broadcasts, axis=2).mean(axis=1)
     trace.delta_bar[rows] = delta_bar
 
-    h = h_attack_free + attacks
-    xi_bar = (h - np.clip(h, feasible.lo, feasible.hi)).mean(axis=1)
+    xi_bar = xi.mean(axis=1)
     xi_bar_norm = _norms(xi_bar)
     xi_attack_free = h_attack_free - np.clip(h_attack_free, feasible.lo, feasible.hi)
     trace.xi_bar[rows] = xi_bar
     trace.xi_bar_norm[rows] = xi_bar_norm
     trace.xi_bar_attack_free_norm[rows] = _norms(xi_attack_free.mean(axis=1))
     trace.mean_attack[rows] = attacks.mean(axis=1)
-    trace.attack_norms[rows] = np.linalg.norm(attacks, axis=2)
+    trace.mean_attack_norm[rows] = np.linalg.norm(attacks, axis=2).mean(axis=1)
     if quantizer is None:
         trace.saturation_count[rows] = 0
     else:
@@ -426,10 +430,7 @@ def run(
     p = feasible.dimension
     subgrad_bound = suite_subgrad_bound(objectives)
     tolerance = MEAN_RECURSION_TOL * max(
-        1.0,
-        feasible.corner_norm(),
-        alpha * subgrad_bound,
-        *(adv.max_attack_norm(policy, p) for policy in attacks.values()),
+        1.0, feasible.corner_norm(), alpha * subgrad_bound, adv.attack_norm_bound(attacks, p)
     )
     fixed_attacks, keyed, keyed_attacks = _attack_schedule(
         attacks, n, iterations, p, seed
@@ -440,16 +441,14 @@ def run(
     trace = Trace.empty(iterations, n, p)
 
     block = min(iterations, max(1, BLOCK_BYTES // (8 * n * p)))
-    # one allocation for all five buffers and the rounds' scratch row:
-    # freeing it lifts glibc's mmap threshold above its size, so later runs
-    # take it and the block temporaries from the heap, not from fresh
-    # page-faulting mappings
-    workspace = np.empty((5 * block + 2, n, p))
+    # one allocation for all six buffers: freeing it lifts glibc's mmap
+    # threshold above its size, so later runs take it and the block
+    # temporaries from the heap, not from fresh page-faulting mappings
+    workspace = np.empty((6 * block + 1, n, p))
     states = workspace[: block + 1]
-    broadcasts, gradients, h_attack_free, attack_rows = workspace[
-        block + 1 : -1
-    ].reshape(4, block, n, p)
-    scratch = workspace[-1]
+    broadcasts, gradients, h_attack_free, xi, attack_rows = workspace[
+        block + 1 :
+    ].reshape(5, block, n, p)
     quantizes = honest | adversary_quantizes
     full_precision = ~quantizes[:, None]
     states[0] = initial_iterates(n, feasible, seed, explicit_init)
@@ -458,18 +457,18 @@ def run(
         attack_rows[:m] = fixed_attacks
         attack_rows[:m, keyed] = keyed_attacks[start : start + m]
         for j in range(m):
-            broadcast_phase(
-                states[j], quantizer, full_precision, out=broadcasts[j], scratch=scratch
-            )
+            # the round's residual row is the quantizer's scratch before it
+            state, sent, xi_row = states[j], broadcasts[j], xi[j]
+            broadcast_phase(state, quantizer, full_precision, out=sent, scratch=xi_row)
             step(
-                states[j],
-                broadcasts[j],
+                state,
+                sent,
                 attack_rows[j],
                 topology.weights,
                 objective_rows,
                 feasible,
                 alpha,
-                out=(states[j + 1], gradients[j], h_attack_free[j], scratch),
+                out=(states[j + 1], gradients[j], h_attack_free[j], xi_row),
             )
         _record_block(
             trace,
@@ -478,6 +477,7 @@ def run(
             broadcasts[:m],
             gradients[:m],
             h_attack_free[:m],
+            xi[:m],
             attack_rows[:m],
             honest,
             quantizer,

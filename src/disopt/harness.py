@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import engine
-from .adversary import max_attack_norm
+from .adversary import attack_norm_bound
 from .bounds import BoundReport
 from .config import PRESETS, ConfigError, ExperimentConfig, parse_config, preset_document
 from .config import _object, _range, _rule, check_value, read_document
@@ -25,20 +25,10 @@ from .objective import suite_subgrad_bound
 
 @dataclass(frozen=True)
 class ExperimentArtifacts:
-    name: str
     seeds: tuple
     csv_paths: tuple
     report_path: Path | None
-    results: tuple  # one RunResult per seed
-    report: BoundReport | None
-
-    @property
-    def strict_violations(self) -> list:
-        """(seed, k) pairs where the projection-error bound failed unsaturated."""
-        out = []
-        for seed, result in zip(self.seeds, self.results):
-            out.extend((seed, k) for k in result.unsaturated_lemma1_violations)
-        return out
+    strict_violations: tuple  # (seed, k): the projection-error bound failed unsaturated
 
 
 def final_honest_err_stats(results) -> dict:
@@ -74,20 +64,27 @@ def build_bound_report(config: ExperimentConfig, results) -> BoundReport | None:
     if config.quantizer_bits is None:
         return None
     objectives, _ = config.objectives
-    attack_norm = 0.0
-    for agent, policy in config.attack.items():
-        attack_norm = max(attack_norm, max_attack_norm(policy, config.p))
     initial_error = max(float(r.traces.err_all[0]) for r in results) if results else 0.0
     return BoundReport(
         mu=min(o.mu for o in objectives),
         lipschitz=max(o.lipschitz for o in objectives),
         alpha=config.alpha,
         bits=config.quantizer_bits,
-        interval_length=config.max_interval_length,
+        interval_length=max(config.interval_lengths),
         subgrad_bound=suite_subgrad_bound(objectives),
-        attack_norm=attack_norm,
+        attack_norm=attack_norm_bound(config.attack, config.p),
         initial_error=initial_error,
     )
+
+
+def _run_seeds(config: ExperimentConfig) -> tuple:
+    """Every seed's run of a config, and the config's bound report.
+
+    Each seed goes through the module's ``run_single`` name, so a wrapper
+    installed there sees every run.
+    """
+    results = [run_single(config, seed) for seed in config.seeds]
+    return results, build_bound_report(config, results)
 
 
 def write_trace_csv(
@@ -144,8 +141,7 @@ def run_experiment(
     """Run every seed of a scenario and write its CSV/JSON artifacts."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    results = [run_single(config, seed) for seed in config.seeds]
-    report = build_bound_report(config, results)
+    results, report = _run_seeds(config)
     theorem_bounds = report.bound_column(config.iterations) if report else None
 
     csv_paths = []
@@ -167,12 +163,14 @@ def run_experiment(
             fh.write("\n")
 
     return ExperimentArtifacts(
-        name=name,
         seeds=config.seeds,
         csv_paths=tuple(csv_paths),
         report_path=report_path,
-        results=tuple(results),
-        report=report,
+        strict_violations=tuple(
+            (seed, k)
+            for seed, result in zip(config.seeds, results)
+            for k in result.unsaturated_lemma1_violations
+        ),
     )
 
 
@@ -250,8 +248,7 @@ def sweep(grid_doc, outdir) -> list:
     names = sorted({k for point, _ in points for k in point})
     rows = []
     for point, cfg in points:
-        results = [run_single(cfg, seed) for seed in cfg.seeds]
-        report = build_bound_report(cfg, results)
+        results, report = _run_seeds(cfg)
         rows.append(
             {
                 **{k: point.get(k, "") for k in names},

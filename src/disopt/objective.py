@@ -43,21 +43,16 @@ class FeasibleSet:
             raise ValueError(f"expected shape {self.lo.shape}, got {h.shape}")
         return h
 
-    def project(self, h) -> np.ndarray:
-        """Closest point of the box in Euclidean norm (componentwise clamp)."""
-        return np.clip(self._check(h), self.lo, self.hi)
-
     def projection_error(self, h) -> np.ndarray:
-        """Residual ``h - project(h)``; zero exactly when ``h`` is feasible."""
+        """Residual ``h - P(h)``, with ``P(h)`` the closest point of the box
+        in Euclidean norm (componentwise clamp); zero exactly when ``h`` is
+        feasible."""
         h = self._check(h)
         return h - np.clip(h, self.lo, self.hi)
 
     def contains(self, x) -> bool:
         x = self._check(x)
         return bool(np.all(x >= self.lo) and np.all(x <= self.hi))
-
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(self.lo, self.hi)
 
     def corner_norm(self) -> float:
         """Largest Euclidean norm attained on the box (at a corner)."""

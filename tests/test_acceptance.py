@@ -123,7 +123,7 @@ def test_criterion_4_projection_error_dominance(preset_runs, capsys):
             steps += len(t)
             unsaturated = t.saturation_count == 0
             saturated_excluded += int(np.sum(~unsaturated))
-            attack_term = t.attack_norms.mean(axis=1)
+            attack_term = t.mean_attack_norm
             attack_free_bound = t.lemma1_rhs + LEMMA1_TOL
             attack_aware_bound = t.xi_bar_attack_free_norm + attack_term + LEMMA1_TOL
             for k in np.flatnonzero(unsaturated).tolist():
@@ -315,7 +315,7 @@ def test_criteria_3_4_7_on_sparse_graphs(graph, adversaries, capsys):
         )
         free = t.saturation_count == 0
         unsaturated += int(np.sum(free))
-        attack_term = t.attack_norms.mean(axis=1)
+        attack_term = t.mean_attack_norm
         attack_free_violations += int(
             np.sum(free & ~(t.xi_bar_attack_free_norm <= t.lemma1_rhs + LEMMA1_TOL))
         )

@@ -4,9 +4,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from stream_oracle import reference_attack_table
 
+from disopt import adversary
 from disopt.adversary import (
     MAX_KEY,
     AttackPolicy,
+    attack_norm_bound,
     attack_table,
     attack_vector,
     max_attack_norm,
@@ -63,6 +65,33 @@ def test_norm_dominated_by_max_attack_norm():
     bound = max_attack_norm(policy, 3)
     norms = np.linalg.norm(attack_table(policy, [0], range(500), 3), axis=-1)
     assert np.all(norms <= bound + 1e-12)
+
+
+def test_attack_norm_bound_is_the_largest_policy_bound():
+    zero = AttackPolicy(kind="zero")
+    constant = AttackPolicy(kind="constant", value=np.array([0.3, 0.4]))
+    uniform = AttackPolicy(kind="uniform", low=0.1, high=0.2, seed=1)
+    attacks = {0: zero, 2: constant, 5: uniform, 6: zero}
+    assert attack_norm_bound(attacks, 2) == max_attack_norm(constant, 2)
+    assert attack_norm_bound(attacks, 2) == pytest.approx(0.5)
+    wider = AttackPolicy(kind="uniform", low=0.0, high=0.5)
+    assert attack_norm_bound({**attacks, 7: wider}, 2) == 0.5 * np.sqrt(2)
+    assert attack_norm_bound({0: zero, 1: zero}, 2) == 0.0
+    assert attack_norm_bound({}, 2) == 0.0
+
+
+def test_attack_norm_bound_evaluates_a_shared_policy_once(monkeypatch):
+    calls = []
+    real = adversary.max_attack_norm
+
+    def counting(policy, p):
+        calls.append(policy)
+        return real(policy, p)
+
+    monkeypatch.setattr(adversary, "max_attack_norm", counting)
+    shared = AttackPolicy(kind="constant", value=np.full(4, 0.25))
+    assert attack_norm_bound(dict.fromkeys(range(64), shared), 4) == real(shared, 4)
+    assert len(calls) == 1 and calls[0] is shared
 
 
 def test_alias_kind_accepted():

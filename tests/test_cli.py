@@ -6,7 +6,8 @@ import pytest
 
 from disopt.cli import EXIT_OK, EXIT_STRICT, EXIT_USAGE, main
 from disopt.config import MAX_AGENTS, MAX_DIMENSION, parse_config
-from disopt.harness import run_single, sweep
+from disopt import harness
+from disopt.harness import run_experiment, run_single, sweep
 
 
 def _write(tmp_path, name, doc):
@@ -248,6 +249,25 @@ def test_sweep_takes_json_text(tmp_path):
     rows = sweep(json.dumps(grid), tmp_path / "text")
     assert rows == sweep(grid, tmp_path / "dict")
     assert [row["bits"] for row in rows] == [1, 3]
+
+
+def test_every_seed_runs_through_the_harness_run_single(monkeypatch, tmp_path):
+    # a wrapper installed on harness.run_single, as the benchmark's seed
+    # timer is, sees each seed of a run and of every grid point once
+    calls = []
+    real = harness.run_single
+
+    def counting(config, seed):
+        calls.append(seed)
+        return real(config, seed)
+
+    monkeypatch.setattr(harness, "run_single", counting)
+    run_experiment(parse_config(SMALL_RUN), tmp_path / "run")
+    assert calls == [0, 1]
+    calls.clear()
+    grid = {"bits": [1, 3], "alpha": [0.5, 0.6, 0.7]}
+    rows = sweep({"base": SMALL_RUN, "grid": grid}, tmp_path / "sweep")
+    assert len(rows) == 6 and calls == [0, 1] * 6
 
 
 def test_strict_mode_exit_code(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from disopt import adversary
 from disopt import config as config_module
 from disopt.config import (
     ConfigError,
@@ -13,7 +14,7 @@ from disopt.config import (
     preset_config,
     preset_document,
 )
-from disopt.harness import run_experiment, run_single
+from disopt.harness import build_bound_report, run_experiment, run_single
 
 
 def _doc(**overrides):
@@ -43,7 +44,7 @@ def test_valid_document_round_trip():
     assert cfg.roles == ("honest", "honest", "honest", "adversarial")
     assert cfg.quantizer_bits == 2
     assert cfg.interval_lengths == (1.0, 1.0, 1.0, 1.0)
-    assert cfg.max_interval_length == 1.0
+    assert build_bound_report(cfg, []).interval_length == 1.0
     assert set(cfg.attack) == {3}
     assert cfg.seeds == (0, 1)
     # parse from JSON text too
@@ -137,7 +138,7 @@ def test_per_agent_interval_lengths():
     doc["quantizer"]["interval_length"] = [1.0, 0.5, 1.0, 2.0]
     cfg = parse_config(doc)
     assert cfg.interval_lengths == (1.0, 0.5, 1.0, 2.0)
-    assert cfg.max_interval_length == 2.0
+    assert build_bound_report(cfg, []).interval_length == 2.0
     assert cfg.quantizer.interval_length.tolist() == [[1.0], [0.5], [1.0], [2.0]]
 
 
@@ -145,7 +146,7 @@ def test_exact_mode_has_no_quantizer():
     cfg = parse_config(_doc(quantizer=None))
     assert cfg.quantizer_bits is None
     assert cfg.quantizer is None
-    assert cfg.max_interval_length == 0.0
+    assert build_bound_report(cfg, []) is None
 
 
 def test_init_shape_checked():
@@ -503,6 +504,30 @@ def test_topology_built_once_per_config(monkeypatch, tmp_path):
     artifacts = run_experiment(cfg, tmp_path)
     assert builds == [4]
     assert artifacts.seeds == (0, 1, 2)
+
+
+def test_attack_norm_is_bounded_once_per_distinct_policy(monkeypatch, tmp_path):
+    # three adversaries share one policy: each run's invariant tolerance
+    # and the report's attack-norm bound evaluate it once
+    calls = []
+    real = adversary.max_attack_norm
+
+    def counting(policy, p):
+        calls.append(policy)
+        return real(policy, p)
+
+    monkeypatch.setattr(adversary, "max_attack_norm", counting)
+    doc = _doc(
+        n=6,
+        roles=["honest"] * 3 + ["adversarial"] * 3,
+        attack={"kind": "constant", "value": [0.1, 0.2]},
+        seeds=[0, 1, 2],
+    )
+    cfg = parse_config(doc)
+    run_experiment(cfg, tmp_path)
+    shared = cfg.attack[3]
+    assert cfg.attack[4] is cfg.attack[5] is shared
+    assert len(calls) == 3 + 1 and all(policy is shared for policy in calls)
 
 
 # Every field of a small valid document, as a path of keys.

@@ -129,7 +129,7 @@ def test_saturation_counts_a_nan_row_but_not_a_full_precision_adversary():
     for quantizes, want in ((honest, 1), (np.ones(3, dtype=bool), 2)):
         trace = engine.Trace.empty(1, 3, 1)
         engine._record_block(
-            trace, 0, states, rows, rows, rows, rows, honest, quant, quantizes,
+            trace, 0, states, rows, rows, rows, rows, rows, honest, quant, quantizes,
             np.zeros(1), BOX1, 1.0, 0.5,
         )
         assert trace.saturation_count[0] == want
@@ -252,7 +252,7 @@ def test_runs_are_bit_identical():
     a, b = run_single(cfg, 5), run_single(cfg, 5)
     assert np.array_equal(a.final_iterates, b.final_iterates)
     assert np.array_equal(a.traces.xi_bar, b.traces.xi_bar)
-    assert np.array_equal(a.traces.attack_norms, b.traces.attack_norms)
+    assert np.array_equal(a.traces.mean_attack_norm, b.traces.mean_attack_norm)
 
 
 def _recorded_run(cfg, seed):
@@ -266,7 +266,9 @@ def _recorded_run(cfg, seed):
     result = run_single(cfg, seed)
     # the run added exactly these rows
     assert np.array_equal(result.traces.mean_attack, rows.mean(axis=1))
-    assert np.array_equal(result.traces.attack_norms, np.linalg.norm(rows, axis=2))
+    assert np.array_equal(
+        result.traces.mean_attack_norm, np.linalg.norm(rows, axis=2).mean(axis=1)
+    )
     return result, rows
 
 

@@ -17,12 +17,13 @@ BOX2 = FeasibleSet(lo=np.array([-1.0, -1.0]), hi=np.array([1.0, 1.0]))
 
 def test_interior_point_unchanged():
     h = np.array([0.5, -0.2])
-    assert np.array_equal(BOX2.project(h), h)
     assert np.array_equal(BOX2.projection_error(h), np.zeros(2))
+    assert np.array_equal(h - BOX2.projection_error(h), h)
 
 
 def test_clamp_outside_point():
-    assert np.array_equal(BOX2.project(np.array([2.0, -3.0])), np.array([1.0, -1.0]))
+    h = np.array([2.0, -3.0])
+    assert np.array_equal(h - BOX2.projection_error(h), np.array([1.0, -1.0]))
 
 
 def test_projection_error_examples():
@@ -35,7 +36,7 @@ def test_projection_error_examples():
 
 def test_dimension_mismatch_raises():
     with pytest.raises(ValueError, match="shape"):
-        BOX2.project(np.array([1.0, 2.0, 3.0]))
+        BOX2.projection_error(np.array([1.0, 2.0, 3.0]))
 
 
 @settings(max_examples=200, deadline=None)
@@ -47,8 +48,8 @@ def test_dimension_mismatch_raises():
     )
 )
 def test_projection_idempotent_and_feasible(h):
-    once = BOX2.project(h)
-    assert np.array_equal(BOX2.project(once), once)
+    once = h - BOX2.projection_error(h)
+    assert np.array_equal(once - BOX2.projection_error(once), once)
     assert BOX2.contains(once)
 
 
@@ -107,7 +108,7 @@ def test_strong_convexity_inequality_sampled(rng):
     box = FeasibleSet(lo=np.full(3, -1.0), hi=np.full(3, 1.0))
     obj = quadratic_suite(1, 3, box)[0]
     for _ in range(1000):
-        x, y = box.sample(rng), box.sample(rng)
+        x, y = rng.uniform(box.lo, box.hi), rng.uniform(box.lo, box.hi)
         lhs = obj.evaluate(x)
         rhs = (
             obj.evaluate(y)
@@ -121,7 +122,7 @@ def test_subgradient_inequality_and_bound_sampled(rng):
     box = FeasibleSet(lo=np.full(2, -1.0), hi=np.full(2, 1.0))
     obj = quadratic_suite(1, 2, box)[0]
     for _ in range(1000):
-        x, y = box.sample(rng), box.sample(rng)
+        x, y = rng.uniform(box.lo, box.hi), rng.uniform(box.lo, box.hi)
         assert obj.evaluate(y) >= obj.evaluate(x) + obj.subgradient(x) @ (y - x) - 1e-12
         assert np.linalg.norm(obj.subgradient(x)) <= obj.subgrad_bound + 1e-12
 
@@ -131,7 +132,7 @@ def test_gradient_matches_central_differences(rng):
     obj = quadratic_suite(1, 4, box)[0]
     eps = 1e-6
     for _ in range(100):
-        x = 0.9 * box.sample(rng)
+        x = 0.9 * rng.uniform(box.lo, box.hi)
         g = obj.subgradient(x)
         fd = np.empty_like(g)
         for d in range(4):

@@ -34,7 +34,7 @@ class IterationTrace:
     xi_bar_norm: float
     xi_bar_attack_free_norm: float
     mean_attack: np.ndarray
-    attack_norms: np.ndarray
+    mean_attack_norm: float
     saturation_count: int
     lemma1_rhs: float
     lemma1_ok: bool
@@ -76,7 +76,7 @@ def reference_step(
         xi_bar_norm=xi_bar_norm,
         xi_bar_attack_free_norm=float(np.linalg.norm(xi_attack_free.mean(axis=0))),
         mean_attack=attack_rows.mean(axis=0),
-        attack_norms=np.linalg.norm(attack_rows, axis=1),
+        mean_attack_norm=float(np.mean(np.linalg.norm(attack_rows, axis=1))),
         saturation_count=int(saturated.sum()),
         lemma1_rhs=lemma1_rhs,
         lemma1_ok=xi_bar_norm <= lemma1_rhs + engine.LEMMA1_TOL,
