@@ -12,7 +12,10 @@ word each, so both lie in [0, 2**32)), mixed into a 4-word pool and
 expanded to the 128-bit state and increment of a PCG64 generator, whose
 XSL-RR outputs ``x`` give ``u = (x >> 11) * 2**-53``.  ``attack_table``
 computes these four stages over a whole (k, agent) grid at once in uint64
-array arithmetic, bit for bit equal to drawing each key alone.
+array arithmetic, bit for bit equal to drawing each key alone.  Its
+constants are 0-d uint32/uint64 arrays built at import, the cheaper
+operand for a numpy call, as are SeedSequence's hash-constant chains,
+which are the same on every call.
 """
 
 from __future__ import annotations
@@ -69,18 +72,51 @@ MAX_KEY = 2**32 - 1
 
 _MASK32 = 0xFFFFFFFF
 
+
+def _operand(value, dtype) -> np.ndarray:
+    """``value`` as a read-only 0-d array, a cheaper operand than a scalar."""
+    array = np.array(value, dtype=dtype)
+    array.flags.writeable = False
+    return array
+
+
 # numpy.random.SeedSequence: hash constants of mix_entropy (A) and
 # generate_state (B), the pool-mixing multipliers and the xorshift.
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_XSHIFT = 16
+_MIX_MULT_L, _MIX_MULT_R = (_operand(v, np.uint32) for v in (0xCA01F9DD, 0x4973F715))
+_XSHIFT = _operand(16, np.uint32)
 
 # numpy.random.PCG64: 128-bit LCG multiplier as (high, low) 64-bit words,
 # and the low word's 32-bit limbs.
-_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
-_PCG_MULT_LO0, _PCG_MULT_LO1 = _PCG_MULT_LO & _MASK32, _PCG_MULT_LO >> 32
+_PCG_MULT_HI = _operand(0x2360ED051FC65DA4, np.uint64)
+_PCG_MULT_LO = _operand(0x4385DF649FCCF645, np.uint64)
+_PCG_MULT_LO0, _PCG_MULT_LO1 = (_operand(v, np.uint64) for v in (0x9FCCF645, 0x4385DF64))
+
+# the other operands of the uint64 arithmetic: the low-word mask, shift
+# counts and the scale of a 53-bit integer to a double in [0, 1)
+_LOW32, _U1, _U11, _U32, _U58, _U63, _U64 = (
+    _operand(v, np.uint64) for v in (_MASK32, 1, 11, 32, 58, 63, 64)
+)
+_DOUBLE_UNIT = _operand(2.0**-53, np.float64)
+
+
+def _hash_chain(init: int, mult: int, length: int) -> list:
+    """SeedSequence's hash constants h_0 = init, h_(j+1) = h_j * mult mod
+    2**32: hash call j xors with h_j and multiplies by h_(j+1)."""
+    chain = [init]
+    while len(chain) < length:
+        chain.append((chain[-1] * mult) & _MASK32)
+    return [_operand(c, np.uint32) for c in chain]
+
+
+# mix_entropy makes 4 hash calls per entropy word, counting at least 4
+# words.  Its chain serves every key whose seed is below 2**256 (up to 8
+# words, then agent and round); a longer seed builds its own per call.
+_PREBUILT_WORDS = 8 + 2
+_CHAIN_A = _hash_chain(_INIT_A, _MULT_A, _POOL_SIZE * _PREBUILT_WORDS + 1)
+_CHAIN_B = _hash_chain(_INIT_B, _MULT_B, 2 * _POOL_SIZE + 1)
 
 
 def _int_words(value: int) -> list:
@@ -103,13 +139,15 @@ def _key_words(values, name: str) -> np.ndarray:
 
 def _seed_pool(entropy: list) -> list:
     """SeedSequence.mix_entropy over uint32 word arrays: the 4-word pool."""
-    hash_const = _INIT_A
+    words = max(len(entropy), _POOL_SIZE)
+    chain = _CHAIN_A
+    if words > _PREBUILT_WORDS:
+        chain = _hash_chain(_INIT_A, _MULT_A, _POOL_SIZE * words + 1)
+    hashes = zip(chain, chain[1:])
 
     def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = (hash_const * _MULT_A) & _MASK32
-        value = value * hash_const
+        xor, mult = next(hashes)
+        value = (value ^ xor) * mult
         return value ^ (value >> _XSHIFT)
 
     def mix(x, y):
@@ -131,24 +169,21 @@ def _seed_pool(entropy: list) -> list:
 def _seed_state(pool: list) -> list:
     """SeedSequence.generate_state(4, uint64): four 64-bit words, each
     built from two 32-bit words, low word first."""
-    hash_const = _INIT_B
     words = []
     for i in range(8):
-        value = pool[i % _POOL_SIZE] ^ hash_const
-        hash_const = (hash_const * _MULT_B) & _MASK32
-        value = value * hash_const
+        value = (pool[i % _POOL_SIZE] ^ _CHAIN_B[i]) * _CHAIN_B[i + 1]
         words.append((value ^ (value >> _XSHIFT)).astype(np.uint64))
-    return [lo | (hi << 32) for lo, hi in zip(words[::2], words[1::2])]
+    return [lo | (hi << _U32) for lo, hi in zip(words[::2], words[1::2])]
 
 
 def _mulhi_mult_lo(a: np.ndarray) -> np.ndarray:
     """High 64 bits of the 128-bit product a * _PCG_MULT_LO, from 32-bit
     limbs so that no partial product overflows."""
-    a0, a1 = a & _MASK32, a >> 32
+    a0, a1 = a & _LOW32, a >> _U32
     p00, p01 = a0 * _PCG_MULT_LO0, a0 * _PCG_MULT_LO1
     p10, p11 = a1 * _PCG_MULT_LO0, a1 * _PCG_MULT_LO1
-    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
-    return p11 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    mid = (p00 >> _U32) + (p01 & _LOW32) + (p10 & _LOW32)
+    return p11 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32)
 
 
 def _add128(a_hi, a_lo, b_hi, b_lo):
@@ -171,16 +206,16 @@ def _uniform_stream(seed: int, agents: np.ndarray, rounds: np.ndarray, p: int) -
     s_hi, s_lo, i_hi, i_lo = _seed_state(_seed_pool(entropy))
     # PCG64 seeding: increment (words 2-3 << 1) | 1; from state 0, one
     # step (giving the increment), add words 0-1, one more step
-    inc_hi = (i_hi << 1) | (i_lo >> 63)
-    inc_lo = (i_lo << 1) | 1
+    inc_hi = (i_hi << _U1) | (i_lo >> _U63)
+    inc_lo = (i_lo << _U1) | _U1
     hi, lo = _pcg_step(*_add128(inc_hi, inc_lo, s_hi, s_lo), inc_hi, inc_lo)
     out = np.empty(shape + (p,))
     for j in range(p):
         # each double: one step, the XSL-RR output, its top 53 bits
         hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-        x, rot = hi ^ lo, hi >> 58
-        x = (x >> rot) | (x << ((64 - rot) & 63))
-        out[..., j] = (x >> 11) * 2.0**-53
+        x, rot = hi ^ lo, hi >> _U58
+        x = (x >> rot) | (x << ((_U64 - rot) & _U63))
+        np.multiply(x >> _U11, _DOUBLE_UNIT, out=out[..., j])
     return out
 
 

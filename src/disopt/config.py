@@ -41,8 +41,8 @@ MAX_AGENTS = 2**11
 # vector is built; 2**16 keeps one expanded vector near 2 MB.
 MAX_DIMENSION = 2**16
 
-# Largest state size n * p: a run's workspace holds at least seven (n, p)
-# float arrays, 56 MiB at the cap.
+# Largest state size n * p: a run's workspace holds at least nine (n, p)
+# float arrays, 72 MiB at the cap.
 MAX_STATE = 2**20
 
 # Largest iteration count: the keyed attack stream takes each round index

@@ -10,11 +10,14 @@ each round's iterates, broadcasts, gradients, attack rows, attack-free
 update and projection residual into block buffers of at most
 ``BLOCK_BYTES`` each, all views of one workspace allocated once per run;
 a round's residual row holds its temporaries until ``step`` writes the
-residual there.  The loop allocates nothing per round:
-``broadcast_phase``, ``matrix_form_update`` and ``step`` take numpy-style
-``out`` buffers and write every per-round value in place.
-The one exception is the subgradient call: an objective returns a new
-array, and is handed a row copy when its agents are not contiguous.
+residual there.  The loop allocates nothing per round when each
+objective's agents are contiguous: ``broadcast_phase``,
+``matrix_form_update`` and ``step`` take numpy-style ``out`` buffers, the
+subgradient writes into the round's gradient rows through its ``out``
+parameter, and the box bounds are two (n, p) rows of the workspace, which
+``clip`` reads without the buffer it allocates for a (p,) bound.  An
+objective whose agents are not contiguous is handed a row copy and
+returns a new array, which is scattered into the gradient rows.
 After every block, each column of the run's :class:`Trace` is filled by
 one array reduction over the block, the quantizer saturation test
 included, and the mean-iterate invariant is checked there.  The block
@@ -180,7 +183,7 @@ def matrix_form_update(
     iterates: np.ndarray,
     broadcasts: np.ndarray,
     gradients: np.ndarray,
-    alpha: float,
+    alpha: float | np.ndarray,
     out: np.ndarray | None = None,
     scratch: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -189,17 +192,17 @@ def matrix_form_update(
     Evaluated as ``((X - Q) + W Q) - alpha G`` into the (n, p) buffer
     ``out``, which is returned; ``scratch`` is an (n, p) buffer that holds
     ``W Q`` and then ``alpha G``.  Either is allocated when None; neither
-    may alias an input or the other.
+    may alias an input or the other.  ``alpha`` may be a float or a 0-d
+    float64 array, the cheaper operand, with the same result.
     """
     if out is None:
         out = np.empty_like(iterates)
     if scratch is None:
         scratch = np.empty_like(iterates)
-    mixing = np.matmul(weights, broadcasts, out=scratch)
-    np.subtract(iterates, broadcasts, out=out)
-    np.add(out, mixing, out=out)
-    np.subtract(out, np.multiply(alpha, gradients, out=scratch), out=out)
-    return out
+    mixing = np.matmul(weights, broadcasts, scratch)
+    np.subtract(iterates, broadcasts, out)
+    np.add(out, mixing, out)
+    return np.subtract(out, np.multiply(alpha, gradients, scratch), out)
 
 
 def step(
@@ -208,8 +211,8 @@ def step(
     attack_rows: np.ndarray,
     weights: np.ndarray,
     objective_rows: list,
-    feasible: FeasibleSet,
-    alpha: float,
+    bounds: tuple,
+    alpha: float | np.ndarray,
     out: tuple | None = None,
 ):
     """Advance the network one round.
@@ -219,7 +222,12 @@ def step(
     is ``h - clip(h)`` and the next iterates are ``h - xi``.
     ``attack_rows`` holds this round's attack e_i(k) per agent (zero rows
     for honest agents); ``objective_rows`` pairs each distinct objective
-    with the agents that carry it, as an index array or a slice.
+    with the agents that carry it, as an index array or a slice: a slice's
+    subgradients are written into their gradient rows through ``out``, an
+    index array's (whose rows are copies) are returned and scattered.
+    ``bounds`` is the box's (lo, hi), arrays that broadcast against the
+    state; the run passes them as (n, p) arrays, which ``clip`` reads
+    without the buffer it allocates for a (p,) bound.
 
     ``out`` is four (n, p) buffers, (next iterates, gradients, ``H_af``,
     ``xi``), which receive the results and are returned; ``xi`` holds the
@@ -230,18 +238,21 @@ def step(
         out = np.empty((4, *iterates.shape))
     next_iterates, gradients, h_attack_free, xi = out
     for objective, rows in objective_rows:
-        gradients[rows] = objective.subgradient(iterates[rows])
+        if isinstance(rows, slice):
+            objective.subgradient(iterates[rows], out=gradients[rows])
+        else:
+            gradients[rows] = objective.subgradient(iterates[rows])
     matrix_form_update(
         weights, iterates, broadcasts, gradients, alpha, out=h_attack_free, scratch=xi
     )
-    h = np.add(h_attack_free, attack_rows, out=next_iterates)
+    h = np.add(h_attack_free, attack_rows, next_iterates)
     # the projection stays clip, not np.maximum/np.minimum, which can give
     # the other signed zero at a zero bound: np.clip(-0.0, 0.0, 1.0) is
     # -0.0 where np.maximum(-0.0, 0.0) is 0.0
-    h.clip(feasible.lo, feasible.hi, out=xi)
-    np.subtract(h, xi, out=xi)
+    h.clip(*bounds, out=xi)
+    np.subtract(h, xi, xi)
     # h - xi, not the clipped point: far outside the box they differ
-    np.subtract(h, xi, out=next_iterates)
+    np.subtract(h, xi, next_iterates)
     return next_iterates, gradients, h_attack_free, xi
 
 
@@ -281,7 +292,8 @@ def _record_block(
     column is one reduction over the block, bit for bit the per-round
     value: axis means and row norms reduce each round's rows in the same
     order as a single (n, p) array would.  ``quantizes`` marks the agents
-    whose broadcast is quantized.
+    whose broadcast is quantized.  In exact mode (``quantizer`` None) every
+    broadcast is its agent's iterate, so ``delta_bar`` is 0 without a norm.
     """
     m = len(gradients)
     rows = slice(start, start + m)
@@ -293,7 +305,13 @@ def _record_block(
     trace.err_honest[states] = _norms(iterates[:, honest].mean(axis=1) - x_star)
     trace.per_agent_err[rows] = np.linalg.norm(entering - x_star, axis=2)
     trace.grad_mean[rows] = gradients.mean(axis=1)
-    delta_bar = np.linalg.norm(entering - broadcasts, axis=2).mean(axis=1)
+    if quantizer is None:
+        delta_bar = np.zeros(m)
+        trace.saturation_count[rows] = 0
+    else:
+        delta_bar = np.linalg.norm(entering - broadcasts, axis=2).mean(axis=1)
+        saturated = quantizes & ~quantizer.in_range(entering).all(axis=2)
+        trace.saturation_count[rows] = saturated.sum(axis=1)
     trace.delta_bar[rows] = delta_bar
 
     xi_bar = xi.mean(axis=1)
@@ -304,11 +322,6 @@ def _record_block(
     trace.xi_bar_attack_free_norm[rows] = _norms(xi_attack_free.mean(axis=1))
     trace.mean_attack[rows] = attacks.mean(axis=1)
     trace.mean_attack_norm[rows] = np.linalg.norm(attacks, axis=2).mean(axis=1)
-    if quantizer is None:
-        trace.saturation_count[rows] = 0
-    else:
-        saturated = quantizes & ~quantizer.in_range(entering).all(axis=2)
-        trace.saturation_count[rows] = saturated.sum(axis=1)
 
     lemma1_rhs = lemma1_bound(delta_bar, subgrad_bound, alpha, iterates.shape[1])
     trace.lemma1_rhs[rows] = lemma1_rhs
@@ -441,34 +454,42 @@ def run(
     trace = Trace.empty(iterations, n, p)
 
     block = min(iterations, max(1, BLOCK_BYTES // (8 * n * p)))
-    # one allocation for all six buffers: freeing it lifts glibc's mmap
-    # threshold above its size, so later runs take it and the block
-    # temporaries from the heap, not from fresh page-faulting mappings
-    workspace = np.empty((6 * block + 1, n, p))
+    # one allocation for all six buffers and the box bounds as (n, p) rows:
+    # freeing it lifts glibc's mmap threshold above its size, so later runs
+    # take it and the block temporaries from the heap, not from fresh
+    # page-faulting mappings
+    workspace = np.empty((6 * block + 3, n, p))
     states = workspace[: block + 1]
     broadcasts, gradients, h_attack_free, xi, attack_rows = workspace[
-        block + 1 :
+        block + 1 : 6 * block + 1
     ].reshape(5, block, n, p)
+    bounds = workspace[6 * block + 1 :]
+    bounds[0], bounds[1] = feasible.lo, feasible.hi
     quantizes = honest | adversary_quantizes
     full_precision = ~quantizes[:, None]
+    weights = topology.weights
+    alpha_operand = np.array(alpha, dtype=float)  # cheaper in a ufunc than a float
     states[0] = initial_iterates(n, feasible, seed, explicit_init)
     for start in range(0, iterations, block):
         m = min(block, iterations - start)
         attack_rows[:m] = fixed_attacks
         attack_rows[:m, keyed] = keyed_attacks[start : start + m]
-        for j in range(m):
+        rounds = zip(
+            states[:m], states[1 : m + 1], broadcasts[:m], gradients[:m],
+            h_attack_free[:m], xi[:m], attack_rows[:m],
+        )
+        for state, next_state, sent, gradient, h_af, xi_row, attack in rounds:
             # the round's residual row is the quantizer's scratch before it
-            state, sent, xi_row = states[j], broadcasts[j], xi[j]
             broadcast_phase(state, quantizer, full_precision, out=sent, scratch=xi_row)
             step(
                 state,
                 sent,
-                attack_rows[j],
-                topology.weights,
+                attack,
+                weights,
                 objective_rows,
-                feasible,
-                alpha,
-                out=(states[j + 1], gradients[j], h_attack_free[j], xi_row),
+                bounds,
+                alpha_operand,
+                out=(next_state, gradient, h_af, xi_row),
             )
         _record_block(
             trace,

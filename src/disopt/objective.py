@@ -67,17 +67,21 @@ class LocalObjective:
     feasible set; ``mu <= lipschitz`` is enforced at construction.
     Evaluation is pure and thread-safe.
 
-    ``subgradient`` is row-wise: given an (m, p) array of points, one per
-    row, it returns the (m, p) array of their subgradients, row i being
-    exactly what the point ``x[i]`` alone would give.  The engine makes
-    one call per round for all agents that share an objective, passing a
-    view of the state when those agents are contiguous, so ``subgradient``
-    must not write to its argument.
+    ``subgradient(x, out=None)`` is row-wise: given an (m, p) array of
+    points, one per row, it returns the (m, p) array of their
+    subgradients, row i being exactly what the point ``x[i]`` alone would
+    give.  With ``out``, an (m, p) float array that does not overlap
+    ``x``, it writes them there and returns ``out``; without, it returns
+    a new array.  The engine makes one call per round for all agents
+    that share an objective: when those agents are contiguous it passes a
+    view of the state and a view of the round's gradient buffer as
+    ``out``, so ``subgradient`` must not write to ``x``, and must fill
+    ``out`` rather than return another array.
     """
 
     dimension: int
     evaluate: Callable[[np.ndarray], float]
-    subgradient: Callable[[np.ndarray], np.ndarray]
+    subgradient: Callable[..., np.ndarray]
     mu: float
     lipschitz: float
     subgrad_bound: float
@@ -109,8 +113,11 @@ def quadratic_suite(n: int, p: int, feasible: FeasibleSet) -> list:
         x = np.asarray(x, dtype=float)
         return 0.5 * float(x @ x)
 
-    def subgradient(x):
-        return np.asarray(x, dtype=float).copy()
+    def subgradient(x, out=None):
+        if out is None:
+            return np.array(x, dtype=float)
+        out[...] = x
+        return out
 
     obj = LocalObjective(
         dimension=p,

@@ -9,10 +9,12 @@ an input of any shape whose trailing axes match the midpoint, so the
 engine checks a whole block of rounds' states in one call.
 
 The step, the half interval and the level cap ``2**(bits-1)`` are fixed
-when the quantizer is built, not per call; ``dataclasses.replace`` builds
-a new quantizer and so recomputes them.
-:meth:`UniformQuantizer.quantize` can write into caller-supplied
-buffers, so the engine's broadcast allocates nothing per round.
+when the quantizer is built, not per call, as float64 arrays: a numpy
+call on a small array costs less with array operands than with Python
+scalars.  ``dataclasses.replace`` builds a new quantizer and so
+recomputes them.  :meth:`UniformQuantizer.quantize` can write into
+caller-supplied buffers, so the engine's broadcast allocates nothing per
+round.
 
 ``interval_length`` is positive: a scalar, or an array that broadcasts
 against the input, such as an (n, 1) column giving each row of an (n, p)
@@ -27,15 +29,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# the 0.5 that rounds a step count to nearest, as an array operand
+_ONE_HALF = np.array(0.5)
+_ONE_HALF.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class UniformQuantizer:
     bits: int
     interval_length: float | np.ndarray
     midpoint: float | np.ndarray = 0.0
-    step: float | np.ndarray = field(init=False, repr=False, compare=False)
-    _half: float | np.ndarray = field(init=False, repr=False, compare=False)
-    _cap: int = field(init=False, repr=False, compare=False)
+    step: np.ndarray = field(init=False, repr=False, compare=False)
+    _half: np.ndarray = field(init=False, repr=False, compare=False)
+    _cap: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if int(self.bits) != self.bits or self.bits < 1:
@@ -45,9 +51,13 @@ class UniformQuantizer:
             raise ValueError(f"interval lengths must be positive, got {self.interval_length}")
         mid = np.asarray(self.midpoint, dtype=float)
         object.__setattr__(self, "midpoint", mid)
-        object.__setattr__(self, "step", self.interval_length / 2**self.bits)
-        object.__setattr__(self, "_half", self.interval_length / 2)
-        object.__setattr__(self, "_cap", 2 ** (self.bits - 1))
+        constants = {
+            "step": self.interval_length / 2**self.bits,
+            "_half": self.interval_length / 2,
+            "_cap": float(2 ** (self.bits - 1)),
+        }
+        for name, value in constants.items():
+            object.__setattr__(self, name, np.asarray(value, dtype=float))
 
     def _checked(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -74,17 +84,21 @@ class UniformQuantizer:
             out = np.empty(np.broadcast(x, self.step).shape)
         if scratch is None:
             scratch = np.empty_like(out)
-        # mid + (sign(offset) * step) * min(floor(|offset| / step + 0.5), cap)
-        offset = np.subtract(x, self.midpoint, out=scratch)
-        np.sign(offset, out=out)
-        np.multiply(out, self.step, out=out)
-        steps = np.abs(offset, out=offset)
-        np.divide(steps, self.step, out=steps)
-        np.add(steps, 0.5, out=steps)
-        np.floor(steps, out=steps)
-        np.minimum(steps, self._cap, out=steps)
-        np.multiply(out, steps, out=out)
-        return np.add(self.midpoint, out, out=out)
+        # mid + copysign(step * min(floor(|offset| / step + 0.5), cap), offset),
+        # bit for bit sign(offset) * step * count: a NaN offset keeps its
+        # sign bit, and a -0 offset (x = -0 at mid = +0) gives mid + -0 =
+        # mid + 0.  ``out`` goes positionally (it costs less), except to
+        # np.minimum, which deprecates that form.
+        mid, step = self.midpoint, self.step
+        offset = np.subtract(x, mid, scratch)
+        count = np.abs(offset, out)
+        np.divide(count, step, count)
+        np.add(count, _ONE_HALF, count)
+        np.floor(count, count)
+        np.minimum(count, self._cap, out=count)
+        np.multiply(count, step, count)
+        np.copysign(count, offset, out)
+        return np.add(mid, out, out)
 
     def quantization_error(self, x) -> np.ndarray:
         """Signed error ``x - quantize(x)``."""

@@ -310,7 +310,7 @@ def test_nan_state_fails_the_invariant_check():
     nan_obj = LocalObjective(
         dimension=1,
         evaluate=lambda x: float("nan"),
-        subgradient=lambda x: np.full(1, np.nan),
+        subgradient=lambda x, out=None: np.multiply(x, np.nan, out=out),
         mu=1.0,
         lipschitz=1.0,
         subgrad_bound=1.0,
@@ -420,6 +420,50 @@ def test_block_columns_match_the_per_round_oracle(
     assert np.array_equal(result.final_iterates, final)
 
 
+def _shifted_quadratic(center) -> LocalObjective:
+    """f(x) = ||x - center||^2 / 2, row-wise, honouring ``out``."""
+    center = np.asarray(center, dtype=float)
+    return LocalObjective(
+        dimension=center.shape[0],
+        evaluate=lambda x: 0.5 * float((x - center) @ (x - center)),
+        subgradient=lambda x, out=None: np.subtract(x, center, out=out),
+        mu=1.0,
+        lipschitz=1.0,
+        subgrad_bound=2.0,
+    )
+
+
+@pytest.mark.parametrize("bits", [None, 2])
+def test_interleaved_objectives_match_the_per_round_oracle(bits):
+    # agents 0, 2, 4 and 1, 3, 5 carry two objectives whose rows are index
+    # arrays, so step sees row copies there; agents 6-7 share a third one,
+    # a slice whose subgradients go straight into the gradient rows
+    n, p = 8, 3
+    box = FeasibleSet(lo=np.full(p, -1.0), hi=np.full(p, 1.0))
+    even = quadratic_suite(1, p, box)[0]
+    odd, tail = _shifted_quadratic([0.5, -0.25, 0.0]), _shifted_quadratic([-0.5, 0.5, 0.25])
+    objectives = [even, odd] * 3 + [tail, tail]
+    rows = [rows for _, rows in engine._grouped(enumerate(objectives))]
+    assert [type(engine._as_slice(r)) for r in rows] == [np.ndarray, np.ndarray, slice]
+    run = dict(
+        attacks={5: adversary.AttackPolicy(kind="uniform", low=0.0, high=0.8, seed=3)},
+        quantizer=None if bits is None else UniformQuantizer(bits=bits, interval_length=1.0),
+        topology=build_complete(n),
+        objectives=objectives,
+        feasible=box,
+        alpha=0.4,
+        iterations=12,
+        x_star=np.zeros(p),
+        seed=2,
+    )
+    result = engine.run(**run)
+    traces, final = reference_run(**run)
+    honest = np.arange(n) != 5
+    for name, column in reference_columns(traces, final, honest, np.zeros(p)).items():
+        assert np.array_equal(getattr(result.traces, name), column), name
+    assert np.array_equal(result.final_iterates, final)
+
+
 def test_saturation_is_tested_once_per_block(monkeypatch):
     # 3 blocks of 4, 4 and 2 rounds: one in_range call each, not one per round
     calls = []
@@ -450,10 +494,10 @@ def _objective_going_nan(after: int) -> LocalObjective:
     """f(x) = x^2/2 whose subgradient turns NaN from its call ``after`` on."""
     calls = 0
 
-    def subgradient(x):
+    def subgradient(x, out=None):
         nonlocal calls
         calls += 1
-        return np.full_like(x, np.nan) if calls > after else x.copy()
+        return np.multiply(x, np.nan if calls > after else 1.0, out=out)
 
     return LocalObjective(
         dimension=1,
@@ -511,6 +555,37 @@ def test_block_memory_does_not_grow_with_iterations():
     t = result.traces
     columns = sum(getattr(t, f.name).nbytes for f in fields(t))
     assert peak < columns + 12 * engine.BLOCK_BYTES < iterations * n * p * 8 / 2
+
+
+def test_a_round_allocates_nothing():
+    # a broadcast and a step into preallocated buffers, as the round loop
+    # runs them; one (n, p) temporary would be 32 KiB
+    n = p = 64
+    box = FeasibleSet(lo=np.full(p, -1.0), hi=np.full(p, 1.0))
+    quantizer = UniformQuantizer(bits=3, interval_length=1.0)
+    objective_rows = [(quadratic_suite(n, p, box)[0], slice(0, n))]
+    weights = build_complete(n).weights
+    full_precision = (np.arange(n) >= 60)[:, None]
+    state, sent, attack, next_state, gradient, h_af, xi = np.random.default_rng(0).uniform(
+        -1.5, 1.5, size=(7, n, p)
+    )
+    bounds = np.full((n, p), -1.0), np.full((n, p), 1.0)  # as the run passes the box
+    alpha = np.array(0.5)
+
+    def one_round():
+        broadcast_phase(state, quantizer, full_precision, out=sent, scratch=xi)
+        out = (next_state, gradient, h_af, xi)
+        engine.step(state, sent, attack, weights, objective_rows, bounds, alpha, out=out)
+
+    one_round()  # numpy's first-call set-up is not a round's cost
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        one_round()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 1024
 
 
 def test_step_size_above_one_warns_from_the_run():

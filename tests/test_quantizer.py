@@ -155,6 +155,50 @@ def test_cached_constants_match_the_per_call_oracle(
     assert np.array_equal(q.in_range(block), reference_in_range(q, block))
 
 
+def _offset_grid(bits: int) -> np.ndarray:
+    """Offsets in units of the step: every exact tie (m + 0.5) between
+    levels, the doubles on either side of it, and points past the cap."""
+    cap = 2 ** (bits - 1)
+    ties = np.arange(-cap - 1, cap + 1) + 0.5
+    beyond = np.array([cap + 1.0, 4.0 * cap, 1e300])
+    return np.concatenate(
+        [ties, np.nextafter(ties, -np.inf), np.nextafter(ties, np.inf), beyond, -beyond]
+    )
+
+
+# signed zeros, NaN of either sign and the infinities, as raw inputs
+_SPECIALS = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf])
+
+
+@pytest.mark.parametrize(
+    "bits, interval, midpoint",
+    [
+        (3, 1.0, 0.0),
+        (1, 2.0, -0.0),
+        # a vector midpoint on the level grid, a negative zero included
+        (3, 1.0, np.array([-0.25, -0.0, 0.0, 0.375])),
+        # an (n, 1) interval column, one step per row
+        (2, np.array([[0.5], [1.0], [3.0]]), 0.0),
+    ],
+)
+def test_levels_match_the_oracle_bit_for_bit(bits, interval, midpoint):
+    # np.array_equal takes -0.0 for 0.0 and any NaN for any other; the
+    # bytes tell a signed zero and a NaN's sign bit apart
+    q = UniformQuantizer(bits=bits, interval_length=interval, midpoint=midpoint)
+    offsets = _offset_grid(bits)
+    if np.ndim(interval) == 2:
+        x = offsets * q.step  # (n, 1) steps times a row of offsets
+        x = np.concatenate([x, np.broadcast_to(_SPECIALS, (len(x), 6))], axis=1)
+    else:
+        x = offsets[:, None] * q.step + midpoint
+        x = np.concatenate([x, np.broadcast_to(_SPECIALS[:, None], (6, x.shape[1]))])
+        x = np.concatenate([x, np.broadcast_to(midpoint, (1, x.shape[1]))])
+    want = reference_quantize(q, x).tobytes()
+    assert q.quantize(x).tobytes() == want
+    out, scratch = np.full((2, *x.shape), np.nan)
+    assert q.quantize(x, out=out, scratch=scratch).tobytes() == want
+
+
 def test_replace_recomputes_the_cached_constants():
     q = UniformQuantizer(bits=3, interval_length=1.0)
     x = np.array([0.3, 0.45, 0.6])
