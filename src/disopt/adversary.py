@@ -13,16 +13,19 @@ expanded to the 128-bit state and increment of a PCG64 generator, whose
 XSL-RR outputs ``x`` give ``u = (x >> 11) * 2**-53``.  ``attack_table``
 computes these four stages over a whole (k, agent) grid at once in uint64
 array arithmetic, bit for bit equal to drawing each key alone.  Its
-constants are 0-d uint32/uint64 arrays built at import, the cheaper
-operand for a numpy call, as are SeedSequence's hash-constant chains,
-which are the same on every call.
+constants are 0-d uint32/uint64 arrays built at import (see
+:mod:`disopt.operand`), and SeedSequence's hash-constant chains, the same
+on every call with as many entropy words, are built once per length.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
+
+from .operand import operand
 
 KINDS = ("zero", "constant", "uniform")
 _KIND_ALIASES = {"uniform-random-per-iteration": "uniform"}
@@ -72,51 +75,43 @@ MAX_KEY = 2**32 - 1
 
 _MASK32 = 0xFFFFFFFF
 
-
-def _operand(value, dtype) -> np.ndarray:
-    """``value`` as a read-only 0-d array, a cheaper operand than a scalar."""
-    array = np.array(value, dtype=dtype)
-    array.flags.writeable = False
-    return array
-
-
 # numpy.random.SeedSequence: hash constants of mix_entropy (A) and
 # generate_state (B), the pool-mixing multipliers and the xorshift.
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = (_operand(v, np.uint32) for v in (0xCA01F9DD, 0x4973F715))
-_XSHIFT = _operand(16, np.uint32)
+_MIX_MULT_L, _MIX_MULT_R = (operand(v, np.uint32) for v in (0xCA01F9DD, 0x4973F715))
+_XSHIFT = operand(16, np.uint32)
 
-# numpy.random.PCG64: 128-bit LCG multiplier as (high, low) 64-bit words,
+# numpy.random.PCG64's 128-bit LCG multiplier as (high, low) 64-bit words,
 # and the low word's 32-bit limbs.
-_PCG_MULT_HI = _operand(0x2360ED051FC65DA4, np.uint64)
-_PCG_MULT_LO = _operand(0x4385DF649FCCF645, np.uint64)
-_PCG_MULT_LO0, _PCG_MULT_LO1 = (_operand(v, np.uint64) for v in (0x9FCCF645, 0x4385DF64))
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT_HI, _PCG_MULT_LO, _PCG_MULT_LO0, _PCG_MULT_LO1 = (
+    operand(v, np.uint64)
+    for v in (
+        _PCG_MULT >> 64,
+        _PCG_MULT & (2**64 - 1),
+        _PCG_MULT & _MASK32,
+        (_PCG_MULT >> 32) & _MASK32,
+    )
+)
 
 # the other operands of the uint64 arithmetic: the low-word mask, shift
 # counts and the scale of a 53-bit integer to a double in [0, 1)
 _LOW32, _U1, _U11, _U32, _U58, _U63, _U64 = (
-    _operand(v, np.uint64) for v in (_MASK32, 1, 11, 32, 58, 63, 64)
+    operand(v, np.uint64) for v in (_MASK32, 1, 11, 32, 58, 63, 64)
 )
-_DOUBLE_UNIT = _operand(2.0**-53, np.float64)
+_DOUBLE_UNIT = operand(2.0**-53, np.float64)
 
 
-def _hash_chain(init: int, mult: int, length: int) -> list:
+@cache
+def _hash_chain(init: int, mult: int, length: int) -> tuple:
     """SeedSequence's hash constants h_0 = init, h_(j+1) = h_j * mult mod
     2**32: hash call j xors with h_j and multiplies by h_(j+1)."""
     chain = [init]
     while len(chain) < length:
         chain.append((chain[-1] * mult) & _MASK32)
-    return [_operand(c, np.uint32) for c in chain]
-
-
-# mix_entropy makes 4 hash calls per entropy word, counting at least 4
-# words.  Its chain serves every key whose seed is below 2**256 (up to 8
-# words, then agent and round); a longer seed builds its own per call.
-_PREBUILT_WORDS = 8 + 2
-_CHAIN_A = _hash_chain(_INIT_A, _MULT_A, _POOL_SIZE * _PREBUILT_WORDS + 1)
-_CHAIN_B = _hash_chain(_INIT_B, _MULT_B, 2 * _POOL_SIZE + 1)
+    return tuple(operand(c, np.uint32) for c in chain)
 
 
 def _int_words(value: int) -> list:
@@ -139,10 +134,8 @@ def _key_words(values, name: str) -> np.ndarray:
 
 def _seed_pool(entropy: list) -> list:
     """SeedSequence.mix_entropy over uint32 word arrays: the 4-word pool."""
-    words = max(len(entropy), _POOL_SIZE)
-    chain = _CHAIN_A
-    if words > _PREBUILT_WORDS:
-        chain = _hash_chain(_INIT_A, _MULT_A, _POOL_SIZE * words + 1)
+    # mix_entropy makes 4 hash calls per entropy word, counting at least 4 words
+    chain = _hash_chain(_INIT_A, _MULT_A, _POOL_SIZE * max(len(entropy), _POOL_SIZE) + 1)
     hashes = zip(chain, chain[1:])
 
     def hashmix(value):
@@ -169,9 +162,10 @@ def _seed_pool(entropy: list) -> list:
 def _seed_state(pool: list) -> list:
     """SeedSequence.generate_state(4, uint64): four 64-bit words, each
     built from two 32-bit words, low word first."""
+    chain = _hash_chain(_INIT_B, _MULT_B, 2 * _POOL_SIZE + 1)
     words = []
     for i in range(8):
-        value = (pool[i % _POOL_SIZE] ^ _CHAIN_B[i]) * _CHAIN_B[i + 1]
+        value = (pool[i % _POOL_SIZE] ^ chain[i]) * chain[i + 1]
         words.append((value ^ (value >> _XSHIFT)).astype(np.uint64))
     return [lo | (hi << _U32) for lo, hi in zip(words[::2], words[1::2])]
 

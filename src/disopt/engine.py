@@ -14,8 +14,9 @@ residual there.  The loop allocates nothing per round when each
 objective's agents are contiguous: ``broadcast_phase``,
 ``matrix_form_update`` and ``step`` take numpy-style ``out`` buffers, the
 subgradient writes into the round's gradient rows through its ``out``
-parameter, and the box bounds are two (n, p) rows of the workspace, which
-``clip`` reads without the buffer it allocates for a (p,) bound.  An
+parameter (an array it returns instead is copied there), and the box
+bounds are two (n, p) rows of the workspace, which ``clip`` reads without
+the buffer it allocates for a (p,) bound.  An
 objective whose agents are not contiguous is handed a row copy and
 returns a new array, which is scattered into the gradient rows.
 After every block, each column of the run's :class:`Trace` is filled by
@@ -41,6 +42,7 @@ import numpy as np
 from . import adversary as adv
 from .bounds import lemma1_bound
 from .objective import FeasibleSet, suite_subgrad_bound
+from .operand import operand
 from .quantizer import UniformQuantizer
 
 # Tolerance of the mean-iterate bookkeeping identity; it is an exact
@@ -223,8 +225,9 @@ def step(
     ``attack_rows`` holds this round's attack e_i(k) per agent (zero rows
     for honest agents); ``objective_rows`` pairs each distinct objective
     with the agents that carry it, as an index array or a slice: a slice's
-    subgradients are written into their gradient rows through ``out``, an
-    index array's (whose rows are copies) are returned and scattered.
+    subgradients are written into their gradient rows through ``out`` (or
+    copied there, if the objective returns another array), an index
+    array's (whose rows are copies) are returned and scattered.
     ``bounds`` is the box's (lo, hi), arrays that broadcast against the
     state; the run passes them as (n, p) arrays, which ``clip`` reads
     without the buffer it allocates for a (p,) bound.
@@ -239,7 +242,10 @@ def step(
     next_iterates, gradients, h_attack_free, xi = out
     for objective, rows in objective_rows:
         if isinstance(rows, slice):
-            objective.subgradient(iterates[rows], out=gradients[rows])
+            rows_out = gradients[rows]
+            result = objective.subgradient(iterates[rows], out=rows_out)
+            if result is not rows_out:  # an objective that ignored ``out``
+                rows_out[...] = result
         else:
             gradients[rows] = objective.subgradient(iterates[rows])
     matrix_form_update(
@@ -468,7 +474,7 @@ def run(
     quantizes = honest | adversary_quantizes
     full_precision = ~quantizes[:, None]
     weights = topology.weights
-    alpha_operand = np.array(alpha, dtype=float)  # cheaper in a ufunc than a float
+    alpha_operand = operand(alpha)
     states[0] = initial_iterates(n, feasible, seed, explicit_init)
     for start in range(0, iterations, block):
         m = min(block, iterations - start)

@@ -75,8 +75,9 @@ class LocalObjective:
     a new array.  The engine makes one call per round for all agents
     that share an objective: when those agents are contiguous it passes a
     view of the state and a view of the round's gradient buffer as
-    ``out``, so ``subgradient`` must not write to ``x``, and must fill
-    ``out`` rather than return another array.
+    ``out``, so ``subgradient`` must not write to ``x``.  It should fill
+    ``out``; another array returned instead is copied into the gradient
+    rows, which costs that array's allocation every round.
     """
 
     dimension: int

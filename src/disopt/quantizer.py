@@ -9,12 +9,11 @@ an input of any shape whose trailing axes match the midpoint, so the
 engine checks a whole block of rounds' states in one call.
 
 The step, the half interval and the level cap ``2**(bits-1)`` are fixed
-when the quantizer is built, not per call, as float64 arrays: a numpy
-call on a small array costs less with array operands than with Python
-scalars.  ``dataclasses.replace`` builds a new quantizer and so
-recomputes them.  :meth:`UniformQuantizer.quantize` can write into
-caller-supplied buffers, so the engine's broadcast allocates nothing per
-round.
+when the quantizer is built, not per call, as read-only float64 arrays
+(:func:`disopt.operand.operand`), the cheaper operand of a numpy call.
+``dataclasses.replace`` builds a new quantizer and so recomputes them.
+:meth:`UniformQuantizer.quantize` can write into caller-supplied
+buffers, so the engine's broadcast allocates nothing per round.
 
 ``interval_length`` is positive: a scalar, or an array that broadcasts
 against the input, such as an (n, 1) column giving each row of an (n, p)
@@ -29,9 +28,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# the 0.5 that rounds a step count to nearest, as an array operand
-_ONE_HALF = np.array(0.5)
-_ONE_HALF.flags.writeable = False
+from .operand import operand
+
+# the 0.5 that rounds a step count to nearest
+_ONE_HALF = operand(0.5)
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ class UniformQuantizer:
             "_cap": float(2 ** (self.bits - 1)),
         }
         for name, value in constants.items():
-            object.__setattr__(self, name, np.asarray(value, dtype=float))
+            object.__setattr__(self, name, operand(value))
 
     def _checked(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)

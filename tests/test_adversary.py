@@ -137,8 +137,8 @@ _KEYS = st.sampled_from([0, MAX_KEY]) | st.integers(0, MAX_KEY)
 )
 # key (0, 0, 70): the first output's PCG state has rotation 0
 @example(seed=0, agents=[0], rounds=[70], p=1, low=0.0, width=1.0, sign="positive")
-# the longest keys the pre-built hash-constant chains serve (an 8-word
-# seed), and the shortest whose 9-word seed builds its own chain
+# the largest agent and round with an 8-word seed (2**256 - 1) and a
+# 9-word one (2**256): the longest hash-constant chains a test reaches
 @example(seed=2**256 - 1, agents=[MAX_KEY], rounds=[MAX_KEY], p=3, low=0.0, width=1.0,
          sign="positive")
 @example(seed=2**256, agents=[MAX_KEY, 0], rounds=[MAX_KEY], p=2, low=0.5, width=0.5,

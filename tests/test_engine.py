@@ -1,5 +1,5 @@
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -460,6 +460,33 @@ def test_interleaved_objectives_match_the_per_round_oracle(bits):
     traces, final = reference_run(**run)
     honest = np.arange(n) != 5
     for name, column in reference_columns(traces, final, honest, np.zeros(p)).items():
+        assert np.array_equal(getattr(result.traces, name), column), name
+    assert np.array_equal(result.final_iterates, final)
+
+
+def test_an_objective_ignoring_out_fills_the_gradient_rows():
+    # its subgradient returns a new array whatever ``out`` is; the agents
+    # are contiguous, so step passes gradient rows as ``out``, and they
+    # must receive that array, not keep the workspace's stale values
+    n, p = 4, 3
+    box = FeasibleSet(lo=np.full(p, -1.0), hi=np.full(p, 1.0))
+    center = np.array([0.5, -0.25, 0.0])
+    honouring = _shifted_quadratic(center)
+    ignoring = replace(honouring, subgradient=lambda x, out=None: honouring.subgradient(x))
+    run = dict(
+        attacks={},
+        quantizer=UniformQuantizer(bits=2, interval_length=1.0),
+        topology=build_complete(n),
+        objectives=[ignoring] * n,
+        feasible=box,
+        alpha=0.4,
+        iterations=12,
+        x_star=center,
+        seed=2,
+    )
+    result = engine.run(**run)
+    traces, final = reference_run(**run)
+    for name, column in reference_columns(traces, final, np.full(n, True), center).items():
         assert np.array_equal(getattr(result.traces, name), column), name
     assert np.array_equal(result.final_iterates, final)
 
