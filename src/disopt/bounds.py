@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -252,14 +252,7 @@ class BoundReport:
 
     def to_dict(self) -> dict:
         return {
-            "mu": self.mu,
-            "lipschitz": self.lipschitz,
-            "alpha": self.alpha,
-            "bits": self.bits,
-            "interval_length": self.interval_length,
-            "subgrad_bound": self.subgrad_bound,
-            "attack_norm": self.attack_norm,
-            "initial_error": self.initial_error,
+            **{f.name: getattr(self, f.name) for f in fields(self) if f.init},
             "c1": self.c1,
             "c2": self.c2,
             "contraction_factor": self.rho,

@@ -5,7 +5,8 @@ Subcommands: ``run <config.json>``, ``sweep <grid.json>``, and
 (``--strict`` or the config's ``"strict": true``) finds a projection-error
 bound violation at an unsaturated step, 2 on usage or config errors.
 ``run`` and ``sweep`` read their file the same way, so malformed JSON in
-either is the config error ``<document>: malformed JSON``.
+either is the config error ``<document>: malformed JSON``; an output
+directory that cannot be made is a usage error, found before any seed runs.
 """
 
 from __future__ import annotations
@@ -120,11 +121,17 @@ def main(argv=None) -> int:
             except OSError as exc:
                 print(f"cannot read {path}: {exc}", file=sys.stderr)
                 return EXIT_USAGE
-            if args.command == "sweep":
-                rows = sweep(text, outdir)
-                print(f"wrote {outdir / 'sweep_summary.csv'} ({len(rows)} grid points)")
-                return EXIT_OK
-            config, name = parse_config(text), path.stem
+            if args.command == "run":
+                config, name = parse_config(text), path.stem
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            print(f"cannot write {outdir}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        if args.command == "sweep":
+            rows = sweep(text, outdir)
+            print(f"wrote {outdir / 'sweep_summary.csv'} ({len(rows)} grid points)")
+            return EXIT_OK
         artifacts = run_experiment(
             config, outdir, name=name, include_agents=args.per_agent
         )

@@ -12,7 +12,7 @@ update and projection residual into block buffers of at most
 a round's residual row holds its temporaries until ``step`` writes the
 residual there.  The loop allocates nothing per round when each
 objective's agents are contiguous: ``broadcast_phase``,
-``matrix_form_update`` and ``step`` take numpy-style ``out`` buffers, the
+``matrix_form_update`` and ``step`` write into the caller's buffers, the
 subgradient writes into the round's gradient rows through its ``out``
 parameter (an array it returns instead is copied there), and the box
 bounds are two (n, p) rows of the workspace, which ``clip`` reads without
@@ -154,8 +154,8 @@ def broadcast_phase(
     iterates: np.ndarray,
     quantizer: UniformQuantizer | None,
     full_precision: np.ndarray,
-    out: np.ndarray | None = None,
-    scratch: np.ndarray | None = None,
+    out: np.ndarray,
+    scratch: np.ndarray,
 ) -> np.ndarray:
     """Per-agent broadcast values, the (n, p) buffer every agent receives.
 
@@ -166,12 +166,10 @@ def broadcast_phase(
     ``saturation_count`` tests a whole block of rounds at once.
 
     The result is written into the (n, p) buffer ``out`` and returned;
-    ``scratch`` is an (n, p) buffer the quantizer may overwrite.  Either
-    is allocated when None.  ``out`` must not alias ``iterates``, whose
-    full-precision rows are copied in after the quantizer has written.
+    ``scratch`` is an (n, p) buffer the quantizer may overwrite.  ``out``
+    must not alias ``iterates``, whose full-precision rows are copied in
+    after the quantizer has written.
     """
-    if out is None:
-        out = np.empty_like(iterates)
     if quantizer is None:
         out[...] = iterates
     else:
@@ -186,21 +184,17 @@ def matrix_form_update(
     broadcasts: np.ndarray,
     gradients: np.ndarray,
     alpha: float | np.ndarray,
-    out: np.ndarray | None = None,
-    scratch: np.ndarray | None = None,
+    out: np.ndarray,
+    scratch: np.ndarray,
 ) -> np.ndarray:
     """Pre-projection update H = W X + (I - W)(X - Q) - alpha G.
 
     Evaluated as ``((X - Q) + W Q) - alpha G`` into the (n, p) buffer
     ``out``, which is returned; ``scratch`` is an (n, p) buffer that holds
-    ``W Q`` and then ``alpha G``.  Either is allocated when None; neither
-    may alias an input or the other.  ``alpha`` may be a float or a 0-d
-    float64 array, the cheaper operand, with the same result.
+    ``W Q`` and then ``alpha G``; neither may alias an input or the
+    other.  ``alpha`` may be a float or a 0-d float64 array, the cheaper
+    operand, with the same result.
     """
-    if out is None:
-        out = np.empty_like(iterates)
-    if scratch is None:
-        scratch = np.empty_like(iterates)
     mixing = np.matmul(weights, broadcasts, scratch)
     np.subtract(iterates, broadcasts, out)
     np.add(out, mixing, out)
@@ -215,7 +209,7 @@ def step(
     objective_rows: list,
     bounds: tuple,
     alpha: float | np.ndarray,
-    out: tuple | None = None,
+    out: tuple,
 ):
     """Advance the network one round.
 
@@ -234,11 +228,9 @@ def step(
 
     ``out`` is four (n, p) buffers, (next iterates, gradients, ``H_af``,
     ``xi``), which receive the results and are returned; ``xi`` holds the
-    update's temporaries before the residual.  They are allocated when
-    None; no buffer may alias an input or another buffer.
+    update's temporaries before the residual.  No buffer may alias an
+    input or another buffer.
     """
-    if out is None:
-        out = np.empty((4, *iterates.shape))
     next_iterates, gradients, h_attack_free, xi = out
     for objective, rows in objective_rows:
         if isinstance(rows, slice):
@@ -285,7 +277,7 @@ def _record_block(
     quantizer: UniformQuantizer | None,
     quantizes: np.ndarray,
     x_star: np.ndarray,
-    feasible: FeasibleSet,
+    bounds: np.ndarray,
     subgrad_bound: float,
     alpha: float,
 ) -> None:
@@ -293,7 +285,8 @@ def _record_block(
 
     ``iterates`` holds the m+1 states of the block, the others the m
     rounds' (n, p) rows, ``xi`` the projection residuals ``step``
-    recorded.  ``x_bar`` and the mean errors get rows start..start+m; the
+    recorded, ``bounds`` the box's (lo, hi) that ``step`` clipped with.
+    ``x_bar`` and the mean errors get rows start..start+m; the
     next block writes the last one again, with the same value.  Each
     column is one reduction over the block, bit for bit the per-round
     value: axis means and row norms reduce each round's rows in the same
@@ -322,7 +315,7 @@ def _record_block(
 
     xi_bar = xi.mean(axis=1)
     xi_bar_norm = _norms(xi_bar)
-    xi_attack_free = h_attack_free - np.clip(h_attack_free, feasible.lo, feasible.hi)
+    xi_attack_free = h_attack_free - np.clip(h_attack_free, *bounds)
     trace.xi_bar[rows] = xi_bar
     trace.xi_bar_norm[rows] = xi_bar_norm
     trace.xi_bar_attack_free_norm[rows] = _norms(xi_attack_free.mean(axis=1))
@@ -510,7 +503,7 @@ def run(
             quantizer,
             quantizes,
             x_star,
-            feasible,
+            bounds,
             subgrad_bound,
             alpha,
         )

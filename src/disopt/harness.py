@@ -43,7 +43,6 @@ def final_honest_err_stats(results) -> dict:
 def run_single(config: ExperimentConfig, seed: int) -> engine.RunResult:
     """One deterministic run of a validated config with one seed."""
     objectives, x_star = config.objectives
-    init = np.asarray(config.init, dtype=float) if config.init is not None else None
     return engine.run(
         attacks=config.attack,
         quantizer=config.quantizer,
@@ -54,14 +53,15 @@ def run_single(config: ExperimentConfig, seed: int) -> engine.RunResult:
         iterations=config.iterations,
         x_star=x_star,
         seed=seed,
-        explicit_init=init,
+        explicit_init=config.init,
         adversary_quantizes=config.adversary_quantizes,
     )
 
 
 def build_bound_report(config: ExperimentConfig, results) -> BoundReport | None:
     """Closed-form report for a scenario; None in exact-communication mode."""
-    if config.quantizer_bits is None:
+    quantizer = config.quantizer
+    if quantizer is None:
         return None
     objectives, _ = config.objectives
     initial_error = max(float(r.traces.err_all[0]) for r in results) if results else 0.0
@@ -69,8 +69,8 @@ def build_bound_report(config: ExperimentConfig, results) -> BoundReport | None:
         mu=min(o.mu for o in objectives),
         lipschitz=max(o.lipschitz for o in objectives),
         alpha=config.alpha,
-        bits=config.quantizer_bits,
-        interval_length=max(config.interval_lengths),
+        bits=quantizer.bits,
+        interval_length=float(quantizer.interval_length.max()),
         subgrad_bound=suite_subgrad_bound(objectives),
         attack_norm=attack_norm_bound(config.attack, config.p),
         initial_error=initial_error,

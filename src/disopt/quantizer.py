@@ -107,7 +107,8 @@ class UniformQuantizer:
 
     def error_bound(self) -> float:
         """Worst per-coordinate error magnitude for in-range inputs."""
-        return self.interval_length / 2 ** (self.bits + 1)
+        # one rounding, where dividing by 2 ** (bits + 1) overflows at bits = 1023
+        return np.ldexp(self.interval_length, -(self.bits + 1))
 
     def in_range(self, x) -> np.ndarray:
         """Per-coordinate mask of inputs inside the quantization interval

@@ -144,7 +144,7 @@ def validate(topology: NetworkTopology) -> ValidationReport:
     row_dev = float(np.max(np.abs(w @ ones - ones)))
     col_dev = float(np.max(np.abs(ones @ w - ones)))
     sym_dev = float(np.max(np.abs(w - w.T)))
-    neg_dev = float(max(0.0, -np.min(w)))
+    neg_dev = float(np.max(-w, initial=0.0))  # NaN propagates, so it fails
 
     adj = _adjacency(n, topology.edges)
     off_graph = float(np.max(np.abs(w[~adj & ~np.eye(n, dtype=bool)]), initial=0.0))

@@ -7,7 +7,8 @@ import pytest
 from disopt.cli import EXIT_OK, EXIT_STRICT, EXIT_USAGE, main
 from disopt.config import MAX_AGENTS, MAX_DIMENSION, parse_config
 from disopt import harness
-from disopt.harness import run_experiment, run_single, sweep
+from disopt.config import ConfigError
+from disopt.harness import expand_grid, run_experiment, run_single, sweep
 
 
 def _write(tmp_path, name, doc):
@@ -235,6 +236,50 @@ def test_malformed_sweep_document_is_usage_error(tmp_path, capsys, base, axes, p
     path_file = _write(tmp_path, "grid.json", {"base": base, "grid": axes})
     assert main(["sweep", str(path_file), "--out", str(tmp_path)]) == EXIT_USAGE
     assert f"  {path}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc, errors",
+    [
+        ({"grid": {"alpha": [0.5]}}, [("base", "sweep document needs a 'base' config or preset name")]),
+        (
+            {"base": "fig2a", "grid": {"alpha": [0.5]}, "extra": 1, "more": 2},
+            [("extra", "unknown key"), ("more", "unknown key")],
+        ),
+        ({"base": "fig2a", "grid": {"beta": [1], "alpha": [0.5]}}, [("grid.beta", "unknown grid axis")]),
+        ({"base": "fig2a", "grid": {}}, [("grid", "empty grid: provide at least one axis")]),
+        ({"base": "fig2a"}, [("grid", "empty grid: provide at least one axis")]),
+        ({"base": "fig2a", "grid": {"alpha": []}}, [("grid", "every axis must be a nonempty list")]),
+        ({"base": "fig2a", "grid": {"alpha": 0.5}}, [("grid", "every axis must be a nonempty list")]),
+    ],
+    ids=["no-base", "unknown-key", "unknown-axis", "empty-grid", "no-grid", "empty-axis", "scalar-axis"],
+)
+def test_every_sweep_check_reports_its_exact_message(doc, errors):
+    with pytest.raises(ConfigError) as excinfo:
+        expand_grid(doc)
+    assert excinfo.value.errors == errors
+
+
+@pytest.mark.parametrize("command", ["run", "preset", "sweep"])
+@pytest.mark.parametrize("below", [False, True], ids=["file", "under-file"])
+def test_unusable_output_directory_is_usage_error(monkeypatch, tmp_path, capsys, command, below):
+    # an existing file (FileExistsError) or a path under one (NotADirectoryError)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker / "sub" if below else blocker
+    inputs = {
+        "run": [str(_write(tmp_path, "small.json", SMALL_RUN))],
+        "preset": ["fig2a", "--seeds", "1"],
+        "sweep": [str(_write(tmp_path, "grid.json", {"base": SMALL_RUN, "grid": {"bits": [1]}}))],
+    }
+    seeds = []
+    real = harness.run_single
+    monkeypatch.setattr(harness, "run_single", lambda c, seed: seeds.append(seed) or real(c, seed))
+    assert main([command, *inputs[command], "--out", str(out)]) == EXIT_USAGE
+    assert seeds == []  # found before any seed runs
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"cannot write {out}: ")
+    assert "Traceback" not in err
 
 
 def test_malformed_sweep_json_is_usage_error(tmp_path, capsys):

@@ -49,6 +49,12 @@ def local_updates(topology, iterates, broadcasts, gradients, alpha) -> np.ndarra
     return h
 
 
+def broadcast(iterates, quantizer, full_precision) -> np.ndarray:
+    """``broadcast_phase`` into fresh buffers, as a run's round calls it."""
+    out, scratch = np.empty((2, *iterates.shape))
+    return broadcast_phase(iterates, quantizer, full_precision, out=out, scratch=scratch)
+
+
 def per_agent_broadcast(iterates, bits, lengths, midpoint, honest, adversary_quantizes):
     """Per-agent form of the broadcast, the oracle for ``broadcast_phase``:
     one scalar-interval quantizer per agent, applied row by row."""
@@ -93,7 +99,7 @@ def run_saturation(iterates, quant, honest, adversary_quantizes=False) -> int:
 
 def test_broadcast_honest_quantized():
     quant = UniformQuantizer(bits=1, interval_length=1.0)
-    buffer = broadcast_phase(np.array([[0.3]]), quant, QUANTIZED)
+    buffer = broadcast(np.array([[0.3]]), quant, QUANTIZED)
     assert buffer[0, 0] == pytest.approx(0.5)
     assert run_saturation(np.array([[0.3]]), quant, ONE_HONEST) == 0
     assert run_saturation(np.array([[0.7]]), quant, ONE_HONEST) == 1
@@ -101,10 +107,10 @@ def test_broadcast_honest_quantized():
 
 def test_broadcast_adversary_full_precision():
     quant = UniformQuantizer(bits=1, interval_length=1.0)
-    buffer = broadcast_phase(np.array([[0.42]]), quant, FULL_PRECISION)
+    buffer = broadcast(np.array([[0.42]]), quant, FULL_PRECISION)
     assert buffer[0, 0] == 0.42
     # flipping the bandwidth assumption makes the adversary quantize too
-    buffer = broadcast_phase(np.array([[0.42]]), quant, QUANTIZED)
+    buffer = broadcast(np.array([[0.42]]), quant, QUANTIZED)
     assert buffer[0, 0] == pytest.approx(0.5)
     # an out-of-range adversary saturates only when it quantizes
     iterates = np.array([[0.1], [3.0]])
@@ -113,7 +119,7 @@ def test_broadcast_adversary_full_precision():
 
 
 def test_broadcast_exact_mode_passthrough():
-    buffer = broadcast_phase(np.array([[0.3]]), None, QUANTIZED)
+    buffer = broadcast(np.array([[0.3]]), None, QUANTIZED)
     assert buffer[0, 0] == 0.3
     assert run_saturation(np.array([[3.0]]), None, ONE_HONEST) == 0
 
@@ -130,7 +136,7 @@ def test_saturation_counts_a_nan_row_but_not_a_full_precision_adversary():
         trace = engine.Trace.empty(1, 3, 1)
         engine._record_block(
             trace, 0, states, rows, rows, rows, rows, rows, honest, quant, quantizes,
-            np.zeros(1), BOX1, 1.0, 0.5,
+            np.zeros(1), np.array([[[-1.0]], [[1.0]]]), 1.0, 0.5,
         )
         assert trace.saturation_count[0] == want
 
@@ -160,7 +166,6 @@ def test_broadcast_matches_per_agent_oracle(n, p, bits, adversary_quantizes, see
     want_buffer, want_saturated = per_agent_broadcast(
         iterates, bits, lengths, midpoint, honest, adversary_quantizes
     )
-    assert np.array_equal(broadcast_phase(iterates, quant, full_precision), want_buffer)
     # into NaN-filled buffers: every row is written, and ``out`` returned
     out, scratch = np.full((2, n, p), np.nan)
     buffer = broadcast_phase(iterates, quant, full_precision, out=out, scratch=scratch)
@@ -688,10 +693,9 @@ def test_matrix_form_matches_per_agent_updates(n, p, seed):
     Q = rng.uniform(-1, 1, (n, p))
     G = rng.uniform(-1, 1, (n, p))
     alpha = float(rng.uniform(0.1, 1.0))
-    h_matrix = matrix_form_update(topo.weights, X, Q, G, alpha)
+    # into NaN-filled buffers, and ``out`` returned
+    out, scratch = np.full((2, n, p), np.nan)
+    h_matrix = matrix_form_update(topo.weights, X, Q, G, alpha, out=out, scratch=scratch)
+    assert h_matrix is out
     h_local = local_updates(topo, X, Q, G, alpha)
     assert np.max(np.abs(h_matrix - h_local)) <= 1e-12
-    # into NaN-filled buffers: the same bytes, and ``out`` returned
-    out, scratch = np.full((2, n, p), np.nan)
-    assert matrix_form_update(topo.weights, X, Q, G, alpha, out=out, scratch=scratch) is out
-    assert np.array_equal(out, h_matrix)

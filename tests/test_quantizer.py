@@ -32,6 +32,10 @@ def test_hand_evaluated_levels():
 def test_error_bound_values():
     assert UniformQuantizer(bits=1, interval_length=1.0).error_bound() == 0.25
     assert UniformQuantizer(bits=5, interval_length=1.0).error_bound() == 1 / 64
+    # the widest accepted quantizer: 2**-1024 is subnormal, not an overflow
+    assert UniformQuantizer(bits=1023, interval_length=1.0).error_bound() == 2.0**-1024
+    column = UniformQuantizer(bits=2, interval_length=np.array([[1.0], [0.5]]))
+    assert np.array_equal(column.error_bound(), [[0.125], [0.0625]])
 
 
 def test_brute_force_error_sweep_b5():

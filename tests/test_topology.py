@@ -112,6 +112,15 @@ def test_validate_flags_nan_off_graph_weight():
     assert not validate(bad).checks["off_graph_zeros"].passed
 
 
+@pytest.mark.parametrize("cell", [(1, 1), (0, 2)], ids=["diagonal", "edge"])
+def test_validate_flags_nan_weight_as_not_nonnegative(cell):
+    topo = build_complete(3)
+    w = topo.weights.copy()
+    w[cell] = np.nan
+    bad = NetworkTopology(n=3, edges=topo.edges, degrees=topo.degrees, weights=w)
+    assert not validate(bad).checks["nonnegative"].passed
+
+
 @st.composite
 def connected_graphs(draw):
     n = draw(st.integers(min_value=2, max_value=12))
