@@ -7,7 +7,8 @@ violations (non-contractive factor, step size above 1) do not raise: the
 value is still computed and a ``RuntimeWarning`` is emitted so harnesses
 can surface the tension instead of hiding it.
 :func:`recursion_bound` and :meth:`BoundReport.per_k_bound` evaluate one
-formula.  Only the former warns: a report states the hypotheses as flags.
+formula, and :func:`neighborhood_size` is its k -> oo tail.  Only the
+first warns: a report states the hypotheses as flags.
 """
 
 from __future__ import annotations
@@ -118,23 +119,32 @@ def neighborhood_size(
 ) -> float:
     """Limiting error radius around the optimum.
 
-    (sqrt(6)*(l + 2**b * Lbar * alpha) + 2**b * sqrt(3) * ||e||) / 2**b,
-    evaluated with the division first so no term overflows at large b
-    (scaling by a power of two is exact, so the value is the same).
+    sqrt(3)*||e|| + (sqrt(6)/2**b)*l + sqrt(6)*Lbar*alpha: the k -> oo tail
+    of :func:`recursion_bound`, which is the kernel with no decay term, so
+    a bound column with a zero initial error equals it bit for bit.
     """
     if bits < 1:
         raise ValueError(f"bits must be >= 1, got {bits}")
     if min(interval_length, subgrad_bound, alpha, attack_norm) < 0:
         raise ValueError("inputs must be nonnegative")
-    return SQRT6 * (interval_length / 2**bits + subgrad_bound * alpha) + SQRT3 * attack_norm
+    return _recursion_kernel(0, 0.0, 0.0, bits, interval_length, subgrad_bound, alpha, attack_norm)
 
 
 def _recursion_kernel(
     k, initial_error, rho, bits, interval_length, subgrad_bound, alpha, attack_norm
 ) -> float:
-    # |rho| keeps the half-power real when rho < 0
+    # the decay term |rho|**(k/2) * e0 (|rho| keeps the half-power real
+    # when rho < 0) is inf past float range, and 0 whenever e0 is, never
+    # inf * 0 = NaN; the constant terms divide by 2**b first, so none
+    # overflows at large b
+    decay = 0.0
+    if initial_error:
+        try:
+            decay = abs(rho) ** (k / 2.0) * initial_error
+        except OverflowError:
+            decay = math.inf
     return (
-        abs(rho) ** (k / 2.0) * initial_error
+        decay
         + SQRT3 * attack_norm
         + (SQRT6 / 2**bits) * interval_length
         + SQRT6 * subgrad_bound * alpha
@@ -155,7 +165,8 @@ def recursion_bound(
 
     rho**(k/2) * initial_error + sqrt(3)*||e|| + (sqrt(6)/2**b)*l
     + sqrt(6)*Lbar*alpha, with rho = 3 - 3*alpha*c2.  Warns when rho
-    falls outside [0, 1): the value is still computed but does not decay.
+    falls outside [0, 1): the value is still computed but does not decay,
+    and it is inf once the first term leaves float range.
     """
     if k < 0:
         raise ValueError(f"iteration index must be >= 0, got {k}")
@@ -246,7 +257,8 @@ class BoundReport:
         """``per_k_bound(k)`` for k = 0..iterations.
 
         Each value is the scalar bound: ``np.power`` over a k array is not
-        bit-identical to Python's ``**``.
+        bit-identical to Python's ``**``.  A non-contractive factor makes
+        the values inf from the first k past float range on.
         """
         return [self.per_k_bound(k) for k in range(iterations + 1)]
 

@@ -88,6 +88,12 @@ def _finish(artifacts, strict: bool) -> int:
         print(f"wrote {path}")
     if artifacts.report_path:
         print(f"wrote {artifacts.report_path}")
+    if artifacts.bound_overflow_k is not None:
+        print(
+            f"theorem bound exceeds float range from k={artifacts.bound_overflow_k} "
+            "on; those theorem_bound cells are inf",
+            file=sys.stderr,
+        )
     violations = artifacts.strict_violations
     if violations:
         print(

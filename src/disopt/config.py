@@ -370,6 +370,20 @@ def _parse_attack(doc, roles, p, errors) -> dict:
     return attack
 
 
+def _check_step(step, bits, midpoint, box_lo, box_hi) -> None:
+    """The quantizer's smallest step must be positive, and an iterate's
+    offset from the midpoint divided by it must stay finite."""
+    if step == 0:
+        raise _Invalid(f"the step interval_length / 2**{bits} underflows to 0")
+    if midpoint and box_lo and box_hi:
+        reach = max(max(hi - mid, mid - lo) for lo, mid, hi in zip(box_lo, midpoint, box_hi))
+        if reach / step == math.inf:
+            raise _Invalid(
+                f"the step interval_length / 2**{bits} is too small for objective.box: "
+                f"an offset of {reach:g} from the midpoint overflows as a step count"
+            )
+
+
 def read_document(document):
     """A parsed JSON document: ``document`` itself, or its text decoded."""
     if not isinstance(document, str):
@@ -413,14 +427,16 @@ def parse_config(document) -> ExperimentConfig:
             fail("objective.box", "quadratic objective needs the origin inside the box")
 
     lengths = None
+    midpoint, bits = v.get("quantizer.midpoint"), v.get("quantizer.bits")
     if v.get("quantizer") is not None and roles is not None and n is not None:
         try:
             lengths = _as_vector(v["quantizer.interval_length"], n)
             if any(length <= 0 for length in lengths):
                 raise _Invalid("must be positive")
+            if bits is not None:
+                _check_step(min(lengths) / 2**bits, bits, midpoint, box_lo, box_hi)
         except _Invalid as exc:
             fail("quantizer.interval_length", str(exc))
-    midpoint = v.get("quantizer.midpoint")
     if midpoint and box_lo and box_hi and not inside(midpoint):
         fail("quantizer.midpoint", "must lie inside objective.box")
 

@@ -254,16 +254,6 @@ def step(
     return next_iterates, gradients, h_attack_free, xi
 
 
-def _norms(v: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm`` of each row of a 2-D array, bit for bit.
-
-    ``norm`` of a vector is a dot product; ``norm(v, axis=1)`` sums the
-    squares in another order and differs in the last bit at p > 1.  A
-    (1, p) @ (p, 1) matmul per row is that same dot product.
-    """
-    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
-
-
 def _record_block(
     trace: Trace,
     start: int,
@@ -286,13 +276,14 @@ def _record_block(
     ``iterates`` holds the m+1 states of the block, the others the m
     rounds' (n, p) rows, ``xi`` the projection residuals ``step``
     recorded, ``bounds`` the box's (lo, hi) that ``step`` clipped with.
-    ``x_bar`` and the mean errors get rows start..start+m; the
-    next block writes the last one again, with the same value.  Each
-    column is one reduction over the block, bit for bit the per-round
-    value: axis means and row norms reduce each round's rows in the same
-    order as a single (n, p) array would.  ``quantizes`` marks the agents
-    whose broadcast is quantized.  In exact mode (``quantizer`` None) every
-    broadcast is its agent's iterate, so ``delta_bar`` is 0 without a norm.
+    The columns of a state get rows start..start+m; the next block
+    writes the last one again, with the same value.  Each column is one
+    reduction over the block, bit for bit the per-round value: axis means
+    and row norms, each ``np.linalg.norm(..., axis=-1)``, reduce each
+    round's rows in the same order as a single (n, p) array would.
+    ``quantizes`` marks the agents whose broadcast is quantized.  In exact
+    mode (``quantizer`` None) every broadcast is its agent's iterate, so
+    ``delta_bar`` is 0 without a norm.
     """
     m = len(gradients)
     rows = slice(start, start + m)
@@ -300,27 +291,27 @@ def _record_block(
     x_bar = iterates.mean(axis=1)
     states = slice(start, start + m + 1)
     trace.x_bar[states] = x_bar
-    trace.err_all[states] = _norms(x_bar - x_star)
-    trace.err_honest[states] = _norms(iterates[:, honest].mean(axis=1) - x_star)
-    trace.per_agent_err[rows] = np.linalg.norm(entering - x_star, axis=2)
+    trace.err_all[states] = np.linalg.norm(x_bar - x_star, axis=-1)
+    trace.err_honest[states] = np.linalg.norm(iterates[:, honest].mean(axis=1) - x_star, axis=-1)
+    trace.per_agent_err[states] = np.linalg.norm(iterates - x_star, axis=-1)
     trace.grad_mean[rows] = gradients.mean(axis=1)
     if quantizer is None:
         delta_bar = np.zeros(m)
         trace.saturation_count[rows] = 0
     else:
-        delta_bar = np.linalg.norm(entering - broadcasts, axis=2).mean(axis=1)
+        delta_bar = np.linalg.norm(entering - broadcasts, axis=-1).mean(axis=1)
         saturated = quantizes & ~quantizer.in_range(entering).all(axis=2)
         trace.saturation_count[rows] = saturated.sum(axis=1)
     trace.delta_bar[rows] = delta_bar
 
     xi_bar = xi.mean(axis=1)
-    xi_bar_norm = _norms(xi_bar)
+    xi_bar_norm = np.linalg.norm(xi_bar, axis=-1)
     xi_attack_free = h_attack_free - np.clip(h_attack_free, *bounds)
     trace.xi_bar[rows] = xi_bar
     trace.xi_bar_norm[rows] = xi_bar_norm
-    trace.xi_bar_attack_free_norm[rows] = _norms(xi_attack_free.mean(axis=1))
+    trace.xi_bar_attack_free_norm[rows] = np.linalg.norm(xi_attack_free.mean(axis=1), axis=-1)
     trace.mean_attack[rows] = attacks.mean(axis=1)
-    trace.mean_attack_norm[rows] = np.linalg.norm(attacks, axis=2).mean(axis=1)
+    trace.mean_attack_norm[rows] = np.linalg.norm(attacks, axis=-1).mean(axis=1)
 
     lemma1_rhs = lemma1_bound(delta_bar, subgrad_bound, alpha, iterates.shape[1])
     trace.lemma1_rhs[rows] = lemma1_rhs
@@ -517,9 +508,4 @@ def run(
             )
         states[0] = states[m]
 
-    final = states[0].copy()
-    # row K is each agent's per-vector norm, rows k < K the blocks'
-    # norm(..., axis=2): the two differ in the last bit at p > 1, and each
-    # is what the CSV has always written for its rows
-    trace.per_agent_err[iterations] = _norms(final - x_star)
-    return RunResult(traces=trace, final_iterates=final)
+    return RunResult(traces=trace, final_iterates=states[0].copy())

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,6 +30,7 @@ class ExperimentArtifacts:
     csv_paths: tuple
     report_path: Path | None
     strict_violations: tuple  # (seed, k): the projection-error bound failed unsaturated
+    bound_overflow_k: int | None  # first k whose theorem bound is inf
 
 
 def final_honest_err_stats(results) -> dict:
@@ -170,6 +172,9 @@ def run_experiment(
             (seed, k)
             for seed, result in zip(config.seeds, results)
             for k in result.unsaturated_lemma1_violations
+        ),
+        bound_overflow_k=next(
+            (k for k, bound in enumerate(theorem_bounds or ()) if math.isinf(bound)), None
         ),
     )
 

@@ -17,9 +17,10 @@ buffers, so the engine's broadcast allocates nothing per round.
 
 ``interval_length`` is positive: a scalar, or an array that broadcasts
 against the input, such as an (n, 1) column giving each row of an (n, p)
-input its own interval.  A vector ``midpoint`` is matched against the
-input's trailing axes.  Exact communication is no quantizer at all (the
-engine's ``quantizer=None``), not a zero-length interval.
+input its own interval.  The step it gives must not underflow to 0.  A
+vector ``midpoint`` is matched against the input's trailing axes.  Exact
+communication is no quantizer at all (the engine's ``quantizer=None``),
+not a zero-length interval.
 """
 
 from __future__ import annotations
@@ -51,8 +52,12 @@ class UniformQuantizer:
             raise ValueError(f"interval lengths must be positive, got {self.interval_length}")
         mid = np.asarray(self.midpoint, dtype=float)
         object.__setattr__(self, "midpoint", mid)
+        step = self.interval_length / 2**self.bits
+        # a zero step would quantize every offset to the midpoint, and a zero one to NaN
+        if not np.all(step > 0):
+            raise ValueError(f"the step interval_length / 2**{self.bits} underflows to 0")
         constants = {
-            "step": self.interval_length / 2**self.bits,
+            "step": step,
             "_half": self.interval_length / 2,
             "_cap": float(2 ** (self.bits - 1)),
         }

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from disopt.bounds import (
     recursion_bound,
     subgradient_admissible,
 )
+from disopt.config import MAX_ITERATIONS
 
 REL = 1e-12
 
@@ -184,18 +186,64 @@ def test_bound_column_is_per_k_bound_over_every_k(alpha):
         attack_norm=0.2,
         initial_error=0.8,
     )
+    # |rho|**(k/2) leaves float range at k = 1,430 for alpha 0.1 and at
+    # k = 3,502 for alpha 1.5; from there on the column is inf
+    iterations = 4000
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        column = report.bound_column(200)
-    assert column == [report.per_k_bound(k) for k in range(201)]
+        column = report.bound_column(iterations)
+    assert column == [report.per_k_bound(k) for k in range(iterations + 1)]
     # the public bound, bit for bit (c2 = 1 at mu = L = 1); only it warns
     with warnings.catch_warnings():
         if alpha != 0.7:
             warnings.simplefilter("ignore", RuntimeWarning)
-        public = [recursion_bound(k, 0.8, alpha, 1.0, 1.0, 3, 0.5, 0.2) for k in range(201)]
+        public = [
+            recursion_bound(k, 0.8, alpha, 1.0, 1.0, 3, 0.5, 0.2) for k in range(iterations + 1)
+        ]
     assert column == public
+    overflow = [k for k, bound in enumerate(column) if not math.isfinite(bound)]
+    assert overflow == {0.7: [], 0.1: list(range(1430, 4001)), 1.5: list(range(3502, 4001))}[alpha]
+    assert all(column[k] == math.inf for k in overflow)
     with pytest.raises(ValueError, match=">= 0"):
         report.per_k_bound(-1)
+
+
+@pytest.mark.parametrize("alpha", [0.1, 1.5, 2.0])
+def test_non_contractive_bound_is_inf_at_the_iteration_cap(alpha):
+    # rho = 2.7, -1.5, -3: the decay term leaves float range, and with a
+    # zero initial error it stays 0 instead of inf * 0 = NaN
+    kwargs = dict(
+        mu=1.0, lipschitz=1.0, alpha=alpha, bits=3, interval_length=1.0,
+        subgrad_bound=0.5, attack_norm=0.2,
+    )
+    report = BoundReport(**kwargs, initial_error=0.8)
+    assert not report.admissible["contractive"]
+    assert report.per_k_bound(MAX_ITERATIONS) == math.inf
+    at_zero = BoundReport(**kwargs, initial_error=0.0)
+    assert at_zero.per_k_bound(MAX_ITERATIONS) == at_zero.neighborhood
+
+
+def test_neighborhood_is_the_bound_with_no_initial_error():
+    # the JSON neighborhood is the CSV theorem_bound's limit bit for bit:
+    # the parameter ranges where two separate sums disagreed in the last
+    # bits for about three sets in ten
+    rng = np.random.default_rng(20)
+    for _ in range(2000):
+        report = BoundReport(
+            mu=1.0,
+            lipschitz=1.0,
+            alpha=float(rng.uniform(0.001, 1.0)),
+            bits=int(rng.integers(1, 31)),
+            interval_length=float(rng.uniform(0.01, 10.0)),
+            subgrad_bound=float(rng.uniform(0.0, 10.0)),
+            attack_norm=float(rng.uniform(0.0, 5.0)),
+            initial_error=0.0,
+        )
+        assert report.per_k_bound(0) == report.neighborhood
+        assert report.per_k_bound(MAX_ITERATIONS) == report.neighborhood
+        decaying = replace(report, initial_error=float(rng.uniform(0.0, 5.0)))
+        if decaying.admissible["contractive"]:
+            assert decaying.per_k_bound(MAX_ITERATIONS) == report.neighborhood
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,11 +1,18 @@
+import contextlib
+import io
 import json
+import math
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from disopt.cli import EXIT_OK, EXIT_STRICT, EXIT_USAGE, main
-from disopt.config import MAX_AGENTS, MAX_DIMENSION, parse_config
+from disopt.config import MAX_AGENTS, MAX_DIMENSION, parse_config, preset_document
 from disopt import harness
 from disopt.config import ConfigError
 from disopt.harness import expand_grid, run_experiment, run_single, sweep
@@ -53,9 +60,7 @@ def test_run_per_agent_columns(tmp_path):
 
 
 def test_per_agent_closing_row_is_the_final_state(tmp_path):
-    # at p > 1 the per-vector norm and norm(..., axis=1) can differ in the
-    # last bit (they do for two agents of this run); the closing row has
-    # always held the per-vector one
+    # every error is norm(..., axis=-1), the one form of every row
     doc = {
         **SMALL_RUN,
         "n": 5,
@@ -75,12 +80,11 @@ def test_per_agent_closing_row_is_the_final_state(tmp_path):
     honest = np.array([role == "honest" for role in config.roles])
     assert last[0] == str(config.iterations)
     assert last[1:3] == [
-        repr(float(np.linalg.norm(final.mean(axis=0) - x_star))),
-        repr(float(np.linalg.norm(final[honest].mean(axis=0) - x_star))),
+        repr(float(np.linalg.norm(final.mean(axis=0) - x_star, axis=-1))),
+        repr(float(np.linalg.norm(final[honest].mean(axis=0) - x_star, axis=-1))),
     ]
     assert last[3:6] == ["", "", ""] and last[7] == ""
-    assert last[8:] == [repr(float(np.linalg.norm(row - x_star))) for row in final]
-    assert last[8:] != list(map(repr, np.linalg.norm(final - x_star, axis=1).tolist()))
+    assert last[8:] == list(map(repr, np.linalg.norm(final - x_star, axis=-1).tolist()))
 
 
 def test_missing_config_is_usage_error(tmp_path, capsys):
@@ -123,6 +127,36 @@ def test_bits_limit_keeps_the_step_divisor_finite(tmp_path, capsys, bits, code):
     cfg = _write(tmp_path, "bits.json", doc)
     assert main(["run", str(cfg), "--out", str(tmp_path)]) == code
     assert ("quantizer.bits" in capsys.readouterr().err) == (code == EXIT_USAGE)
+
+
+def test_a_step_that_underflows_is_usage_error(tmp_path, capsys):
+    # 3e-294 / 2**225 rounds to a zero step: this run once divided by 0 (a
+    # RuntimeWarning), and its start at the midpoint gave 0/0 = NaN and a
+    # BoundViolationError (exit 1)
+    quantizer = {"bits": 225, "interval_length": 3e-294}
+    doc = dict(SMALL_RUN, quantizer=quantizer, init=[[0.0]] * 3)
+    cfg = _write(tmp_path, "tiny.json", doc)
+    assert main(["run", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
+    assert "quantizer.interval_length: the step" in capsys.readouterr().err
+
+
+def test_a_bound_column_past_float_range_is_inf(tmp_path, capsys):
+    # rho = 3 - 3 * 0.1 = 2.7: rho**(k/2) leaves float range at k = 1,430,
+    # which once raised OverflowError after every seed had run (exit 1)
+    doc = preset_document("fig2a", seeds=[0, 1])
+    doc.update(alpha=0.1, iterations=1500)
+    cfg = _write(tmp_path, "slow.json", doc)
+    assert main(["run", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+    assert capsys.readouterr().err.splitlines() == [
+        "theorem bound exceeds float range from k=1430 on; those theorem_bound cells are inf"
+    ]
+    report = json.loads((tmp_path / "slow_bounds.json").read_text())
+    assert report["admissible"]["contractive"] is False
+    bounds = [
+        row.split(",")[6] for row in (tmp_path / "slow_seed0.csv").read_text().splitlines()[1:]
+    ]
+    assert all(math.isfinite(float(cell)) for cell in bounds[:1430])
+    assert bounds[1430:] == ["inf"] * (1501 - 1430)
 
 
 # n and p each at their cap: a 7 GiB run workspace
@@ -323,3 +357,93 @@ def test_strict_mode_exit_code(tmp_path):
     assert code == EXIT_STRICT
     # the artifacts are still written before the failure is reported
     assert (out / "fig2c_seed0.csv").exists()
+
+
+# 10**U(-320, 50): from subnormal up to the magnitude cap (10.0**50 is a
+# hair above it, so the top of the range is a config error)
+_MAGNITUDE = st.floats(min_value=-320.0, max_value=50.0).map(lambda e: 10.0**e)
+
+
+@st.composite
+def _accepted_documents(draw) -> dict:
+    """Small documents with every real field drawn across float range."""
+    n, p = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    roles = ["honest"] + draw(st.lists(st.sampled_from(["honest", "adversarial"]),
+                                       min_size=n - 1, max_size=n - 1))
+    lo, hi = -draw(_MAGNITUDE), draw(_MAGNITUDE)
+    doc = {
+        "n": n,
+        "p": p,
+        "roles": roles,
+        "objective": {"name": "quadratic", "box": {"lo": lo, "hi": hi}},
+        "quantizer": None,
+        "alpha": draw(_MAGNITUDE),
+        "iterations": draw(st.sampled_from([1, 5, 50, 400, 3000])),
+        "seeds": draw(st.sampled_from([[0], [3, 1]])),
+        "adversary_quantizes": draw(st.booleans()),
+    }
+    start = 0.0
+    if draw(st.booleans()):
+        start = draw(st.floats(lo, hi))
+        doc["quantizer"] = {
+            "bits": draw(st.integers(1, 1023)),
+            "interval_length": draw(_MAGNITUDE),
+            "midpoint": start,
+        }
+    if draw(st.booleans()):  # every agent at the midpoint, a zero offset
+        doc["init"] = [[start] * p] * n
+    if "adversarial" in roles:
+        kind = draw(st.sampled_from(["zero", "constant", "uniform"]))
+        attack = {"kind": kind, "sign": draw(st.sampled_from(["positive", "negative"]))}
+        if kind == "constant":
+            attack["value"] = draw(_MAGNITUDE)
+        elif kind == "uniform":
+            attack["range"] = sorted([draw(_MAGNITUDE), draw(_MAGNITUDE)])
+            attack["seed"] = draw(st.integers(0, 2**32 - 1))
+        doc["attack"] = attack
+    return doc
+
+
+def _finite_json_number(text):
+    raise AssertionError(f"non-finite JSON number {text}")
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=_accepted_documents())
+# a step above 1 runs with the documented Lemma 1 hypothesis warning
+@pytest.mark.filterwarnings("ignore:projection-error bound assumes alpha <= 1")
+# a bound column past float range (once an OverflowError, exit 1) and a
+# quantizer step that underflows to 0 (once NaN at the midpoint, exit 1)
+@example(doc={**SMALL_RUN, "alpha": 0.1, "iterations": 3000})
+@example(doc={**SMALL_RUN, "quantizer": {"bits": 225, "interval_length": 3e-294},
+              "init": [[0.0]] * 3})
+def test_an_accepted_document_runs_to_the_end_or_is_a_config_error(doc):
+    try:
+        parse_config(doc)
+    except ConfigError:
+        accepted = False
+    else:
+        accepted = True
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "doc.json", Path(tmp) / "out"
+        path.write_text(json.dumps(doc))
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(["run", str(path), "--out", str(out)])
+        if not accepted:
+            assert code == EXIT_USAGE and stderr.getvalue().startswith("config error:")
+            return
+        assert code == EXIT_OK
+        contractive = True
+        if doc["quantizer"] is not None:
+            report = json.loads(
+                (out / "doc_bounds.json").read_text(), parse_constant=_finite_json_number
+            )
+            contractive = report["admissible"]["contractive"]
+        for seed in doc["seeds"]:
+            header, *rows = (out / f"doc_seed{seed}.csv").read_text().splitlines()
+            names = header.split(",")
+            for row in rows:
+                for name, cell in zip(names, row.split(",")):
+                    if cell and not math.isfinite(float(cell)):
+                        assert name == "theorem_bound" and not contractive, (name, cell)

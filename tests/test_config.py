@@ -142,6 +142,32 @@ def test_per_agent_interval_lengths():
     assert cfg.quantizer.interval_length.tolist() == [[1.0], [0.5], [1.0], [2.0]]
 
 
+@pytest.mark.parametrize(
+    "length, bits, message",
+    [
+        (3e-294, 225, "the step interval_length / 2**225 underflows to 0"),
+        ([1.0, 1.0, 2.0**-52, 1.0], 1023, "the step interval_length / 2**1023 underflows to 0"),
+        # 1e-246 / 2**209 is about 1.2e-309, and 1 / 1.2e-309 overflows
+        (1e-246, 209, "the step interval_length / 2**209 is too small for objective.box: "
+         "an offset of 1 from the midpoint overflows as a step count"),
+        (1e-246, 200, None),
+        # a reach of 1 is 2**1023 steps of 2**-1023, and 2**1024 steps of 2**-1024
+        (1.0, 1023, None),
+        ([1.0, 1.0, 0.5, 1.0], 1023, "the step interval_length / 2**1023 is too small for "
+         "objective.box: an offset of 1 from the midpoint overflows as a step count"),
+    ],
+)
+def test_a_step_the_quantizer_cannot_divide_by_is_a_config_error(length, bits, message):
+    doc = _doc()
+    doc["quantizer"].update(bits=bits, interval_length=length)
+    if message is None:
+        assert parse_config(doc).quantizer.bits == bits
+        return
+    with pytest.raises(ConfigError) as exc:
+        parse_config(doc)
+    assert exc.value.errors == [("quantizer.interval_length", message)]
+
+
 def test_exact_mode_has_no_quantizer():
     cfg = parse_config(_doc(quantizer=None))
     assert cfg.quantizer_bits is None

@@ -101,6 +101,20 @@ def test_interval_lengths_must_be_positive(bad, column):
         UniformQuantizer(bits=2, interval_length=length)
 
 
+@pytest.mark.parametrize("column", [False, True])
+def test_a_step_that_underflows_is_rejected(column):
+    # 2**-51 / 2**1023 is the smallest subnormal and 2**-52 / 2**1023
+    # rounds to 0; a zero step would quantize every offset to the
+    # midpoint, and a zero offset to 0/0 = NaN
+    def length(value):
+        return np.array([[1.0], [value]]) if column else value
+
+    assert UniformQuantizer(bits=1023, interval_length=length(2.0**-51)).step.min() == 2.0**-1074
+    for bits, value in [(1023, 2.0**-52), (225, 3e-294)]:
+        with pytest.raises(ValueError, match=f"interval_length / 2\\*\\*{bits} underflows to 0"):
+            UniformQuantizer(bits=bits, interval_length=length(value))
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     bits=st.integers(min_value=1, max_value=10),

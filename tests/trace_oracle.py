@@ -40,6 +40,17 @@ class IterationTrace:
     lemma1_ok: bool
 
 
+def state_columns(iterates, honest, x_star) -> dict:
+    """The state columns' row for one (n, p) state, the final one included."""
+    x_bar = iterates.mean(axis=0)
+    return dict(
+        x_bar=x_bar,
+        err_all=float(np.linalg.norm(x_bar - x_star, axis=-1)),
+        err_honest=float(np.linalg.norm(iterates[honest].mean(axis=0) - x_star, axis=-1)),
+        per_agent_err=np.linalg.norm(iterates - x_star, axis=-1),
+    )
+
+
 def reference_step(
     k, iterates, broadcasts, saturated, honest, attack_rows, weights,
     objective_rows, feasible, alpha, x_star, subgrad_bound,
@@ -55,28 +66,23 @@ def reference_step(
     xi = h - np.clip(h, feasible.lo, feasible.hi)
     next_iterates = h - xi
 
-    delta_bar = float(np.mean(np.linalg.norm(iterates - broadcasts, axis=1)))
+    delta_bar = float(np.mean(np.linalg.norm(iterates - broadcasts, axis=-1)))
     xi_bar = xi.mean(axis=0)
-    xi_bar_norm = float(np.linalg.norm(xi_bar))
+    xi_bar_norm = float(np.linalg.norm(xi_bar, axis=-1))
     xi_attack_free = h_attack_free - np.clip(h_attack_free, feasible.lo, feasible.hi)
     lemma1_rhs = lemma1_bound(delta_bar, subgrad_bound, alpha, n)
 
-    x_bar = iterates.mean(axis=0)
-    x_bar_honest = iterates[honest].mean(axis=0)
     trace = IterationTrace(
         k=k,
-        x_bar=x_bar,
+        **state_columns(iterates, honest, x_star),
         x_bar_next=next_iterates.mean(axis=0),
-        err_all=float(np.linalg.norm(x_bar - x_star)),
-        err_honest=float(np.linalg.norm(x_bar_honest - x_star)),
-        per_agent_err=np.linalg.norm(iterates - x_star, axis=1),
         grad_mean=gradients.mean(axis=0),
         delta_bar=delta_bar,
         xi_bar=xi_bar,
         xi_bar_norm=xi_bar_norm,
-        xi_bar_attack_free_norm=float(np.linalg.norm(xi_attack_free.mean(axis=0))),
+        xi_bar_attack_free_norm=float(np.linalg.norm(xi_attack_free.mean(axis=0), axis=-1)),
         mean_attack=attack_rows.mean(axis=0),
-        mean_attack_norm=float(np.mean(np.linalg.norm(attack_rows, axis=1))),
+        mean_attack_norm=float(np.mean(np.linalg.norm(attack_rows, axis=-1))),
         saturation_count=int(saturated.sum()),
         lemma1_rhs=lemma1_rhs,
         lemma1_ok=xi_bar_norm <= lemma1_rhs + engine.LEMMA1_TOL,
@@ -132,19 +138,13 @@ def reference_run(
 
 
 def reference_columns(traces, final, honest, x_star) -> dict:
-    """The per-round traces stacked into the engine's ``Trace`` columns.
-
-    The columns of a state get a row K built from the final iterates;
-    its per-agent errors are per-vector norms, as the CSV's closing row
-    has always been written, not ``norm(..., axis=1)`` as the rows k < K.
-    """
+    """The per-round traces stacked into the engine's ``Trace`` columns,
+    the columns of a state with a row K from the final iterates."""
     columns = {
         name: [getattr(t, name) for t in traces]
         for name in IterationTrace.__dataclass_fields__
         if name not in ("k", "x_bar_next")
     }
-    columns["x_bar"].append(final.mean(axis=0))
-    columns["err_all"].append(float(np.linalg.norm(final.mean(axis=0) - x_star)))
-    columns["err_honest"].append(float(np.linalg.norm(final[honest].mean(axis=0) - x_star)))
-    columns["per_agent_err"].append(np.array([np.linalg.norm(row - x_star) for row in final]))
+    for name, value in state_columns(final, honest, x_star).items():
+        columns[name].append(value)
     return {name: np.array(column) for name, column in columns.items()}
