@@ -16,10 +16,16 @@ array arithmetic, bit for bit equal to drawing each key alone.  Its
 constants are 0-d uint32/uint64 arrays built at import (see
 :mod:`disopt.operand`), and SeedSequence's hash-constant chains, the same
 on every call with as many entropy words, are built once per length.
+
+No sweep axis changes the stream, only the affine map applied to it, so
+inside a :func:`sharing_streams` block (the harness's seed loop) a table
+whose stream equals the last one drawn there reuses it.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from functools import cache
 
@@ -213,6 +219,44 @@ def _uniform_stream(seed: int, agents: np.ndarray, rounds: np.ndarray, p: int) -
     return out
 
 
+# Inside a sharing_streams block: {key: stream} holding at most the last
+# keyed stream drawn there; None outside every block.  A ContextVar, so a
+# block in one thread is invisible to the others.
+_SHARED: ContextVar = ContextVar("disopt_shared_stream", default=None)
+
+
+@contextmanager
+def sharing_streams():
+    """Within the block, a uniform :func:`attack_table` whose keyed stream
+    is the last one drawn in the block (same derived seed, agent ids,
+    rounds and p) reuses it instead of drawing it again.
+
+    Only that last stream is kept, read-only, and it is dropped when the
+    block ends; outside every block each call draws its stream.
+    """
+    token = _SHARED.set({})
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
+def _keyed_stream(seed: int, agents: np.ndarray, rounds: np.ndarray, p: int) -> np.ndarray:
+    """:func:`_uniform_stream`, or inside a :func:`sharing_streams` block
+    the last stream drawn there when its key matches."""
+    shared = _SHARED.get()
+    if shared is None:
+        return _uniform_stream(seed, agents, rounds, p)
+    key = (seed, p, agents.tobytes(), rounds.tobytes())
+    stream = shared.get(key)
+    if stream is None:
+        shared.clear()  # before the draw, so two streams are never alive
+        stream = _uniform_stream(seed, agents, rounds, p)
+        stream.flags.writeable = False
+        shared[key] = stream
+    return stream
+
+
 def attack_table(policy: AttackPolicy, agents, rounds, p: int) -> np.ndarray:
     """Attack vectors e_i(k) of the listed adversaries at the listed rounds.
 
@@ -221,8 +265,10 @@ def attack_table(policy: AttackPolicy, agents, rounds, p: int) -> np.ndarray:
     policy's entries are ``sgn * (low + (high - low) * u)``, where ``u``
     is the keyed stream ``default_rng(SeedSequence((seed, agent, k)))
     .random(p)``, reproduced bit for bit over the whole grid in uint64
-    array arithmetic.  Agent ids and rounds must lie in [0, 2**32): a
-    larger index would enter the stream as two words.
+    array arithmetic (or reused inside a :func:`sharing_streams` block).
+    The returned array is always new and writable.  Agent ids and rounds
+    must lie in [0, 2**32): a larger index would enter the stream as two
+    words.
     """
     if p < 1:
         raise ValueError(f"dimension must be >= 1, got {p}")
@@ -238,7 +284,7 @@ def attack_table(policy: AttackPolicy, agents, rounds, p: int) -> np.ndarray:
                 f"constant attack has dimension {policy.value.shape[0]}, expected {p}"
             )
         return np.broadcast_to(sgn * policy.value, shape).copy()
-    u = _uniform_stream(policy.seed, agents, rounds, p)
+    u = _keyed_stream(policy.seed, agents, rounds, p)
     return sgn * (policy.low + (policy.high - policy.low) * u)
 
 

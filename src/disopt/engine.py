@@ -29,8 +29,13 @@ its uint64 temporaries (n = 10, p = 1, 7 uniform adversaries, a repeated
 run under tracemalloc: a 1.1 MB peak against 0.25 MB of columns at
 K = 1000, 8.3 MB against 2.0 MB at K = 8000).
 
-A single run is sequential and fully deterministic given its seed; runs
-share no mutable state, so seed sweeps may execute concurrently.
+A single run is sequential and fully deterministic given its seed.  Runs
+share one thing, read-only: inside an :func:`adversary.sharing_streams`
+block, which the harness holds for one seed loop (one CLI invocation),
+runs whose keyed attack streams coincide read the one stream drawn first,
+kept until another stream is drawn or the block ends.  The block belongs
+to its thread (a context variable), so runs in separate threads share no
+state and may execute concurrently.
 """
 
 from __future__ import annotations

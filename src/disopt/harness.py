@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import engine
-from .adversary import attack_norm_bound
+from .adversary import attack_norm_bound, sharing_streams
 from .bounds import BoundReport
 from .config import PRESETS, ConfigError, ExperimentConfig, parse_config, preset_document
 from .config import _object, _range, _rule, check_value, read_document
@@ -33,12 +33,12 @@ class ExperimentArtifacts:
     bound_overflow_k: int | None  # first k whose theorem bound is inf
 
 
-def final_honest_err_stats(results) -> dict:
-    """Mean and max over a scenario's seeds of the final honest-mean error."""
-    errors = [r.traces.err_honest[-1] for r in results]
+def final_honest_err_stats(final_errors) -> dict:
+    """Mean and max of a scenario's final honest-mean errors, one per seed
+    (each run's ``traces.err_honest[-1]``)."""
     return {
-        "mean_final_honest_err": float(np.mean(errors)),
-        "max_final_honest_err": float(np.max(errors)),
+        "mean_final_honest_err": float(np.mean(final_errors)),
+        "max_final_honest_err": float(np.max(final_errors)),
     }
 
 
@@ -60,13 +60,14 @@ def run_single(config: ExperimentConfig, seed: int) -> engine.RunResult:
     )
 
 
-def build_bound_report(config: ExperimentConfig, results) -> BoundReport | None:
-    """Closed-form report for a scenario; None in exact-communication mode."""
+def build_bound_report(config: ExperimentConfig, initial_error: float) -> BoundReport | None:
+    """Closed-form report for a scenario whose largest initial error over
+    its seeds (each run's ``traces.err_all[0]``) is ``initial_error``;
+    None in exact-communication mode."""
     quantizer = config.quantizer
     if quantizer is None:
         return None
     objectives, _ = config.objectives
-    initial_error = max(float(r.traces.err_all[0]) for r in results) if results else 0.0
     return BoundReport(
         mu=min(o.mu for o in objectives),
         lipschitz=max(o.lipschitz for o in objectives),
@@ -79,28 +80,35 @@ def build_bound_report(config: ExperimentConfig, results) -> BoundReport | None:
     )
 
 
-def _run_seeds(config: ExperimentConfig) -> tuple:
-    """Every seed's run of a config, and the config's bound report.
+def _run_seeds(configs: list, fold) -> None:
+    """Run every seed of each config, seed-major, handing each run to
+    ``fold(index of its config, result)`` as it finishes.
 
-    Each seed goes through the module's ``run_single`` name, so a wrapper
-    installed there sees every run.
+    The configs share one seed list (a sweep's points take the base's).
+    Each run goes through the module's ``run_single`` name, so a wrapper
+    installed there sees every run.  The loop is one
+    :func:`adversary.sharing_streams` block, so the configs' runs of one
+    seed draw its keyed attack stream once.
     """
-    results = [run_single(config, seed) for seed in config.seeds]
-    return results, build_bound_report(config, results)
+    with sharing_streams():
+        for seed in configs[0].seeds:
+            for index, config in enumerate(configs):
+                fold(index, run_single(config, seed))
 
 
 def write_trace_csv(
     path: Path,
     result: engine.RunResult,
-    theorem_bounds: list | None,
+    theorem_cells: list | None,
     include_agents: bool = False,
 ) -> None:
     """Trace rows k = 0..K, row K being the final state.
 
     The columns of a state (mean errors, theorem bound, per-agent errors)
     have K+1 values; the per-round columns are blank in row K.
-    ``theorem_bounds`` is the scenario's :meth:`BoundReport.bound_column`
-    (K+1 floats), or None in exact-communication mode.
+    ``theorem_cells`` is the scenario's :meth:`BoundReport.bound_column`
+    formatted once for all its seeds (K+1 ``repr`` strings), or None in
+    exact-communication mode.
     """
     t = result.traces
     header = [
@@ -122,7 +130,7 @@ def write_trace_csv(
         [*map(repr, t.delta_bar.tolist()), ""],
         [*map(repr, t.xi_bar_norm.tolist()), ""],
         [*map(repr, t.lemma1_rhs.tolist()), ""],
-        map(repr, theorem_bounds) if theorem_bounds else itertools.repeat(""),
+        theorem_cells or itertools.repeat(""),
         [*map(str, t.saturation_count.tolist()), ""],
     ]
     if include_agents:
@@ -143,13 +151,16 @@ def run_experiment(
     """Run every seed of a scenario and write its CSV/JSON artifacts."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    results, report = _run_seeds(config)
+    results = []
+    _run_seeds([config], lambda _, result: results.append(result))
+    report = build_bound_report(config, max(float(r.traces.err_all[0]) for r in results))
     theorem_bounds = report.bound_column(config.iterations) if report else None
+    theorem_cells = [*map(repr, theorem_bounds)] if theorem_bounds else None
 
     csv_paths = []
     for seed, result in zip(config.seeds, results):
         path = outdir / f"{name}_seed{seed}.csv"
-        write_trace_csv(path, result, theorem_bounds, include_agents=include_agents)
+        write_trace_csv(path, result, theorem_cells, include_agents=include_agents)
         csv_paths.append(path)
 
     report_path = None
@@ -157,9 +168,9 @@ def run_experiment(
         report_path = outdir / f"{name}_bounds.json"
         payload = report.to_dict()
         payload["seeds"] = list(config.seeds)
-        payload["mean_final_honest_err"] = final_honest_err_stats(results)[
-            "mean_final_honest_err"
-        ]
+        payload["mean_final_honest_err"] = final_honest_err_stats(
+            [r.traces.err_honest[-1] for r in results]
+        )["mean_final_honest_err"]
         with open(report_path, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -245,19 +256,32 @@ def expand_grid(grid_doc) -> list:
 
 
 def sweep(grid_doc, outdir) -> list:
-    """Run a validated grid and write one summary row per point."""
+    """Run a validated grid and write one summary row per point.
+
+    Each run is folded into its point's summary as it finishes: a point
+    keeps one final honest error and one initial error per seed, never a
+    trace.
+    """
     points = expand_grid(grid_doc)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
+    finals = [[] for _ in points]
+    initials = [[] for _ in points]
+
+    def fold(index, result):
+        finals[index].append(result.traces.err_honest[-1])
+        initials[index].append(float(result.traces.err_all[0]))
+
+    _run_seeds([cfg for _, cfg in points], fold)
     names = sorted({k for point, _ in points for k in point})
     rows = []
-    for point, cfg in points:
-        results, report = _run_seeds(cfg)
+    for (point, cfg), final, initial in zip(points, finals, initials):
+        report = build_bound_report(cfg, max(initial))
         rows.append(
             {
                 **{k: point.get(k, "") for k in names},
-                **final_honest_err_stats(results),
+                **final_honest_err_stats(final),
                 "neighborhood": report.neighborhood if report else "",
             }
         )

@@ -247,7 +247,7 @@ def test_criterion_7_bound_dominance(capsys):
         }
     )
     results = [run_single(cfg, seed) for seed in cfg.seeds]
-    report = build_bound_report(cfg, results)
+    report = build_bound_report(cfg, max(float(r.traces.err_all[0]) for r in results))
     flags = report.admissible
     assert all(flags.values()), f"hypotheses not satisfied: {flags}"
     worst_excess = -np.inf
@@ -302,7 +302,7 @@ def test_criteria_3_4_7_on_sparse_graphs(graph, adversaries, capsys):
         doc["attack"] = {"kind": "uniform", "range": [0.0, 1.0], "sign": "positive", "seed": 7}
     cfg = parse_config(doc)
     results = [run_single(cfg, seed) for seed in cfg.seeds]
-    report = build_bound_report(cfg, results)
+    report = build_bound_report(cfg, max(float(r.traces.err_all[0]) for r in results))
     admissible = all(report.admissible.values())
 
     worst_identity = 0.0

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +15,7 @@ from disopt.adversary import (
     attack_vector,
     max_attack_norm,
     reseed,
+    sharing_streams,
 )
 
 
@@ -157,3 +160,25 @@ def test_attack_table_rejects_keys_outside_one_word(agents, rounds):
     policy = AttackPolicy(kind="uniform", low=0.0, high=1.0)
     with pytest.raises(ValueError, match="must lie in"):
         attack_table(policy, agents, rounds, 2)
+
+
+def test_only_a_sharing_block_reuses_a_keyed_stream(monkeypatch):
+    draws = []
+    real = adversary._uniform_stream
+    monkeypatch.setattr(adversary, "_uniform_stream", lambda *key: draws.append(key) or real(*key))
+    policy = AttackPolicy(kind="uniform", low=0.2, high=0.9, seed=11)
+    wider = replace(policy, high=1.5)  # another affine map of the same stream
+    outside = [attack_table(policy, [1, 4], range(6), 3) for _ in range(2)]
+    assert len(draws) == 2
+    with sharing_streams():
+        inside = [attack_table(p, [1, 4], range(6), 3) for p in (policy, wider, policy)]
+        assert len(draws) == 3
+        attack_table(policy, [1, 4], range(7), 3)  # another key draws, and replaces it
+        attack_table(policy, [1, 4], range(6), 3)
+        assert len(draws) == 5
+    assert adversary._SHARED.get() is None
+    tables = outside + inside
+    assert all(t.flags.writeable for t in tables)
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(tables) for b in tables[:i])
+    for table, p in zip(tables, (policy, policy, policy, wider, policy)):
+        assert np.array_equal(table, reference_attack_table(p, [1, 4], range(6), 3))

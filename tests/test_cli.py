@@ -1,9 +1,11 @@
 import contextlib
+import csv
 import io
 import json
 import math
 import tempfile
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 from disopt.cli import EXIT_OK, EXIT_STRICT, EXIT_USAGE, main
 from disopt.config import MAX_AGENTS, MAX_DIMENSION, parse_config, preset_document
-from disopt import harness
+from disopt import adversary, harness
 from disopt.config import ConfigError
 from disopt.harness import expand_grid, run_experiment, run_single, sweep
 
@@ -332,7 +334,8 @@ def test_sweep_takes_json_text(tmp_path):
 
 def test_every_seed_runs_through_the_harness_run_single(monkeypatch, tmp_path):
     # a wrapper installed on harness.run_single, as the benchmark's seed
-    # timer is, sees each seed of a run and of every grid point once
+    # timer is, sees each seed of a run and of every grid point once; a
+    # sweep runs seed-major, every point's run of seed 0 first
     calls = []
     real = harness.run_single
 
@@ -346,7 +349,86 @@ def test_every_seed_runs_through_the_harness_run_single(monkeypatch, tmp_path):
     calls.clear()
     grid = {"bits": [1, 3], "alpha": [0.5, 0.6, 0.7]}
     rows = sweep({"base": SMALL_RUN, "grid": grid}, tmp_path / "sweep")
-    assert len(rows) == 6 and calls == [0, 1] * 6
+    assert len(rows) == 6 and calls == [0] * 6 + [1] * 6
+
+
+def _fig2c_sweep(grid: dict, iterations: int, seeds: list) -> dict:
+    base = preset_document("fig2c")
+    base.update(iterations=iterations, seeds=seeds)
+    return {"base": base, "grid": grid}
+
+
+def test_a_sweep_draws_each_seeds_stream_once_and_matches_per_point_runs(
+    monkeypatch, tmp_path
+):
+    # no grid axis changes the keyed stream, so P points of S seeds draw S
+    # streams; every point's summary is still that of its own run
+    seeds = [0, 3, 5]
+    doc = _fig2c_sweep(
+        {"bits": [1, 2], "interval_length": [1.0, 2.0], "attack_high": [0.5, 1.0]}, 30, seeds
+    )
+    draws = []  # the derived seed of each keyed stream drawn
+    real = adversary._uniform_stream
+    monkeypatch.setattr(
+        adversary, "_uniform_stream", lambda *key: draws.append(key[0]) or real(*key)
+    )
+    sweep(doc, tmp_path / "sweep")
+    assert len(draws) == len(set(draws)) == len(seeds)
+
+    with open(tmp_path / "sweep" / "sweep_summary.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    points = expand_grid(doc)
+    assert len(rows) == len(points) == 8
+    for index, ((point, cfg), row) in enumerate(zip(points, rows)):
+        out = tmp_path / f"point{index}"
+        artifacts = run_experiment(cfg, out)
+        report = json.loads(artifacts.report_path.read_text())
+        finals = [
+            float(path.read_text().splitlines()[-1].split(",")[2])  # err_mean_honest
+            for path in artifacts.csv_paths
+        ]
+        assert {k: float(row[k]) for k in point} == point
+        assert float(row["mean_final_honest_err"]) == report["mean_final_honest_err"]
+        assert float(row["max_final_honest_err"]) == max(finals)
+        assert float(row["neighborhood"]) == report["neighborhood"]
+
+
+def test_no_keyed_stream_outlives_the_sweep_that_drew_it(monkeypatch, tmp_path):
+    streams = []
+    real = adversary._uniform_stream
+
+    def recording(*args):
+        stream = real(*args)
+        streams.append(weakref.ref(stream))
+        return stream
+
+    monkeypatch.setattr(adversary, "_uniform_stream", recording)
+    sweep(_fig2c_sweep({"alpha": [0.5, 0.7]}, 10, [0, 1]), tmp_path)
+    assert len(streams) == 2
+    assert adversary._SHARED.get() is None
+    assert [ref() for ref in streams] == [None, None]
+
+
+def _sweep_peak(tmp_path, grid: dict) -> int:
+    doc = _fig2c_sweep(grid, 200, [0, 1, 2, 3])
+    sweep(doc, tmp_path / "warm")  # caches and the heap reach their steady state
+    tracemalloc.start()
+    try:
+        sweep(doc, tmp_path / "out")
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_sweeps_peak_memory_does_not_grow_with_its_traces(tmp_path):
+    # a run is folded into its point's summary as it finishes, so only the
+    # ten extra configs add to the peak (~70 kB); holding every run's trace
+    # would add ~39 kB for each of the 40 extra runs (1.6 MB)
+    two = _sweep_peak(tmp_path, {"bits": [1, 2]})
+    twelve = _sweep_peak(
+        tmp_path, {"bits": [1, 2, 3], "alpha": [0.5, 0.7], "attack_high": [0.5, 1.0]}
+    )
+    assert twelve - two < 256 * 1024
 
 
 def test_strict_mode_exit_code(tmp_path):

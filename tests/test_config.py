@@ -44,7 +44,7 @@ def test_valid_document_round_trip():
     assert cfg.roles == ("honest", "honest", "honest", "adversarial")
     assert cfg.quantizer_bits == 2
     assert cfg.interval_lengths == (1.0, 1.0, 1.0, 1.0)
-    assert build_bound_report(cfg, []).interval_length == 1.0
+    assert build_bound_report(cfg, 0.0).interval_length == 1.0
     assert set(cfg.attack) == {3}
     assert cfg.seeds == (0, 1)
     # parse from JSON text too
@@ -138,7 +138,7 @@ def test_per_agent_interval_lengths():
     doc["quantizer"]["interval_length"] = [1.0, 0.5, 1.0, 2.0]
     cfg = parse_config(doc)
     assert cfg.interval_lengths == (1.0, 0.5, 1.0, 2.0)
-    assert build_bound_report(cfg, []).interval_length == 2.0
+    assert build_bound_report(cfg, 0.0).interval_length == 2.0
     assert cfg.quantizer.interval_length.tolist() == [[1.0], [0.5], [1.0], [2.0]]
 
 
@@ -172,7 +172,7 @@ def test_exact_mode_has_no_quantizer():
     cfg = parse_config(_doc(quantizer=None))
     assert cfg.quantizer_bits is None
     assert cfg.quantizer is None
-    assert build_bound_report(cfg, []) is None
+    assert build_bound_report(cfg, 0.0) is None
 
 
 def test_init_shape_checked():
