@@ -3,7 +3,10 @@
 Subcommands: ``run <config.json>``, ``sweep <grid.json>``, and
 ``preset <name>``.  Exit codes: 0 on success, 1 when strict mode
 (``--strict`` or the config's ``"strict": true``) finds a projection-error
-bound violation at an unsaturated step, 2 on usage or config errors.
+bound violation at an unsaturated step, 2 on usage or config errors, 3
+when a run fails an invariant check (its state went NaN or broke the
+mean-iterate identity), reported as one stderr line naming the scenario,
+the seed and the round k.
 ``run`` and ``sweep`` read their file the same way, so malformed JSON in
 either is the config error ``<document>: malformed JSON``; an output
 directory that cannot be made is a usage error, found before any seed runs.
@@ -17,11 +20,13 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, PRESETS, parse_config, preset_document
+from .engine import BoundViolationError
 from .harness import run_experiment, sweep
 
 EXIT_OK = 0
 EXIT_STRICT = 1
 EXIT_USAGE = 2
+EXIT_INVARIANT = 3
 
 OUTDIR_ENV = "DISOPT_OUT"
 
@@ -146,6 +151,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         _report_config_error(exc)
         return EXIT_USAGE
+    except BoundViolationError as exc:
+        print(f"invariant violated in {exc.scenario}, seed {exc.seed}: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
 
 
 def entry() -> None:

@@ -19,6 +19,13 @@ bounds are two (n, p) rows of the workspace, which ``clip`` reads without
 the buffer it allocates for a (p,) bound.  An
 objective whose agents are not contiguous is handed a row copy and
 returns a new array, which is scattered into the gradient rows.
+A round is four calls, each through its module or class name:
+``broadcast_phase`` (one ``UniformQuantizer.quantize``) and ``step`` (one
+``matrix_form_update``), kept apart because ``bench/tracing.py`` wraps each
+and divides per-round metrics by their counts.  Around their arithmetic,
+buffers go positionally, ufuncs are module-level names, and the box's
+(lo, hi) rows and the ``None`` rows marking one objective that every agent
+carries (no views of the state) are built once per run.
 After every block, each column of the run's :class:`Trace` is filled by
 one array reduction over the block, the quantizer saturation test
 included, and the mean-iterate invariant is checked there.  The block
@@ -50,6 +57,11 @@ from .objective import FeasibleSet, suite_subgrad_bound
 from .operand import operand
 from .quantizer import UniformQuantizer
 
+# the round's ufuncs, bound once: a module global is one lookup, not two
+_add, _subtract, _multiply, _matmul, _copyto = (
+    np.add, np.subtract, np.multiply, np.matmul, np.copyto
+)
+
 # Tolerance of the mean-iterate bookkeeping identity; it is an exact
 # algebraic consequence of the update, so only rounding noise is allowed.
 # Rounding grows with the size of the identity's terms, so a run scales it
@@ -68,7 +80,11 @@ BLOCK_BYTES = 1 << 18
 
 class BoundViolationError(RuntimeError):
     """An invariant check failed during a run: the mean-iterate identity
-    was off by more than its rounding tolerance, or a state went NaN."""
+    was off by more than its rounding tolerance, or a state went NaN.
+    The message names k; the harness sets ``scenario`` and ``seed``."""
+
+    scenario: str | None = None
+    seed: int | None = None
 
 
 @dataclass(eq=False)
@@ -178,8 +194,8 @@ def broadcast_phase(
     if quantizer is None:
         out[...] = iterates
     else:
-        quantizer.quantize(iterates, out=out, scratch=scratch)
-        np.copyto(out, iterates, where=full_precision)
+        quantizer.quantize(iterates, out, scratch)
+        _copyto(out, iterates, where=full_precision)
     return out
 
 
@@ -200,10 +216,10 @@ def matrix_form_update(
     other.  ``alpha`` may be a float or a 0-d float64 array, the cheaper
     operand, with the same result.
     """
-    mixing = np.matmul(weights, broadcasts, scratch)
-    np.subtract(iterates, broadcasts, out)
-    np.add(out, mixing, out)
-    return np.subtract(out, np.multiply(alpha, gradients, scratch), out)
+    mixing = _matmul(weights, broadcasts, scratch)
+    _subtract(iterates, broadcasts, out)
+    _add(out, mixing, out)
+    return _subtract(out, _multiply(alpha, gradients, scratch), out)
 
 
 def step(
@@ -223,13 +239,14 @@ def step(
     is ``h - clip(h)`` and the next iterates are ``h - xi``.
     ``attack_rows`` holds this round's attack e_i(k) per agent (zero rows
     for honest agents); ``objective_rows`` pairs each distinct objective
-    with the agents that carry it, as an index array or a slice: a slice's
-    subgradients are written into their gradient rows through ``out`` (or
-    copied there, if the objective returns another array), an index
-    array's (whose rows are copies) are returned and scattered.
+    with the agents that carry it, as an index array, a slice, or None
+    for all of them: a slice's subgradients, or None's over the whole
+    state, are written into their gradient rows through ``out`` (or copied
+    there, if the objective returns another array), an index array's
+    (whose rows are copies) are returned and scattered.
     ``bounds`` is the box's (lo, hi), arrays that broadcast against the
-    state; the run passes them as (n, p) arrays, which ``clip`` reads
-    without the buffer it allocates for a (p,) bound.
+    state; the run passes them as a tuple of (n, p) arrays, which ``clip``
+    reads without the buffer it allocates for a (p,) bound.
 
     ``out`` is four (n, p) buffers, (next iterates, gradients, ``H_af``,
     ``xi``), which receive the results and are returned; ``xi`` holds the
@@ -238,25 +255,26 @@ def step(
     """
     next_iterates, gradients, h_attack_free, xi = out
     for objective, rows in objective_rows:
-        if isinstance(rows, slice):
-            rows_out = gradients[rows]
-            result = objective.subgradient(iterates[rows], out=rows_out)
-            if result is not rows_out:  # an objective that ignored ``out``
-                rows_out[...] = result
+        if rows is None:  # every agent's: the whole buffers, no views
+            x, rows_out = iterates, gradients
+        elif isinstance(rows, slice):
+            x, rows_out = iterates[rows], gradients[rows]
         else:
             gradients[rows] = objective.subgradient(iterates[rows])
-    matrix_form_update(
-        weights, iterates, broadcasts, gradients, alpha, out=h_attack_free, scratch=xi
-    )
-    h = np.add(h_attack_free, attack_rows, next_iterates)
+            continue
+        result = objective.subgradient(x, out=rows_out)
+        if result is not rows_out:  # an objective that ignored ``out``
+            rows_out[...] = result
+    matrix_form_update(weights, iterates, broadcasts, gradients, alpha, h_attack_free, xi)
+    h = _add(h_attack_free, attack_rows, next_iterates)
     # the projection stays clip, not np.maximum/np.minimum, which can give
     # the other signed zero at a zero bound: np.clip(-0.0, 0.0, 1.0) is
     # -0.0 where np.maximum(-0.0, 0.0) is 0.0
     h.clip(*bounds, out=xi)
-    np.subtract(h, xi, xi)
+    _subtract(h, xi, xi)
     # h - xi, not the clipped point: far outside the box they differ
-    np.subtract(h, xi, next_iterates)
-    return next_iterates, gradients, h_attack_free, xi
+    _subtract(h, xi, next_iterates)
+    return out
 
 
 def _record_block(
@@ -272,7 +290,7 @@ def _record_block(
     quantizer: UniformQuantizer | None,
     quantizes: np.ndarray,
     x_star: np.ndarray,
-    bounds: np.ndarray,
+    bounds: tuple,
     subgrad_bound: float,
     alpha: float,
 ) -> None:
@@ -446,6 +464,8 @@ def run(
     objective_rows = [
         (objective, _as_slice(rows)) for objective, rows in _grouped(enumerate(objectives))
     ]
+    if len(objective_rows) == 1:  # one objective carried by every agent
+        objective_rows = [(objective_rows[0][0], None)]
     trace = Trace.empty(iterations, n, p)
 
     block = min(iterations, max(1, BLOCK_BYTES // (8 * n * p)))
@@ -458,8 +478,8 @@ def run(
     broadcasts, gradients, h_attack_free, xi, attack_rows = workspace[
         block + 1 : 6 * block + 1
     ].reshape(5, block, n, p)
-    bounds = workspace[6 * block + 1 :]
-    bounds[0], bounds[1] = feasible.lo, feasible.hi
+    lo, hi = bounds = tuple(workspace[6 * block + 1 :])  # views made once, not per round
+    lo[...], hi[...] = feasible.lo, feasible.hi
     quantizes = honest | adversary_quantizes
     full_precision = ~quantizes[:, None]
     weights = topology.weights
@@ -475,7 +495,7 @@ def run(
         )
         for state, next_state, sent, gradient, h_af, xi_row, attack in rounds:
             # the round's residual row is the quantizer's scratch before it
-            broadcast_phase(state, quantizer, full_precision, out=sent, scratch=xi_row)
+            broadcast_phase(state, quantizer, full_precision, sent, xi_row)
             step(
                 state,
                 sent,
@@ -484,7 +504,7 @@ def run(
                 objective_rows,
                 bounds,
                 alpha_operand,
-                out=(next_state, gradient, h_af, xi_row),
+                (next_state, gradient, h_af, xi_row),
             )
         _record_block(
             trace,

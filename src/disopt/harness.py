@@ -80,20 +80,27 @@ def build_bound_report(config: ExperimentConfig, initial_error: float) -> BoundR
     )
 
 
-def _run_seeds(configs: list, fold) -> None:
-    """Run every seed of each config, seed-major, handing each run to
-    ``fold(index of its config, result)`` as it finishes.
+def _run_seeds(scenarios: list, fold) -> None:
+    """Run every seed of each (name, config) scenario, seed-major, handing
+    each run to ``fold(index of its scenario, result)`` as it finishes.
 
     The configs share one seed list (a sweep's points take the base's).
     Each run goes through the module's ``run_single`` name, so a wrapper
     installed there sees every run.  The loop is one
     :func:`adversary.sharing_streams` block, so the configs' runs of one
-    seed draw its keyed attack stream once.
+    seed draw its keyed attack stream once.  A run's
+    :class:`engine.BoundViolationError` leaves with its ``scenario`` name
+    and ``seed`` set.
     """
     with sharing_streams():
-        for seed in configs[0].seeds:
-            for index, config in enumerate(configs):
-                fold(index, run_single(config, seed))
+        for seed in scenarios[0][1].seeds:
+            for index, (name, config) in enumerate(scenarios):
+                try:
+                    result = run_single(config, seed)
+                except engine.BoundViolationError as exc:
+                    exc.scenario, exc.seed = name, seed
+                    raise
+                fold(index, result)
 
 
 def write_trace_csv(
@@ -152,7 +159,7 @@ def run_experiment(
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     results = []
-    _run_seeds([config], lambda _, result: results.append(result))
+    _run_seeds([(name, config)], lambda _, result: results.append(result))
     report = build_bound_report(config, max(float(r.traces.err_all[0]) for r in results))
     theorem_bounds = report.bound_column(config.iterations) if report else None
     theorem_cells = [*map(repr, theorem_bounds)] if theorem_bounds else None
@@ -273,7 +280,7 @@ def sweep(grid_doc, outdir) -> list:
         finals[index].append(result.traces.err_honest[-1])
         initials[index].append(float(result.traces.err_all[0]))
 
-    _run_seeds([cfg for _, cfg in points], fold)
+    _run_seeds([(f"grid point {point}", cfg) for point, cfg in points], fold)
     names = sorted({k for point, _ in points for k in point})
     rows = []
     for (point, cfg), final, initial in zip(points, finals, initials):

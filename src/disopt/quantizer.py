@@ -33,6 +33,7 @@ from .operand import operand
 
 # the 0.5 that rounds a step count to nearest
 _ONE_HALF = operand(0.5)
+_FLOAT64 = np.dtype(float)
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,9 @@ class UniformQuantizer:
             object.__setattr__(self, name, operand(value))
 
     def _checked(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        # a float64 ndarray is what asarray would return: the round skips it
+        if type(x) is not np.ndarray or x.dtype is not _FLOAT64:
+            x = np.asarray(x, dtype=float)
         mid = self.midpoint
         if mid.shape != x.shape[x.ndim - mid.ndim :]:
             raise ValueError(f"midpoint shape {mid.shape} does not match input {x.shape}")

@@ -50,6 +50,37 @@ def test_every_span_target_resolves(tracing):
     assert missing == []
 
 
+# quantized broadcasts from the honest agents, a full-precision adversary
+SMALL_RUN = {
+    "n": 3,
+    "p": 1,
+    "topology": {"type": "complete"},
+    "roles": ["honest", "honest", "adversarial"],
+    "objective": {"name": "quadratic", "box": {"lo": -1.0, "hi": 1.0}},
+    "quantizer": {"bits": 2, "interval_length": 1.0},
+    "attack": {"kind": "uniform", "range": [0.0, 1.0], "seed": 1},
+    "alpha": 0.5,
+    "iterations": 4,
+}
+
+
+def _assert_one_span_per_round(recorder, quantizes: bool) -> None:
+    # one call each per round: the bench divides by these counts
+    # (quantizer.calls, engine.mix_*_per_round), so none may be bypassed;
+    # the one objective every agent carries is one subgradient call too
+    spans = recorder.totals()["spans"]
+    assert spans["harness.run_single"]["count"] == spans["engine.run"]["count"] == 1
+    for name in (
+        "engine.step",
+        "engine.broadcast_phase",
+        "engine.matrix_form_update",
+        "objective.subgradient",
+    ):
+        assert spans[name]["count"] == 4, name
+    assert spans["quantizer.quantize"]["count"] == (4 if quantizes else 0)
+    assert recorder.counters["engine.agent_rounds"] == 3 * 4
+
+
 def test_install_then_uninstall_restores_every_original(tracing):
     import disopt.engine as engine
 
@@ -60,37 +91,31 @@ def test_install_then_uninstall_restores_every_original(tracing):
     try:
         assert engine.run is not run
         # a traced run goes through the spans the engine still calls
-        doc = {
-            "n": 3,
-            "p": 1,
-            "topology": {"type": "complete"},
-            "roles": ["honest", "honest", "adversarial"],
-            "objective": {"name": "quadratic", "box": {"lo": -1.0, "hi": 1.0}},
-            "quantizer": {"bits": 2, "interval_length": 1.0},
-            "attack": {"kind": "uniform", "range": [0.0, 1.0], "seed": 1},
-            "alpha": 0.5,
-            "iterations": 4,
-        }
-        disopt.harness.run_single(parse_config(doc), 0)
+        disopt.harness.run_single(parse_config(SMALL_RUN), 0)
     finally:
         recorder.uninstall()
     after = _disopt_bindings()
     changed = [key for key in before if after.get(key) is not before[key]]
     assert changed == []
     assert engine.run is run and disopt.harness.run_single is run_single
+    _assert_one_span_per_round(recorder, quantizes=True)
 
-    spans = recorder.totals()["spans"]
-    assert spans["harness.run_single"]["count"] == spans["engine.run"]["count"] == 1
-    # one call each per round: the bench divides by these counts
-    # (quantizer.calls, engine.mix_*_per_round), so none may be bypassed
-    for name in (
-        "engine.step",
-        "engine.broadcast_phase",
-        "engine.matrix_form_update",
-        "quantizer.quantize",
-    ):
-        assert spans[name]["count"] == 4, name
-    assert recorder.counters["engine.agent_rounds"] == 3 * 4
+
+@pytest.mark.parametrize(
+    "variant, quantizes",
+    [({"quantizer": None}, False), ({"adversary_quantizes": True}, True)],
+    ids=["exact", "adversary-quantizes"],
+)
+def test_every_broadcast_mode_makes_each_round_call_once(tracing, variant, quantizes):
+    # exact mode sends every iterate as it is, with no quantize call; with
+    # adversary_quantizes no row is copied over the quantized broadcast
+    recorder = tracing.Recorder()
+    recorder.install()
+    try:
+        disopt.harness.run_single(parse_config({**SMALL_RUN, **variant}), 0)
+    finally:
+        recorder.uninstall()
+    _assert_one_span_per_round(recorder, quantizes)
 
 
 @pytest.mark.parametrize(

@@ -13,9 +13,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from disopt.cli import EXIT_OK, EXIT_STRICT, EXIT_USAGE, main
+from disopt.cli import EXIT_INVARIANT, EXIT_OK, EXIT_STRICT, EXIT_USAGE, main
 from disopt.config import MAX_AGENTS, MAX_DIMENSION, parse_config, preset_document
-from disopt import adversary, harness
+from disopt import adversary, engine, harness
 from disopt.config import ConfigError
 from disopt.harness import expand_grid, run_experiment, run_single, sweep
 
@@ -316,6 +316,28 @@ def test_unusable_output_directory_is_usage_error(monkeypatch, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"cannot write {out}: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "preset", "sweep"])
+def test_a_run_gone_nan_exits_with_the_invariant_code(monkeypatch, tmp_path, capsys, command):
+    # seed 1 starts from NaN, so its mean-iterate check fails at k = 0: one
+    # stderr line names the scenario, the seed and k, with no traceback
+    def initial_iterates(n, feasible, seed, explicit=None):
+        return np.full((n, feasible.dimension), np.nan if seed == 1 else 0.0)
+
+    monkeypatch.setattr(engine, "initial_iterates", initial_iterates)
+    grid = {"base": SMALL_RUN, "grid": {"bits": [1, 2]}}
+    inputs = {
+        "run": ([str(_write(tmp_path, "small.json", SMALL_RUN))], "small"),
+        "preset": (["fig2a", "--seeds", "2"], "fig2a"),
+        "sweep": ([str(_write(tmp_path, "grid.json", grid))], "grid point {'bits': 1}"),
+    }
+    argv, scenario = inputs[command]
+    assert main([command, *argv, "--out", str(tmp_path / "out")]) == EXIT_INVARIANT
+    assert capsys.readouterr().err == (
+        f"invariant violated in {scenario}, seed 1: "
+        "mean-iterate bookkeeping identity off by nan at k=0\n"
+    )
 
 
 def test_malformed_sweep_json_is_usage_error(tmp_path, capsys):

@@ -470,30 +470,32 @@ def test_interleaved_objectives_match_the_per_round_oracle(bits):
 
 
 def test_an_objective_ignoring_out_fills_the_gradient_rows():
-    # its subgradient returns a new array whatever ``out`` is; the agents
-    # are contiguous, so step passes gradient rows as ``out``, and they
+    # its subgradient returns a new array whatever ``out`` is; step passes
+    # the whole gradient buffer as ``out`` when the objective is every
+    # agent's, and a slice of it when only agents 0-2 carry it; the rows
     # must receive that array, not keep the workspace's stale values
     n, p = 4, 3
     box = FeasibleSet(lo=np.full(p, -1.0), hi=np.full(p, 1.0))
     center = np.array([0.5, -0.25, 0.0])
     honouring = _shifted_quadratic(center)
     ignoring = replace(honouring, subgradient=lambda x, out=None: honouring.subgradient(x))
-    run = dict(
-        attacks={},
-        quantizer=UniformQuantizer(bits=2, interval_length=1.0),
-        topology=build_complete(n),
-        objectives=[ignoring] * n,
-        feasible=box,
-        alpha=0.4,
-        iterations=12,
-        x_star=center,
-        seed=2,
-    )
-    result = engine.run(**run)
-    traces, final = reference_run(**run)
-    for name, column in reference_columns(traces, final, np.full(n, True), center).items():
-        assert np.array_equal(getattr(result.traces, name), column), name
-    assert np.array_equal(result.final_iterates, final)
+    for objectives in ([ignoring] * n, [ignoring] * (n - 1) + [honouring]):
+        run = dict(
+            attacks={},
+            quantizer=UniformQuantizer(bits=2, interval_length=1.0),
+            topology=build_complete(n),
+            objectives=objectives,
+            feasible=box,
+            alpha=0.4,
+            iterations=12,
+            x_star=center,
+            seed=2,
+        )
+        result = engine.run(**run)
+        traces, final = reference_run(**run)
+        for name, column in reference_columns(traces, final, np.full(n, True), center).items():
+            assert np.array_equal(getattr(result.traces, name), column), name
+        assert np.array_equal(result.final_iterates, final)
 
 
 def test_saturation_is_tested_once_per_block(monkeypatch):
@@ -595,7 +597,7 @@ def test_a_round_allocates_nothing():
     n = p = 64
     box = FeasibleSet(lo=np.full(p, -1.0), hi=np.full(p, 1.0))
     quantizer = UniformQuantizer(bits=3, interval_length=1.0)
-    objective_rows = [(quadratic_suite(n, p, box)[0], slice(0, n))]
+    objective = quadratic_suite(n, p, box)[0]
     weights = build_complete(n).weights
     full_precision = (np.arange(n) >= 60)[:, None]
     state, sent, attack, next_state, gradient, h_af, xi = np.random.default_rng(0).uniform(
@@ -604,20 +606,22 @@ def test_a_round_allocates_nothing():
     bounds = np.full((n, p), -1.0), np.full((n, p), 1.0)  # as the run passes the box
     alpha = np.array(0.5)
 
-    def one_round():
-        broadcast_phase(state, quantizer, full_precision, out=sent, scratch=xi)
+    def one_round(objective_rows):
+        broadcast_phase(state, quantizer, full_precision, sent, xi)
         out = (next_state, gradient, h_af, xi)
-        engine.step(state, sent, attack, weights, objective_rows, bounds, alpha, out=out)
+        engine.step(state, sent, attack, weights, objective_rows, bounds, alpha, out)
 
-    one_round()  # numpy's first-call set-up is not a round's cost
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        one_round()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - before < 1024
+    # a slice of agents, and the run's mark of one objective for every agent
+    for objective_rows in ([(objective, slice(0, n))], [(objective, None)]):
+        one_round(objective_rows)  # numpy's first-call set-up is not a round's cost
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            one_round(objective_rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 1024, objective_rows
 
 
 def test_step_size_above_one_warns_from_the_run():

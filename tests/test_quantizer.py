@@ -85,6 +85,38 @@ def test_shape_mismatch_raises():
         q.quantize(np.zeros(3))
 
 
+@pytest.mark.parametrize("shape", [(), (1,), (2, 1), (3, 1)])
+def test_shape_mismatch_raises_into_buffers(shape):
+    # a float64 array skips the conversion, not the midpoint-shape check:
+    # each of these broadcasts against the (2,) midpoint into its buffers,
+    # so only that check stops it
+    q = UniformQuantizer(bits=2, interval_length=1.0, midpoint=np.zeros(2))
+    out, scratch = np.empty((2, *np.broadcast_shapes(shape, (2,))))
+    with pytest.raises(ValueError, match="midpoint shape"):
+        q.quantize(np.zeros(shape), out=out, scratch=scratch)
+
+
+_POINTS = [[0.3, -0.1], [0.6, 2.0], [-0.0, -1.3]]
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        _POINTS,
+        np.array([[0, 1], [-1, 3], [2, -2]]),
+        np.array(_POINTS, dtype=np.float32),
+        np.array(_POINTS, dtype=">f8"),  # float64, not in native byte order
+    ],
+    ids=["list", "int", "float32", "big-endian"],
+)
+def test_every_other_input_is_converted_to_float64_into_buffers(x):
+    q = UniformQuantizer(bits=3, interval_length=2.0, midpoint=np.array([0.0, 0.25]))
+    out, scratch = np.full((2, 3, 2), np.nan)
+    got = q.quantize(x, out=out, scratch=scratch)
+    assert got is out
+    assert got.tobytes() == reference_quantize(q, x).tobytes()
+
+
 def test_invalid_parameters_rejected():
     with pytest.raises(ValueError):
         UniformQuantizer(bits=0, interval_length=1.0)
