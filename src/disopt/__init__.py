@@ -13,7 +13,7 @@ from .bounds import (
     subgradient_admissible,
 )
 from .config import ConfigError, ExperimentConfig, parse_config, preset_config
-from .engine import RunResult, Trace, run
+from .engine import RunPlan, RunResult, Trace, plan, run
 from .harness import run_experiment, sweep
 from .objective import FeasibleSet, LocalObjective, quadratic_suite
 from .quantizer import UniformQuantizer
@@ -29,6 +29,7 @@ __all__ = [
     "FeasibleSet",
     "LocalObjective",
     "NetworkTopology",
+    "RunPlan",
     "RunResult",
     "Trace",
     "UniformQuantizer",
@@ -42,6 +43,7 @@ __all__ = [
     "max_attack_norm",
     "neighborhood_size",
     "parse_config",
+    "plan",
     "preset_config",
     "quadratic_suite",
     "quantizer_admissible",

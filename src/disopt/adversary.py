@@ -131,6 +131,8 @@ def _int_words(value: int) -> list:
 
 
 def _key_words(values, name: str) -> np.ndarray:
+    if type(values) is np.ndarray and values.dtype == np.uint32 and values.ndim == 1:
+        return values  # every uint32 is one key word: no Python int per key
     values = [int(v) for v in values]
     bad = [v for v in values if not 0 <= v <= MAX_KEY]
     if bad:
@@ -268,7 +270,9 @@ def attack_table(policy: AttackPolicy, agents, rounds, p: int) -> np.ndarray:
     array arithmetic (or reused inside a :func:`sharing_streams` block).
     The returned array is always new and writable.  Agent ids and rounds
     must lie in [0, 2**32): a larger index would enter the stream as two
-    words.
+    words.  A 1-d uint32 ndarray of them is taken as it is, unchecked
+    and unconverted (the engine passes ``np.arange(K, dtype=np.uint32)``);
+    any other sequence is read one Python int at a time.
     """
     if p < 1:
         raise ValueError(f"dimension must be >= 1, got {p}")

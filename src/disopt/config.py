@@ -21,6 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import engine
 from .adversary import MAX_KEY, AttackPolicy
 from .objective import FeasibleSet, make_objectives
 from .quantizer import UniformQuantizer
@@ -115,6 +116,24 @@ class ExperimentConfig:
             bits=self.quantizer_bits,
             interval_length=np.array(self.interval_lengths)[:, None],
             midpoint=np.array(self.quantizer_midpoint),
+        )
+
+    @cached_property
+    def plan(self) -> engine.RunPlan:
+        """What every seed's run shares, built on the config's first run
+        (never at parse time) and kept for its later seeds."""
+        objectives, x_star = self.objectives
+        return engine.plan(
+            attacks=self.attack,
+            quantizer=self.quantizer,
+            topology=self.topology,
+            objectives=objectives,
+            feasible=self.feasible_set,
+            alpha=self.alpha,
+            iterations=self.iterations,
+            x_star=x_star,
+            explicit_init=self.init,
+            adversary_quantizes=self.adversary_quantizes,
         )
 
 
@@ -394,8 +413,14 @@ def read_document(document):
         raise ConfigError([("<document>", f"malformed JSON: {exc}")]) from exc
 
 
-def parse_config(document) -> ExperimentConfig:
-    """Validate a JSON document (text, path contents, or parsed dict)."""
+def parse_config(document, like: ExperimentConfig | None = None) -> ExperimentConfig:
+    """Validate a JSON document (text, path contents, or parsed dict).
+
+    When the config's topology and box fields equal those of ``like``
+    (the box by ``repr``, so a -0.0 bound differs from 0.0), it takes
+    ``like``'s built topology, feasible set and objectives instead of
+    building its own: the points of one sweep share them.
+    """
     document = read_document(document)
     if not isinstance(document, dict):
         raise ConfigError([("<document>", "top level must be an object")])
@@ -470,6 +495,10 @@ def parse_config(document) -> ExperimentConfig:
         alpha=v["alpha"], iterations=v["iterations"], seeds=v["seeds"], strict=v["strict"],
         init=init,
     )
+    if like is not None and _build_key(cfg) == _build_key(like):
+        for name in ("topology", "feasible_set", "objectives"):
+            cfg.__dict__[name] = getattr(like, name)  # the cached_property slot
+        return cfg
     # connectivity and similar structural errors surface with a field path
     # too; the topology built here is the one every run of this config uses
     try:
@@ -477,6 +506,14 @@ def parse_config(document) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError([("topology", str(exc))]) from exc
     return cfg
+
+
+def _build_key(cfg: ExperimentConfig) -> tuple:
+    """The fields that fix the built topology, feasible set and objectives."""
+    return (
+        cfg.n, cfg.p, cfg.topology_type, cfg.edges, cfg.objective_name,
+        repr(cfg.box_lo), repr(cfg.box_hi),
+    )
 
 
 # ---- presets ---------------------------------------------------------------

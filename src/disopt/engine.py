@@ -5,7 +5,19 @@ iterate, adversaries their full-precision one), then every agent mixes
 the received values, takes a subgradient step, adversaries add their
 perturbation, and the result is projected back onto the feasible set.
 
-A run is split in two.  The round loop only advances the state, writing
+A run is split by what its seed changes.  :func:`plan` validates a
+config's inputs once and fixes everything its seeds share in a
+:class:`RunPlan`: the agent masks, the objective groups, the invariant
+tolerance, the block size, the constant operands and the attack groups.
+It holds only O(n + p) data of its own, read-only, so one plan per sweep
+point stays small for a whole seed-major sweep; every (n, p) and (K, ...)
+array is built by :func:`run`, which does only the work of one seed.
+Constants that meet the state in a ufunc are 0-d operands where their
+entries are bit-equal (the step size, a constant x*, the quantizer's
+midpoint), the form numpy serves without its broadcasting iterator, with
+every result bit for bit the same.
+
+Within a run, the round loop only advances the state, writing
 each round's iterates, broadcasts, gradients, attack rows, attack-free
 update and projection residual into block buffers of at most
 ``BLOCK_BYTES`` each, all views of one workspace allocated once per run;
@@ -25,19 +37,21 @@ A round is four calls, each through its module or class name:
 and divides per-round metrics by their counts.  Around their arithmetic,
 buffers go positionally, ufuncs are module-level names, and the box's
 (lo, hi) rows and the ``None`` rows marking one objective that every agent
-carries (no views of the state) are built once per run.
+carries (no views of the state) are built once, the rows per run and
+the mark per plan.
 After every block, each column of the run's :class:`Trace` is filled by
-one array reduction over the block, the quantizer saturation test
-included, and the mean-iterate invariant is checked there.  The block
-buffers are bounded; what grows with the iteration count is the trace
-columns and, under a uniform attack, the keyed attack table, which
-:func:`_attack_schedule` draws for all K rounds up front together with
-its uint64 temporaries (n = 10, p = 1, 7 uniform adversaries, a repeated
-run under tracemalloc: a 1.1 MB peak against 0.25 MB of columns at
-K = 1000, 8.3 MB against 2.0 MB at K = 8000).
+one array reduction over the block (:func:`_norms` and :func:`_means`,
+numpy's own formulas without their Python wrappers), the quantizer
+saturation test included, and the mean-iterate invariant is checked
+there.  The block buffers are bounded; what grows with the iteration
+count is the trace columns and, under a uniform attack, the keyed attack
+table, which :func:`_attack_schedule` draws for all K rounds up front
+together with its uint64 temporaries (n = 10, p = 1, 7 uniform
+adversaries, a repeated run under tracemalloc: a 1.1 MB peak against
+0.25 MB of columns at K = 1000, 8.3 MB against 2.0 MB at K = 8000).
 
 A single run is sequential and fully deterministic given its seed.  Runs
-share one thing, read-only: inside an :func:`adversary.sharing_streams`
+share their plan, read-only, and one more thing: inside an :func:`adversary.sharing_streams`
 block, which the harness holds for one seed loop (one CLI invocation),
 runs whose keyed attack streams coincide read the one stream drawn first,
 kept until another stream is drawn or the block ends.  The block belongs
@@ -48,13 +62,14 @@ state and may execute concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
 from . import adversary as adv
 from .bounds import lemma1_bound
 from .objective import FeasibleSet, suite_subgrad_bound
-from .operand import operand
+from .operand import constant_operand, operand
 from .quantizer import UniformQuantizer
 
 # the round's ufuncs, bound once: a module global is one lookup, not two
@@ -277,6 +292,19 @@ def step(
     return out
 
 
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Row norms over the last axis: ``np.linalg.norm(x, axis=-1)``'s own
+    formula for a float array, without its Python wrapper and its
+    ``conj()`` copy, so bit for bit the same."""
+    return np.sqrt(np.add.reduce(np.multiply(x, x), axis=-1))
+
+
+def _means(x: np.ndarray) -> np.ndarray:
+    """Means over axis 1: ``x.mean(axis=1)``'s own formula (a sum over the
+    axis divided by its length) without its Python wrapper, bit for bit."""
+    return np.add.reduce(x, axis=1) / x.shape[1]
+
+
 def _record_block(
     trace: Trace,
     start: int,
@@ -286,13 +314,8 @@ def _record_block(
     h_attack_free: np.ndarray,
     xi: np.ndarray,
     attacks: np.ndarray,
-    honest: np.ndarray,
-    quantizer: UniformQuantizer | None,
-    quantizes: np.ndarray,
-    x_star: np.ndarray,
     bounds: tuple,
-    subgrad_bound: float,
-    alpha: float,
+    plan: RunPlan,
 ) -> None:
     """Fill the trace rows of the rounds start..start+m-1 of one block.
 
@@ -302,41 +325,42 @@ def _record_block(
     The columns of a state get rows start..start+m; the next block
     writes the last one again, with the same value.  Each column is one
     reduction over the block, bit for bit the per-round value: axis means
-    and row norms, each ``np.linalg.norm(..., axis=-1)``, reduce each
-    round's rows in the same order as a single (n, p) array would.
+    (:func:`_means`) and row norms (:func:`_norms`) reduce each round's
+    rows in the same order as a single (n, p) array would.  The plan's
     ``quantizes`` marks the agents whose broadcast is quantized.  In exact
-    mode (``quantizer`` None) every broadcast is its agent's iterate, so
+    mode (no quantizer) every broadcast is its agent's iterate, so
     ``delta_bar`` is 0 without a norm.
     """
+    quantizer, x_star = plan.quantizer, plan.x_star
     m = len(gradients)
     rows = slice(start, start + m)
     entering = iterates[:-1]
-    x_bar = iterates.mean(axis=1)
+    x_bar = _means(iterates)
     states = slice(start, start + m + 1)
     trace.x_bar[states] = x_bar
-    trace.err_all[states] = np.linalg.norm(x_bar - x_star, axis=-1)
-    trace.err_honest[states] = np.linalg.norm(iterates[:, honest].mean(axis=1) - x_star, axis=-1)
-    trace.per_agent_err[states] = np.linalg.norm(iterates - x_star, axis=-1)
-    trace.grad_mean[rows] = gradients.mean(axis=1)
+    trace.err_all[states] = _norms(x_bar - x_star)
+    trace.err_honest[states] = _norms(_means(iterates[:, plan.honest]) - x_star)
+    trace.per_agent_err[states] = _norms(iterates - x_star)
+    trace.grad_mean[rows] = _means(gradients)
     if quantizer is None:
         delta_bar = np.zeros(m)
         trace.saturation_count[rows] = 0
     else:
-        delta_bar = np.linalg.norm(entering - broadcasts, axis=-1).mean(axis=1)
-        saturated = quantizes & ~quantizer.in_range(entering).all(axis=2)
+        delta_bar = _means(_norms(entering - broadcasts))
+        saturated = plan.quantizes & ~quantizer.in_range(entering).all(axis=2)
         trace.saturation_count[rows] = saturated.sum(axis=1)
     trace.delta_bar[rows] = delta_bar
 
-    xi_bar = xi.mean(axis=1)
-    xi_bar_norm = np.linalg.norm(xi_bar, axis=-1)
+    xi_bar = _means(xi)
+    xi_bar_norm = _norms(xi_bar)
     xi_attack_free = h_attack_free - np.clip(h_attack_free, *bounds)
     trace.xi_bar[rows] = xi_bar
     trace.xi_bar_norm[rows] = xi_bar_norm
-    trace.xi_bar_attack_free_norm[rows] = np.linalg.norm(xi_attack_free.mean(axis=1), axis=-1)
-    trace.mean_attack[rows] = attacks.mean(axis=1)
-    trace.mean_attack_norm[rows] = np.linalg.norm(attacks, axis=-1).mean(axis=1)
+    trace.xi_bar_attack_free_norm[rows] = _norms(_means(xi_attack_free))
+    trace.mean_attack[rows] = _means(attacks)
+    trace.mean_attack_norm[rows] = _means(_norms(attacks))
 
-    lemma1_rhs = lemma1_bound(delta_bar, subgrad_bound, alpha, iterates.shape[1])
+    lemma1_rhs = lemma1_bound(delta_bar, plan.subgrad_bound, plan.alpha, plan.n)
     trace.lemma1_rhs[rows] = lemma1_rhs
     trace.lemma1_ok[rows] = xi_bar_norm <= lemma1_rhs + LEMMA1_TOL
 
@@ -376,46 +400,88 @@ def _as_slice(rows: np.ndarray):
     return rows
 
 
-def _attack_schedule(attacks: dict, n: int, iterations: int, p: int, seed: int):
-    """Every attack of one run, as (fixed rows, keyed agents, keyed table).
+# the one round a constant attack is drawn at, as a key word
+_FIRST_ROUND = operand([0], np.uint32)
 
-    Zero and constant rows do not change with k: they fill the (n, p)
-    ``fixed`` array once.  Each distinct uniform policy, reseeded for the
-    run, draws all rounds of its adversaries in one
-    :func:`adversary.attack_table` call; the tables stack into one
-    (K, len(keyed), p) array.  Round k's attack rows are ``fixed`` with
-    ``table[k]`` written at the rows ``keyed``.
+
+def _attack_schedule(plan: RunPlan, seed: int):
+    """Every attack of one run, as (fixed rows, keyed table).
+
+    Constant rows do not change with k or the seed: they fill the (n, p)
+    ``fixed`` array once (zero rows are its zeros).  Each distinct uniform
+    policy, reseeded for the run, draws all rounds of its adversaries in
+    one :func:`adversary.attack_table` call; the tables stack into one
+    (K, len(plan.keyed), p) array.  Round k's attack rows are ``fixed``
+    with ``table[k]`` written at the rows ``plan.keyed``.
     """
+    n, p, iterations = plan.n, plan.p, plan.iterations
     fixed = np.zeros((n, p))
-    keyed, tables = [np.empty(0, dtype=np.intp)], [np.empty((iterations, 0, p))]
-    for policy, agents in _grouped(attacks.items()):
-        policy = adv.reseed(policy, seed)
-        if policy.kind == "uniform":
-            keyed.append(agents)
-            tables.append(adv.attack_table(policy, agents, range(iterations), p))
-        else:
-            fixed[agents] = adv.attack_table(policy, agents, [0], p)[0]
-    return fixed, np.concatenate(keyed), np.concatenate(tables, axis=1)
+    for policy, agents in plan.constant:
+        fixed[agents] = adv.attack_table(policy, agents, _FIRST_ROUND, p)[0]
+    rounds = np.arange(iterations, dtype=np.uint32)
+    tables = [
+        adv.attack_table(adv.reseed(policy, seed), agents, rounds, p)
+        for policy, agents in plan.uniform
+    ]
+    return fixed, np.concatenate([np.empty((iterations, 0, p)), *tables], axis=1)
+
+
+def _checked_init(explicit, n: int, feasible: FeasibleSet) -> None:
+    x0 = np.asarray(explicit, dtype=float)
+    if x0.shape != (n, feasible.dimension):
+        raise ValueError(
+            f"explicit init has shape {x0.shape}, expected {(n, feasible.dimension)}"
+        )
+    if not np.all((x0 >= feasible.lo) & (x0 <= feasible.hi)):
+        raise ValueError("explicit initial point outside the feasible set")
 
 
 def initial_iterates(
     n: int, feasible: FeasibleSet, seed: int, explicit=None
 ) -> np.ndarray:
-    """Starting points: explicit per-agent values, or uniform draws in the box."""
+    """Starting points: a copy of explicit per-agent values, which
+    :func:`plan` has checked, or uniform draws in the box."""
     if explicit is not None:
-        x0 = np.asarray(explicit, dtype=float)
-        if x0.shape != (n, feasible.dimension):
-            raise ValueError(
-                f"explicit init has shape {x0.shape}, expected {(n, feasible.dimension)}"
-            )
-        if not np.all((x0 >= feasible.lo) & (x0 <= feasible.hi)):
-            raise ValueError("explicit initial point outside the feasible set")
-        return x0.copy()
+        return np.array(explicit, dtype=float)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     return rng.uniform(feasible.lo, feasible.hi, size=(n, feasible.dimension))
 
 
-def run(
+class RunPlan(NamedTuple):
+    """The part of a run that no seed changes, built once by :func:`plan`.
+
+    It holds O(n + p) data of its own, every array read-only, and refers
+    to the topology's weights, the box and the quantizer without copying
+    them; ``explicit_init`` is kept as given (checked once, read again by
+    every run, so it must not change).  The attack rows, the box rows and
+    the workspace belong to each run, so a plan kept alive for a whole
+    seed-major sweep stays small.  (A named tuple: immutable, and cheaper
+    to define at import than a frozen dataclass.)
+    """
+
+    n: int
+    p: int
+    iterations: int
+    alpha: float
+    alpha_operand: np.ndarray
+    quantizer: UniformQuantizer | None
+    weights: np.ndarray
+    feasible: FeasibleSet
+    x_star: np.ndarray
+    objective_rows: tuple
+    honest: np.ndarray
+    quantizes: np.ndarray
+    full_precision: np.ndarray
+    subgrad_bound: float
+    tolerance: float
+    block: int
+    uniform: tuple  # (policy, uint32 agent ids) per distinct uniform policy
+    keyed: np.ndarray  # their agents, in the keyed table's column order
+    constant: tuple  # (policy, agent ids) per distinct constant policy
+    explicit_init: object
+
+
+def plan(
     attacks: dict,
     quantizer: UniformQuantizer | None,
     topology,
@@ -424,22 +490,16 @@ def run(
     alpha: float,
     iterations: int,
     x_star: np.ndarray,
-    seed: int = 0,
     explicit_init=None,
     adversary_quantizes: bool = False,
-) -> RunResult:
-    """Execute a full deterministic run of ``iterations`` rounds.
+) -> RunPlan:
+    """Validate a run's inputs and fix everything its seeds share.
 
     ``attacks`` maps each adversarial agent to its :class:`AttackPolicy`;
     every other agent is honest.  ``quantizer`` encodes every broadcast
     (its interval length may be an (n, 1) column, one per agent), or is
-    None for exact communication.
-
-    Raises :class:`BoundViolationError` for the first round whose
-    mean-iterate identity fails or yields NaN, once its block is reduced.
-    Projection-error bound failures do not raise: they are recorded per
-    round in the trace (``lemma1_ok``) and surface through
-    ``unsaturated_lemma1_violations``.
+    None for exact communication.  Raises ``ValueError`` for an input no
+    run can take.
     """
     if iterations < 1:
         raise ValueError(f"need at least one iteration, got {iterations}")
@@ -452,23 +512,72 @@ def run(
     honest[list(attacks)] = False
     if not honest.any():
         raise ValueError("at least one honest agent is required")
-
     p = feasible.dimension
+    if explicit_init is not None:
+        _checked_init(explicit_init, n, feasible)
+
     subgrad_bound = suite_subgrad_bound(objectives)
     tolerance = MEAN_RECURSION_TOL * max(
         1.0, feasible.corner_norm(), alpha * subgrad_bound, adv.attack_norm_bound(attacks, p)
     )
-    fixed_attacks, keyed, keyed_attacks = _attack_schedule(
-        attacks, n, iterations, p, seed
-    )
+    uniform, constant, keyed = [], [], [np.empty(0, dtype=np.intp)]
+    for policy, agents in _grouped(attacks.items()):
+        words = operand(adv._key_words(agents, "agent ids"), np.uint32)
+        if policy.kind == "uniform":
+            uniform.append((policy, words))
+            keyed.append(agents)
+        elif policy.kind == "constant":  # a zero row is the fixed rows' zeros
+            constant.append((policy, words))
     objective_rows = [
-        (objective, _as_slice(rows)) for objective, rows in _grouped(enumerate(objectives))
+        (objective, _as_slice(operand(rows, np.intp)))
+        for objective, rows in _grouped(enumerate(objectives))
     ]
     if len(objective_rows) == 1:  # one objective carried by every agent
         objective_rows = [(objective_rows[0][0], None)]
+    quantizes = honest | adversary_quantizes
+    return RunPlan(
+        n=n,
+        p=p,
+        iterations=iterations,
+        alpha=alpha,
+        alpha_operand=operand(alpha),
+        quantizer=quantizer,
+        weights=topology.weights,
+        feasible=feasible,
+        x_star=constant_operand(x_star),
+        objective_rows=tuple(objective_rows),
+        honest=operand(honest, bool),
+        quantizes=operand(quantizes, bool),
+        full_precision=operand(~quantizes[:, None], bool),
+        subgrad_bound=subgrad_bound,
+        tolerance=tolerance,
+        block=min(iterations, max(1, BLOCK_BYTES // (8 * n * p))),
+        uniform=tuple(uniform),
+        keyed=operand(np.concatenate(keyed), np.intp),
+        constant=tuple(constant),
+        explicit_init=explicit_init,
+    )
+
+
+def run(plan: RunPlan, seed: int) -> RunResult:
+    """Execute one deterministic run of ``plan.iterations`` rounds.
+
+    Everything that depends on ``seed`` happens here: the initial
+    iterates, the reseeded keyed attack table, the rounds and the block
+    reductions.  Runs of one plan share nothing writable, so they may go
+    in separate threads.
+
+    Raises :class:`BoundViolationError` for the first round whose
+    mean-iterate identity fails or yields NaN, once its block is reduced.
+    Projection-error bound failures do not raise: they are recorded per
+    round in the trace (``lemma1_ok``) and surface through
+    ``unsaturated_lemma1_violations``.
+    """
+    n, p, iterations, block = plan.n, plan.p, plan.iterations, plan.block
+    fixed_attacks, keyed_attacks = _attack_schedule(plan, seed)
+    keyed = plan.keyed
     trace = Trace.empty(iterations, n, p)
 
-    block = min(iterations, max(1, BLOCK_BYTES // (8 * n * p)))
     # one allocation for all six buffers and the box bounds as (n, p) rows:
     # freeing it lifts glibc's mmap threshold above its size, so later runs
     # take it and the block temporaries from the heap, not from fresh
@@ -479,12 +588,10 @@ def run(
         block + 1 : 6 * block + 1
     ].reshape(5, block, n, p)
     lo, hi = bounds = tuple(workspace[6 * block + 1 :])  # views made once, not per round
-    lo[...], hi[...] = feasible.lo, feasible.hi
-    quantizes = honest | adversary_quantizes
-    full_precision = ~quantizes[:, None]
-    weights = topology.weights
-    alpha_operand = operand(alpha)
-    states[0] = initial_iterates(n, feasible, seed, explicit_init)
+    lo[...], hi[...] = plan.feasible.lo, plan.feasible.hi
+    quantizer, full_precision, weights = plan.quantizer, plan.full_precision, plan.weights
+    objective_rows, alpha_operand = plan.objective_rows, plan.alpha_operand
+    states[0] = initial_iterates(n, plan.feasible, seed, plan.explicit_init)
     for start in range(0, iterations, block):
         m = min(block, iterations - start)
         attack_rows[:m] = fixed_attacks
@@ -515,16 +622,11 @@ def run(
             h_attack_free[:m],
             xi[:m],
             attack_rows[:m],
-            honest,
-            quantizer,
-            quantizes,
-            x_star,
             bounds,
-            subgrad_bound,
-            alpha,
+            plan,
         )
-        residual = mean_recursion_residual(trace, alpha, start, start + m)
-        failed = np.flatnonzero(~(residual <= tolerance))  # NaN fails too
+        residual = mean_recursion_residual(trace, plan.alpha, start, start + m)
+        failed = np.flatnonzero(~(residual <= plan.tolerance))  # NaN fails too
         if failed.size:
             j = int(failed[0])
             raise BoundViolationError(

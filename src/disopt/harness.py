@@ -43,21 +43,9 @@ def final_honest_err_stats(final_errors) -> dict:
 
 
 def run_single(config: ExperimentConfig, seed: int) -> engine.RunResult:
-    """One deterministic run of a validated config with one seed."""
-    objectives, x_star = config.objectives
-    return engine.run(
-        attacks=config.attack,
-        quantizer=config.quantizer,
-        topology=config.topology,
-        objectives=objectives,
-        feasible=config.feasible_set,
-        alpha=config.alpha,
-        iterations=config.iterations,
-        x_star=x_star,
-        seed=seed,
-        explicit_init=config.init,
-        adversary_quantizes=config.adversary_quantizes,
-    )
+    """One deterministic run of a validated config with one seed: the
+    config's :class:`engine.RunPlan`, built on its first run, run once."""
+    return engine.run(config.plan, seed)
 
 
 def build_bound_report(config: ExperimentConfig, initial_error: float) -> BoundReport | None:
@@ -229,7 +217,10 @@ def expand_grid(grid_doc) -> list:
     (point, config) pairs.
 
     Every grid point is validated before anything runs; an invalid point
-    aborts the whole sweep with its field path.
+    aborts the whole sweep with its field path.  No grid axis changes n,
+    p, the graph or the box, so every point takes the first point's built
+    topology, feasible set and objectives (``parse_config``'s ``like``):
+    one of each per sweep document, never shared with another one.
     """
     grid_doc = read_document(grid_doc)
     if not isinstance(grid_doc, dict) or "base" not in grid_doc:
@@ -253,7 +244,7 @@ def expand_grid(grid_doc) -> list:
         point = dict(zip(names, combo))
         doc = _apply_point(base, point)
         try:
-            cfg = parse_config(doc)
+            cfg = parse_config(doc, like=points[0][1] if points else None)
         except ConfigError as exc:
             raise ConfigError(
                 [(f"grid point {point}: {path}", msg) for path, msg in exc.errors]

@@ -11,6 +11,9 @@ engine checks a whole block of rounds' states in one call.
 The step, the half interval and the level cap ``2**(bits-1)`` are fixed
 when the quantizer is built, not per call, as read-only float64 arrays
 (:func:`disopt.operand.operand`), the cheaper operand of a numpy call.
+So is the midpoint the arithmetic reads: one 0-d operand when its entries
+are bit-equal (:func:`disopt.operand.constant_operand`), else the vector,
+while ``midpoint`` keeps its shape for the shape check.
 ``dataclasses.replace`` builds a new quantizer and so recomputes them.
 :meth:`UniformQuantizer.quantize` can write into caller-supplied
 buffers, so the engine's broadcast allocates nothing per round.
@@ -29,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operand import operand
+from .operand import constant_operand, operand
 
 # the 0.5 that rounds a step count to nearest
 _ONE_HALF = operand(0.5)
@@ -44,6 +47,7 @@ class UniformQuantizer:
     step: np.ndarray = field(init=False, repr=False, compare=False)
     _half: np.ndarray = field(init=False, repr=False, compare=False)
     _cap: np.ndarray = field(init=False, repr=False, compare=False)
+    _mid: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if int(self.bits) != self.bits or self.bits < 1:
@@ -64,6 +68,7 @@ class UniformQuantizer:
         }
         for name, value in constants.items():
             object.__setattr__(self, name, operand(value))
+        object.__setattr__(self, "_mid", constant_operand(mid))
 
     def _checked(self, x) -> np.ndarray:
         # a float64 ndarray is what asarray would return: the round skips it
@@ -97,7 +102,7 @@ class UniformQuantizer:
         # sign bit, and a -0 offset (x = -0 at mid = +0) gives mid + -0 =
         # mid + 0.  ``out`` goes positionally (it costs less), except to
         # np.minimum, which deprecates that form.
-        mid, step = self.midpoint, self.step
+        mid, step = self._mid, self.step
         offset = np.subtract(x, mid, scratch)
         count = np.abs(offset, out)
         np.divide(count, step, count)
@@ -121,7 +126,7 @@ class UniformQuantizer:
     def in_range(self, x) -> np.ndarray:
         """Per-coordinate mask of inputs inside the quantization interval
         (NaN is outside); ``x`` may have any leading axes."""
-        return np.abs(self._checked(x) - self.midpoint) <= self._half
+        return np.abs(self._checked(x) - self._mid) <= self._half
 
     def saturates(self, x) -> bool:
         """True when any coordinate falls outside the quantization interval."""

@@ -453,6 +453,45 @@ def test_a_sweeps_peak_memory_does_not_grow_with_its_traces(tmp_path):
     assert twelve - two < 256 * 1024
 
 
+def test_a_sweep_builds_one_topology(tmp_path):
+    # no grid axis changes n, the graph or the box, so every point takes
+    # the first point's topology, box and objectives; eight points of a
+    # 400-agent complete graph (1.28 MB of weights, as much again of edges)
+    # once peaked ~18 MB above one point
+    def sweep_doc(points: int) -> dict:
+        doc = _fig2c_sweep({"alpha": [0.1 * (i + 1) for i in range(points)]}, 2, [0])
+        doc["base"].update(n=400, roles=["honest"] * 200 + ["adversarial"] * 200)
+        return doc
+
+    def peak(points: int) -> int:
+        tracemalloc.start()
+        try:
+            sweep(sweep_doc(points), tmp_path / f"sweep{points}")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, eight = peak(1), peak(8)
+    assert eight - one < 400 * 400 * 8
+    configs = [cfg for _, cfg in expand_grid(sweep_doc(8))]
+    for name in ("topology", "feasible_set", "objectives"):
+        assert all(getattr(cfg, name) is getattr(configs[0], name) for cfg in configs), name
+    # a separate sweep document builds its own
+    assert expand_grid(sweep_doc(1))[0][1].topology is not configs[0].topology
+
+
+def test_a_point_with_another_box_builds_its_own_topology():
+    base = parse_config(SMALL_RUN)
+    same = parse_config(SMALL_RUN, like=base)
+    assert same.topology is base.topology and same.objectives is base.objectives
+    lo = {"objective": {"name": "quadratic", "box": {"lo": -0.0, "hi": 1.0}}}
+    other = parse_config(dict(SMALL_RUN, **lo), like=parse_config(
+        dict(SMALL_RUN, objective={"name": "quadratic", "box": {"lo": 0.0, "hi": 1.0}})
+    ))
+    assert "feasible_set" not in other.__dict__  # -0.0 is not 0.0: nothing shared
+    assert np.signbit(other.feasible_set.lo).all()
+
+
 def test_strict_mode_exit_code(tmp_path):
     # --strict exits 1 on the raw comparison of the attacked residual with
     # Lemma 1's attack-free bound, which fig2c seed 0 still trips at k=170

@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -11,7 +12,7 @@ from trace_oracle import reference_columns, reference_run
 from disopt import adversary, engine
 from disopt.config import parse_config
 from disopt.engine import broadcast_phase, matrix_form_update, mean_recursion_residual
-from disopt.harness import run_single
+from disopt.harness import expand_grid, run_single
 from disopt.objective import FeasibleSet, LocalObjective, quadratic_suite, suite_subgrad_bound
 from disopt.quantizer import UniformQuantizer
 from disopt.topology import build_complete, build_from_edge_list
@@ -82,7 +83,7 @@ def run_saturation(iterates, quant, honest, adversary_quantizes=False) -> int:
     n, p = iterates.shape
     box = FeasibleSet(lo=np.full(p, -8.0), hi=np.full(p, 8.0))
     attacks = {int(i): adversary.AttackPolicy(kind="zero") for i in np.flatnonzero(~honest)}
-    result = engine.run(
+    plan = engine.plan(
         attacks,
         quant,
         build_complete(n),
@@ -94,6 +95,7 @@ def run_saturation(iterates, quant, honest, adversary_quantizes=False) -> int:
         explicit_init=iterates,
         adversary_quantizes=adversary_quantizes,
     )
+    result = engine.run(plan, 0)
     return int(result.traces.saturation_count[0])
 
 
@@ -128,15 +130,18 @@ def test_saturation_counts_a_nan_row_but_not_a_full_precision_adversary():
     # a NaN state never survives a run's invariant check, so the block
     # column is filled directly: one round, three agents, the NaN row honest
     quant = UniformQuantizer(bits=2, interval_length=1.0)
-    honest = np.array([True, True, False])
     states = np.zeros((2, 3, 1))
     states[0, :, 0] = [np.nan, 0.1, 3.0]
     rows = np.zeros((1, 3, 1))
-    for quantizes, want in ((honest, 1), (np.ones(3, dtype=bool), 2)):
+    for adversary_quantizes, want in ((False, 1), (True, 2)):
+        plan = engine.plan(
+            {2: adversary.AttackPolicy(kind="zero")}, quant, build_complete(3),
+            quadratic_suite(3, 1, BOX1), BOX1, 0.5, 1, np.zeros(1),
+            adversary_quantizes=adversary_quantizes,
+        )
         trace = engine.Trace.empty(1, 3, 1)
         engine._record_block(
-            trace, 0, states, rows, rows, rows, rows, rows, honest, quant, quantizes,
-            np.zeros(1), np.array([[[-1.0]], [[1.0]]]), 1.0, 0.5,
+            trace, 0, states, rows, rows, rows, rows, rows, np.array([[[-1.0]], [[1.0]]]), plan
         )
         assert trace.saturation_count[0] == want
 
@@ -263,9 +268,8 @@ def test_runs_are_bit_identical():
 def _recorded_run(cfg, seed):
     """Run one seed; returns (result, the (K, n, p) attack rows of every
     round, rebuilt from the run's attack schedule)."""
-    fixed, keyed, table = engine._attack_schedule(
-        cfg.attack, cfg.n, cfg.iterations, cfg.p, seed
-    )
+    fixed, table = engine._attack_schedule(cfg.plan, seed)
+    keyed = cfg.plan.keyed
     rows = np.broadcast_to(fixed, (cfg.iterations, cfg.n, cfg.p)).copy()
     rows[:, keyed] = table
     result = run_single(cfg, seed)
@@ -321,7 +325,7 @@ def test_nan_state_fails_the_invariant_check():
         subgrad_bound=1.0,
     )
     with pytest.raises(engine.BoundViolationError, match="k=0"):
-        engine.run(
+        plan = engine.plan(
             attacks={},
             quantizer=None,
             topology=build_complete(2),
@@ -331,6 +335,7 @@ def test_nan_state_fails_the_invariant_check():
             iterations=3,
             x_star=np.zeros(1),
         )
+        engine.run(plan, 0)
 
 
 def _oracle_run(cfg, seed):
@@ -459,10 +464,9 @@ def test_interleaved_objectives_match_the_per_round_oracle(bits):
         alpha=0.4,
         iterations=12,
         x_star=np.zeros(p),
-        seed=2,
     )
-    result = engine.run(**run)
-    traces, final = reference_run(**run)
+    result = engine.run(engine.plan(**run), 2)
+    traces, final = reference_run(**run, seed=2)
     honest = np.arange(n) != 5
     for name, column in reference_columns(traces, final, honest, np.zeros(p)).items():
         assert np.array_equal(getattr(result.traces, name), column), name
@@ -489,10 +493,9 @@ def test_an_objective_ignoring_out_fills_the_gradient_rows():
             alpha=0.4,
             iterations=12,
             x_star=center,
-            seed=2,
         )
-        result = engine.run(**run)
-        traces, final = reference_run(**run)
+        result = engine.run(engine.plan(**run), 2)
+        traces, final = reference_run(**run, seed=2)
         for name, column in reference_columns(traces, final, np.full(n, True), center).items():
             assert np.array_equal(getattr(result.traces, name), column), name
         assert np.array_equal(result.final_iterates, final)
@@ -561,7 +564,7 @@ def test_nan_in_a_later_block_raises_at_its_round(monkeypatch):
         nan_run(reference_run)
     sizes = _blocked(monkeypatch, 3, n=2, p=1)
     with pytest.raises(engine.BoundViolationError) as got:
-        nan_run(engine.run)
+        nan_run(lambda *args: engine.run(engine.plan(*args), 0))
     assert "k=7" in str(want.value)
     assert str(got.value) == str(want.value)
     assert sizes == [3, 3, 3]  # rounds 6..8 are the third block
@@ -622,6 +625,113 @@ def test_a_round_allocates_nothing():
         finally:
             tracemalloc.stop()
         assert peak - before < 1024, objective_rows
+
+
+_REDUCTION_SPECIALS = np.array(
+    [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2e-308, 1e-160, 1e200, -1e200]
+)
+
+
+@pytest.mark.parametrize("m", [1, 5])
+@pytest.mark.parametrize("n", [1, 7, 8, 10, 400])
+@pytest.mark.parametrize("p", [1, 3, 16])
+def test_block_reductions_equal_numpy_bit_for_bit(m, n, p):
+    # magnitudes from subnormal to 1e200, whose square overflows, with signed
+    # zeros, infinities and NaN scattered in
+    rng = np.random.default_rng([m, n, p])
+    x = rng.uniform(-1, 1, (m, n, p)) * 10.0 ** rng.integers(-320, 201, (m, n, p))
+    flat = x.reshape(-1)
+    hits = rng.choice(flat.size, size=min(flat.size, 12), replace=False)
+    flat[hits] = rng.choice(_REDUCTION_SPECIALS, size=hits.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in (x, x[:, 0]):  # (m, n, p) rows and (m, p) means
+            assert engine._norms(block).tobytes() == np.linalg.norm(block, axis=-1).tobytes()
+        for block in (x, np.linalg.norm(x, axis=-1)):
+            assert engine._means(block).tobytes() == block.mean(axis=1).tobytes()
+
+
+def _plan_inputs(**overrides) -> dict:
+    n = 3
+    inputs = dict(
+        attacks={2: adversary.AttackPolicy(kind="uniform", low=0.0, high=0.5, seed=1)},
+        quantizer=UniformQuantizer(bits=2, interval_length=1.0),
+        topology=build_complete(n),
+        objectives=quadratic_suite(n, 1, BOX1),
+        feasible=BOX1,
+        alpha=0.5,
+        iterations=4,
+        x_star=np.zeros(1),
+    )
+    inputs.update(overrides)
+    return inputs
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"iterations": 0}, "need at least one iteration, got 0"),
+        ({"objectives": quadratic_suite(2, 1, BOX1)}, "objectives length must match"),
+        ({"alpha": 0.0}, "step size must be positive, got 0.0"),
+        (
+            {"attacks": dict.fromkeys(range(3), adversary.AttackPolicy(kind="zero"))},
+            "at least one honest agent is required",
+        ),
+        ({"explicit_init": np.zeros((3, 2))}, r"explicit init has shape \(3, 2\)"),
+        ({"explicit_init": np.full((3, 1), 2.0)}, "explicit initial point outside"),
+        ({"attacks": {-1: adversary.AttackPolicy(kind="zero")}}, "agent ids must lie in"),
+    ],
+)
+def test_the_plan_rejects_what_no_run_can_take(overrides, message):
+    with pytest.raises(ValueError, match=message):
+        engine.plan(**_plan_inputs(**overrides))
+
+
+def test_the_plan_is_built_on_the_first_run_and_kept():
+    # parsing and expanding a sweep build no plan: that is set-up time
+    cfg = parse_config(
+        _run_doc(
+            n=3,
+            p=2,
+            roles=["honest"] * 2 + ["adversarial"],
+            attack={"kind": "uniform", "range": [0.0, 0.5]},
+            iterations=3,
+        )
+    )
+    points = [c for _, c in expand_grid({"base": _run_doc(), "grid": {"alpha": [0.2, 0.4]}})]
+    assert all("plan" not in c.__dict__ for c in (cfg, *points))
+    run_single(cfg, 0)
+    plan = cfg.__dict__["plan"]
+    run_single(cfg, 1)
+    assert cfg.plan is plan
+    # O(n + p) and read-only: nothing of shape (n, p) or (K, ...) of its own
+    arrays = [v for v in plan._asdict().values() if isinstance(v, np.ndarray)]
+    arrays += [agents for _, agents in plan.uniform + plan.constant]
+    arrays = [a for a in arrays if a is not plan.weights]  # the topology's own
+    assert all(not a.flags.writeable and a.size <= 3 + 2 for a in arrays)
+
+
+def test_threads_running_one_plan_match_sequential_runs():
+    plan = engine.plan(**_plan_inputs(iterations=300))
+    seeds = [3, 4, 5, 6]
+    want = {seed: engine.run(plan, seed) for seed in seeds}
+    barrier = threading.Barrier(2)
+    got = {}
+
+    def worker(own):
+        barrier.wait()
+        for seed in own:
+            got[seed] = engine.run(plan, seed)
+
+    threads = [threading.Thread(target=worker, args=(seeds[i::2],)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for seed in seeds:
+        for f in fields(engine.Trace):
+            a, b = getattr(got[seed].traces, f.name), getattr(want[seed].traces, f.name)
+            assert a.tobytes() == b.tobytes(), (seed, f.name)
+        assert got[seed].final_iterates.tobytes() == want[seed].final_iterates.tobytes()
 
 
 def test_step_size_above_one_warns_from_the_run():

@@ -249,6 +249,48 @@ def test_levels_match_the_oracle_bit_for_bit(bits, interval, midpoint):
     assert q.quantize(x, out=out, scratch=scratch).tobytes() == want
 
 
+_COLUMN = np.array([[0.5], [1.0], [3.0]])  # an (n, 1) interval column
+
+
+@pytest.mark.parametrize(
+    "midpoint, zero_d",
+    [
+        (np.array([0.25]), True),
+        (np.array([0.25, 0.25, 0.25]), True),
+        (np.array([-0.25, 0.0, 0.375]), False),
+        # bit-equal is not ==: a signed zero keeps the vector
+        (np.array([0.0, -0.0]), False),
+        (np.array([-0.0, -0.0, -0.0]), True),
+    ],
+)
+def test_a_constant_midpoint_is_one_0d_operand_with_the_oracles_bytes(midpoint, zero_d):
+    q = UniformQuantizer(bits=2, interval_length=_COLUMN, midpoint=midpoint)
+    assert q._mid.ndim == (0 if zero_d else 1) and q.midpoint.shape == midpoint.shape
+    p = midpoint.shape[0]
+    offsets = np.concatenate([_offset_grid(2), _SPECIALS])
+    for x in (
+        offsets.reshape(-1, 1, 1) * q.step + midpoint,  # (K, n, p), a block of states
+        np.resize(offsets, (3, p)) * q.step + midpoint,  # (n, p), one round
+        np.resize(offsets, (p,)) + midpoint,  # (p,), broadcast to the column
+    ):
+        want = reference_quantize(q, x).tobytes()
+        assert q.quantize(x).tobytes() == want
+        if x.ndim <= 2:
+            out, scratch = np.full((2, 3, p), np.nan)
+            assert q.quantize(x, out, scratch).tobytes() == want
+        assert q.in_range(x).tobytes() == reference_in_range(q, x).tobytes()
+
+
+def test_a_negative_zero_at_a_positive_zero_midpoint_quantizes_to_the_midpoint():
+    # the offset is -0.0, and mid + copysign(0, -0.0) = 0.0 + -0.0 = +0.0
+    for midpoint in (0.0, np.zeros(1), np.zeros(3)):
+        q = UniformQuantizer(bits=3, interval_length=_COLUMN, midpoint=midpoint)
+        x = np.full((3, np.size(midpoint)), -0.0)
+        got = q.quantize(x)
+        assert got.tobytes() == np.zeros_like(x).tobytes()
+        assert got.tobytes() == reference_quantize(q, x).tobytes()
+
+
 def test_replace_recomputes_the_cached_constants():
     q = UniformQuantizer(bits=3, interval_length=1.0)
     x = np.array([0.3, 0.45, 0.6])

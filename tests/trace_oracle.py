@@ -109,7 +109,12 @@ def reference_run(
         alpha * subgrad_bound,
         *(adversary.max_attack_norm(policy, p) for policy in attacks.values()),
     )
-    fixed, keyed, table = engine._attack_schedule(attacks, n, iterations, p, seed)
+    # each adversary's rows alone, reseeded and drawn for every round
+    attack_table = np.zeros((iterations, n, p))
+    for agent, policy in attacks.items():
+        policy = adversary.reseed(policy, seed)
+        rows = adversary.attack_table(policy, [agent], range(iterations), p)
+        attack_table[:, agent] = rows[:, 0]
     objective_rows = engine._grouped(enumerate(objectives))
     iterates = engine.initial_iterates(n, feasible, seed, explicit_init)
     traces = []
@@ -121,8 +126,7 @@ def reference_run(
             quantized = reference_quantize(quantizer, iterates)
             broadcasts = np.where(quantizes[:, None], quantized, iterates)
             saturated = quantizes & ~quantizer.in_range(iterates).all(axis=1)
-        attack_rows = fixed.copy()
-        attack_rows[keyed] = table[k]
+        attack_rows = attack_table[k]
         iterates, trace = reference_step(
             k, iterates, broadcasts, saturated, honest, attack_rows, topology.weights,
             objective_rows, feasible, alpha, x_star, subgrad_bound,
