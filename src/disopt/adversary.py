@@ -42,8 +42,9 @@ SIGNS = ("positive", "negative")
 class AttackPolicy:
     """Rule producing one perturbation vector per adversary per iteration.
 
-    ``value`` (constant kind) holds strictly positive magnitudes; the
-    sign mode decides whether the emitted vector is all-positive or
+    ``value`` (constant kind) holds strictly positive magnitudes, kept
+    as a tuple of floats so that policies compare and hash by content;
+    the sign mode decides whether the emitted vector is all-positive or
     all-negative.  ``low``/``high`` bound the per-entry magnitude for
     the uniform kind.
     """
@@ -52,7 +53,7 @@ class AttackPolicy:
     sign: str = "positive"
     low: float = 0.0
     high: float = 0.0
-    value: np.ndarray | None = None
+    value: tuple | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -70,9 +71,11 @@ class AttackPolicy:
             if self.value is None:
                 raise ValueError("constant attack requires a value vector")
             value = np.atleast_1d(np.asarray(self.value, dtype=float))
+            if value.ndim != 1:
+                raise ValueError(f"constant attack value must be a vector, got shape {value.shape}")
             if not np.all(value > 0):
                 raise ValueError("constant attack magnitudes must be strictly positive")
-            object.__setattr__(self, "value", value)
+            object.__setattr__(self, "value", tuple(value.tolist()))
 
 
 # Round and agent indices enter the keyed stream as one 32-bit entropy word
@@ -283,11 +286,9 @@ def attack_table(policy: AttackPolicy, agents, rounds, p: int) -> np.ndarray:
     if policy.kind == "zero":
         return np.zeros(shape)
     if policy.kind == "constant":
-        if policy.value.shape[0] != p:
-            raise ValueError(
-                f"constant attack has dimension {policy.value.shape[0]}, expected {p}"
-            )
-        return np.broadcast_to(sgn * policy.value, shape).copy()
+        if len(policy.value) != p:
+            raise ValueError(f"constant attack has dimension {len(policy.value)}, expected {p}")
+        return np.broadcast_to(sgn * np.array(policy.value), shape).copy()
     u = _keyed_stream(policy.seed, agents, rounds, p)
     return sgn * (policy.low + (policy.high - policy.low) * u)
 
@@ -302,7 +303,7 @@ def max_attack_norm(policy: AttackPolicy, p: int) -> float:
     if policy.kind == "zero":
         return 0.0
     if policy.kind == "constant":
-        return float(np.linalg.norm(policy.value))
+        return float(np.linalg.norm(np.array(policy.value)))
     return policy.high * float(np.sqrt(p))
 
 

@@ -74,14 +74,13 @@ class ExperimentConfig:
     p: int
     topology_type: str  # "complete" | "edge_list"
     edges: tuple | None
-    roles: tuple
     objective_name: str
     box_lo: tuple
     box_hi: tuple
     quantizer_bits: int | None
     interval_lengths: tuple | None  # one per agent; None means exact mode
     quantizer_midpoint: tuple | None
-    attack: dict  # agent id -> AttackPolicy
+    attack: dict  # agent id -> AttackPolicy; every other agent is honest
     adversary_quantizes: bool
     alpha: float
     iterations: int
@@ -348,7 +347,6 @@ def _parse_attack_policy(doc, path, p, errors):
         # while p is invalid, a value is passed on unchecked
         (low, high), value = policy["range"], policy["value"] if p else doc.get("value")
         try:
-            value = None if value is None else np.array(value)
             return AttackPolicy(policy["kind"], policy["sign"], low, high, value, policy["seed"])
         except (TypeError, ValueError, OverflowError) as exc:  # an unhashable kind, 10**400
             errors["attack"].append((path, str(exc)))
@@ -488,7 +486,7 @@ def parse_config(document, like: ExperimentConfig | None = None) -> ExperimentCo
     if any(errors.values()):
         raise ConfigError([error for found in errors.values() for error in found])
     cfg = ExperimentConfig(
-        n=n, p=p, topology_type=v["topology.type"], edges=v["topology.edges"], roles=roles,
+        n=n, p=p, topology_type=v["topology.type"], edges=v["topology.edges"],
         objective_name=v["objective.name"], box_lo=box_lo, box_hi=box_hi,
         quantizer_bits=v.get("quantizer.bits"), interval_lengths=lengths,
         quantizer_midpoint=midpoint, attack=attack, adversary_quantizes=v["adversary_quantizes"],

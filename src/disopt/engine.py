@@ -7,48 +7,30 @@ perturbation, and the result is projected back onto the feasible set.
 
 A run is split by what its seed changes.  :func:`plan` validates a
 config's inputs once and fixes everything its seeds share in a
-:class:`RunPlan`: the agent masks, the objective groups, the invariant
-tolerance, the block size, the constant operands and the attack groups.
-It holds only O(n + p) data of its own, read-only, so one plan per sweep
-point stays small for a whole seed-major sweep; every (n, p) and (K, ...)
-array is built by :func:`run`, which does only the work of one seed.
-Constants that meet the state in a ufunc are 0-d operands where their
-entries are bit-equal (the step size, a constant x*, the quantizer's
-midpoint), the form numpy serves without its broadcasting iterator, with
-every result bit for bit the same.
+:class:`RunPlan`.  It holds only O(n + p) data of its own, read-only, so
+one plan per sweep point stays small for a whole seed-major sweep; every
+(n, p) and (K, ...) array is built by :func:`run`, which does only the
+work of one seed.  Constants that meet the state in a ufunc are 0-d
+operands where their entries are bit-equal (the step size, a constant
+x*, the quantizer's midpoint), the form numpy serves without its
+broadcasting iterator, with every result bit for bit the same.
 
-Within a run, the round loop only advances the state, writing
-each round's iterates, broadcasts, gradients, attack rows, attack-free
-update and projection residual into block buffers of at most
-``BLOCK_BYTES`` each, all views of one workspace allocated once per run;
-a round's residual row holds its temporaries until ``step`` writes the
-residual there.  The loop allocates nothing per round when each
-objective's agents are contiguous: ``broadcast_phase``,
-``matrix_form_update`` and ``step`` write into the caller's buffers, the
-subgradient writes into the round's gradient rows through its ``out``
-parameter (an array it returns instead is copied there), and the box
-bounds are two (n, p) rows of the workspace, which ``clip`` reads without
-the buffer it allocates for a (p,) bound.  An
-objective whose agents are not contiguous is handed a row copy and
-returns a new array, which is scattered into the gradient rows.
-A round is four calls, each through its module or class name:
-``broadcast_phase`` (one ``UniformQuantizer.quantize``) and ``step`` (one
-``matrix_form_update``), kept apart because ``bench/tracing.py`` wraps each
-and divides per-round metrics by their counts.  Around their arithmetic,
-buffers go positionally, ufuncs are module-level names, and the box's
-(lo, hi) rows and the ``None`` rows marking one objective that every agent
-carries (no views of the state) are built once, the rows per run and
-the mark per plan.
-After every block, each column of the run's :class:`Trace` is filled by
-one array reduction over the block (:func:`_norms` and :func:`_means`,
-numpy's own formulas without their Python wrappers), the quantizer
-saturation test included, and the mean-iterate invariant is checked
-there.  The block buffers are bounded; what grows with the iteration
-count is the trace columns and, under a uniform attack, the keyed attack
-table, which :func:`_attack_schedule` draws for all K rounds up front
-together with its uint64 temporaries (n = 10, p = 1, 7 uniform
-adversaries, a repeated run under tracemalloc: a 1.1 MB peak against
-0.25 MB of columns at K = 1000, 8.3 MB against 2.0 MB at K = 8000).
+Within a run, the round loop only advances the state, writing each
+round's iterates, broadcasts, gradients, attack rows, attack-free update
+and projection residual into block buffers of at most ``BLOCK_BYTES``
+each, all views of one workspace allocated once per run.  A round
+allocates nothing when every agent carries one objective that honours
+``subgradient``'s ``out``; a group of some agents reads a row copy whose
+result is scattered.  A round is four calls, each through its module or
+class name: ``broadcast_phase`` (one ``UniformQuantizer.quantize``) and
+``step`` (one ``matrix_form_update``), kept apart because
+``bench/tracing.py`` wraps each and divides per-round metrics by their
+counts.  After every block, each column of the run's :class:`Trace` is
+filled by one array reduction over the block, and the mean-iterate
+invariant is checked there.  The block buffers are bounded; what grows
+with the iteration count is the trace columns and, under a uniform
+attack, the keyed attack table, which :func:`_attack_schedule` draws for
+all K rounds up front.
 
 A single run is sequential and fully deterministic given its seed.  Runs
 share their plan, read-only, and one more thing: inside an :func:`adversary.sharing_streams`
@@ -254,14 +236,14 @@ def step(
     is ``h - clip(h)`` and the next iterates are ``h - xi``.
     ``attack_rows`` holds this round's attack e_i(k) per agent (zero rows
     for honest agents); ``objective_rows`` pairs each distinct objective
-    with the agents that carry it, as an index array, a slice, or None
-    for all of them: a slice's subgradients, or None's over the whole
-    state, are written into their gradient rows through ``out`` (or copied
-    there, if the objective returns another array), an index array's
-    (whose rows are copies) are returned and scattered.
-    ``bounds`` is the box's (lo, hi), arrays that broadcast against the
-    state; the run passes them as a tuple of (n, p) arrays, which ``clip``
-    reads without the buffer it allocates for a (p,) bound.
+    with the agents that carry it, as an index array or None for all of
+    them.  None's subgradients are written into the gradient buffer
+    through ``out`` (or copied there, if the objective returns another
+    array); an index array's rows are copies, and their subgradients are
+    scattered into the gradient rows.  ``bounds`` is the box's (lo, hi),
+    arrays that broadcast against the state; the run passes two (n, p)
+    arrays, which ``clip`` reads without the buffer it allocates for a
+    (p,) bound.
 
     ``out`` is four (n, p) buffers, (next iterates, gradients, ``H_af``,
     ``xi``), which receive the results and are returned; ``xi`` holds the
@@ -271,15 +253,11 @@ def step(
     next_iterates, gradients, h_attack_free, xi = out
     for objective, rows in objective_rows:
         if rows is None:  # every agent's: the whole buffers, no views
-            x, rows_out = iterates, gradients
-        elif isinstance(rows, slice):
-            x, rows_out = iterates[rows], gradients[rows]
+            result = objective.subgradient(iterates, out=gradients)
+            if result is not gradients:  # an objective that ignored ``out``
+                gradients[...] = result
         else:
             gradients[rows] = objective.subgradient(iterates[rows])
-            continue
-        result = objective.subgradient(x, out=rows_out)
-        if result is not rows_out:  # an objective that ignored ``out``
-            rows_out[...] = result
     matrix_form_update(weights, iterates, broadcasts, gradients, alpha, h_attack_free, xi)
     h = _add(h_attack_free, attack_rows, next_iterates)
     # the projection stays clip, not np.maximum/np.minimum, which can give
@@ -366,7 +344,7 @@ def _record_block(
 
 
 def mean_recursion_residual(
-    trace: Trace, alpha: float, start: int = 0, stop: int | None = None
+    trace: Trace, alpha: float | np.ndarray, start: int = 0, stop: int | None = None
 ) -> np.ndarray:
     """Per-round deviation from the exact mean-iterate bookkeeping identity.
 
@@ -389,15 +367,7 @@ def _grouped(pairs) -> list:
     groups: dict = {}
     for index, value in pairs:
         groups.setdefault(id(value), (value, []))[1].append(index)
-    return [(value, np.array(rows, dtype=np.intp)) for value, rows in groups.values()]
-
-
-def _as_slice(rows: np.ndarray):
-    """``rows`` as a basic slice when it is one contiguous ascending run,
-    so indexing with it makes views, not copies; else ``rows`` itself."""
-    if rows.size and np.array_equal(rows, np.arange(rows[0], rows[-1] + 1)):
-        return slice(int(rows[0]), int(rows[-1]) + 1)
-    return rows
+    return [(value, operand(rows, np.intp)) for value, rows in groups.values()]
 
 
 # the one round a constant attack is drawn at, as a key word
@@ -462,8 +432,7 @@ class RunPlan(NamedTuple):
     n: int
     p: int
     iterations: int
-    alpha: float
-    alpha_operand: np.ndarray
+    alpha: np.ndarray  # the step size, a 0-d operand
     quantizer: UniformQuantizer | None
     weights: np.ndarray
     feasible: FeasibleSet
@@ -472,7 +441,8 @@ class RunPlan(NamedTuple):
     honest: np.ndarray
     quantizes: np.ndarray
     full_precision: np.ndarray
-    subgrad_bound: float
+    subgrad_bound: float  # L-bar, the largest objective subgradient bound
+    attack_norm: float  # ||e||, the largest attack-norm bound
     tolerance: float
     block: int
     uniform: tuple  # (policy, uint32 agent ids) per distinct uniform policy
@@ -517,8 +487,9 @@ def plan(
         _checked_init(explicit_init, n, feasible)
 
     subgrad_bound = suite_subgrad_bound(objectives)
+    attack_norm = adv.attack_norm_bound(attacks, p)
     tolerance = MEAN_RECURSION_TOL * max(
-        1.0, feasible.corner_norm(), alpha * subgrad_bound, adv.attack_norm_bound(attacks, p)
+        1.0, feasible.corner_norm(), alpha * subgrad_bound, attack_norm
     )
     uniform, constant, keyed = [], [], [np.empty(0, dtype=np.intp)]
     for policy, agents in _grouped(attacks.items()):
@@ -528,10 +499,7 @@ def plan(
             keyed.append(agents)
         elif policy.kind == "constant":  # a zero row is the fixed rows' zeros
             constant.append((policy, words))
-    objective_rows = [
-        (objective, _as_slice(operand(rows, np.intp)))
-        for objective, rows in _grouped(enumerate(objectives))
-    ]
+    objective_rows = _grouped(enumerate(objectives))
     if len(objective_rows) == 1:  # one objective carried by every agent
         objective_rows = [(objective_rows[0][0], None)]
     quantizes = honest | adversary_quantizes
@@ -539,8 +507,7 @@ def plan(
         n=n,
         p=p,
         iterations=iterations,
-        alpha=alpha,
-        alpha_operand=operand(alpha),
+        alpha=operand(alpha),
         quantizer=quantizer,
         weights=topology.weights,
         feasible=feasible,
@@ -550,6 +517,7 @@ def plan(
         quantizes=operand(quantizes, bool),
         full_precision=operand(~quantizes[:, None], bool),
         subgrad_bound=subgrad_bound,
+        attack_norm=attack_norm,
         tolerance=tolerance,
         block=min(iterations, max(1, BLOCK_BYTES // (8 * n * p))),
         uniform=tuple(uniform),
@@ -590,7 +558,7 @@ def run(plan: RunPlan, seed: int) -> RunResult:
     lo, hi = bounds = tuple(workspace[6 * block + 1 :])  # views made once, not per round
     lo[...], hi[...] = plan.feasible.lo, plan.feasible.hi
     quantizer, full_precision, weights = plan.quantizer, plan.full_precision, plan.weights
-    objective_rows, alpha_operand = plan.objective_rows, plan.alpha_operand
+    objective_rows, alpha = plan.objective_rows, plan.alpha
     states[0] = initial_iterates(n, plan.feasible, seed, plan.explicit_init)
     for start in range(0, iterations, block):
         m = min(block, iterations - start)
@@ -610,7 +578,7 @@ def run(plan: RunPlan, seed: int) -> RunResult:
                 weights,
                 objective_rows,
                 bounds,
-                alpha_operand,
+                alpha,
                 (next_state, gradient, h_af, xi_row),
             )
         _record_block(
@@ -625,7 +593,7 @@ def run(plan: RunPlan, seed: int) -> RunResult:
             bounds,
             plan,
         )
-        residual = mean_recursion_residual(trace, plan.alpha, start, start + m)
+        residual = mean_recursion_residual(trace, alpha, start, start + m)
         failed = np.flatnonzero(~(residual <= plan.tolerance))  # NaN fails too
         if failed.size:
             j = int(failed[0])

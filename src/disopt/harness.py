@@ -17,11 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from . import engine
-from .adversary import attack_norm_bound, sharing_streams
+from .adversary import sharing_streams
 from .bounds import BoundReport
 from .config import PRESETS, ConfigError, ExperimentConfig, parse_config, preset_document
 from .config import _object, _range, _rule, check_value, read_document
-from .objective import suite_subgrad_bound
 
 
 @dataclass(frozen=True)
@@ -62,8 +61,8 @@ def build_bound_report(config: ExperimentConfig, initial_error: float) -> BoundR
         alpha=config.alpha,
         bits=quantizer.bits,
         interval_length=float(quantizer.interval_length.max()),
-        subgrad_bound=suite_subgrad_bound(objectives),
-        attack_norm=attack_norm_bound(config.attack, config.p),
+        subgrad_bound=config.plan.subgrad_bound,
+        attack_norm=config.plan.attack_norm,
         initial_error=initial_error,
     )
 

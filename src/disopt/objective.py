@@ -73,11 +73,11 @@ class LocalObjective:
     give.  With ``out``, an (m, p) float array that does not overlap
     ``x``, it writes them there and returns ``out``; without, it returns
     a new array.  The engine makes one call per round for all agents
-    that share an objective: when those agents are contiguous it passes a
-    view of the state and a view of the round's gradient buffer as
-    ``out``, so ``subgradient`` must not write to ``x``.  It should fill
-    ``out``; another array returned instead is copied into the gradient
-    rows, which costs that array's allocation every round.
+    that share an objective: when every agent carries it, the call reads
+    the whole state and writes the round's gradient buffer as ``out``, so
+    ``subgradient`` must not write to ``x``.  It should fill ``out``;
+    another array returned instead is copied into the gradient rows,
+    which costs that array's allocation every round.
     """
 
     dimension: int

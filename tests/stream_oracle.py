@@ -14,7 +14,7 @@ def reference_attack_vector(policy, agent: int, k: int, p: int) -> np.ndarray:
     if policy.kind == "zero":
         return np.zeros(p)
     if policy.kind == "constant":
-        return sgn * policy.value.copy()
+        return sgn * np.array(policy.value)
     rng = np.random.default_rng(np.random.SeedSequence((policy.seed, agent, k)))
     return sgn * (policy.low + (policy.high - policy.low) * rng.random(p))
 

@@ -111,6 +111,8 @@ def test_invalid_policies_rejected():
         AttackPolicy(kind="constant")  # missing value
     with pytest.raises(ValueError):
         AttackPolicy(kind="constant", value=np.array([0.1, -0.1]))
+    with pytest.raises(ValueError, match="must be a vector"):
+        AttackPolicy(kind="constant", value=[[0.5, 0.25]])
     with pytest.raises(ValueError):
         AttackPolicy(kind="uniform", sign="alternating")
 

@@ -53,6 +53,19 @@ def test_run_writes_artifacts(tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
 
 
+def test_readme_example_config_runs(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### Example config", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    cfg = tmp_path / "example.json"
+    cfg.write_text(block)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == EXIT_OK
+    assert sorted(path.name for path in out.iterdir()) == [
+        "example_bounds.json", "example_seed0.csv", "example_seed1.csv", "example_seed2.csv",
+    ]
+
+
 def test_run_per_agent_columns(tmp_path):
     cfg = _write(tmp_path, "small.json", SMALL_RUN)
     out = tmp_path / "out"
@@ -79,7 +92,7 @@ def test_per_agent_closing_row_is_the_final_state(tmp_path):
     config = parse_config(doc)
     _, x_star = config.objectives
     final = run_single(config, 0).final_iterates
-    honest = np.array([role == "honest" for role in config.roles])
+    honest = np.array([i not in config.attack for i in range(config.n)])
     assert last[0] == str(config.iterations)
     assert last[1:3] == [
         repr(float(np.linalg.norm(final.mean(axis=0) - x_star, axis=-1))),

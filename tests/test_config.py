@@ -41,7 +41,7 @@ def _paths(excinfo):
 def test_valid_document_round_trip():
     cfg = parse_config(_doc())
     assert cfg.n == 4 and cfg.p == 2
-    assert cfg.roles == ("honest", "honest", "honest", "adversarial")
+    assert [i for i in range(cfg.n) if i not in cfg.attack] == [0, 1, 2]
     assert cfg.quantizer_bits == 2
     assert cfg.interval_lengths == (1.0, 1.0, 1.0, 1.0)
     assert build_bound_report(cfg, 0.0).interval_length == 1.0
@@ -49,6 +49,15 @@ def test_valid_document_round_trip():
     assert cfg.seeds == (0, 1)
     # parse from JSON text too
     assert parse_config(json.dumps(_doc())) == cfg
+    # a constant attack at p >= 2 compares and hashes by its value
+    doc = _doc(
+        n=3,
+        roles=["honest", "honest", "adversarial"],
+        attack={"kind": "constant", "value": [0.5, 0.25]},
+    )
+    constant = parse_config(doc)
+    assert parse_config(json.dumps(doc)) == constant
+    assert hash(parse_config(doc).attack[2]) == hash(constant.attack[2])
 
 
 def test_all_errors_reported_with_field_paths():
@@ -196,9 +205,9 @@ def test_presets_are_valid_and_distinct():
         assert cfg.iterations == 200
         assert cfg.seeds == tuple(range(20))
         assert cfg.alpha == 0.7
-    assert preset_config("fig2a").roles.count("honest") == 7
+    assert len(preset_config("fig2a").attack) == 10 - 7
     assert preset_config("fig2b").quantizer_bits == 5
-    assert preset_config("fig2c").roles.count("honest") == 3
+    assert len(preset_config("fig2c").attack) == 10 - 3
 
 
 def test_preset_seed_override():
@@ -533,9 +542,8 @@ def test_topology_built_once_per_config(monkeypatch, tmp_path):
 
 
 def test_attack_norm_is_bounded_once_per_distinct_policy(monkeypatch, tmp_path):
-    # three adversaries share one policy: the plan's invariant tolerance,
-    # built once for all three seeds, and the report's attack-norm bound
-    # evaluate it once each
+    # three adversaries share one policy: the plan, built once for all
+    # three seeds, evaluates it once, and the report reads the plan's bound
     calls = []
     real = adversary.max_attack_norm
 
@@ -554,7 +562,7 @@ def test_attack_norm_is_bounded_once_per_distinct_policy(monkeypatch, tmp_path):
     run_experiment(cfg, tmp_path)
     shared = cfg.attack[3]
     assert cfg.attack[4] is cfg.attack[5] is shared
-    assert len(calls) == 1 + 1 and all(policy is shared for policy in calls)
+    assert len(calls) == 1 and all(policy is shared for policy in calls)
 
 
 # Every field of a small valid document, as a path of keys.

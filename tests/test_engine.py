@@ -445,16 +445,13 @@ def _shifted_quadratic(center) -> LocalObjective:
 
 @pytest.mark.parametrize("bits", [None, 2])
 def test_interleaved_objectives_match_the_per_round_oracle(bits):
-    # agents 0, 2, 4 and 1, 3, 5 carry two objectives whose rows are index
-    # arrays, so step sees row copies there; agents 6-7 share a third one,
-    # a slice whose subgradients go straight into the gradient rows
+    # agents 0, 2, 4 and 1, 3, 5 carry two objectives and agents 6-7 share
+    # a third one: every group is an index array, so step sees row copies
     n, p = 8, 3
     box = FeasibleSet(lo=np.full(p, -1.0), hi=np.full(p, 1.0))
     even = quadratic_suite(1, p, box)[0]
     odd, tail = _shifted_quadratic([0.5, -0.25, 0.0]), _shifted_quadratic([-0.5, 0.5, 0.25])
     objectives = [even, odd] * 3 + [tail, tail]
-    rows = [rows for _, rows in engine._grouped(enumerate(objectives))]
-    assert [type(engine._as_slice(r)) for r in rows] == [np.ndarray, np.ndarray, slice]
     run = dict(
         attacks={5: adversary.AttackPolicy(kind="uniform", low=0.0, high=0.8, seed=3)},
         quantizer=None if bits is None else UniformQuantizer(bits=bits, interval_length=1.0),
@@ -465,7 +462,9 @@ def test_interleaved_objectives_match_the_per_round_oracle(bits):
         iterations=12,
         x_star=np.zeros(p),
     )
-    result = engine.run(engine.plan(**run), 2)
+    plan = engine.plan(**run)
+    assert [type(rows) for _, rows in plan.objective_rows] == [np.ndarray] * 3
+    result = engine.run(plan, 2)
     traces, final = reference_run(**run, seed=2)
     honest = np.arange(n) != 5
     for name, column in reference_columns(traces, final, honest, np.zeros(p)).items():
@@ -476,7 +475,7 @@ def test_interleaved_objectives_match_the_per_round_oracle(bits):
 def test_an_objective_ignoring_out_fills_the_gradient_rows():
     # its subgradient returns a new array whatever ``out`` is; step passes
     # the whole gradient buffer as ``out`` when the objective is every
-    # agent's, and a slice of it when only agents 0-2 carry it; the rows
+    # agent's, and scatters it when only agents 0-2 carry it; the rows
     # must receive that array, not keep the workspace's stale values
     n, p = 4, 3
     box = FeasibleSet(lo=np.full(p, -1.0), hi=np.full(p, 1.0))
@@ -609,22 +608,22 @@ def test_a_round_allocates_nothing():
     bounds = np.full((n, p), -1.0), np.full((n, p), 1.0)  # as the run passes the box
     alpha = np.array(0.5)
 
-    def one_round(objective_rows):
+    objective_rows = [(objective, None)]  # the run's mark of one objective for every agent
+
+    def one_round():
         broadcast_phase(state, quantizer, full_precision, sent, xi)
         out = (next_state, gradient, h_af, xi)
         engine.step(state, sent, attack, weights, objective_rows, bounds, alpha, out)
 
-    # a slice of agents, and the run's mark of one objective for every agent
-    for objective_rows in ([(objective, slice(0, n))], [(objective, None)]):
-        one_round(objective_rows)  # numpy's first-call set-up is not a round's cost
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            one_round(objective_rows)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - before < 1024, objective_rows
+    one_round()  # numpy's first-call set-up is not a round's cost
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        one_round()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 1024
 
 
 _REDUCTION_SPECIALS = np.array(
