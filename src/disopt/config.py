@@ -23,7 +23,7 @@ import numpy as np
 
 from . import engine
 from .adversary import MAX_KEY, AttackPolicy
-from .objective import FeasibleSet, make_objectives
+from .objective import FeasibleSet, LocalObjective, make_objective
 from .quantizer import UniformQuantizer
 from .topology import build_complete, build_from_edge_list
 
@@ -101,9 +101,9 @@ class ExperimentConfig:
         return FeasibleSet(lo=np.array(self.box_lo), hi=np.array(self.box_hi))
 
     @cached_property
-    def objectives(self):
-        """The pair (per-agent objectives, shared minimizer x*)."""
-        return make_objectives(self.objective_name, self.n, self.p, self.feasible_set)
+    def objective(self) -> LocalObjective:
+        """The network objective, with its minimizer x*."""
+        return make_objective(self.objective_name, self.p, self.feasible_set)
 
     @cached_property
     def quantizer(self) -> UniformQuantizer | None:
@@ -121,16 +121,14 @@ class ExperimentConfig:
     def plan(self) -> engine.RunPlan:
         """What every seed's run shares, built on the config's first run
         (never at parse time) and kept for its later seeds."""
-        objectives, x_star = self.objectives
         return engine.plan(
             attacks=self.attack,
             quantizer=self.quantizer,
             topology=self.topology,
-            objectives=objectives,
+            objective=self.objective,
             feasible=self.feasible_set,
             alpha=self.alpha,
             iterations=self.iterations,
-            x_star=x_star,
             explicit_init=self.init,
             adversary_quantizes=self.adversary_quantizes,
         )
@@ -416,7 +414,7 @@ def parse_config(document, like: ExperimentConfig | None = None) -> ExperimentCo
 
     When the config's topology and box fields equal those of ``like``
     (the box by ``repr``, so a -0.0 bound differs from 0.0), it takes
-    ``like``'s built topology, feasible set and objectives instead of
+    ``like``'s built topology, feasible set and objective instead of
     building its own: the points of one sweep share them.
     """
     document = read_document(document)
@@ -494,7 +492,7 @@ def parse_config(document, like: ExperimentConfig | None = None) -> ExperimentCo
         init=init,
     )
     if like is not None and _build_key(cfg) == _build_key(like):
-        for name in ("topology", "feasible_set", "objectives"):
+        for name in ("topology", "feasible_set", "objective"):
             cfg.__dict__[name] = getattr(like, name)  # the cached_property slot
         return cfg
     # connectivity and similar structural errors surface with a field path
@@ -507,7 +505,7 @@ def parse_config(document, like: ExperimentConfig | None = None) -> ExperimentCo
 
 
 def _build_key(cfg: ExperimentConfig) -> tuple:
-    """The fields that fix the built topology, feasible set and objectives."""
+    """The fields that fix the built topology, feasible set and objective."""
     return (
         cfg.n, cfg.p, cfg.topology_type, cfg.edges, cfg.objective_name,
         repr(cfg.box_lo), repr(cfg.box_hi),

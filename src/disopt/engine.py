@@ -11,19 +11,20 @@ config's inputs once and fixes everything its seeds share in a
 one plan per sweep point stays small for a whole seed-major sweep; every
 (n, p) and (K, ...) array is built by :func:`run`, which does only the
 work of one seed.  Constants that meet the state in a ufunc are 0-d
-operands where their entries are bit-equal (the step size, a constant
-x*, the quantizer's midpoint), the form numpy serves without its
-broadcasting iterator, with every result bit for bit the same.
+operands where their entries are bit-equal (the step size, the
+quantizer's midpoint, a constant x* in the block reductions), the form
+numpy serves without its broadcasting iterator, with every result bit for
+bit the same.
 
 Within a run, the round loop only advances the state, writing each
 round's iterates, broadcasts, gradients, attack rows, attack-free update
 and projection residual into block buffers of at most ``BLOCK_BYTES``
-each, all views of one workspace allocated once per run.  A round
-allocates nothing when every agent carries one objective that honours
-``subgradient``'s ``out``; a group of some agents reads a row copy whose
-result is scattered.  A round is four calls, each through its module or
-class name: ``broadcast_phase`` (one ``UniformQuantizer.quantize``) and
-``step`` (one ``matrix_form_update``), kept apart because
+each, all views of one workspace allocated once per run.  The network
+has one objective, which maps the whole (n, p) state to its gradients in
+one call; a round allocates nothing when it honours ``subgradient``'s
+``out``.  A round is four calls, each through its module or class name:
+``broadcast_phase`` (one ``UniformQuantizer.quantize``) and ``step``
+(one ``matrix_form_update``), kept apart because
 ``bench/tracing.py`` wraps each and divides per-round metrics by their
 counts.  After every block, each column of the run's :class:`Trace` is
 filled by one array reduction over the block, and the mean-iterate
@@ -50,7 +51,7 @@ import numpy as np
 
 from . import adversary as adv
 from .bounds import lemma1_bound
-from .objective import FeasibleSet, suite_subgrad_bound
+from .objective import FeasibleSet, LocalObjective
 from .operand import constant_operand, operand
 from .quantizer import UniformQuantizer
 
@@ -224,7 +225,7 @@ def step(
     broadcasts: np.ndarray,
     attack_rows: np.ndarray,
     weights: np.ndarray,
-    objective_rows: list,
+    objective: LocalObjective,
     bounds: tuple,
     alpha: float | np.ndarray,
     out: tuple,
@@ -235,15 +236,12 @@ def step(
     projection residual ``xi``): with ``h = H_af + attack_rows``, ``xi``
     is ``h - clip(h)`` and the next iterates are ``h - xi``.
     ``attack_rows`` holds this round's attack e_i(k) per agent (zero rows
-    for honest agents); ``objective_rows`` pairs each distinct objective
-    with the agents that carry it, as an index array or None for all of
-    them.  None's subgradients are written into the gradient buffer
-    through ``out`` (or copied there, if the objective returns another
-    array); an index array's rows are copies, and their subgradients are
-    scattered into the gradient rows.  ``bounds`` is the box's (lo, hi),
-    arrays that broadcast against the state; the run passes two (n, p)
-    arrays, which ``clip`` reads without the buffer it allocates for a
-    (p,) bound.
+    for honest agents).  The network ``objective`` reads the whole state
+    and writes its subgradients into the gradient buffer through ``out``
+    (or they are copied there, if it returns another array).  ``bounds``
+    is the box's (lo, hi), arrays that broadcast against the state; the
+    run passes two (n, p) arrays, which ``clip`` reads without the buffer
+    it allocates for a (p,) bound.
 
     ``out`` is four (n, p) buffers, (next iterates, gradients, ``H_af``,
     ``xi``), which receive the results and are returned; ``xi`` holds the
@@ -251,13 +249,9 @@ def step(
     input or another buffer.
     """
     next_iterates, gradients, h_attack_free, xi = out
-    for objective, rows in objective_rows:
-        if rows is None:  # every agent's: the whole buffers, no views
-            result = objective.subgradient(iterates, out=gradients)
-            if result is not gradients:  # an objective that ignored ``out``
-                gradients[...] = result
-        else:
-            gradients[rows] = objective.subgradient(iterates[rows])
+    result = objective.subgradient(iterates, out=gradients)
+    if result is not gradients:  # an objective that ignored ``out``
+        gradients[...] = result
     matrix_form_update(weights, iterates, broadcasts, gradients, alpha, h_attack_free, xi)
     h = _add(h_attack_free, attack_rows, next_iterates)
     # the projection stays clip, not np.maximum/np.minimum, which can give
@@ -309,7 +303,7 @@ def _record_block(
     mode (no quantizer) every broadcast is its agent's iterate, so
     ``delta_bar`` is 0 without a norm.
     """
-    quantizer, x_star = plan.quantizer, plan.x_star
+    quantizer, x_star = plan.quantizer, constant_operand(plan.objective.x_star)
     m = len(gradients)
     rows = slice(start, start + m)
     entering = iterates[:-1]
@@ -338,7 +332,7 @@ def _record_block(
     trace.mean_attack[rows] = _means(attacks)
     trace.mean_attack_norm[rows] = _means(_norms(attacks))
 
-    lemma1_rhs = lemma1_bound(delta_bar, plan.subgrad_bound, plan.alpha, plan.n)
+    lemma1_rhs = lemma1_bound(delta_bar, plan.objective.subgrad_bound, plan.alpha, plan.n)
     trace.lemma1_rhs[rows] = lemma1_rhs
     trace.lemma1_ok[rows] = xi_bar_norm <= lemma1_rhs + LEMMA1_TOL
 
@@ -361,13 +355,13 @@ def mean_recursion_residual(
     return np.max(np.abs(predicted - trace.x_bar[start + 1 : stop + 1]), axis=1)
 
 
-def _grouped(pairs) -> list:
-    """(object, index array) per distinct object of (index, object) pairs,
-    in order of first appearance; objects are told apart by identity."""
+def _grouped(attacks: dict) -> list:
+    """(policy, agent index array) per distinct policy of an attack map,
+    in order of first appearance; policies are told apart by identity."""
     groups: dict = {}
-    for index, value in pairs:
-        groups.setdefault(id(value), (value, []))[1].append(index)
-    return [(value, operand(rows, np.intp)) for value, rows in groups.values()]
+    for agent, policy in attacks.items():
+        groups.setdefault(id(policy), (policy, []))[1].append(agent)
+    return [(policy, operand(agents, np.intp)) for policy, agents in groups.values()]
 
 
 # the one round a constant attack is drawn at, as a key word
@@ -421,8 +415,8 @@ class RunPlan(NamedTuple):
     """The part of a run that no seed changes, built once by :func:`plan`.
 
     It holds O(n + p) data of its own, every array read-only, and refers
-    to the topology's weights, the box and the quantizer without copying
-    them; ``explicit_init`` is kept as given (checked once, read again by
+    to the topology's weights, the box, the objective and the quantizer
+    without copying them; ``explicit_init`` is kept as given (checked once, read again by
     every run, so it must not change).  The attack rows, the box rows and
     the workspace belong to each run, so a plan kept alive for a whole
     seed-major sweep stays small.  (A named tuple: immutable, and cheaper
@@ -436,12 +430,10 @@ class RunPlan(NamedTuple):
     quantizer: UniformQuantizer | None
     weights: np.ndarray
     feasible: FeasibleSet
-    x_star: np.ndarray
-    objective_rows: tuple
+    objective: LocalObjective
     honest: np.ndarray
     quantizes: np.ndarray
     full_precision: np.ndarray
-    subgrad_bound: float  # L-bar, the largest objective subgradient bound
     attack_norm: float  # ||e||, the largest attack-norm bound
     tolerance: float
     block: int
@@ -455,53 +447,51 @@ def plan(
     attacks: dict,
     quantizer: UniformQuantizer | None,
     topology,
-    objectives,
+    objective: LocalObjective,
     feasible: FeasibleSet,
     alpha: float,
     iterations: int,
-    x_star: np.ndarray,
     explicit_init=None,
     adversary_quantizes: bool = False,
 ) -> RunPlan:
     """Validate a run's inputs and fix everything its seeds share.
 
-    ``attacks`` maps each adversarial agent to its :class:`AttackPolicy`;
-    every other agent is honest.  ``quantizer`` encodes every broadcast
-    (its interval length may be an (n, 1) column, one per agent), or is
-    None for exact communication.  Raises ``ValueError`` for an input no
-    run can take.
+    ``attacks`` maps each adversarial agent, an id in [0, n), to its
+    :class:`AttackPolicy`; every other agent is honest.  ``quantizer``
+    encodes every broadcast (its interval length may be an (n, 1) column,
+    one per agent), or is None for exact communication.  ``objective`` is
+    the network's, of the box's dimension; its x* and L-bar are the run's.
+    Raises ``ValueError`` for an input no run can take.
     """
     if iterations < 1:
         raise ValueError(f"need at least one iteration, got {iterations}")
-    n = topology.n
-    if len(objectives) != n:
-        raise ValueError("objectives length must match the agent count")
+    n, p = topology.n, feasible.dimension
+    if objective.dimension != p:
+        raise ValueError(f"objective dimension {objective.dimension} != box dimension {p}")
     if alpha <= 0:
         raise ValueError(f"step size must be positive, got {alpha}")
+    for agent in attacks:
+        if not 0 <= agent < n:
+            raise ValueError(f"agent ids must lie in [0, {n}), got {agent}")
     honest = np.ones(n, dtype=bool)
     honest[list(attacks)] = False
     if not honest.any():
         raise ValueError("at least one honest agent is required")
-    p = feasible.dimension
     if explicit_init is not None:
         _checked_init(explicit_init, n, feasible)
 
-    subgrad_bound = suite_subgrad_bound(objectives)
     attack_norm = adv.attack_norm_bound(attacks, p)
     tolerance = MEAN_RECURSION_TOL * max(
-        1.0, feasible.corner_norm(), alpha * subgrad_bound, attack_norm
+        1.0, feasible.corner_norm(), alpha * objective.subgrad_bound, attack_norm
     )
     uniform, constant, keyed = [], [], [np.empty(0, dtype=np.intp)]
-    for policy, agents in _grouped(attacks.items()):
+    for policy, agents in _grouped(attacks):
         words = operand(adv._key_words(agents, "agent ids"), np.uint32)
         if policy.kind == "uniform":
             uniform.append((policy, words))
             keyed.append(agents)
         elif policy.kind == "constant":  # a zero row is the fixed rows' zeros
             constant.append((policy, words))
-    objective_rows = _grouped(enumerate(objectives))
-    if len(objective_rows) == 1:  # one objective carried by every agent
-        objective_rows = [(objective_rows[0][0], None)]
     quantizes = honest | adversary_quantizes
     return RunPlan(
         n=n,
@@ -511,12 +501,10 @@ def plan(
         quantizer=quantizer,
         weights=topology.weights,
         feasible=feasible,
-        x_star=constant_operand(x_star),
-        objective_rows=tuple(objective_rows),
+        objective=objective,
         honest=operand(honest, bool),
         quantizes=operand(quantizes, bool),
         full_precision=operand(~quantizes[:, None], bool),
-        subgrad_bound=subgrad_bound,
         attack_norm=attack_norm,
         tolerance=tolerance,
         block=min(iterations, max(1, BLOCK_BYTES // (8 * n * p))),
@@ -558,7 +546,7 @@ def run(plan: RunPlan, seed: int) -> RunResult:
     lo, hi = bounds = tuple(workspace[6 * block + 1 :])  # views made once, not per round
     lo[...], hi[...] = plan.feasible.lo, plan.feasible.hi
     quantizer, full_precision, weights = plan.quantizer, plan.full_precision, plan.weights
-    objective_rows, alpha = plan.objective_rows, plan.alpha
+    objective, alpha = plan.objective, plan.alpha
     states[0] = initial_iterates(n, plan.feasible, seed, plan.explicit_init)
     for start in range(0, iterations, block):
         m = min(block, iterations - start)
@@ -576,7 +564,7 @@ def run(plan: RunPlan, seed: int) -> RunResult:
                 sent,
                 attack,
                 weights,
-                objective_rows,
+                objective,
                 bounds,
                 alpha,
                 (next_state, gradient, h_af, xi_row),

@@ -54,14 +54,14 @@ def build_bound_report(config: ExperimentConfig, initial_error: float) -> BoundR
     quantizer = config.quantizer
     if quantizer is None:
         return None
-    objectives, _ = config.objectives
+    objective = config.objective
     return BoundReport(
-        mu=min(o.mu for o in objectives),
-        lipschitz=max(o.lipschitz for o in objectives),
+        mu=objective.mu,
+        lipschitz=objective.lipschitz,
         alpha=config.alpha,
         bits=quantizer.bits,
         interval_length=float(quantizer.interval_length.max()),
-        subgrad_bound=config.plan.subgrad_bound,
+        subgrad_bound=objective.subgrad_bound,
         attack_norm=config.plan.attack_norm,
         initial_error=initial_error,
     )
@@ -218,7 +218,7 @@ def expand_grid(grid_doc) -> list:
     Every grid point is validated before anything runs; an invalid point
     aborts the whole sweep with its field path.  No grid axis changes n,
     p, the graph or the box, so every point takes the first point's built
-    topology, feasible set and objectives (``parse_config``'s ``like``):
+    topology, feasible set and objective (``parse_config``'s ``like``):
     one of each per sweep document, never shared with another one.
     """
     grid_doc = read_document(grid_doc)

@@ -1,9 +1,9 @@
-"""Local objective functions and the box-constrained feasible set.
+"""The network objective and the box-constrained feasible set.
 
-Objectives carry their analysis metadata (strong-convexity modulus,
-gradient Lipschitz constant, and a uniform subgradient bound over the
-feasible set) so the bounds module can consume them without re-deriving
-anything.
+The objective carries its analysis metadata (strong-convexity modulus,
+gradient Lipschitz constant, a uniform subgradient bound over the
+feasible set, and the minimizer x*) so the bounds module and the error
+columns consume them without re-deriving anything.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .bounds import _check_moduli
+from .operand import operand
 
 
 @dataclass(frozen=True)
@@ -59,48 +60,57 @@ class FeasibleSet:
         return float(np.sqrt(np.sum(np.maximum(self.lo**2, self.hi**2))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalObjective:
-    """One agent's objective with its convexity/subgradient metadata.
+    """The network's objective, the sum over agents of their local f_i,
+    with the analysis metadata the bounds consume.
 
-    ``subgrad_bound`` must dominate ``||subgradient(x)||`` over the
-    feasible set; ``mu <= lipschitz`` is enforced at construction.
-    Evaluation is pure and thread-safe.
-
-    ``subgradient(x, out=None)`` is row-wise: given an (m, p) array of
-    points, one per row, it returns the (m, p) array of their
-    subgradients, row i being exactly what the point ``x[i]`` alone would
-    give.  With ``out``, an (m, p) float array that does not overlap
-    ``x``, it writes them there and returns ``out``; without, it returns
-    a new array.  The engine makes one call per round for all agents
-    that share an objective: when every agent carries it, the call reads
-    the whole state and writes the round's gradient buffer as ``out``, so
+    ``subgradient(x, out=None)`` maps the (n, p) state, row i agent i's
+    iterate, to the (n, p) array whose row i is agent i's subgradient of
+    f_i at ``x[i]``.  With ``out``, an (n, p) float array that does not
+    overlap ``x``, it writes them there and returns ``out``; without, it
+    returns a new array.  The engine makes one call per round, reading the
+    whole state and passing the round's gradient buffer as ``out``, so
     ``subgradient`` must not write to ``x``.  It should fill ``out``;
-    another array returned instead is copied into the gradient rows,
-    which costs that array's allocation every round.
+    another array returned instead is copied into the gradient buffer,
+    which costs that array's allocation every round.  ``evaluate(x)``
+    gives each row's f_i(x[i]) over the last axis.
+
+    The metadata holds for every agent: each f_i is ``mu``-strongly
+    convex with a ``lipschitz`` gradient, and ``subgrad_bound`` dominates
+    the norm of every row of ``subgradient`` over the feasible set;
+    ``mu <= lipschitz`` is enforced at construction.  ``x_star`` is the
+    minimizer of the sum over the box, the point the error columns
+    measure against; it is stored read-only and must have shape
+    ``(dimension,)``.  Evaluation is pure and thread-safe.
     """
 
     dimension: int
-    evaluate: Callable[[np.ndarray], float]
+    evaluate: Callable[[np.ndarray], np.ndarray]
     subgradient: Callable[..., np.ndarray]
     mu: float
     lipschitz: float
     subgrad_bound: float
+    x_star: np.ndarray
 
     def __post_init__(self):
         _check_moduli(self.mu, self.lipschitz)
         if self.subgrad_bound < 0:
             raise ValueError("subgradient bound must be nonnegative")
+        x_star = operand(self.x_star)
+        if x_star.shape != (self.dimension,):
+            raise ValueError(f"x_star has shape {x_star.shape}, expected ({self.dimension},)")
+        object.__setattr__(self, "x_star", x_star)
 
 
 def quadratic_suite(n: int, p: int, feasible: FeasibleSet) -> list:
-    """The benchmark suite: every agent carries f_i(x) = 0.5 ||x||^2.
+    """The benchmark objective, held n times: every agent's f_i(x) is
+    0.5 ||x||^2.
 
-    Each agent's subgradient is x itself (row by row on an (m, p)
-    array), mu = lipschitz = 1 per agent, and the shared minimizer
-    x* = 0 must be feasible, so the box has to contain the origin.  The
-    subgradient bound is the largest norm on the box (attained at a
-    corner).
+    The subgradient is the state itself, mu = lipschitz = 1, and the
+    minimizer x* = 0 must be feasible, so the box has to contain the
+    origin.  The subgradient bound is the largest norm on the box
+    (attained at a corner).  The list holds n references to one object.
     """
     if n < 1 or p < 1:
         raise ValueError(f"need n >= 1 and p >= 1, got n={n}, p={p}")
@@ -112,7 +122,7 @@ def quadratic_suite(n: int, p: int, feasible: FeasibleSet) -> list:
 
     def evaluate(x):
         x = np.asarray(x, dtype=float)
-        return 0.5 * float(x @ x)
+        return 0.5 * np.sum(x * x, axis=-1)
 
     def subgradient(x, out=None):
         if out is None:
@@ -127,17 +137,13 @@ def quadratic_suite(n: int, p: int, feasible: FeasibleSet) -> list:
         mu=1.0,
         lipschitz=1.0,
         subgrad_bound=feasible.corner_norm(),
+        x_star=origin,
     )
     return [obj] * n
 
 
-def make_objectives(name: str, n: int, p: int, feasible: FeasibleSet):
-    """Objective suite lookup by config name.  Returns (objectives, x_star)."""
+def make_objective(name: str, p: int, feasible: FeasibleSet) -> LocalObjective:
+    """The network objective of a config's ``objective.name``."""
     if name == "quadratic":
-        return quadratic_suite(n, p, feasible), np.zeros(p)
+        return quadratic_suite(1, p, feasible)[0]
     raise ValueError(f"unknown objective {name!r}")
-
-
-def suite_subgrad_bound(objectives) -> float:
-    """Uniform bound max_i over the per-agent subgradient bounds."""
-    return max(o.subgrad_bound for o in objectives)

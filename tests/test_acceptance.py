@@ -5,9 +5,12 @@ run log shows the verdict for every criterion even when the test passes.
 """
 
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+
+from disopt import engine
 
 from disopt.bounds import (
     admissible_step_window,
@@ -21,7 +24,9 @@ from disopt.bounds import (
 from disopt.config import parse_config, preset_config
 from disopt.engine import LEMMA1_TOL, mean_recursion_residual
 from disopt.harness import build_bound_report, run_experiment, run_single
+from disopt.objective import FeasibleSet, LocalObjective
 from disopt.quantizer import UniformQuantizer
+from disopt.topology import build_complete, build_from_edge_list
 
 
 def _report(capsys, num: int | str, passed: bool, detail: str) -> None:
@@ -365,3 +370,57 @@ def test_criterion_8_deterministic_artifacts(tmp_path, capsys):
         f"csv bytes identical: {csv_same}, report bytes identical: {json_same}",
     )
     assert csv_same and json_same
+
+
+def _heterogeneous_quadratic(curvature, centres, box) -> LocalObjective:
+    """Agent i's f_i(x) = (a_i / 2) ||x - c_i||^2: no agent's own minimizer
+    c_i is the network's x* = sum_i a_i c_i / sum_i a_i."""
+    a, c = curvature[:, None], centres
+    corner_distance = np.sqrt(np.sum(np.maximum((box.lo - c) ** 2, (box.hi - c) ** 2), axis=1))
+    return LocalObjective(
+        dimension=c.shape[1],
+        evaluate=lambda x: 0.5 * curvature * np.sum((x - c) ** 2, axis=-1),
+        subgradient=lambda x, out=None: np.multiply(a, np.subtract(x, c, out=out), out=out),
+        mu=float(curvature.min()),
+        lipschitz=float(curvature.max()),
+        subgrad_bound=float(np.max(curvature * corner_distance)),
+        x_star=curvature @ centres / curvature.sum(),
+    )
+
+
+@pytest.mark.parametrize("bits", [None, 5])
+def test_criterion_9_mixing_pulls_every_agent_toward_x_star(bits, capsys):
+    """On local objectives with different minimizers, an agent reaches the
+    network's x* only by hearing the others: mixing over the complete graph
+    or the ring ends with every agent far closer to x* than the same run
+    with W = I, where each agent settles at its own minimizer."""
+    n, p = 10, 2
+    rng = np.random.default_rng(1)
+    box = FeasibleSet(lo=np.full(p, -1.0), hi=np.full(p, 1.0))
+    objective = _heterogeneous_quadratic(
+        rng.uniform(0.5, 2.0, n), rng.uniform(-0.5, 0.5, (n, p)), box
+    )
+    quantizer = None if bits is None else UniformQuantizer(bits=bits, interval_length=2.0)
+    graphs = {
+        "complete": build_complete(n),
+        "ring": build_from_edge_list(n, [[i, (i + 1) % n] for i in range(n)]),
+        "isolated": SimpleNamespace(n=n, weights=np.eye(n)),  # no agent hears another
+    }
+    worst, violations = {}, 0
+    for name, topology in graphs.items():
+        plan = engine.plan({}, quantizer, topology, objective, box, 0.3, 400)
+        result = engine.run(plan, 0)
+        worst[name] = float(result.traces.per_agent_err[-1].max())
+        violations += len(result.unsaturated_lemma1_violations)
+    mixed_over_isolated = max(worst["complete"], worst["ring"]) / worst["isolated"]
+    passed = mixed_over_isolated < 0.6 and violations == 0
+    _report(
+        capsys,
+        f"9, {'exact' if bits is None else f'{bits} bits'}",
+        passed,
+        "final max per-agent error "
+        + ", ".join(f"{name} {err:.3f}" for name, err in worst.items())
+        + f"; {violations} unsaturated Lemma 1 violations",
+    )
+    assert mixed_over_isolated < 0.6
+    assert violations == 0

@@ -90,7 +90,7 @@ def test_per_agent_closing_row_is_the_final_state(tmp_path):
     last = (out / "wide_seed0.csv").read_text().splitlines()[-1].split(",")
 
     config = parse_config(doc)
-    _, x_star = config.objectives
+    x_star = config.objective.x_star
     final = run_single(config, 0).final_iterates
     honest = np.array([i not in config.attack for i in range(config.n)])
     assert last[0] == str(config.iterations)
@@ -468,7 +468,7 @@ def test_a_sweeps_peak_memory_does_not_grow_with_its_traces(tmp_path):
 
 def test_a_sweep_builds_one_topology(tmp_path):
     # no grid axis changes n, the graph or the box, so every point takes
-    # the first point's topology, box and objectives; eight points of a
+    # the first point's topology, box and objective; eight points of a
     # 400-agent complete graph (1.28 MB of weights, as much again of edges)
     # once peaked ~18 MB above one point
     def sweep_doc(points: int) -> dict:
@@ -487,7 +487,7 @@ def test_a_sweep_builds_one_topology(tmp_path):
     one, eight = peak(1), peak(8)
     assert eight - one < 400 * 400 * 8
     configs = [cfg for _, cfg in expand_grid(sweep_doc(8))]
-    for name in ("topology", "feasible_set", "objectives"):
+    for name in ("topology", "feasible_set", "objective"):
         assert all(getattr(cfg, name) is getattr(configs[0], name) for cfg in configs), name
     # a separate sweep document builds its own
     assert expand_grid(sweep_doc(1))[0][1].topology is not configs[0].topology
@@ -496,7 +496,7 @@ def test_a_sweep_builds_one_topology(tmp_path):
 def test_a_point_with_another_box_builds_its_own_topology():
     base = parse_config(SMALL_RUN)
     same = parse_config(SMALL_RUN, like=base)
-    assert same.topology is base.topology and same.objectives is base.objectives
+    assert same.topology is base.topology and same.objective is base.objective
     lo = {"objective": {"name": "quadratic", "box": {"lo": -0.0, "hi": 1.0}}}
     other = parse_config(dict(SMALL_RUN, **lo), like=parse_config(
         dict(SMALL_RUN, objective={"name": "quadratic", "box": {"lo": 0.0, "hi": 1.0}})

@@ -13,7 +13,7 @@ from disopt import adversary, engine
 from disopt.config import parse_config
 from disopt.engine import broadcast_phase, matrix_form_update, mean_recursion_residual
 from disopt.harness import expand_grid, run_single
-from disopt.objective import FeasibleSet, LocalObjective, quadratic_suite, suite_subgrad_bound
+from disopt.objective import FeasibleSet, LocalObjective, make_objective
 from disopt.quantizer import UniformQuantizer
 from disopt.topology import build_complete, build_from_edge_list
 
@@ -87,11 +87,10 @@ def run_saturation(iterates, quant, honest, adversary_quantizes=False) -> int:
         attacks,
         quant,
         build_complete(n),
-        quadratic_suite(n, p, box),
+        make_objective("quadratic", p, box),
         box,
         0.5,
         1,
-        np.zeros(p),
         explicit_init=iterates,
         adversary_quantizes=adversary_quantizes,
     )
@@ -136,7 +135,7 @@ def test_saturation_counts_a_nan_row_but_not_a_full_precision_adversary():
     for adversary_quantizes, want in ((False, 1), (True, 2)):
         plan = engine.plan(
             {2: adversary.AttackPolicy(kind="zero")}, quant, build_complete(3),
-            quadratic_suite(3, 1, BOX1), BOX1, 0.5, 1, np.zeros(1),
+            make_objective("quadratic", 1, BOX1), BOX1, 0.5, 1,
             adversary_quantizes=adversary_quantizes,
         )
         trace = engine.Trace.empty(1, 3, 1)
@@ -323,33 +322,31 @@ def test_nan_state_fails_the_invariant_check():
         mu=1.0,
         lipschitz=1.0,
         subgrad_bound=1.0,
+        x_star=np.zeros(1),
     )
     with pytest.raises(engine.BoundViolationError, match="k=0"):
         plan = engine.plan(
             attacks={},
             quantizer=None,
             topology=build_complete(2),
-            objectives=[nan_obj] * 2,
+            objective=nan_obj,
             feasible=BOX1,
             alpha=0.5,
             iterations=3,
-            x_star=np.zeros(1),
         )
         engine.run(plan, 0)
 
 
 def _oracle_run(cfg, seed):
     """The per-round reference run of ``run_single(cfg, seed)``."""
-    objectives, x_star = cfg.objectives
     return reference_run(
         cfg.attack,
         cfg.quantizer,
         cfg.topology,
-        objectives,
+        cfg.objective,
         cfg.feasible_set,
         cfg.alpha,
         cfg.iterations,
-        x_star,
         seed=seed,
         adversary_quantizes=cfg.adversary_quantizes,
     )
@@ -420,7 +417,7 @@ def test_block_columns_match_the_per_round_oracle(
 
     traces, final = _oracle_run(cfg, seed)
     honest = ~np.isin(np.arange(n), list(cfg.attack))
-    want = reference_columns(traces, final, honest, cfg.objectives[1])
+    want = reference_columns(traces, final, honest, cfg.objective.x_star)
     got = result.traces
     assert len(got) == iterations
     assert sorted(f.name for f in fields(got)) == sorted(want)
@@ -430,74 +427,68 @@ def test_block_columns_match_the_per_round_oracle(
     assert np.array_equal(result.final_iterates, final)
 
 
-def _shifted_quadratic(center) -> LocalObjective:
-    """f(x) = ||x - center||^2 / 2, row-wise, honouring ``out``."""
-    center = np.asarray(center, dtype=float)
+def _centred_quadratic(centres) -> LocalObjective:
+    """Agent i's f_i(x) = ||x - centres[i]||^2 / 2, honouring ``out``;
+    the sum's minimizer is the mean centre."""
+    centres = np.asarray(centres, dtype=float)
     return LocalObjective(
-        dimension=center.shape[0],
-        evaluate=lambda x: 0.5 * float((x - center) @ (x - center)),
-        subgradient=lambda x, out=None: np.subtract(x, center, out=out),
+        dimension=centres.shape[1],
+        evaluate=lambda x: 0.5 * np.sum((x - centres) ** 2, axis=-1),
+        subgradient=lambda x, out=None: np.subtract(x, centres, out=out),
         mu=1.0,
         lipschitz=1.0,
-        subgrad_bound=2.0,
+        subgrad_bound=2.0 * np.sqrt(centres.shape[1]),
+        x_star=centres.mean(axis=0),
     )
 
 
 @pytest.mark.parametrize("bits", [None, 2])
 def test_interleaved_objectives_match_the_per_round_oracle(bits):
-    # agents 0, 2, 4 and 1, 3, 5 carry two objectives and agents 6-7 share
-    # a third one: every group is an index array, so step sees row copies
+    # agents 0, 2, 4 and 1, 3, 5 have two local objectives and agents 6-7
+    # share a third one: one network objective with a centre per row
     n, p = 8, 3
     box = FeasibleSet(lo=np.full(p, -1.0), hi=np.full(p, 1.0))
-    even = quadratic_suite(1, p, box)[0]
-    odd, tail = _shifted_quadratic([0.5, -0.25, 0.0]), _shifted_quadratic([-0.5, 0.5, 0.25])
-    objectives = [even, odd] * 3 + [tail, tail]
+    even, odd, tail = [0.0, 0.0, 0.0], [0.5, -0.25, 0.0], [-0.5, 0.5, 0.25]
+    objective = _centred_quadratic([even, odd] * 3 + [tail, tail])
     run = dict(
         attacks={5: adversary.AttackPolicy(kind="uniform", low=0.0, high=0.8, seed=3)},
         quantizer=None if bits is None else UniformQuantizer(bits=bits, interval_length=1.0),
         topology=build_complete(n),
-        objectives=objectives,
+        objective=objective,
         feasible=box,
         alpha=0.4,
         iterations=12,
-        x_star=np.zeros(p),
     )
-    plan = engine.plan(**run)
-    assert [type(rows) for _, rows in plan.objective_rows] == [np.ndarray] * 3
-    result = engine.run(plan, 2)
+    result = engine.run(engine.plan(**run), 2)
     traces, final = reference_run(**run, seed=2)
     honest = np.arange(n) != 5
-    for name, column in reference_columns(traces, final, honest, np.zeros(p)).items():
+    for name, column in reference_columns(traces, final, honest, objective.x_star).items():
         assert np.array_equal(getattr(result.traces, name), column), name
     assert np.array_equal(result.final_iterates, final)
 
 
 def test_an_objective_ignoring_out_fills_the_gradient_rows():
     # its subgradient returns a new array whatever ``out`` is; step passes
-    # the whole gradient buffer as ``out`` when the objective is every
-    # agent's, and scatters it when only agents 0-2 carry it; the rows
-    # must receive that array, not keep the workspace's stale values
+    # the gradient buffer as ``out``, whose rows must receive that array,
+    # not keep the workspace's stale values
     n, p = 4, 3
     box = FeasibleSet(lo=np.full(p, -1.0), hi=np.full(p, 1.0))
-    center = np.array([0.5, -0.25, 0.0])
-    honouring = _shifted_quadratic(center)
+    honouring = _centred_quadratic(np.tile([0.5, -0.25, 0.0], (n, 1)))
     ignoring = replace(honouring, subgradient=lambda x, out=None: honouring.subgradient(x))
-    for objectives in ([ignoring] * n, [ignoring] * (n - 1) + [honouring]):
-        run = dict(
-            attacks={},
-            quantizer=UniformQuantizer(bits=2, interval_length=1.0),
-            topology=build_complete(n),
-            objectives=objectives,
-            feasible=box,
-            alpha=0.4,
-            iterations=12,
-            x_star=center,
-        )
-        result = engine.run(engine.plan(**run), 2)
-        traces, final = reference_run(**run, seed=2)
-        for name, column in reference_columns(traces, final, np.full(n, True), center).items():
-            assert np.array_equal(getattr(result.traces, name), column), name
-        assert np.array_equal(result.final_iterates, final)
+    run = dict(
+        attacks={},
+        quantizer=UniformQuantizer(bits=2, interval_length=1.0),
+        topology=build_complete(n),
+        objective=ignoring,
+        feasible=box,
+        alpha=0.4,
+        iterations=12,
+    )
+    result = engine.run(engine.plan(**run), 2)
+    traces, final = reference_run(**run, seed=2)
+    for name, column in reference_columns(traces, final, np.full(n, True), ignoring.x_star).items():
+        assert np.array_equal(getattr(result.traces, name), column), name
+    assert np.array_equal(result.final_iterates, final)
 
 
 def test_saturation_is_tested_once_per_block(monkeypatch):
@@ -542,22 +533,14 @@ def _objective_going_nan(after: int) -> LocalObjective:
         mu=1.0,
         lipschitz=1.0,
         subgrad_bound=1.0,
+        x_star=np.zeros(1),
     )
 
 
 def test_nan_in_a_later_block_raises_at_its_round(monkeypatch):
     def nan_run(run):
-        # one objective object, so one subgradient call per round
-        return run(
-            {},
-            None,
-            build_complete(2),
-            [_objective_going_nan(after=7)] * 2,
-            BOX1,
-            0.5,
-            12,
-            np.zeros(1),
-        )
+        # one subgradient call per round
+        return run({}, None, build_complete(2), _objective_going_nan(after=7), BOX1, 0.5, 12)
 
     with pytest.raises(engine.BoundViolationError) as want:
         nan_run(reference_run)
@@ -599,7 +582,7 @@ def test_a_round_allocates_nothing():
     n = p = 64
     box = FeasibleSet(lo=np.full(p, -1.0), hi=np.full(p, 1.0))
     quantizer = UniformQuantizer(bits=3, interval_length=1.0)
-    objective = quadratic_suite(n, p, box)[0]
+    objective = make_objective("quadratic", p, box)
     weights = build_complete(n).weights
     full_precision = (np.arange(n) >= 60)[:, None]
     state, sent, attack, next_state, gradient, h_af, xi = np.random.default_rng(0).uniform(
@@ -608,12 +591,10 @@ def test_a_round_allocates_nothing():
     bounds = np.full((n, p), -1.0), np.full((n, p), 1.0)  # as the run passes the box
     alpha = np.array(0.5)
 
-    objective_rows = [(objective, None)]  # the run's mark of one objective for every agent
-
     def one_round():
         broadcast_phase(state, quantizer, full_precision, sent, xi)
         out = (next_state, gradient, h_af, xi)
-        engine.step(state, sent, attack, weights, objective_rows, bounds, alpha, out)
+        engine.step(state, sent, attack, weights, objective, bounds, alpha, out)
 
     one_round()  # numpy's first-call set-up is not a round's cost
     tracemalloc.start()
@@ -655,11 +636,10 @@ def _plan_inputs(**overrides) -> dict:
         attacks={2: adversary.AttackPolicy(kind="uniform", low=0.0, high=0.5, seed=1)},
         quantizer=UniformQuantizer(bits=2, interval_length=1.0),
         topology=build_complete(n),
-        objectives=quadratic_suite(n, 1, BOX1),
+        objective=make_objective("quadratic", 1, BOX1),
         feasible=BOX1,
         alpha=0.5,
         iterations=4,
-        x_star=np.zeros(1),
     )
     inputs.update(overrides)
     return inputs
@@ -669,7 +649,10 @@ def _plan_inputs(**overrides) -> dict:
     "overrides, message",
     [
         ({"iterations": 0}, "need at least one iteration, got 0"),
-        ({"objectives": quadratic_suite(2, 1, BOX1)}, "objectives length must match"),
+        (
+            {"objective": make_objective("quadratic", 2, FeasibleSet(lo=[-1, -1], hi=[1, 1]))},
+            "objective dimension 2 != box dimension 1",
+        ),
         ({"alpha": 0.0}, "step size must be positive, got 0.0"),
         (
             {"attacks": dict.fromkeys(range(3), adversary.AttackPolicy(kind="zero"))},
@@ -678,6 +661,7 @@ def _plan_inputs(**overrides) -> dict:
         ({"explicit_init": np.zeros((3, 2))}, r"explicit init has shape \(3, 2\)"),
         ({"explicit_init": np.full((3, 1), 2.0)}, "explicit initial point outside"),
         ({"attacks": {-1: adversary.AttackPolicy(kind="zero")}}, "agent ids must lie in"),
+        ({"attacks": {3: adversary.AttackPolicy(kind="zero")}}, r"agent ids must lie in \[0, 3\), got 3"),
     ],
 )
 def test_the_plan_rejects_what_no_run_can_take(overrides, message):
@@ -752,7 +736,7 @@ def test_lemma1_quantities_recorded(preset_runs):
     cfg, results = preset_runs["fig2b"]
     t = results[0].traces
     n = cfg.n
-    subgrad_bound = suite_subgrad_bound(cfg.objectives[0])
+    subgrad_bound = cfg.objective.subgrad_bound
     rhs = np.sqrt(8) * t.delta_bar[10] + np.sqrt(2) * subgrad_bound * cfg.alpha / n
     assert t.lemma1_rhs[10] == pytest.approx(rhs)
 

@@ -4,13 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from disopt.objective import (
-    FeasibleSet,
-    LocalObjective,
-    make_objectives,
-    quadratic_suite,
-    suite_subgrad_bound,
-)
+from disopt.objective import FeasibleSet, LocalObjective, make_objective, quadratic_suite
 
 BOX2 = FeasibleSet(lo=np.array([-1.0, -1.0]), hi=np.array([1.0, 1.0]))
 
@@ -71,10 +65,13 @@ def test_suite_shares_one_quadratic_per_agent():
         assert obj.mu == 1.0 and obj.lipschitz == 1.0
 
 
-def test_suite_subgrad_bound_is_box_corner_norm():
+def test_quadratic_subgrad_bound_is_box_corner_norm():
     box = FeasibleSet(lo=np.array([-1.0, -0.5]), hi=np.array([0.25, 1.0]))
-    objs = quadratic_suite(3, 2, box)
-    assert suite_subgrad_bound(objs) == pytest.approx(np.sqrt(1.0 + 1.0))
+    obj = make_objective("quadratic", 2, box)
+    assert obj.subgrad_bound == pytest.approx(np.sqrt(1.0 + 1.0))
+    # one network-wide bound on every agent's row
+    state = np.array([[-1.0, 1.0], [0.25, -0.5], [0.0, 0.0]])
+    assert np.linalg.norm(obj.subgradient(state), axis=1).max() <= obj.subgrad_bound
 
 
 def test_box_must_contain_origin():
@@ -83,24 +80,30 @@ def test_box_must_contain_origin():
         quadratic_suite(4, 1, box)
 
 
-def test_make_objectives_returns_origin_minimizer():
+def test_make_objective_returns_origin_minimizer():
     box = FeasibleSet(lo=np.array([-1.0, -1.0]), hi=np.array([1.0, 1.0]))
-    objs, x_star = make_objectives("quadratic", 5, 2, box)
-    assert np.array_equal(x_star, np.zeros(2))
+    obj = make_objective("quadratic", 2, box)
+    assert np.array_equal(obj.x_star, np.zeros(2)) and not obj.x_star.flags.writeable
     with pytest.raises(ValueError, match="unknown objective"):
-        make_objectives("rosenbrock", 5, 2, box)
+        make_objective("rosenbrock", 2, box)
 
 
 def test_metadata_constraints_enforced():
+    valid = dict(
+        dimension=1,
+        evaluate=lambda x: 0.0,
+        subgradient=lambda x: np.zeros(1),
+        mu=1.0,
+        lipschitz=1.0,
+        subgrad_bound=1.0,
+        x_star=np.zeros(1),
+    )
+    LocalObjective(**valid)
     with pytest.raises(ValueError):
-        LocalObjective(
-            dimension=1,
-            evaluate=lambda x: 0.0,
-            subgradient=lambda x: np.zeros(1),
-            mu=2.0,
-            lipschitz=1.0,
-            subgrad_bound=1.0,
-        )
+        LocalObjective(**{**valid, "mu": 2.0})
+    # a 2-vector x* in a p = 1 run would broadcast into every error column
+    with pytest.raises(ValueError, match=r"x_star has shape \(2,\), expected \(1,\)"):
+        LocalObjective(**{**valid, "x_star": np.array([0.0, 0.5])})
 
 
 def test_strong_convexity_inequality_sampled(rng):

@@ -17,7 +17,6 @@ from quantizer_oracle import reference_quantize
 
 from disopt import adversary, engine
 from disopt.bounds import lemma1_bound
-from disopt.objective import suite_subgrad_bound
 
 
 @dataclass(frozen=True)
@@ -53,13 +52,11 @@ def state_columns(iterates, honest, x_star) -> dict:
 
 def reference_step(
     k, iterates, broadcasts, saturated, honest, attack_rows, weights,
-    objective_rows, feasible, alpha, x_star, subgrad_bound,
+    objective, feasible, alpha,
 ):
     """Advance one round; returns (next iterates, that round's trace)."""
     n = iterates.shape[0]
-    gradients = np.empty_like(iterates)
-    for objective, rows in objective_rows:
-        gradients[rows] = objective.subgradient(iterates[rows])
+    gradients = objective.subgradient(iterates)  # a new array, not through ``out``
 
     h_attack_free = iterates - broadcasts + weights @ broadcasts - alpha * gradients
     h = h_attack_free + attack_rows
@@ -70,11 +67,11 @@ def reference_step(
     xi_bar = xi.mean(axis=0)
     xi_bar_norm = float(np.linalg.norm(xi_bar, axis=-1))
     xi_attack_free = h_attack_free - np.clip(h_attack_free, feasible.lo, feasible.hi)
-    lemma1_rhs = lemma1_bound(delta_bar, subgrad_bound, alpha, n)
+    lemma1_rhs = lemma1_bound(delta_bar, objective.subgrad_bound, alpha, n)
 
     trace = IterationTrace(
         k=k,
-        **state_columns(iterates, honest, x_star),
+        **state_columns(iterates, honest, objective.x_star),
         x_bar_next=next_iterates.mean(axis=0),
         grad_mean=gradients.mean(axis=0),
         delta_bar=delta_bar,
@@ -91,7 +88,7 @@ def reference_step(
 
 
 def reference_run(
-    attacks, quantizer, topology, objectives, feasible, alpha, iterations, x_star,
+    attacks, quantizer, topology, objective, feasible, alpha, iterations,
     seed=0, explicit_init=None, adversary_quantizes=False,
 ):
     """(per-round traces, final iterates) of the run ``engine.run`` makes.
@@ -102,11 +99,10 @@ def reference_run(
     n, p = topology.n, feasible.dimension
     honest = np.ones(n, dtype=bool)
     honest[list(attacks)] = False
-    subgrad_bound = suite_subgrad_bound(objectives)
     tolerance = engine.MEAN_RECURSION_TOL * max(
         1.0,
         feasible.corner_norm(),
-        alpha * subgrad_bound,
+        alpha * objective.subgrad_bound,
         *(adversary.max_attack_norm(policy, p) for policy in attacks.values()),
     )
     # each adversary's rows alone, reseeded and drawn for every round
@@ -115,7 +111,6 @@ def reference_run(
         policy = adversary.reseed(policy, seed)
         rows = adversary.attack_table(policy, [agent], range(iterations), p)
         attack_table[:, agent] = rows[:, 0]
-    objective_rows = engine._grouped(enumerate(objectives))
     iterates = engine.initial_iterates(n, feasible, seed, explicit_init)
     traces = []
     quantizes = honest | adversary_quantizes
@@ -129,7 +124,7 @@ def reference_run(
         attack_rows = attack_table[k]
         iterates, trace = reference_step(
             k, iterates, broadcasts, saturated, honest, attack_rows, topology.weights,
-            objective_rows, feasible, alpha, x_star, subgrad_bound,
+            objective, feasible, alpha,
         )
         predicted = trace.x_bar - alpha * trace.grad_mean - trace.xi_bar + trace.mean_attack
         residual = float(np.max(np.abs(predicted - trace.x_bar_next)))
