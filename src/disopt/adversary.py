@@ -309,11 +309,9 @@ def max_attack_norm(policy: AttackPolicy, p: int) -> float:
 
 def attack_norm_bound(attacks: dict, p: int) -> float:
     """The attack-norm bound ||e|| of an agent -> policy map: the largest
-    :func:`max_attack_norm` over its distinct policies (told apart by
-    identity, so a policy shared by many agents is evaluated once), and
-    0.0 for a map with no adversary."""
-    distinct = {id(policy): policy for policy in attacks.values()}
-    return max((max_attack_norm(policy, p) for policy in distinct.values()), default=0.0)
+    :func:`max_attack_norm` over its distinct policies (equal policies are
+    evaluated once), and 0.0 for a map with no adversary."""
+    return max((max_attack_norm(policy, p) for policy in set(attacks.values())), default=0.0)
 
 
 def reseed(policy: AttackPolicy, run_seed: int) -> AttackPolicy:

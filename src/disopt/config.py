@@ -7,7 +7,9 @@ field's dotted path, checker and default (``_POLICY_FIELDS`` those of an
 attack policy); its rows are also each object's only allowed keys.  The
 rules that compare fields (roles against n, the box, the per-agent interval
 lengths, the attack map, init) run after the table, and each files its
-errors under its field, so errors come out in table order.
+errors under its field, so errors come out in table order.  A valid
+document's run inputs are built once, at parse time, and the config holds
+them; its run plan waits for the first run.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import copy
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -25,7 +27,8 @@ from . import engine
 from .adversary import MAX_KEY, AttackPolicy
 from .objective import FeasibleSet, LocalObjective, make_objective
 from .quantizer import UniformQuantizer
-from .topology import build_complete, build_from_edge_list
+from .operand import operand
+from .topology import NetworkTopology, build_complete, build_from_edge_list
 
 HONEST = "honest"
 ADVERSARIAL = "adversarial"
@@ -66,56 +69,39 @@ class ConfigError(ValueError):
         super().__init__(f"invalid experiment config: {lines}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    """Fully validated description of one experiment scenario."""
+    """A validated experiment scenario, holding its built run inputs.
 
-    n: int
-    p: int
-    topology_type: str  # "complete" | "edge_list"
-    edges: tuple | None
-    objective_name: str
-    box_lo: tuple
-    box_hi: tuple
-    quantizer_bits: int | None
-    interval_lengths: tuple | None  # one per agent; None means exact mode
-    quantizer_midpoint: tuple | None
+    :func:`parse_config` builds the topology, the feasible set, the network
+    objective (which holds x*) and the broadcast quantizer (one interval
+    length per agent row; None in exact-communication mode) once, and
+    ``init`` is None or a read-only (n, p) array.  ``build_key`` is what
+    fixes the first three, which ``parse_config``'s ``like`` compares.
+    The run plan is built on the config's first run.  Configs compare by
+    identity: their components hold arrays.
+    """
+
+    topology: NetworkTopology
+    feasible_set: FeasibleSet
+    objective: LocalObjective
+    quantizer: UniformQuantizer | None
     attack: dict  # agent id -> AttackPolicy; every other agent is honest
     adversary_quantizes: bool
     alpha: float
     iterations: int
     seeds: tuple
     strict: bool
-    init: tuple | None = None
+    init: np.ndarray | None = None
+    build_key: tuple = field(default=(), repr=False)
 
-    # ---- components, each built once per config ---------------------------
+    @property
+    def n(self) -> int:
+        return self.topology.n
 
-    @cached_property
-    def topology(self):
-        if self.topology_type == "complete":
-            return build_complete(self.n)
-        return build_from_edge_list(self.n, self.edges)
-
-    @cached_property
-    def feasible_set(self) -> FeasibleSet:
-        return FeasibleSet(lo=np.array(self.box_lo), hi=np.array(self.box_hi))
-
-    @cached_property
-    def objective(self) -> LocalObjective:
-        """The network objective, with its minimizer x*."""
-        return make_objective(self.objective_name, self.p, self.feasible_set)
-
-    @cached_property
-    def quantizer(self) -> UniformQuantizer | None:
-        """The broadcast quantizer, one interval length per agent row;
-        None in exact-communication mode."""
-        if self.quantizer_bits is None:
-            return None
-        return UniformQuantizer(
-            bits=self.quantizer_bits,
-            interval_length=np.array(self.interval_lengths)[:, None],
-            midpoint=np.array(self.quantizer_midpoint),
-        )
+    @property
+    def p(self) -> int:
+        return self.feasible_set.dimension
 
     @cached_property
     def plan(self) -> engine.RunPlan:
@@ -410,12 +396,15 @@ def read_document(document):
 
 
 def parse_config(document, like: ExperimentConfig | None = None) -> ExperimentConfig:
-    """Validate a JSON document (text, path contents, or parsed dict).
+    """Validate a JSON document (text, path contents, or parsed dict) and
+    build its run inputs: the topology, feasible set, objective and
+    quantizer.
 
-    When the config's topology and box fields equal those of ``like``
-    (the box by ``repr``, so a -0.0 bound differs from 0.0), it takes
-    ``like``'s built topology, feasible set and objective instead of
-    building its own: the points of one sweep share them.
+    When the fields that fix the first three (n, p, the graph, the
+    objective's name and the box, by ``repr``, so a -0.0 bound differs
+    from 0.0) equal ``like``'s ``build_key``, the config takes ``like``'s
+    built topology, feasible set and objective instead of building its
+    own: the points of one sweep share them.
     """
     document = read_document(document)
     if not isinstance(document, dict):
@@ -479,36 +468,31 @@ def parse_config(document, like: ExperimentConfig | None = None) -> ExperimentCo
         elif box_lo and box_hi and not np.all((arr >= box_lo) & (arr <= box_hi)):
             fail("init", "every initial point must lie inside objective.box")
         else:
-            init = tuple(tuple(row) for row in arr)
+            init = operand(arr)
 
     if any(errors.values()):
         raise ConfigError([error for found in errors.values() for error in found])
-    cfg = ExperimentConfig(
-        n=n, p=p, topology_type=v["topology.type"], edges=v["topology.edges"],
-        objective_name=v["objective.name"], box_lo=box_lo, box_hi=box_hi,
-        quantizer_bits=v.get("quantizer.bits"), interval_lengths=lengths,
-        quantizer_midpoint=midpoint, attack=attack, adversary_quantizes=v["adversary_quantizes"],
-        alpha=v["alpha"], iterations=v["iterations"], seeds=v["seeds"], strict=v["strict"],
-        init=init,
-    )
-    if like is not None and _build_key(cfg) == _build_key(like):
-        for name in ("topology", "feasible_set", "objective"):
-            cfg.__dict__[name] = getattr(like, name)  # the cached_property slot
-        return cfg
-    # connectivity and similar structural errors surface with a field path
-    # too; the topology built here is the one every run of this config uses
-    try:
-        cfg.topology
-    except ValueError as exc:
-        raise ConfigError([("topology", str(exc))]) from exc
-    return cfg
-
-
-def _build_key(cfg: ExperimentConfig) -> tuple:
-    """The fields that fix the built topology, feasible set and objective."""
-    return (
-        cfg.n, cfg.p, cfg.topology_type, cfg.edges, cfg.objective_name,
-        repr(cfg.box_lo), repr(cfg.box_hi),
+    kind, edges, name = v["topology.type"], v["topology.edges"], v["objective.name"]
+    key = (n, p, kind, edges, name, repr(box_lo), repr(box_hi))
+    if like is not None and key == like.build_key:
+        topology, feasible, objective = like.topology, like.feasible_set, like.objective
+    else:
+        # a disconnected graph and similar structural errors surface with
+        # a field path too
+        try:
+            topology = build_complete(n) if kind == "complete" else build_from_edge_list(n, edges)
+        except ValueError as exc:
+            raise ConfigError([("topology", str(exc))]) from exc
+        feasible = FeasibleSet(lo=np.array(box_lo), hi=np.array(box_hi))
+        objective = make_objective(name, p, feasible)
+    quantizer = None
+    if bits is not None:
+        quantizer = UniformQuantizer(bits, np.array(lengths)[:, None], np.array(midpoint))
+    return ExperimentConfig(
+        topology=topology, feasible_set=feasible, objective=objective, quantizer=quantizer,
+        attack=attack, adversary_quantizes=v["adversary_quantizes"], alpha=v["alpha"],
+        iterations=v["iterations"], seeds=v["seeds"], strict=v["strict"], init=init,
+        build_key=key,
     )
 
 

@@ -357,11 +357,11 @@ def mean_recursion_residual(
 
 def _grouped(attacks: dict) -> list:
     """(policy, agent index array) per distinct policy of an attack map,
-    in order of first appearance; policies are told apart by identity."""
+    in order of first appearance; equal policies are one group."""
     groups: dict = {}
     for agent, policy in attacks.items():
-        groups.setdefault(id(policy), (policy, []))[1].append(agent)
-    return [(policy, operand(agents, np.intp)) for policy, agents in groups.values()]
+        groups.setdefault(policy, []).append(agent)
+    return [(policy, operand(agents, np.intp)) for policy, agents in groups.items()]
 
 
 # the one round a constant attack is drawn at, as a key word
@@ -416,8 +416,9 @@ class RunPlan(NamedTuple):
 
     It holds O(n + p) data of its own, every array read-only, and refers
     to the topology's weights, the box, the objective and the quantizer
-    without copying them; ``explicit_init`` is kept as given (checked once, read again by
-    every run, so it must not change).  The attack rows, the box rows and
+    without copying them.  ``explicit_init`` is kept as given: checked
+    once and copied by every run, so it must not change (a config's is a
+    read-only (n, p) array).  The attack rows, the box rows and
     the workspace belong to each run, so a plan kept alive for a whole
     seed-major sweep stays small.  (A named tuple: immutable, and cheaper
     to define at import than a frozen dataclass.)
@@ -456,21 +457,26 @@ def plan(
 ) -> RunPlan:
     """Validate a run's inputs and fix everything its seeds share.
 
-    ``attacks`` maps each adversarial agent, an id in [0, n), to its
+    ``attacks`` maps each adversarial agent, an integer id in [0, n), to its
     :class:`AttackPolicy`; every other agent is honest.  ``quantizer``
     encodes every broadcast (its interval length may be an (n, 1) column,
     one per agent), or is None for exact communication.  ``objective`` is
-    the network's, of the box's dimension; its x* and L-bar are the run's.
-    Raises ``ValueError`` for an input no run can take.
+    the network's, of the box's dimension, with x* inside the box; its x*
+    and L-bar are the run's.  Raises ``ValueError`` for an input no run
+    can take.
     """
     if iterations < 1:
         raise ValueError(f"need at least one iteration, got {iterations}")
     n, p = topology.n, feasible.dimension
     if objective.dimension != p:
         raise ValueError(f"objective dimension {objective.dimension} != box dimension {p}")
+    if not feasible.contains(objective.x_star):  # NaN is outside too
+        raise ValueError("the objective's x* lies outside the box")
     if alpha <= 0:
         raise ValueError(f"step size must be positive, got {alpha}")
     for agent in attacks:
+        if not isinstance(agent, (int, np.integer)) or isinstance(agent, bool):
+            raise ValueError(f"agent ids must be integers, got {agent!r}")
         if not 0 <= agent < n:
             raise ValueError(f"agent ids must lie in [0, {n}), got {agent}")
     honest = np.ones(n, dtype=bool)

@@ -496,13 +496,22 @@ def test_a_sweep_builds_one_topology(tmp_path):
 def test_a_point_with_another_box_builds_its_own_topology():
     base = parse_config(SMALL_RUN)
     same = parse_config(SMALL_RUN, like=base)
-    assert same.topology is base.topology and same.objective is base.objective
-    lo = {"objective": {"name": "quadratic", "box": {"lo": -0.0, "hi": 1.0}}}
-    other = parse_config(dict(SMALL_RUN, **lo), like=parse_config(
-        dict(SMALL_RUN, objective={"name": "quadratic", "box": {"lo": 0.0, "hi": 1.0}})
-    ))
-    assert "feasible_set" not in other.__dict__  # -0.0 is not 0.0: nothing shared
-    assert np.signbit(other.feasible_set.lo).all()
+    shared = ("topology", "feasible_set", "objective")
+    assert all(getattr(same, name) is getattr(base, name) for name in shared)
+    ring = {"type": "edge_list", "edges": [[0, 1], [1, 2], [2, 0]]}
+    # each pair differs in one field that fixes the built inputs: the
+    # signed zero of a box bound (compared by repr), n, the edge list
+    cases = [
+        ({"objective": {"name": "quadratic", "box": {"lo": 0.0, "hi": 1.0}}},
+         {"objective": {"name": "quadratic", "box": {"lo": -0.0, "hi": 1.0}}}),
+        ({}, {"n": 4, "roles": ["honest"] * 3 + ["adversarial"]}),
+        ({"topology": ring}, {"topology": dict(ring, edges=[[0, 1], [1, 2]])}),
+    ]
+    for like_fields, fields in cases:
+        like = parse_config(dict(SMALL_RUN, **like_fields))
+        other = parse_config(dict(SMALL_RUN, **fields), like=like)
+        assert all(getattr(other, name) is not getattr(like, name) for name in shared), fields
+    assert np.signbit(parse_config(dict(SMALL_RUN, **cases[0][1])).feasible_set.lo).all()
 
 
 def test_strict_mode_exit_code(tmp_path):

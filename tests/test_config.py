@@ -42,13 +42,25 @@ def test_valid_document_round_trip():
     cfg = parse_config(_doc())
     assert cfg.n == 4 and cfg.p == 2
     assert [i for i in range(cfg.n) if i not in cfg.attack] == [0, 1, 2]
-    assert cfg.quantizer_bits == 2
-    assert cfg.interval_lengths == (1.0, 1.0, 1.0, 1.0)
+    assert cfg.quantizer.bits == 2
+    assert cfg.quantizer.interval_length.tolist() == [[1.0]] * 4
     assert build_bound_report(cfg, 0.0).interval_length == 1.0
     assert set(cfg.attack) == {3}
     assert cfg.seeds == (0, 1)
-    # parse from JSON text too
-    assert parse_config(json.dumps(_doc())) == cfg
+    # parse from JSON text too: configs compare by identity, so compare
+    # what each one built and holds
+    text = parse_config(json.dumps(_doc()))
+    assert text is not cfg and text != cfg
+    assert text.topology.edges.tolist() == cfg.topology.edges.tolist()
+    assert text.topology.weights.tobytes() == cfg.topology.weights.tobytes()
+    for a, b in ((text.feasible_set, cfg.feasible_set), (text.quantizer, cfg.quantizer)):
+        assert vars(a).keys() == vars(b).keys()
+        assert all(np.array_equal(vars(a)[k], vars(b)[k]) for k in vars(a)), a
+    assert text.objective.x_star.tobytes() == cfg.objective.x_star.tobytes()
+    assert text.objective.subgrad_bound == cfg.objective.subgrad_bound
+    assert text.attack == cfg.attack and text.init is cfg.init is None
+    fields = ("alpha", "iterations", "seeds", "strict", "adversary_quantizes", "build_key")
+    assert all(getattr(text, name) == getattr(cfg, name) for name in fields)
     # a constant attack at p >= 2 compares and hashes by its value
     doc = _doc(
         n=3,
@@ -56,7 +68,7 @@ def test_valid_document_round_trip():
         attack={"kind": "constant", "value": [0.5, 0.25]},
     )
     constant = parse_config(doc)
-    assert parse_config(json.dumps(doc)) == constant
+    assert parse_config(json.dumps(doc)).attack == constant.attack
     assert hash(parse_config(doc).attack[2]) == hash(constant.attack[2])
 
 
@@ -146,7 +158,6 @@ def test_per_agent_interval_lengths():
     doc = _doc()
     doc["quantizer"]["interval_length"] = [1.0, 0.5, 1.0, 2.0]
     cfg = parse_config(doc)
-    assert cfg.interval_lengths == (1.0, 0.5, 1.0, 2.0)
     assert build_bound_report(cfg, 0.0).interval_length == 2.0
     assert cfg.quantizer.interval_length.tolist() == [[1.0], [0.5], [1.0], [2.0]]
 
@@ -179,7 +190,6 @@ def test_a_step_the_quantizer_cannot_divide_by_is_a_config_error(length, bits, m
 
 def test_exact_mode_has_no_quantizer():
     cfg = parse_config(_doc(quantizer=None))
-    assert cfg.quantizer_bits is None
     assert cfg.quantizer is None
     assert build_bound_report(cfg, 0.0) is None
 
@@ -206,7 +216,7 @@ def test_presets_are_valid_and_distinct():
         assert cfg.seeds == tuple(range(20))
         assert cfg.alpha == 0.7
     assert len(preset_config("fig2a").attack) == 10 - 7
-    assert preset_config("fig2b").quantizer_bits == 5
+    assert preset_config("fig2b").quantizer.bits == 5
     assert len(preset_config("fig2c").attack) == 10 - 3
 
 
@@ -503,16 +513,17 @@ def test_integer_fields_take_numpy_integers_and_keep_python_ints(tmp_path):
         attack={"kind": "uniform", "range": [0.0, 0.5], "seed": np.int64(5)},
     )
     cfg = parse_config(doc)
-    values = [cfg.n, cfg.quantizer_bits, *cfg.seeds, *sum(cfg.edges, ()), cfg.attack[3].seed]
-    assert values == [4, 2, 0, 3, 0, 1, 1, 2, 2, 3, 5]
+    values = [cfg.n, cfg.quantizer.bits, *cfg.seeds, cfg.attack[3].seed]
+    assert values == [4, 2, 0, 3, 5]
     assert all(type(value) is int for value in values)
+    assert cfg.topology.edges.tolist() == [[0, 1], [1, 2], [2, 3]]
     artifacts = run_experiment(cfg, tmp_path)
     assert json.loads(artifacts.report_path.read_text())["bits"] == 2
 
 
 def test_count_limits_are_inclusive():
     cfg = parse_config(_doc(p=config_module.MAX_DIMENSION, iterations=2**32))
-    assert cfg.p == 2**16 and len(cfg.box_lo) == 2**16
+    assert cfg.p == cfg.feasible_set.dimension == 2**16 and cfg.objective.dimension == 2**16
     assert cfg.iterations == config_module.MAX_ITERATIONS == 2**32
 
 

@@ -281,20 +281,24 @@ def _recorded_run(cfg, seed):
 
 
 def test_per_agent_policies_match_the_per_key_oracle(monkeypatch):
+    shared = {"kind": "uniform", "range": [0.1, 0.6], "sign": "positive", "seed": 3}
     doc = _run_doc(
-        n=6,
+        n=7,
         p=3,
-        roles=["honest"] * 2 + ["adversarial"] * 4,
+        roles=["honest"] * 2 + ["adversarial"] * 5,
         quantizer={"bits": 2, "interval_length": 1.0, "midpoint": 0.0},
         attack={
-            "2": {"kind": "uniform", "range": [0.1, 0.6], "sign": "positive", "seed": 3},
+            "2": shared,
             "3": {"kind": "uniform", "range": [0.2, 0.9], "sign": "negative", "seed": 11},
             "4": {"kind": "constant", "value": [0.3, 0.2, 0.1], "sign": "negative"},
             "5": {"kind": "zero"},
+            "6": dict(shared),  # an equal policy: one group, one table with agent 2's
         },
         iterations=40,
     )
     cfg = parse_config(doc)
+    assert cfg.attack[2] is not cfg.attack[6]
+    assert [agents.tolist() for _, agents in cfg.plan.uniform] == [[2, 6], [3]]
     result, rows = _recorded_run(cfg, 4)
     # the same run with every attack drawn one key at a time
     monkeypatch.setattr(adversary, "attack_table", reference_attack_table)
@@ -662,6 +666,12 @@ def _plan_inputs(**overrides) -> dict:
         ({"explicit_init": np.full((3, 1), 2.0)}, "explicit initial point outside"),
         ({"attacks": {-1: adversary.AttackPolicy(kind="zero")}}, "agent ids must lie in"),
         ({"attacks": {3: adversary.AttackPolicy(kind="zero")}}, r"agent ids must lie in \[0, 3\), got 3"),
+        ({"attacks": {1.0: adversary.AttackPolicy(kind="zero")}}, "must be integers, got 1.0"),
+        ({"attacks": {True: adversary.AttackPolicy(kind="zero")}}, "must be integers, got True"),
+        (
+            {"objective": replace(make_objective("quadratic", 1, BOX1), x_star=[5.0])},
+            r"x\* lies outside the box",
+        ),
     ],
 )
 def test_the_plan_rejects_what_no_run_can_take(overrides, message):
