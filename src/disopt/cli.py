@@ -2,11 +2,11 @@
 
 Subcommands: ``run <config.json>``, ``sweep <grid.json>``, and
 ``preset <name>``.  Exit codes: 0 on success, 1 when strict mode
-(``--strict`` or the config's ``"strict": true``) finds a projection-error
-bound violation at an unsaturated step, 2 on usage or config errors, 3
-when a run fails an invariant check (its state went NaN or broke the
-mean-iterate identity), reported as one stderr line naming the scenario,
-the seed and the round k.
+(``--strict``, or the config's or a sweep base's ``"strict": true``) finds
+a projection-error bound violation at an unsaturated step, 2 on usage or
+config errors, 3 when a run fails an invariant check (its state went NaN
+or broke the mean-iterate identity), reported as one stderr line naming
+the scenario, the seed and the round k.
 ``run`` and ``sweep`` read their file the same way, so malformed JSON in
 either is the config error ``<document>: malformed JSON``; an output
 directory that cannot be made is a usage error, found before any seed runs.
@@ -99,7 +99,11 @@ def _finish(artifacts, strict: bool) -> int:
             "on; those theorem_bound cells are inf",
             file=sys.stderr,
         )
-    violations = artifacts.strict_violations
+    return _strict_exit(artifacts.strict_violations, strict)
+
+
+def _strict_exit(violations, strict: bool) -> int:
+    """Report unsaturated bound failures on stderr; exit 1 on any under strict."""
     if violations:
         print(
             f"projection-error bound violated at {len(violations)} "
@@ -140,9 +144,9 @@ def main(argv=None) -> int:
             print(f"cannot write {outdir}: {exc}", file=sys.stderr)
             return EXIT_USAGE
         if args.command == "sweep":
-            rows = sweep(text, outdir)
-            print(f"wrote {outdir / 'sweep_summary.csv'} ({len(rows)} grid points)")
-            return EXIT_OK
+            summary = sweep(text, outdir)
+            print(f"wrote {outdir / 'sweep_summary.csv'} ({len(summary.rows)} grid points)")
+            return _strict_exit(summary.strict_violations, summary.strict)
         artifacts = run_experiment(
             config, outdir, name=name, include_agents=args.per_agent
         )

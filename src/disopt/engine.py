@@ -28,10 +28,11 @@ one call; a round allocates nothing when it honours ``subgradient``'s
 ``bench/tracing.py`` wraps each and divides per-round metrics by their
 counts.  After every block, each column of the run's :class:`Trace` is
 filled by one array reduction over the block, and the mean-iterate
-invariant is checked there.  The block buffers are bounded; what grows
-with the iteration count is the trace columns and, under a uniform
-attack, the keyed attack table, which :func:`_attack_schedule` draws for
-all K rounds up front.
+invariant is checked there.  Each distinct attack policy reaches a block
+as its agents' rows of a (K, A, p) table (:func:`_attack_schedule`),
+written into the attack buffer, which is zeroed once per run.  The block
+buffers are bounded; what grows with the iteration count is the trace
+columns and a uniform attack's keyed table, drawn for all K rounds at once.
 
 A single run is sequential and fully deterministic given its seed.  Runs
 share their plan, read-only, and one more thing: inside an :func:`adversary.sharing_streams`
@@ -355,39 +356,31 @@ def mean_recursion_residual(
     return np.max(np.abs(predicted - trace.x_bar[start + 1 : stop + 1]), axis=1)
 
 
-def _grouped(attacks: dict) -> list:
-    """(policy, agent index array) per distinct policy of an attack map,
-    in order of first appearance; equal policies are one group."""
-    groups: dict = {}
-    for agent, policy in attacks.items():
-        groups.setdefault(policy, []).append(agent)
-    return [(policy, operand(agents, np.intp)) for policy, agents in groups.items()]
-
-
 # the one round a constant attack is drawn at, as a key word
 _FIRST_ROUND = operand([0], np.uint32)
 
 
-def _attack_schedule(plan: RunPlan, seed: int):
-    """Every attack of one run, as (fixed rows, keyed table).
+def _attack_schedule(plan: RunPlan, seed: int) -> list:
+    """Every attack of one run: an (agents, (K, A, p) table) pair per
+    group of ``plan.attacks``, round k's attack of ``agents[a]`` at
+    ``table[k, a]``.
 
-    Constant rows do not change with k or the seed: they fill the (n, p)
-    ``fixed`` array once (zero rows are its zeros).  Each distinct uniform
-    policy, reseeded for the run, draws all rounds of its adversaries in
-    one :func:`adversary.attack_table` call; the tables stack into one
-    (K, len(plan.keyed), p) array.  Round k's attack rows are ``fixed``
-    with ``table[k]`` written at the rows ``plan.keyed``.
+    A uniform policy, reseeded for the run, draws all K rounds of its
+    adversaries in one :func:`adversary.attack_table` call.  A constant
+    policy does not change with k or the seed: its first-round row is
+    broadcast over the K rounds, not copied.
     """
-    n, p, iterations = plan.n, plan.p, plan.iterations
-    fixed = np.zeros((n, p))
-    for policy, agents in plan.constant:
-        fixed[agents] = adv.attack_table(policy, agents, _FIRST_ROUND, p)[0]
+    p, iterations = plan.p, plan.iterations
     rounds = np.arange(iterations, dtype=np.uint32)
-    tables = [
-        adv.attack_table(adv.reseed(policy, seed), agents, rounds, p)
-        for policy, agents in plan.uniform
-    ]
-    return fixed, np.concatenate([np.empty((iterations, 0, p)), *tables], axis=1)
+    schedule = []
+    for policy, agents in plan.attacks:
+        if policy.kind == "uniform":
+            table = adv.attack_table(adv.reseed(policy, seed), agents, rounds, p)
+        else:  # constant
+            first = adv.attack_table(policy, agents, _FIRST_ROUND, p)
+            table = np.broadcast_to(first, (iterations, len(agents), p))
+        schedule.append((agents, table))
+    return schedule
 
 
 def _checked_init(explicit, n: int, feasible: FeasibleSet) -> None:
@@ -418,10 +411,12 @@ class RunPlan(NamedTuple):
     to the topology's weights, the box, the objective and the quantizer
     without copying them.  ``explicit_init`` is kept as given: checked
     once and copied by every run, so it must not change (a config's is a
-    read-only (n, p) array).  The attack rows, the box rows and
-    the workspace belong to each run, so a plan kept alive for a whole
-    seed-major sweep stays small.  (A named tuple: immutable, and cheaper
-    to define at import than a frozen dataclass.)
+    read-only (n, p) array).  ``attacks`` holds one group per distinct
+    nonzero policy, in order of first appearance; an agent in none is
+    attacked by zero.  The attack rows, the box rows and the workspace
+    belong to each run, so a plan kept for a whole seed-major sweep stays
+    small.  (A named tuple: immutable, and cheaper to define at import
+    than a frozen dataclass.)
     """
 
     n: int
@@ -434,13 +429,10 @@ class RunPlan(NamedTuple):
     objective: LocalObjective
     honest: np.ndarray
     quantizes: np.ndarray
-    full_precision: np.ndarray
     attack_norm: float  # ||e||, the largest attack-norm bound
     tolerance: float
     block: int
-    uniform: tuple  # (policy, uint32 agent ids) per distinct uniform policy
-    keyed: np.ndarray  # their agents, in the keyed table's column order
-    constant: tuple  # (policy, agent ids) per distinct constant policy
+    attacks: tuple  # (policy, uint32 agent ids) per distinct nonzero policy
     explicit_init: object
 
 
@@ -462,8 +454,8 @@ def plan(
     encodes every broadcast (its interval length may be an (n, 1) column,
     one per agent), or is None for exact communication.  ``objective`` is
     the network's, of the box's dimension, with x* inside the box; its x*
-    and L-bar are the run's.  Raises ``ValueError`` for an input no run
-    can take.
+    and L-bar are the run's.  Equal policies are one attack group, and a
+    zero policy none.  Raises ``ValueError`` for an input no run can take.
     """
     if iterations < 1:
         raise ValueError(f"need at least one iteration, got {iterations}")
@@ -490,14 +482,10 @@ def plan(
     tolerance = MEAN_RECURSION_TOL * max(
         1.0, feasible.corner_norm(), alpha * objective.subgrad_bound, attack_norm
     )
-    uniform, constant, keyed = [], [], [np.empty(0, dtype=np.intp)]
-    for policy, agents in _grouped(attacks):
-        words = operand(adv._key_words(agents, "agent ids"), np.uint32)
-        if policy.kind == "uniform":
-            uniform.append((policy, words))
-            keyed.append(agents)
-        elif policy.kind == "constant":  # a zero row is the fixed rows' zeros
-            constant.append((policy, words))
+    groups: dict = {}  # a zero policy's rows are the run's zeros
+    for agent, policy in attacks.items():
+        if policy.kind != "zero":
+            groups.setdefault(policy, []).append(agent)
     quantizes = honest | adversary_quantizes
     return RunPlan(
         n=n,
@@ -510,13 +498,10 @@ def plan(
         objective=objective,
         honest=operand(honest, bool),
         quantizes=operand(quantizes, bool),
-        full_precision=operand(~quantizes[:, None], bool),
         attack_norm=attack_norm,
         tolerance=tolerance,
         block=min(iterations, max(1, BLOCK_BYTES // (8 * n * p))),
-        uniform=tuple(uniform),
-        keyed=operand(np.concatenate(keyed), np.intp),
-        constant=tuple(constant),
+        attacks=tuple((policy, operand(ids, np.uint32)) for policy, ids in groups.items()),
         explicit_init=explicit_init,
     )
 
@@ -525,9 +510,9 @@ def run(plan: RunPlan, seed: int) -> RunResult:
     """Execute one deterministic run of ``plan.iterations`` rounds.
 
     Everything that depends on ``seed`` happens here: the initial
-    iterates, the reseeded keyed attack table, the rounds and the block
-    reductions.  Runs of one plan share nothing writable, so they may go
-    in separate threads.
+    iterates, the attack schedule (each uniform policy's reseeded keyed
+    table), the rounds and the block reductions.  Runs of one plan share
+    nothing writable, so they may go in separate threads.
 
     Raises :class:`BoundViolationError` for the first round whose
     mean-iterate identity fails or yields NaN, once its block is reduced.
@@ -536,8 +521,7 @@ def run(plan: RunPlan, seed: int) -> RunResult:
     ``unsaturated_lemma1_violations``.
     """
     n, p, iterations, block = plan.n, plan.p, plan.iterations, plan.block
-    fixed_attacks, keyed_attacks = _attack_schedule(plan, seed)
-    keyed = plan.keyed
+    schedule = _attack_schedule(plan, seed)
     trace = Trace.empty(iterations, n, p)
 
     # one allocation for all six buffers and the box bounds as (n, p) rows:
@@ -551,13 +535,14 @@ def run(plan: RunPlan, seed: int) -> RunResult:
     ].reshape(5, block, n, p)
     lo, hi = bounds = tuple(workspace[6 * block + 1 :])  # views made once, not per round
     lo[...], hi[...] = plan.feasible.lo, plan.feasible.hi
-    quantizer, full_precision, weights = plan.quantizer, plan.full_precision, plan.weights
+    attack_rows[...] = 0.0  # a row no group writes is zero in every round
+    quantizer, weights, full_precision = plan.quantizer, plan.weights, ~plan.quantizes[:, None]
     objective, alpha = plan.objective, plan.alpha
     states[0] = initial_iterates(n, plan.feasible, seed, plan.explicit_init)
     for start in range(0, iterations, block):
         m = min(block, iterations - start)
-        attack_rows[:m] = fixed_attacks
-        attack_rows[:m, keyed] = keyed_attacks[start : start + m]
+        for agents, table in schedule:
+            attack_rows[:m, agents] = table[start : start + m]
         rounds = zip(
             states[:m], states[1 : m + 1], broadcasts[:m], gradients[:m],
             h_attack_free[:m], xi[:m], attack_rows[:m],

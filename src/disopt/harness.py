@@ -1,8 +1,9 @@
 """Experiment runner: execute configs over seed lists and write artifacts.
 
 One CSV trace per seed, one JSON bound report per scenario, and a CSV
-summary for parameter sweeps.  All outputs are byte-identical across
-re-runs of the same config and seed.
+summary for parameter sweeps.  Re-runs of the same config and seed write
+the same bytes on one numpy build, OpenBLAS kernel and BLAS thread count:
+the mixing product goes through BLAS, whose summation order follows both.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,7 +71,7 @@ def build_bound_report(config: ExperimentConfig, initial_error: float) -> BoundR
 
 def _run_seeds(scenarios: list, fold) -> None:
     """Run every seed of each (name, config) scenario, seed-major, handing
-    each run to ``fold(index of its scenario, result)`` as it finishes.
+    each run to ``fold(index of its scenario, seed, result)`` as it finishes.
 
     The configs share one seed list (a sweep's points take the base's).
     Each run goes through the module's ``run_single`` name, so a wrapper
@@ -87,7 +89,7 @@ def _run_seeds(scenarios: list, fold) -> None:
                 except engine.BoundViolationError as exc:
                     exc.scenario, exc.seed = name, seed
                     raise
-                fold(index, result)
+                fold(index, seed, result)
 
 
 def write_trace_csv(
@@ -146,7 +148,7 @@ def run_experiment(
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     results = []
-    _run_seeds([(name, config)], lambda _, result: results.append(result))
+    _run_seeds([(name, config)], lambda _, __, result: results.append(result))
     report = build_bound_report(config, max(float(r.traces.err_all[0]) for r in results))
     theorem_bounds = report.bound_column(config.iterations) if report else None
     theorem_cells = [*map(repr, theorem_bounds)] if theorem_bounds else None
@@ -252,12 +254,18 @@ def expand_grid(grid_doc) -> list:
     return points
 
 
-def sweep(grid_doc, outdir) -> list:
+class SweepSummary(NamedTuple):
+    rows: list  # one per grid point, as written to sweep_summary.csv
+    strict: bool  # the base config's "strict"
+    strict_violations: tuple  # (grid point, seed, k): the projection-error bound failed unsaturated
+
+
+def sweep(grid_doc, outdir) -> SweepSummary:
     """Run a validated grid and write one summary row per point.
 
     Each run is folded into its point's summary as it finishes: a point
-    keeps one final honest error and one initial error per seed, never a
-    trace.
+    keeps one final honest error and one initial error per seed, and its
+    unsaturated projection-error bound failures, never a trace.
     """
     points = expand_grid(grid_doc)
     outdir = Path(outdir)
@@ -265,10 +273,12 @@ def sweep(grid_doc, outdir) -> list:
 
     finals = [[] for _ in points]
     initials = [[] for _ in points]
+    violations = []
 
-    def fold(index, result):
+    def fold(index, seed, result):
         finals[index].append(result.traces.err_honest[-1])
         initials[index].append(float(result.traces.err_all[0]))
+        violations.extend((points[index][0], seed, k) for k in result.unsaturated_lemma1_violations)
 
     _run_seeds([(f"grid point {point}", cfg) for point, cfg in points], fold)
     names = sorted({k for point, _ in points for k in point})
@@ -289,4 +299,4 @@ def sweep(grid_doc, outdir) -> list:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
-    return rows
+    return SweepSummary(rows, points[0][1].strict, tuple(violations))

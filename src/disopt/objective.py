@@ -17,7 +17,7 @@ from .bounds import _check_moduli
 from .operand import operand
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeasibleSet:
     """Axis-aligned box ``[lo, hi]`` with closed-form projection."""
 

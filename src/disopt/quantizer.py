@@ -39,15 +39,15 @@ _ONE_HALF = operand(0.5)
 _FLOAT64 = np.dtype(float)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UniformQuantizer:
     bits: int
     interval_length: float | np.ndarray
     midpoint: float | np.ndarray = 0.0
-    step: np.ndarray = field(init=False, repr=False, compare=False)
-    _half: np.ndarray = field(init=False, repr=False, compare=False)
-    _cap: np.ndarray = field(init=False, repr=False, compare=False)
-    _mid: np.ndarray = field(init=False, repr=False, compare=False)
+    step: np.ndarray = field(init=False, repr=False)
+    _half: np.ndarray = field(init=False, repr=False)
+    _cap: np.ndarray = field(init=False, repr=False)
+    _mid: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if int(self.bits) != self.bits or self.bits < 1:

@@ -362,9 +362,9 @@ def test_malformed_sweep_json_is_usage_error(tmp_path, capsys):
 
 def test_sweep_takes_json_text(tmp_path):
     grid = {"base": dict(SMALL_RUN, seeds=[0]), "grid": {"bits": [1, 3]}}
-    rows = sweep(json.dumps(grid), tmp_path / "text")
-    assert rows == sweep(grid, tmp_path / "dict")
-    assert [row["bits"] for row in rows] == [1, 3]
+    summary = sweep(json.dumps(grid), tmp_path / "text")
+    assert summary == sweep(grid, tmp_path / "dict")
+    assert [row["bits"] for row in summary.rows] == [1, 3]
 
 
 def test_every_seed_runs_through_the_harness_run_single(monkeypatch, tmp_path):
@@ -383,7 +383,7 @@ def test_every_seed_runs_through_the_harness_run_single(monkeypatch, tmp_path):
     assert calls == [0, 1]
     calls.clear()
     grid = {"bits": [1, 3], "alpha": [0.5, 0.6, 0.7]}
-    rows = sweep({"base": SMALL_RUN, "grid": grid}, tmp_path / "sweep")
+    rows = sweep({"base": SMALL_RUN, "grid": grid}, tmp_path / "sweep").rows
     assert len(rows) == 6 and calls == [0] * 6 + [1] * 6
 
 
@@ -426,6 +426,23 @@ def test_a_sweep_draws_each_seeds_stream_once_and_matches_per_point_runs(
         assert float(row["mean_final_honest_err"]) == report["mean_final_honest_err"]
         assert float(row["max_final_honest_err"]) == max(finals)
         assert float(row["neighborhood"]) == report["neighborhood"]
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_a_sweep_honours_its_bases_strict_mode(tmp_path, capsys, strict):
+    # fig2c seed 0 fails the projection-error bound unsaturated at k = 170,
+    # and the one grid point keeps the preset's alpha
+    doc = _fig2c_sweep({"alpha": [0.7]}, 200, [0])
+    doc["base"]["strict"] = strict
+    path = _write(tmp_path, "grid.json", doc)
+    code = main(["sweep", str(path), "--out", str(tmp_path / "out")])
+    assert code == (EXIT_STRICT if strict else EXIT_OK)
+    assert capsys.readouterr().err == (
+        "projection-error bound violated at 1 unsaturated step(s), "
+        "e.g. [({'alpha': 0.7}, 0, 170)]\n"
+    )
+    summary = sweep(doc, tmp_path / "again")
+    assert summary.strict is strict and summary.strict_violations == (({"alpha": 0.7}, 0, 170),)
 
 
 def test_no_keyed_stream_outlives_the_sweep_that_drew_it(monkeypatch, tmp_path):

@@ -72,6 +72,18 @@ def test_valid_document_round_trip():
     assert hash(parse_config(doc).attack[2]) == hash(constant.attack[2])
 
 
+@pytest.mark.parametrize("lengths", [1.0, [1.0, 0.5, 1.0, 2.0]], ids=["shared", "per-agent"])
+def test_the_built_box_and_quantizer_compare_by_identity(lengths):
+    # both hold arrays, so a field-by-field == raised ValueError at p = 2,
+    # and hash raised TypeError
+    doc = _doc()
+    doc["quantizer"]["interval_length"] = lengths
+    first, second = parse_config(doc), parse_config(doc)
+    for a, b in ((first.feasible_set, second.feasible_set), (first.quantizer, second.quantizer)):
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, b, a}) == 2
+
+
 def test_all_errors_reported_with_field_paths():
     doc = _doc(n=0, alpha=-1.0, iterations=0)
     doc["bogus"] = True

@@ -4,7 +4,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from stream_oracle import reference_attack_table
 from trace_oracle import reference_columns, reference_run
@@ -267,10 +267,9 @@ def test_runs_are_bit_identical():
 def _recorded_run(cfg, seed):
     """Run one seed; returns (result, the (K, n, p) attack rows of every
     round, rebuilt from the run's attack schedule)."""
-    fixed, table = engine._attack_schedule(cfg.plan, seed)
-    keyed = cfg.plan.keyed
-    rows = np.broadcast_to(fixed, (cfg.iterations, cfg.n, cfg.p)).copy()
-    rows[:, keyed] = table
+    rows = np.zeros((cfg.iterations, cfg.n, cfg.p))
+    for agents, table in engine._attack_schedule(cfg.plan, seed):
+        rows[:, agents] = table
     result = run_single(cfg, seed)
     # the run added exactly these rows
     assert np.array_equal(result.traces.mean_attack, rows.mean(axis=1))
@@ -298,7 +297,12 @@ def test_per_agent_policies_match_the_per_key_oracle(monkeypatch):
     )
     cfg = parse_config(doc)
     assert cfg.attack[2] is not cfg.attack[6]
-    assert [agents.tolist() for _, agents in cfg.plan.uniform] == [[2, 6], [3]]
+    # one group per distinct nonzero policy, in order of first appearance
+    assert [(policy.kind, agents.tolist()) for policy, agents in cfg.plan.attacks] == [
+        ("uniform", [2, 6]),
+        ("uniform", [3]),
+        ("constant", [4]),
+    ]
     result, rows = _recorded_run(cfg, 4)
     # the same run with every attack drawn one key at a time
     monkeypatch.setattr(adversary, "attack_table", reference_attack_table)
@@ -376,7 +380,7 @@ def _blocked(monkeypatch, rounds_per_block, n, p):
     n=st.integers(min_value=1, max_value=6),
     p=st.integers(min_value=1, max_value=17),
     adversaries=st.integers(min_value=0, max_value=3),
-    attack=st.sampled_from(["uniform", "constant", "zero"]),
+    attack=st.sampled_from(["uniform", "constant", "zero", "mixed"]),
     bits=st.one_of(st.none(), st.integers(min_value=1, max_value=4)),
     adversary_quantizes=st.booleans(),
     rounds_per_block=st.integers(min_value=1, max_value=6),
@@ -384,16 +388,23 @@ def _blocked(monkeypatch, rounds_per_block, n, p):
     last=st.integers(min_value=1, max_value=6),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
+@example(  # every kind in one map, over four blocks
+    n=5, p=2, adversaries=3, attack="mixed", bits=2, adversary_quantizes=False,
+    rounds_per_block=3, blocks=4, last=2, seed=7,
+)
 def test_block_columns_match_the_per_round_oracle(
     n, p, adversaries, attack, bits, adversary_quantizes, rounds_per_block, blocks, last, seed
 ):
-    # runs span 2-5 blocks, the last one partial whenever last < rounds_per_block
+    # runs span 2-5 blocks, the last one partial whenever last < rounds_per_block;
+    # "mixed" is a per-agent map whose adversaries cycle through constant,
+    # uniform and zero, so a second group follows the first
     adversaries = min(adversaries, n - 1)
     last = min(last, rounds_per_block)
     iterations = (blocks - 1) * rounds_per_block + last
     rng = np.random.default_rng(seed)
     sign = str(rng.choice(["positive", "negative"]))
-    policy = {
+    kinds = ["constant", "uniform", "zero"]
+    policies = {
         "uniform": {"kind": "uniform", "range": [0.0, 0.8], "sign": sign, "seed": seed},
         "constant": {
             "kind": "constant",
@@ -401,7 +412,10 @@ def test_block_columns_match_the_per_round_oracle(
             "sign": sign,
         },
         "zero": {"kind": "zero"},
-    }[attack]
+    }
+    policy = policies.get(attack) or {
+        str(n - adversaries + j): policies[kinds[j % 3]] for j in range(adversaries)
+    }
     doc = _run_doc(
         n=n,
         p=p,
@@ -698,7 +712,7 @@ def test_the_plan_is_built_on_the_first_run_and_kept():
     assert cfg.plan is plan
     # O(n + p) and read-only: nothing of shape (n, p) or (K, ...) of its own
     arrays = [v for v in plan._asdict().values() if isinstance(v, np.ndarray)]
-    arrays += [agents for _, agents in plan.uniform + plan.constant]
+    arrays += [agents for _, agents in plan.attacks]
     arrays = [a for a in arrays if a is not plan.weights]  # the topology's own
     assert all(not a.flags.writeable and a.size <= 3 + 2 for a in arrays)
 
