@@ -270,10 +270,12 @@ def attack_table(policy: AttackPolicy, agents, rounds, p: int) -> np.ndarray:
     policy's entries are ``sgn * (low + (high - low) * u)``, where ``u``
     is the keyed stream ``default_rng(SeedSequence((seed, agent, k)))
     .random(p)``, reproduced bit for bit over the whole grid in uint64
-    array arithmetic (or reused inside a :func:`sharing_streams` block).
-    The returned array is always new and writable.  Agent ids and rounds
-    must lie in [0, 2**32): a larger index would enter the stream as two
-    words.  A 1-d uint32 ndarray of them is taken as it is, unchecked
+    array arithmetic (or reused inside a :func:`sharing_streams` block),
+    in a new writable array, as is a zero policy's table.  A constant
+    policy's table is its one signed row, the same at every round, as a
+    read-only ``np.broadcast_to`` view: no copy, and no per-round memory.
+    Agent ids and rounds must lie in [0, 2**32): a larger index would
+    enter the stream as two words.  A 1-d uint32 ndarray of them is taken as it is, unchecked
     and unconverted (the engine passes ``np.arange(K, dtype=np.uint32)``);
     any other sequence is read one Python int at a time.
     """
@@ -288,7 +290,7 @@ def attack_table(policy: AttackPolicy, agents, rounds, p: int) -> np.ndarray:
     if policy.kind == "constant":
         if len(policy.value) != p:
             raise ValueError(f"constant attack has dimension {len(policy.value)}, expected {p}")
-        return np.broadcast_to(sgn * np.array(policy.value), shape).copy()
+        return np.broadcast_to(sgn * np.array(policy.value), shape)
     u = _keyed_stream(policy.seed, agents, rounds, p)
     return sgn * (policy.low + (policy.high - policy.low) * u)
 
@@ -315,6 +317,9 @@ def attack_norm_bound(attacks: dict, p: int) -> float:
 
 
 def reseed(policy: AttackPolicy, run_seed: int) -> AttackPolicy:
-    """Derive a per-run copy of the policy with an independent stream."""
+    """Derive a per-run copy of the policy with an independent stream; a
+    policy that draws no stream (zero or constant) is returned unchanged."""
+    if policy.kind != "uniform":
+        return policy
     derived = int(np.random.SeedSequence((policy.seed, run_seed)).generate_state(1)[0])
     return replace(policy, seed=derived)

@@ -67,9 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "preset", parents=[common], help="run a built-in scenario"
     )
     p_preset.add_argument("name", choices=sorted(PRESETS))
-    p_preset.add_argument(
-        "--seeds", type=int, default=None, help="use only the first N preset seeds"
-    )
+    p_preset.add_argument("--seeds", type=int, default=None, help="run seeds 0..N-1")
     p_preset.add_argument("--strict", action="store_true", help=STRICT_HELP)
     p_preset.add_argument("--per-agent", action="store_true", help=PER_AGENT_HELP)
 

@@ -263,7 +263,7 @@ _FIELDS = {
     "objective.box.hi": (_vector(1.0), None),
     "quantizer": (_object_or_null, None),
     "quantizer.bits": (_integer(1, MAX_BITS, f"expected an integer in [1, {MAX_BITS}]"), None),
-    "quantizer.interval_length": (None, 1.0),  # one per agent, so checked against roles
+    "quantizer.interval_length": (None, 1.0),  # one per agent, so checked against n
     "quantizer.midpoint": (_vector(0.0), None),
     "attack": (None, None),  # one policy, or a mapping of agent ids to policies
     "seeds": (_seeds, [0]),
@@ -438,7 +438,7 @@ def parse_config(document, like: ExperimentConfig | None = None) -> ExperimentCo
 
     lengths = None
     midpoint, bits = v.get("quantizer.midpoint"), v.get("quantizer.bits")
-    if v.get("quantizer") is not None and roles is not None and n is not None:
+    if v.get("quantizer") is not None and n is not None:
         try:
             lengths = _as_vector(v["quantizer.interval_length"], n)
             if any(length <= 0 for length in lengths):

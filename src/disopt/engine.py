@@ -28,11 +28,12 @@ one call; a round allocates nothing when it honours ``subgradient``'s
 ``bench/tracing.py`` wraps each and divides per-round metrics by their
 counts.  After every block, each column of the run's :class:`Trace` is
 filled by one array reduction over the block, and the mean-iterate
-invariant is checked there.  Each distinct attack policy reaches a block
-as its agents' rows of a (K, A, p) table (:func:`_attack_schedule`),
-written into the attack buffer, which is zeroed once per run.  The block
-buffers are bounded; what grows with the iteration count is the trace
-columns and a uniform attack's keyed table, drawn for all K rounds at once.
+invariant is checked there.  Each attack group of the plan reaches a
+block as its agents' rows of one (K, A, p) :func:`adversary.attack_table`
+(a constant policy's is a broadcast view of its one row), written into
+the attack buffer, which is zeroed once per run.  The block buffers are
+bounded; what grows with the iteration count is the trace columns and a
+uniform attack's keyed table, drawn for all K rounds at once.
 
 A single run is sequential and fully deterministic given its seed.  Runs
 share their plan, read-only, and one more thing: inside an :func:`adversary.sharing_streams`
@@ -356,33 +357,6 @@ def mean_recursion_residual(
     return np.max(np.abs(predicted - trace.x_bar[start + 1 : stop + 1]), axis=1)
 
 
-# the one round a constant attack is drawn at, as a key word
-_FIRST_ROUND = operand([0], np.uint32)
-
-
-def _attack_schedule(plan: RunPlan, seed: int) -> list:
-    """Every attack of one run: an (agents, (K, A, p) table) pair per
-    group of ``plan.attacks``, round k's attack of ``agents[a]`` at
-    ``table[k, a]``.
-
-    A uniform policy, reseeded for the run, draws all K rounds of its
-    adversaries in one :func:`adversary.attack_table` call.  A constant
-    policy does not change with k or the seed: its first-round row is
-    broadcast over the K rounds, not copied.
-    """
-    p, iterations = plan.p, plan.iterations
-    rounds = np.arange(iterations, dtype=np.uint32)
-    schedule = []
-    for policy, agents in plan.attacks:
-        if policy.kind == "uniform":
-            table = adv.attack_table(adv.reseed(policy, seed), agents, rounds, p)
-        else:  # constant
-            first = adv.attack_table(policy, agents, _FIRST_ROUND, p)
-            table = np.broadcast_to(first, (iterations, len(agents), p))
-        schedule.append((agents, table))
-    return schedule
-
-
 def _checked_init(explicit, n: int, feasible: FeasibleSet) -> None:
     x0 = np.asarray(explicit, dtype=float)
     if x0.shape != (n, feasible.dimension):
@@ -466,11 +440,13 @@ def plan(
         raise ValueError("the objective's x* lies outside the box")
     if alpha <= 0:
         raise ValueError(f"step size must be positive, got {alpha}")
-    for agent in attacks:
+    for agent, policy in attacks.items():
         if not isinstance(agent, (int, np.integer)) or isinstance(agent, bool):
             raise ValueError(f"agent ids must be integers, got {agent!r}")
         if not 0 <= agent < n:
             raise ValueError(f"agent ids must lie in [0, {n}), got {agent}")
+        if not isinstance(policy, adv.AttackPolicy):
+            raise ValueError(f"agent {agent}'s attack must be an AttackPolicy, got {policy!r}")
     honest = np.ones(n, dtype=bool)
     honest[list(attacks)] = False
     if not honest.any():
@@ -510,9 +486,10 @@ def run(plan: RunPlan, seed: int) -> RunResult:
     """Execute one deterministic run of ``plan.iterations`` rounds.
 
     Everything that depends on ``seed`` happens here: the initial
-    iterates, the attack schedule (each uniform policy's reseeded keyed
-    table), the rounds and the block reductions.  Runs of one plan share
-    nothing writable, so they may go in separate threads.
+    iterates, the attack schedule (one :func:`adversary.attack_table` per
+    attack group, of its policy reseeded for the run), the rounds and the
+    block reductions.  Runs of one plan share nothing writable, so they
+    may go in separate threads.
 
     Raises :class:`BoundViolationError` for the first round whose
     mean-iterate identity fails or yields NaN, once its block is reduced.
@@ -521,7 +498,13 @@ def run(plan: RunPlan, seed: int) -> RunResult:
     ``unsaturated_lemma1_violations``.
     """
     n, p, iterations, block = plan.n, plan.p, plan.iterations, plan.block
-    schedule = _attack_schedule(plan, seed)
+    rounds = np.arange(iterations, dtype=np.uint32)
+    # per group, its agents and their (K, A, p) table: round k's attack of
+    # agents[a] is table[k, a]
+    schedule = [
+        (agents, adv.attack_table(adv.reseed(policy, seed), agents, rounds, p))
+        for policy, agents in plan.attacks
+    ]
     trace = Trace.empty(iterations, n, p)
 
     # one allocation for all six buffers and the box bounds as (n, p) rows:

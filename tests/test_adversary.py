@@ -123,6 +123,20 @@ def test_reseed_changes_stream_deterministically():
     b = reseed(policy, 1)
     assert a.seed != b.seed
     assert reseed(policy, 0).seed == a.seed
+    # a policy that draws no stream is returned as it is
+    for fixed in (AttackPolicy(kind="zero"), AttackPolicy(kind="constant", value=[0.5], seed=3)):
+        assert reseed(fixed, 7) is fixed
+
+
+def test_a_constant_table_is_a_read_only_broadcast_of_one_row():
+    policy = AttackPolicy(kind="constant", value=[0.3, 0.2], sign="negative")
+    agents, rounds = [1, 4, 6], range(5, 9)
+    table = attack_table(policy, agents, rounds, 2)
+    assert table.shape == (4, 3, 2) and table.strides[:2] == (0, 0)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 1.0
+    assert np.array_equal(table, reference_attack_table(policy, agents, rounds, 2))
 
 
 # seeds one word long, at a word boundary, two words, three, and seven

@@ -224,6 +224,9 @@ def test_preset_with_seed_subset(tmp_path):
     assert main(["preset", "fig2b", "--seeds", "1", "--out", str(out)]) == EXIT_OK
     assert (out / "fig2b_seed0.csv").exists()
     assert not (out / "fig2b_seed1.csv").exists()
+    # --seeds N runs seeds 0..N-1, even past the preset's own seed list
+    assert main(["preset", "fig2a", "--seeds", "23", "--out", str(out)]) == EXIT_OK
+    assert set(out.glob("fig2a_seed*.csv")) == {out / f"fig2a_seed{s}.csv" for s in range(23)}
 
 
 def test_preset_zero_seeds_is_usage_error(tmp_path, capsys):

@@ -489,6 +489,14 @@ _QUANT = {"bits": 2, "interval_length": 1.0, "midpoint": 0.0}
                 ("strict", "expected a boolean"),
             ],
         ),
+        # the interval lengths need only n, so invalid roles do not hide them
+        (
+            {"roles": ["honest"] * 3, "quantizer": dict(_QUANT, interval_length=-1.0)},
+            [
+                ("roles", "expected length 4, got 3"),
+                ("quantizer.interval_length", "must be positive"),
+            ],
+        ),
     ],
 )
 def test_every_check_reports_its_exact_message(edits, expected):

@@ -266,10 +266,12 @@ def test_runs_are_bit_identical():
 
 def _recorded_run(cfg, seed):
     """Run one seed; returns (result, the (K, n, p) attack rows of every
-    round, rebuilt from the run's attack schedule)."""
+    round, rebuilt from the plan's attack groups as the run draws them)."""
     rows = np.zeros((cfg.iterations, cfg.n, cfg.p))
-    for agents, table in engine._attack_schedule(cfg.plan, seed):
-        rows[:, agents] = table
+    rounds = np.arange(cfg.iterations, dtype=np.uint32)
+    for policy, agents in cfg.plan.attacks:
+        policy = adversary.reseed(policy, seed)
+        rows[:, agents] = adversary.attack_table(policy, agents, rounds, cfg.p)
     result = run_single(cfg, seed)
     # the run added exactly these rows
     assert np.array_equal(result.traces.mean_attack, rows.mean(axis=1))
@@ -686,6 +688,8 @@ def _plan_inputs(**overrides) -> dict:
             {"objective": replace(make_objective("quadratic", 1, BOX1), x_star=[5.0])},
             r"x\* lies outside the box",
         ),
+        ({"attacks": {0: None}}, "agent 0's attack must be an AttackPolicy, got None"),
+        ({"attacks": {0: "uniform"}}, "agent 0's attack must be an AttackPolicy, got 'uniform'"),
     ],
 )
 def test_the_plan_rejects_what_no_run_can_take(overrides, message):
