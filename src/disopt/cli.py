@@ -7,9 +7,11 @@ a projection-error bound violation at an unsaturated step, 2 on usage or
 config errors, 3 when a run fails an invariant check (its state went NaN
 or broke the mean-iterate identity), reported as one stderr line naming
 the scenario, the seed and the round k.
-``run`` and ``sweep`` read their file the same way, so malformed JSON in
-either is the config error ``<document>: malformed JSON``; an output
-directory that cannot be made is a usage error, found before any seed runs.
+``run`` and ``sweep`` read their file the same way, as UTF-8 JSON, so a
+file that cannot be read or decoded is the usage error ``cannot read
+<path>``, and malformed JSON in either is the config error ``<document>:
+malformed JSON``; an output directory that cannot be made is a usage
+error, found before any seed runs.
 """
 
 from __future__ import annotations
@@ -130,8 +132,8 @@ def main(argv=None) -> int:
         else:
             path = args.config if args.command == "run" else args.grid
             try:
-                text = path.read_text()
-            except OSError as exc:
+                text = path.read_text(encoding="utf-8")
+            except (OSError, UnicodeDecodeError) as exc:
                 print(f"cannot read {path}: {exc}", file=sys.stderr)
                 return EXIT_USAGE
             if args.command == "run":

@@ -26,14 +26,16 @@ one call; a round allocates nothing when it honours ``subgradient``'s
 ``broadcast_phase`` (one ``UniformQuantizer.quantize``) and ``step``
 (one ``matrix_form_update``), kept apart because
 ``bench/tracing.py`` wraps each and divides per-round metrics by their
-counts.  After every block, each column of the run's :class:`Trace` is
-filled by one array reduction over the block, and the mean-iterate
-invariant is checked there.  Each attack group of the plan reaches a
-block as its agents' rows of one (K, A, p) :func:`adversary.attack_table`
-(a constant policy's is a broadcast view of its one row), written into
-the attack buffer, which is zeroed once per run.  The block buffers are
-bounded; what grows with the iteration count is the trace columns and a
-uniform attack's keyed table, drawn for all K rounds at once.
+counts.  The projection is numpy's ``clip`` ufunc, called directly, not
+through ``ndarray.clip``'s Python wrapper.  After every block, each
+column of the run's :class:`Trace` is filled by one array reduction over
+the block, and the mean-iterate invariant is checked there.  Each attack
+group of the plan reaches a block as its agents' rows of one (K, A, p)
+:func:`adversary.attack_table` (a constant policy's is a broadcast view
+of its one row), written into the attack buffer, which is zeroed once per
+run.  The block buffers are bounded; what grows with the iteration count
+is the trace columns and a uniform attack's keyed table, drawn for all K
+rounds at once.
 
 A single run is sequential and fully deterministic given its seed.  Runs
 share their plan, read-only, and one more thing: inside an :func:`adversary.sharing_streams`
@@ -50,6 +52,7 @@ from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
+from numpy._core.umath import clip as _clip
 
 from . import adversary as adv
 from .bounds import lemma1_bound
@@ -259,7 +262,7 @@ def step(
     # the projection stays clip, not np.maximum/np.minimum, which can give
     # the other signed zero at a zero bound: np.clip(-0.0, 0.0, 1.0) is
     # -0.0 where np.maximum(-0.0, 0.0) is 0.0
-    h.clip(*bounds, out=xi)
+    _clip(h, *bounds, xi)
     _subtract(h, xi, xi)
     # h - xi, not the clipped point: far outside the box they differ
     _subtract(h, xi, next_iterates)

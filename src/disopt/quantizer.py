@@ -16,7 +16,8 @@ are bit-equal (:func:`disopt.operand.constant_operand`), else the vector,
 while ``midpoint`` keeps its shape for the shape check.
 ``dataclasses.replace`` builds a new quantizer and so recomputes them.
 :meth:`UniformQuantizer.quantize` can write into caller-supplied
-buffers, so the engine's broadcast allocates nothing per round.
+buffers, so the engine's broadcast allocates nothing per round, and its
+ufuncs are bound once, at import, so a call looks none of them up.
 
 ``interval_length`` is positive: a scalar, or an array that broadcasts
 against the input, such as an (n, 1) column giving each row of an (n, p)
@@ -37,6 +38,11 @@ from .operand import constant_operand, operand
 # the 0.5 that rounds a step count to nearest
 _ONE_HALF = operand(0.5)
 _FLOAT64 = np.dtype(float)
+
+# quantize's ufuncs, bound once: a module global is one lookup, not two
+_subtract, _absolute, _divide, _add, _floor, _minimum, _multiply, _copysign = (
+    np.subtract, np.absolute, np.divide, np.add, np.floor, np.minimum, np.multiply, np.copysign
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,7 +81,8 @@ class UniformQuantizer:
         if type(x) is not np.ndarray or x.dtype is not _FLOAT64:
             x = np.asarray(x, dtype=float)
         mid = self.midpoint
-        if mid.shape != x.shape[x.ndim - mid.ndim :]:
+        # a 0-d midpoint matches every input: no trailing-shape slice to compare
+        if mid.ndim and mid.shape != x.shape[x.ndim - mid.ndim :]:
             raise ValueError(f"midpoint shape {mid.shape} does not match input {x.shape}")
         return x
 
@@ -103,15 +110,15 @@ class UniformQuantizer:
         # mid + 0.  ``out`` goes positionally (it costs less), except to
         # np.minimum, which deprecates that form.
         mid, step = self._mid, self.step
-        offset = np.subtract(x, mid, scratch)
-        count = np.abs(offset, out)
-        np.divide(count, step, count)
-        np.add(count, _ONE_HALF, count)
-        np.floor(count, count)
-        np.minimum(count, self._cap, out=count)
-        np.multiply(count, step, count)
-        np.copysign(count, offset, out)
-        return np.add(mid, out, out)
+        offset = _subtract(x, mid, scratch)
+        count = _absolute(offset, out)
+        _divide(count, step, count)
+        _add(count, _ONE_HALF, count)
+        _floor(count, count)
+        _minimum(count, self._cap, out=count)
+        _multiply(count, step, count)
+        _copysign(count, offset, out)
+        return _add(mid, out, out)
 
     def quantization_error(self, x) -> np.ndarray:
         """Signed error ``x - quantize(x)``."""

@@ -107,6 +107,18 @@ def test_missing_config_is_usage_error(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_a_file_that_is_not_utf8_is_usage_error(tmp_path, capsys, command):
+    path = tmp_path / "bad.json"
+    path.write_bytes(bytes(np.random.default_rng(0).integers(0, 256, 100, dtype=np.uint8)))
+    with pytest.raises(UnicodeDecodeError):
+        path.read_text(encoding="utf-8")
+    assert main([command, str(path), "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot read {path}: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_invalid_config_reports_field_paths(tmp_path, capsys):
     doc = dict(SMALL_RUN, alpha=-1)
     cfg = _write(tmp_path, "bad.json", doc)

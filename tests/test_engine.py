@@ -1,3 +1,4 @@
+import sys
 import threading
 import tracemalloc
 from dataclasses import fields, replace
@@ -10,7 +11,7 @@ from stream_oracle import reference_attack_table
 from trace_oracle import reference_columns, reference_run
 
 from disopt import adversary, engine
-from disopt.config import parse_config
+from disopt.config import parse_config, preset_document
 from disopt.engine import broadcast_phase, matrix_form_update, mean_recursion_residual
 from disopt.harness import expand_grid, run_single
 from disopt.objective import FeasibleSet, LocalObjective, make_objective
@@ -630,6 +631,75 @@ def test_a_round_allocates_nothing():
 _REDUCTION_SPECIALS = np.array(
     [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2e-308, 1e-160, 1e200, -1e200]
 )
+
+
+def _numpy_wrapper_entries(plan) -> dict:
+    """Entries into the functions of numpy's ``_methods.py`` and
+    ``fromnumeric.py``, its Python-level array-method and function
+    wrappers, during one run of ``plan``, keyed ``module.function``."""
+    modules = (np._core._methods, np._core.fromnumeric)
+    wrappers = {module.__file__: module.__name__ for module in modules}
+    entries: dict = {}
+
+    def hook(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename in wrappers:
+            key = f"{wrappers[code.co_filename]}.{code.co_name}"
+            entries[key] = entries.get(key, 0) + 1
+
+    engine.run(plan, 0)  # numpy's first-call set-up is not a run's cost
+    sys.setprofile(hook)
+    try:
+        engine.run(plan, 0)
+    finally:
+        sys.setprofile(None)
+    return entries
+
+
+def test_a_round_enters_no_numpy_python_wrapper():
+    # one block each, so every wrapper entry left is per block, none per round
+    short, long = (
+        _numpy_wrapper_entries(parse_config(dict(preset_document("fig2a"), iterations=k)).plan)
+        for k in (2, 50)
+    )
+    assert short and short == long
+
+
+def test_the_projection_is_the_clip_ufunc():
+    assert isinstance(engine._clip, np.ufunc) and engine._clip.__name__ == "clip"
+
+
+@pytest.mark.parametrize("p", [1, 16])
+def test_the_projection_equals_ndarray_clip_bit_for_bit(monkeypatch, p):
+    # the round's inputs with the reduction specials scattered in, against
+    # (n, p) bounds, as the run passes the box, holding both signed zeros
+    n = 10
+    rng = np.random.default_rng(p)
+    state, sent, attack = rng.uniform(-2, 2, (3, n, p))
+    for x in (state, sent, attack):
+        flat = x.reshape(-1)
+        hits = rng.choice(flat.size, size=min(flat.size, 6), replace=False)
+        flat[hits] = rng.choice(_REDUCTION_SPECIALS, size=hits.size)
+    bounds = rng.choice([-1.0, -0.0, 0.0], (n, p)), rng.choice([0.0, -0.0, 1.0], (n, p))
+    box = FeasibleSet(lo=np.full(p, -1.0), hi=np.full(p, 1.0))
+    objective, weights = make_objective("quadratic", p, box), build_complete(n).weights
+
+    def step_bytes() -> bytes:
+        out = np.empty((4, n, p))
+        with np.errstate(all="ignore"):
+            engine.step(state, sent, attack, weights, objective, bounds, np.array(0.5), out)
+        return out.tobytes()
+
+    got = step_bytes()
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_clip", lambda h, lo, hi, out: h.clip(lo, hi, out=out))
+        assert step_bytes() == got
+    # the update is -0.0 only where W Q is, which matmul's sums do not give, so
+    # -0.0 against a +0.0 bound goes to the projection directly
+    h = np.tile(_REDUCTION_SPECIALS, (n, p))
+    for lo, hi in ((np.zeros_like(h), np.ones_like(h)), (np.array(0.0), np.array(1.0))):
+        got = engine._clip(h, lo, hi, np.empty_like(h))
+        assert got.tobytes() == h.clip(lo, hi).tobytes()
 
 
 @pytest.mark.parametrize("m", [1, 5])
