@@ -8,8 +8,8 @@ attack policy); its rows are also each object's only allowed keys.  The
 rules that compare fields (roles against n, the box, the per-agent interval
 lengths, the attack map, init) run after the table, and each files its
 errors under its field, so errors come out in table order.  A valid
-document's run inputs are built once, at parse time, and the config holds
-them; its run plan waits for the first run.
+document's run inputs are built once, at parse time, into the one
+:class:`engine.RunPlan` its config holds.
 """
 
 from __future__ import annotations
@@ -19,13 +19,12 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from . import engine
 from .adversary import MAX_KEY, AttackPolicy
-from .objective import FeasibleSet, LocalObjective, make_objective
+from .objective import FeasibleSet, make_objective
 from .quantizer import UniformQuantizer
 from .operand import operand
 from .topology import NetworkTopology, build_complete, build_from_edge_list
@@ -71,28 +70,24 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    """A validated experiment scenario, holding its built run inputs.
+    """A validated experiment scenario, holding its run plan.
 
     :func:`parse_config` builds the topology, the feasible set, the network
     objective (which holds x*) and the broadcast quantizer (one interval
     length per agent row; None in exact-communication mode) once, and
-    ``init`` is None or a read-only (n, p) array.  ``build_key`` is what
+    ``plan`` is their :class:`engine.RunPlan`.  Beside it the config keeps
+    what the plan does not hold: the topology, the attack map with its zero
+    policies, and whether adversaries quantize.  ``build_key`` is what
     fixes the first three, which ``parse_config``'s ``like`` compares.
-    The run plan is built on the config's first run.  Configs compare by
-    identity: their components hold arrays.
+    Configs compare by identity: their components hold arrays.
     """
 
+    plan: engine.RunPlan
     topology: NetworkTopology
-    feasible_set: FeasibleSet
-    objective: LocalObjective
-    quantizer: UniformQuantizer | None
     attack: dict  # agent id -> AttackPolicy; every other agent is honest
     adversary_quantizes: bool
-    alpha: float
-    iterations: int
     seeds: tuple
     strict: bool
-    init: np.ndarray | None = None
     build_key: tuple = field(default=(), repr=False)
 
     @property
@@ -101,23 +96,11 @@ class ExperimentConfig:
 
     @property
     def p(self) -> int:
-        return self.feasible_set.dimension
+        return self.plan.p
 
-    @cached_property
-    def plan(self) -> engine.RunPlan:
-        """What every seed's run shares, built on the config's first run
-        (never at parse time) and kept for its later seeds."""
-        return engine.plan(
-            attacks=self.attack,
-            quantizer=self.quantizer,
-            topology=self.topology,
-            objective=self.objective,
-            feasible=self.feasible_set,
-            alpha=self.alpha,
-            iterations=self.iterations,
-            explicit_init=self.init,
-            adversary_quantizes=self.adversary_quantizes,
-        )
+    @property
+    def iterations(self) -> int:
+        return self.plan.iterations
 
 
 class _Invalid(ValueError):
@@ -396,9 +379,9 @@ def read_document(document):
 
 
 def parse_config(document, like: ExperimentConfig | None = None) -> ExperimentConfig:
-    """Validate a JSON document (text, path contents, or parsed dict) and
-    build its run inputs: the topology, feasible set, objective and
-    quantizer.
+    """Validate a JSON document (text, path contents, or parsed dict),
+    build its run inputs (the topology, feasible set, objective and
+    quantizer) and plan its runs with :func:`engine.plan`.
 
     When the fields that fix the first three (n, p, the graph, the
     objective's name and the box, by ``repr``, so a -0.0 bound differs
@@ -475,7 +458,7 @@ def parse_config(document, like: ExperimentConfig | None = None) -> ExperimentCo
     kind, edges, name = v["topology.type"], v["topology.edges"], v["objective.name"]
     key = (n, p, kind, edges, name, repr(box_lo), repr(box_hi))
     if like is not None and key == like.build_key:
-        topology, feasible, objective = like.topology, like.feasible_set, like.objective
+        topology, feasible, objective = like.topology, like.plan.feasible, like.plan.objective
     else:
         # a disconnected graph and similar structural errors surface with
         # a field path too
@@ -488,11 +471,14 @@ def parse_config(document, like: ExperimentConfig | None = None) -> ExperimentCo
     quantizer = None
     if bits is not None:
         quantizer = UniformQuantizer(bits, np.array(lengths)[:, None], np.array(midpoint))
+    adversary_quantizes = v["adversary_quantizes"]
+    plan = engine.plan(
+        attack, quantizer, topology, objective, feasible, v["alpha"], v["iterations"],
+        explicit_init=init, adversary_quantizes=adversary_quantizes,
+    )
     return ExperimentConfig(
-        topology=topology, feasible_set=feasible, objective=objective, quantizer=quantizer,
-        attack=attack, adversary_quantizes=v["adversary_quantizes"], alpha=v["alpha"],
-        iterations=v["iterations"], seeds=v["seeds"], strict=v["strict"], init=init,
-        build_key=key,
+        plan=plan, topology=topology, attack=attack, adversary_quantizes=adversary_quantizes,
+        seeds=v["seeds"], strict=v["strict"], build_key=key,
     )
 
 

@@ -259,9 +259,8 @@ def step(
         gradients[...] = result
     matrix_form_update(weights, iterates, broadcasts, gradients, alpha, h_attack_free, xi)
     h = _add(h_attack_free, attack_rows, next_iterates)
-    # the projection stays clip, not np.maximum/np.minimum, which can give
-    # the other signed zero at a zero bound: np.clip(-0.0, 0.0, 1.0) is
-    # -0.0 where np.maximum(-0.0, 0.0) is 0.0
+    # the projection is the clip ufunc: one call where np.maximum and
+    # np.minimum would be two
     _clip(h, *bounds, xi)
     _subtract(h, xi, xi)
     # h - xi, not the clipped point: far outside the box they differ
@@ -429,9 +428,11 @@ def plan(
     ``attacks`` maps each adversarial agent, an integer id in [0, n), to its
     :class:`AttackPolicy`; every other agent is honest.  ``quantizer``
     encodes every broadcast (its interval length may be an (n, 1) column,
-    one per agent), or is None for exact communication.  ``objective`` is
-    the network's, of the box's dimension, with x* inside the box; its x*
-    and L-bar are the run's.  Equal policies are one attack group, and a
+    one per agent; its step must broadcast to the (n, p) state without
+    growing it, and a vector midpoint match the state's trailing axes),
+    or is None for exact communication.  ``objective`` is the network's,
+    of the box's dimension, with x* inside the box; its x* and L-bar are
+    the run's.  Equal policies are one attack group, and a
     zero policy none.  Raises ``ValueError`` for an input no run can take.
     """
     if iterations < 1:
@@ -456,6 +457,12 @@ def plan(
         raise ValueError("at least one honest agent is required")
     if explicit_init is not None:
         _checked_init(explicit_init, n, feasible)
+    if quantizer is not None:
+        step, mid = quantizer.step.shape, quantizer.midpoint.shape
+        if len(step) > 2 or any(s not in (1, t) for s, t in zip(step[::-1], (p, n))):
+            raise ValueError(f"quantizer.step of shape {step} does not broadcast to ({n}, {p})")
+        if mid != (n, p)[2 - len(mid) :]:
+            raise ValueError(f"quantizer.midpoint of shape {mid} does not match ({n}, {p})")
 
     attack_norm = adv.attack_norm_bound(attacks, p)
     tolerance = MEAN_RECURSION_TOL * max(

@@ -45,7 +45,7 @@ def final_honest_err_stats(final_errors) -> dict:
 
 def run_single(config: ExperimentConfig, seed: int) -> engine.RunResult:
     """One deterministic run of a validated config with one seed: the
-    config's :class:`engine.RunPlan`, built on its first run, run once."""
+    config's :class:`engine.RunPlan`, built at parse time, run once."""
     return engine.run(config.plan, seed)
 
 
@@ -53,18 +53,18 @@ def build_bound_report(config: ExperimentConfig, initial_error: float) -> BoundR
     """Closed-form report for a scenario whose largest initial error over
     its seeds (each run's ``traces.err_all[0]``) is ``initial_error``;
     None in exact-communication mode."""
-    quantizer = config.quantizer
+    plan, quantizer = config.plan, config.plan.quantizer
     if quantizer is None:
         return None
-    objective = config.objective
+    objective = plan.objective
     return BoundReport(
         mu=objective.mu,
         lipschitz=objective.lipschitz,
-        alpha=config.alpha,
+        alpha=float(plan.alpha),
         bits=quantizer.bits,
         interval_length=float(quantizer.interval_length.max()),
         subgrad_bound=objective.subgrad_bound,
-        attack_norm=config.plan.attack_norm,
+        attack_norm=plan.attack_norm,
         initial_error=initial_error,
     )
 

@@ -97,7 +97,8 @@ def test_criterion_3_mean_recursion_identity(preset_runs, capsys):
     steps = 0
     for name, (cfg, results) in preset_runs.items():
         for result in results:
-            worst = max(worst, float(np.max(mean_recursion_residual(result.traces, cfg.alpha))))
+            residual = mean_recursion_residual(result.traces, cfg.plan.alpha)
+            worst = max(worst, float(np.max(residual)))
             steps += len(result.traces)
     passed = worst <= 1e-10
     _report(capsys, 3, passed, f"max residual {worst:.3e} over {steps} steps")
@@ -316,7 +317,7 @@ def test_criteria_3_4_7_on_sparse_graphs(graph, adversaries, capsys):
     for result in results:
         t = result.traces
         worst_identity = max(
-            worst_identity, float(np.max(mean_recursion_residual(t, cfg.alpha)))
+            worst_identity, float(np.max(mean_recursion_residual(t, cfg.plan.alpha)))
         )
         free = t.saturation_count == 0
         unsaturated += int(np.sum(free))

@@ -6,6 +6,7 @@ import math
 import tempfile
 import tracemalloc
 import weakref
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -90,7 +91,7 @@ def test_per_agent_closing_row_is_the_final_state(tmp_path):
     last = (out / "wide_seed0.csv").read_text().splitlines()[-1].split(",")
 
     config = parse_config(doc)
-    x_star = config.objective.x_star
+    x_star = config.plan.objective.x_star
     final = run_single(config, 0).final_iterates
     honest = np.array([i not in config.attack for i in range(config.n)])
     assert last[0] == str(config.iterations)
@@ -519,8 +520,9 @@ def test_a_sweep_builds_one_topology(tmp_path):
     one, eight = peak(1), peak(8)
     assert eight - one < 400 * 400 * 8
     configs = [cfg for _, cfg in expand_grid(sweep_doc(8))]
-    for name in ("topology", "feasible_set", "objective"):
-        assert all(getattr(cfg, name) is getattr(configs[0], name) for cfg in configs), name
+    for name in ("topology", "plan.feasible", "plan.objective"):
+        get = attrgetter(name)
+        assert all(get(cfg) is get(configs[0]) for cfg in configs), name
     # a separate sweep document builds its own
     assert expand_grid(sweep_doc(1))[0][1].topology is not configs[0].topology
 
@@ -528,8 +530,8 @@ def test_a_sweep_builds_one_topology(tmp_path):
 def test_a_point_with_another_box_builds_its_own_topology():
     base = parse_config(SMALL_RUN)
     same = parse_config(SMALL_RUN, like=base)
-    shared = ("topology", "feasible_set", "objective")
-    assert all(getattr(same, name) is getattr(base, name) for name in shared)
+    shared = [attrgetter(name) for name in ("topology", "plan.feasible", "plan.objective")]
+    assert all(get(same) is get(base) for get in shared)
     ring = {"type": "edge_list", "edges": [[0, 1], [1, 2], [2, 0]]}
     # each pair differs in one field that fixes the built inputs: the
     # signed zero of a box bound (compared by repr), n, the edge list
@@ -542,8 +544,8 @@ def test_a_point_with_another_box_builds_its_own_topology():
     for like_fields, fields in cases:
         like = parse_config(dict(SMALL_RUN, **like_fields))
         other = parse_config(dict(SMALL_RUN, **fields), like=like)
-        assert all(getattr(other, name) is not getattr(like, name) for name in shared), fields
-    assert np.signbit(parse_config(dict(SMALL_RUN, **cases[0][1])).feasible_set.lo).all()
+        assert all(get(other) is not get(like) for get in shared), fields
+    assert np.signbit(parse_config(dict(SMALL_RUN, **cases[0][1])).plan.feasible.lo).all()
 
 
 def test_strict_mode_exit_code(tmp_path):

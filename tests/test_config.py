@@ -1,4 +1,5 @@
 import json
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -42,8 +43,8 @@ def test_valid_document_round_trip():
     cfg = parse_config(_doc())
     assert cfg.n == 4 and cfg.p == 2
     assert [i for i in range(cfg.n) if i not in cfg.attack] == [0, 1, 2]
-    assert cfg.quantizer.bits == 2
-    assert cfg.quantizer.interval_length.tolist() == [[1.0]] * 4
+    assert cfg.plan.quantizer.bits == 2
+    assert cfg.plan.quantizer.interval_length.tolist() == [[1.0]] * 4
     assert build_bound_report(cfg, 0.0).interval_length == 1.0
     assert set(cfg.attack) == {3}
     assert cfg.seeds == (0, 1)
@@ -53,14 +54,20 @@ def test_valid_document_round_trip():
     assert text is not cfg and text != cfg
     assert text.topology.edges.tolist() == cfg.topology.edges.tolist()
     assert text.topology.weights.tobytes() == cfg.topology.weights.tobytes()
-    for a, b in ((text.feasible_set, cfg.feasible_set), (text.quantizer, cfg.quantizer)):
+    for a, b in (
+        (text.plan.feasible, cfg.plan.feasible),
+        (text.plan.quantizer, cfg.plan.quantizer),
+    ):
         assert vars(a).keys() == vars(b).keys()
         assert all(np.array_equal(vars(a)[k], vars(b)[k]) for k in vars(a)), a
-    assert text.objective.x_star.tobytes() == cfg.objective.x_star.tobytes()
-    assert text.objective.subgrad_bound == cfg.objective.subgrad_bound
-    assert text.attack == cfg.attack and text.init is cfg.init is None
-    fields = ("alpha", "iterations", "seeds", "strict", "adversary_quantizes", "build_key")
-    assert all(getattr(text, name) == getattr(cfg, name) for name in fields)
+    assert text.plan.objective.x_star.tobytes() == cfg.plan.objective.x_star.tobytes()
+    assert text.plan.objective.subgrad_bound == cfg.plan.objective.subgrad_bound
+    assert text.attack == cfg.attack
+    assert text.plan.explicit_init is cfg.plan.explicit_init is None
+    fields = (
+        "plan.alpha", "plan.iterations", "seeds", "strict", "adversary_quantizes", "build_key",
+    )
+    assert all(attrgetter(name)(text) == attrgetter(name)(cfg) for name in fields)
     # a constant attack at p >= 2 compares and hashes by its value
     doc = _doc(
         n=3,
@@ -79,7 +86,10 @@ def test_the_built_box_and_quantizer_compare_by_identity(lengths):
     doc = _doc()
     doc["quantizer"]["interval_length"] = lengths
     first, second = parse_config(doc), parse_config(doc)
-    for a, b in ((first.feasible_set, second.feasible_set), (first.quantizer, second.quantizer)):
+    for a, b in (
+        (first.plan.feasible, second.plan.feasible),
+        (first.plan.quantizer, second.plan.quantizer),
+    ):
         assert a == a and a != b
         assert hash(a) == hash(a) and len({a, b, a}) == 2
 
@@ -171,7 +181,7 @@ def test_per_agent_interval_lengths():
     doc["quantizer"]["interval_length"] = [1.0, 0.5, 1.0, 2.0]
     cfg = parse_config(doc)
     assert build_bound_report(cfg, 0.0).interval_length == 2.0
-    assert cfg.quantizer.interval_length.tolist() == [[1.0], [0.5], [1.0], [2.0]]
+    assert cfg.plan.quantizer.interval_length.tolist() == [[1.0], [0.5], [1.0], [2.0]]
 
 
 @pytest.mark.parametrize(
@@ -193,7 +203,7 @@ def test_a_step_the_quantizer_cannot_divide_by_is_a_config_error(length, bits, m
     doc = _doc()
     doc["quantizer"].update(bits=bits, interval_length=length)
     if message is None:
-        assert parse_config(doc).quantizer.bits == bits
+        assert parse_config(doc).plan.quantizer.bits == bits
         return
     with pytest.raises(ConfigError) as exc:
         parse_config(doc)
@@ -202,7 +212,7 @@ def test_a_step_the_quantizer_cannot_divide_by_is_a_config_error(length, bits, m
 
 def test_exact_mode_has_no_quantizer():
     cfg = parse_config(_doc(quantizer=None))
-    assert cfg.quantizer is None
+    assert cfg.plan.quantizer is None
     assert build_bound_report(cfg, 0.0) is None
 
 
@@ -226,9 +236,9 @@ def test_presets_are_valid_and_distinct():
         assert cfg.n == 10 and cfg.p == 1
         assert cfg.iterations == 200
         assert cfg.seeds == tuple(range(20))
-        assert cfg.alpha == 0.7
+        assert cfg.plan.alpha == 0.7
     assert len(preset_config("fig2a").attack) == 10 - 7
-    assert preset_config("fig2b").quantizer.bits == 5
+    assert preset_config("fig2b").plan.quantizer.bits == 5
     assert len(preset_config("fig2c").attack) == 10 - 3
 
 
@@ -533,7 +543,7 @@ def test_integer_fields_take_numpy_integers_and_keep_python_ints(tmp_path):
         attack={"kind": "uniform", "range": [0.0, 0.5], "seed": np.int64(5)},
     )
     cfg = parse_config(doc)
-    values = [cfg.n, cfg.quantizer.bits, *cfg.seeds, cfg.attack[3].seed]
+    values = [cfg.n, cfg.plan.quantizer.bits, *cfg.seeds, cfg.attack[3].seed]
     assert values == [4, 2, 0, 3, 5]
     assert all(type(value) is int for value in values)
     assert cfg.topology.edges.tolist() == [[0, 1], [1, 2], [2, 3]]
@@ -543,7 +553,8 @@ def test_integer_fields_take_numpy_integers_and_keep_python_ints(tmp_path):
 
 def test_count_limits_are_inclusive():
     cfg = parse_config(_doc(p=config_module.MAX_DIMENSION, iterations=2**32))
-    assert cfg.p == cfg.feasible_set.dimension == 2**16 and cfg.objective.dimension == 2**16
+    assert cfg.p == cfg.plan.feasible.dimension == 2**16
+    assert cfg.plan.objective.dimension == 2**16
     assert cfg.iterations == config_module.MAX_ITERATIONS == 2**32
 
 

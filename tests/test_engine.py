@@ -11,7 +11,7 @@ from stream_oracle import reference_attack_table
 from trace_oracle import reference_columns, reference_run
 
 from disopt import adversary, engine
-from disopt.config import parse_config, preset_document
+from disopt.config import ExperimentConfig, parse_config, preset_document
 from disopt.engine import broadcast_phase, matrix_form_update, mean_recursion_residual
 from disopt.harness import expand_grid, run_single
 from disopt.objective import FeasibleSet, LocalObjective, make_objective
@@ -232,7 +232,7 @@ def test_mean_recursion_identity_under_attack():
     )
     cfg = parse_config(doc)
     result = run_single(cfg, 0)
-    residual = mean_recursion_residual(result.traces, cfg.alpha)
+    residual = mean_recursion_residual(result.traces, cfg.plan.alpha)
     assert residual.shape == (50,) and np.all(residual <= 1e-10)
 
 
@@ -350,22 +350,24 @@ def test_nan_state_fails_the_invariant_check():
 
 def _oracle_run(cfg, seed):
     """The per-round reference run of ``run_single(cfg, seed)``."""
+    plan = cfg.plan
     return reference_run(
         cfg.attack,
-        cfg.quantizer,
+        plan.quantizer,
         cfg.topology,
-        cfg.objective,
-        cfg.feasible_set,
-        cfg.alpha,
-        cfg.iterations,
+        plan.objective,
+        plan.feasible,
+        float(plan.alpha),
+        plan.iterations,
         seed=seed,
         adversary_quantizes=cfg.adversary_quantizes,
     )
 
 
 def _blocked(monkeypatch, rounds_per_block, n, p):
-    """Make runs of n agents in p dimensions reduce every
-    ``rounds_per_block`` rounds; returns the list of block sizes seen."""
+    """Make runs of n agents in p dimensions, planned after this call,
+    reduce every ``rounds_per_block`` rounds; returns the list of block
+    sizes seen."""
     sizes = []
     record = engine._record_block
 
@@ -430,15 +432,15 @@ def test_block_columns_match_the_per_round_oracle(
     )
     if adversaries:
         doc["attack"] = policy
-    cfg = parse_config(doc)
     with pytest.MonkeyPatch.context() as mp:
         sizes = _blocked(mp, rounds_per_block, n, p)
+        cfg = parse_config(doc)
         result = run_single(cfg, seed)
     assert sizes == [rounds_per_block] * (blocks - 1) + [last]
 
     traces, final = _oracle_run(cfg, seed)
     honest = ~np.isin(np.arange(n), list(cfg.attack))
-    want = reference_columns(traces, final, honest, cfg.objective.x_star)
+    want = reference_columns(traces, final, honest, cfg.plan.objective.x_star)
     got = result.traces
     assert len(got) == iterations
     assert sorted(f.name for f in fields(got)) == sorted(want)
@@ -521,6 +523,7 @@ def test_saturation_is_tested_once_per_block(monkeypatch):
         calls.append(np.shape(x))
         return in_range(self, x)
 
+    sizes = _blocked(monkeypatch, 4, n=3, p=2)
     cfg = parse_config(
         _run_doc(
             n=3,
@@ -531,7 +534,6 @@ def test_saturation_is_tested_once_per_block(monkeypatch):
             iterations=10,
         )
     )
-    sizes = _blocked(monkeypatch, 4, n=3, p=2)
     monkeypatch.setattr(UniformQuantizer, "in_range", counting)
     run_single(cfg, 0)
     assert sizes == [4, 4, 2]
@@ -760,6 +762,19 @@ def _plan_inputs(**overrides) -> dict:
         ),
         ({"attacks": {0: None}}, "agent 0's attack must be an AttackPolicy, got None"),
         ({"attacks": {0: "uniform"}}, "agent 0's attack must be an AttackPolicy, got 'uniform'"),
+        # a quantizer the first round cannot apply to the (3, 1) state
+        (
+            {"quantizer": UniformQuantizer(1, np.ones((4, 1)))},
+            r"quantizer.step of shape \(4, 1\) does not broadcast to \(3, 1\)",
+        ),
+        (
+            {"quantizer": UniformQuantizer(1, np.ones((3, 2)))},
+            r"quantizer.step of shape \(3, 2\) does not broadcast to \(3, 1\)",
+        ),
+        (
+            {"quantizer": UniformQuantizer(1, 1.0, np.zeros(3))},
+            r"quantizer.midpoint of shape \(3,\) does not match \(3, 1\)",
+        ),
     ],
 )
 def test_the_plan_rejects_what_no_run_can_take(overrides, message):
@@ -767,8 +782,17 @@ def test_the_plan_rejects_what_no_run_can_take(overrides, message):
         engine.plan(**_plan_inputs(**overrides))
 
 
-def test_the_plan_is_built_on_the_first_run_and_kept():
-    # parsing and expanding a sweep build no plan: that is set-up time
+def test_the_plan_is_built_at_parse_time_and_kept(monkeypatch):
+    # the plan is the config's one home of its run inputs: a field set by
+    # parse_config's one engine.plan call, never rebuilt or replaced by a run
+    built = []
+    plan_of = engine.plan
+
+    def counting(*args, **kwargs):
+        built.append(plan_of(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(engine, "plan", counting)
     cfg = parse_config(
         _run_doc(
             n=3,
@@ -779,11 +803,21 @@ def test_the_plan_is_built_on_the_first_run_and_kept():
         )
     )
     points = [c for _, c in expand_grid({"base": _run_doc(), "grid": {"alpha": [0.2, 0.4]}})]
-    assert all("plan" not in c.__dict__ for c in (cfg, *points))
+    configs = (cfg, *points)
+    assert len(built) == 3 and all(c.plan is plan for c, plan in zip(configs, built))
+    assert {f.name for f in fields(ExperimentConfig)} == {
+        "plan", "topology", "attack", "adversary_quantizes", "seeds", "strict", "build_key",
+    }
+    plan = cfg.plan
     run_single(cfg, 0)
-    plan = cfg.__dict__["plan"]
     run_single(cfg, 1)
-    assert cfg.plan is plan
+    assert cfg.plan is plan and len(built) == 3
+    # the points of one sweep share the box, the objective and the topology
+    first, second = points
+    assert first.plan is not second.plan
+    assert first.plan.feasible is second.plan.feasible
+    assert first.plan.objective is second.plan.objective
+    assert first.topology is second.topology
     # O(n + p) and read-only: nothing of shape (n, p) or (K, ...) of its own
     arrays = [v for v in plan._asdict().values() if isinstance(v, np.ndarray)]
     arrays += [agents for _, agents in plan.attacks]
@@ -834,8 +868,8 @@ def test_lemma1_quantities_recorded(preset_runs):
     cfg, results = preset_runs["fig2b"]
     t = results[0].traces
     n = cfg.n
-    subgrad_bound = cfg.objective.subgrad_bound
-    rhs = np.sqrt(8) * t.delta_bar[10] + np.sqrt(2) * subgrad_bound * cfg.alpha / n
+    subgrad_bound = cfg.plan.objective.subgrad_bound
+    rhs = np.sqrt(8) * t.delta_bar[10] + np.sqrt(2) * subgrad_bound * cfg.plan.alpha / n
     assert t.lemma1_rhs[10] == pytest.approx(rhs)
 
 
