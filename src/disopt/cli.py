@@ -11,7 +11,8 @@ the scenario, the seed and the round k.
 file that cannot be read or decoded is the usage error ``cannot read
 <path>``, and malformed JSON in either is the config error ``<document>:
 malformed JSON``; an output directory that cannot be made is a usage
-error, found before any seed runs.
+error, found before any seed runs, and so is an artifact that cannot be
+written in it (a file name too long for the file system).
 """
 
 from __future__ import annotations
@@ -138,11 +139,7 @@ def main(argv=None) -> int:
                 return EXIT_USAGE
             if args.command == "run":
                 config, name = parse_config(text), path.stem
-        try:
-            outdir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            print(f"cannot write {outdir}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        outdir.mkdir(parents=True, exist_ok=True)
         if args.command == "sweep":
             summary = sweep(text, outdir)
             print(f"wrote {outdir / 'sweep_summary.csv'} ({len(summary.rows)} grid points)")
@@ -154,6 +151,9 @@ def main(argv=None) -> int:
 
     except ConfigError as exc:
         _report_config_error(exc)
+        return EXIT_USAGE
+    except OSError as exc:  # the output directory or an artifact in it
+        print(f"cannot write {outdir}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BoundViolationError as exc:
         print(f"invariant violated in {exc.scenario}, seed {exc.seed}: {exc}", file=sys.stderr)

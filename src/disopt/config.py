@@ -8,8 +8,8 @@ attack policy); its rows are also each object's only allowed keys.  The
 rules that compare fields (roles against n, the box, the per-agent interval
 lengths, the attack map, init) run after the table, and each files its
 errors under its field, so errors come out in table order.  A valid
-document's run inputs are built once, at parse time, into the one
-:class:`engine.RunPlan` its config holds.
+document's run inputs and its role assignment are built once, at parse
+time, into the one :class:`engine.RunPlan` its config holds.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .adversary import MAX_KEY, AttackPolicy
 from .objective import FeasibleSet, make_objective
 from .quantizer import UniformQuantizer
 from .operand import operand
-from .topology import NetworkTopology, build_complete, build_from_edge_list
+from .topology import build_complete, build_from_edge_list
 
 HONEST = "honest"
 ADVERSARIAL = "adversarial"
@@ -70,29 +70,26 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    """A validated experiment scenario, holding its run plan.
+    """A validated experiment scenario: its run plan and how to run it.
 
     :func:`parse_config` builds the topology, the feasible set, the network
     objective (which holds x*) and the broadcast quantizer (one interval
     length per agent row; None in exact-communication mode) once, and
-    ``plan`` is their :class:`engine.RunPlan`.  Beside it the config keeps
-    what the plan does not hold: the topology, the attack map with its zero
-    policies, and whether adversaries quantize.  ``build_key`` is what
-    fixes the first three, which ``parse_config``'s ``like`` compares.
+    ``plan`` is their :class:`engine.RunPlan`, which also holds the roles
+    (``honest``, the attack groups, and ``quantizes``).  Beside it the
+    config keeps only the seeds, strictness and ``build_key``, the fields
+    that fix the first three, which ``parse_config``'s ``like`` compares.
     Configs compare by identity: their components hold arrays.
     """
 
     plan: engine.RunPlan
-    topology: NetworkTopology
-    attack: dict  # agent id -> AttackPolicy; every other agent is honest
-    adversary_quantizes: bool
     seeds: tuple
     strict: bool
     build_key: tuple = field(default=(), repr=False)
 
     @property
     def n(self) -> int:
-        return self.topology.n
+        return self.plan.n
 
     @property
     def p(self) -> int:
@@ -381,7 +378,8 @@ def read_document(document):
 def parse_config(document, like: ExperimentConfig | None = None) -> ExperimentConfig:
     """Validate a JSON document (text, path contents, or parsed dict),
     build its run inputs (the topology, feasible set, objective and
-    quantizer) and plan its runs with :func:`engine.plan`.
+    quantizer) and plan its runs with :func:`engine.plan`, whose plan
+    holds them and the roles.
 
     When the fields that fix the first three (n, p, the graph, the
     objective's name and the box, by ``repr``, so a -0.0 bound differs
@@ -458,7 +456,7 @@ def parse_config(document, like: ExperimentConfig | None = None) -> ExperimentCo
     kind, edges, name = v["topology.type"], v["topology.edges"], v["objective.name"]
     key = (n, p, kind, edges, name, repr(box_lo), repr(box_hi))
     if like is not None and key == like.build_key:
-        topology, feasible, objective = like.topology, like.plan.feasible, like.plan.objective
+        topology, feasible, objective = like.plan.topology, like.plan.feasible, like.plan.objective
     else:
         # a disconnected graph and similar structural errors surface with
         # a field path too
@@ -471,15 +469,11 @@ def parse_config(document, like: ExperimentConfig | None = None) -> ExperimentCo
     quantizer = None
     if bits is not None:
         quantizer = UniformQuantizer(bits, np.array(lengths)[:, None], np.array(midpoint))
-    adversary_quantizes = v["adversary_quantizes"]
     plan = engine.plan(
         attack, quantizer, topology, objective, feasible, v["alpha"], v["iterations"],
-        explicit_init=init, adversary_quantizes=adversary_quantizes,
+        explicit_init=init, adversary_quantizes=v["adversary_quantizes"],
     )
-    return ExperimentConfig(
-        plan=plan, topology=topology, attack=attack, adversary_quantizes=adversary_quantizes,
-        seeds=v["seeds"], strict=v["strict"], build_key=key,
-    )
+    return ExperimentConfig(plan=plan, seeds=v["seeds"], strict=v["strict"], build_key=key)
 
 
 # ---- presets ---------------------------------------------------------------

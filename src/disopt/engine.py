@@ -17,16 +17,16 @@ numpy serves without its broadcasting iterator, with every result bit for
 bit the same.
 
 Within a run, the round loop only advances the state, writing each
-round's iterates, broadcasts, gradients, attack rows, attack-free update
-and projection residual into block buffers of at most ``BLOCK_BYTES``
-each, all views of one workspace allocated once per run.  The network
-has one objective, which maps the whole (n, p) state to its gradients in
-one call; a round allocates nothing when it honours ``subgradient``'s
-``out``.  A round is four calls, each through its module or class name:
-``broadcast_phase`` (one ``UniformQuantizer.quantize``) and ``step``
-(one ``matrix_form_update``), kept apart because
-``bench/tracing.py`` wraps each and divides per-round metrics by their
-counts.  The projection is numpy's ``clip`` ufunc, called directly, not
+round's iterates, quantized broadcasts, gradients, attack rows,
+attack-free update and projection residual into block buffers of at
+most ``BLOCK_BYTES`` each, all views of one workspace allocated once per
+run.  The network has one objective, which maps the whole (n, p) state
+to its gradients in one call; a round allocates nothing when it honours
+``subgradient``'s ``out``.  A round is four calls, each through its
+module or class name: ``broadcast_phase`` (one
+``UniformQuantizer.quantize``) and ``step`` (one ``matrix_form_update``),
+kept apart because ``bench/tracing.py`` wraps each and divides per-round
+metrics by their counts.  The projection is numpy's ``clip`` ufunc, called directly, not
 through ``ndarray.clip``'s Python wrapper.  After every block, each
 column of the run's :class:`Trace` is filled by one array reduction over
 the block, and the mean-iterate invariant is checked there.  Each attack
@@ -59,6 +59,7 @@ from .bounds import lemma1_bound
 from .objective import FeasibleSet, LocalObjective
 from .operand import constant_operand, operand
 from .quantizer import UniformQuantizer
+from .topology import NetworkTopology
 
 # the round's ufuncs, bound once: a module global is one lookup, not two
 _add, _subtract, _multiply, _matmul, _copyto = (
@@ -186,19 +187,19 @@ def broadcast_phase(
     Every agent sends its quantized iterate except the rows where the
     (n, 1) boolean column ``full_precision`` is true, which send the
     iterate itself; with ``quantizer`` None (exact communication) every
-    agent does.  Saturation is not tested here: the trace's
+    agent does, so ``iterates`` itself is returned and no buffer is
+    written.  Saturation is not tested here: the trace's
     ``saturation_count`` tests a whole block of rounds at once.
 
-    The result is written into the (n, p) buffer ``out`` and returned;
-    ``scratch`` is an (n, p) buffer the quantizer may overwrite.  ``out``
-    must not alias ``iterates``, whose full-precision rows are copied in
-    after the quantizer has written.
+    With a quantizer the result is written into the (n, p) buffer ``out``
+    and returned; ``scratch`` is an (n, p) buffer the quantizer may
+    overwrite.  ``out`` must not alias ``iterates``, whose full-precision
+    rows are copied in after the quantizer has written.
     """
     if quantizer is None:
-        out[...] = iterates
-    else:
-        quantizer.quantize(iterates, out, scratch)
-        _copyto(out, iterates, where=full_precision)
+        return iterates
+    quantizer.quantize(iterates, out, scratch)
+    _copyto(out, iterates, where=full_precision)
     return out
 
 
@@ -384,12 +385,13 @@ class RunPlan(NamedTuple):
     """The part of a run that no seed changes, built once by :func:`plan`.
 
     It holds O(n + p) data of its own, every array read-only, and refers
-    to the topology's weights, the box, the objective and the quantizer
-    without copying them.  ``explicit_init`` is kept as given: checked
-    once and copied by every run, so it must not change (a config's is a
-    read-only (n, p) array).  ``attacks`` holds one group per distinct
-    nonzero policy, in order of first appearance; an agent in none is
-    attacked by zero.  The attack rows, the box rows and the workspace
+    to the topology, the box, the objective and the quantizer without
+    copying them.  ``honest``, ``quantizes`` and ``attacks`` are the run's
+    one role assignment: ``attacks`` holds one group per distinct nonzero
+    policy, in order of first appearance, and an agent in none is attacked
+    by zero.  ``explicit_init`` is kept as given: checked once and copied
+    by every run, so it must not change (a config's is a read-only (n, p)
+    array).  The attack rows, the box rows and the workspace
     belong to each run, so a plan kept for a whole seed-major sweep stays
     small.  (A named tuple: immutable, and cheaper to define at import
     than a frozen dataclass.)
@@ -400,7 +402,7 @@ class RunPlan(NamedTuple):
     iterations: int
     alpha: np.ndarray  # the step size, a 0-d operand
     quantizer: UniformQuantizer | None
-    weights: np.ndarray
+    topology: NetworkTopology
     feasible: FeasibleSet
     objective: LocalObjective
     honest: np.ndarray
@@ -415,7 +417,7 @@ class RunPlan(NamedTuple):
 def plan(
     attacks: dict,
     quantizer: UniformQuantizer | None,
-    topology,
+    topology: NetworkTopology,
     objective: LocalObjective,
     feasible: FeasibleSet,
     alpha: float,
@@ -432,8 +434,10 @@ def plan(
     growing it, and a vector midpoint match the state's trailing axes),
     or is None for exact communication.  ``objective`` is the network's,
     of the box's dimension, with x* inside the box; its x* and L-bar are
-    the run's.  Equal policies are one attack group, and a
-    zero policy none.  Raises ``ValueError`` for an input no run can take.
+    the run's.  The plan keeps the topology itself and the map as the
+    ``honest`` mask and the attack groups: equal policies are one group,
+    and a zero policy none.  Raises ``ValueError`` for an input no run can
+    take.
     """
     if iterations < 1:
         raise ValueError(f"need at least one iteration, got {iterations}")
@@ -479,7 +483,7 @@ def plan(
         iterations=iterations,
         alpha=operand(alpha),
         quantizer=quantizer,
-        weights=topology.weights,
+        topology=topology,
         feasible=feasible,
         objective=objective,
         honest=operand(honest, bool),
@@ -529,8 +533,8 @@ def run(plan: RunPlan, seed: int) -> RunResult:
     lo, hi = bounds = tuple(workspace[6 * block + 1 :])  # views made once, not per round
     lo[...], hi[...] = plan.feasible.lo, plan.feasible.hi
     attack_rows[...] = 0.0  # a row no group writes is zero in every round
-    quantizer, weights, full_precision = plan.quantizer, plan.weights, ~plan.quantizes[:, None]
-    objective, alpha = plan.objective, plan.alpha
+    quantizer, full_precision = plan.quantizer, ~plan.quantizes[:, None]
+    weights, objective, alpha = plan.topology.weights, plan.objective, plan.alpha
     states[0] = initial_iterates(n, plan.feasible, seed, plan.explicit_init)
     for start in range(0, iterations, block):
         m = min(block, iterations - start)
@@ -541,8 +545,9 @@ def run(plan: RunPlan, seed: int) -> RunResult:
             h_attack_free[:m], xi[:m], attack_rows[:m],
         )
         for state, next_state, sent, gradient, h_af, xi_row, attack in rounds:
-            # the round's residual row is the quantizer's scratch before it
-            broadcast_phase(state, quantizer, full_precision, sent, xi_row)
+            # the round's residual row is the quantizer's scratch before it;
+            # in exact mode the broadcast is the state itself
+            sent = broadcast_phase(state, quantizer, full_precision, sent, xi_row)
             step(
                 state,
                 sent,

@@ -93,7 +93,7 @@ def test_per_agent_closing_row_is_the_final_state(tmp_path):
     config = parse_config(doc)
     x_star = config.plan.objective.x_star
     final = run_single(config, 0).final_iterates
-    honest = np.array([i not in config.attack for i in range(config.n)])
+    honest = config.plan.honest
     assert last[0] == str(config.iterations)
     assert last[1:3] == [
         repr(float(np.linalg.norm(final.mean(axis=0) - x_star, axis=-1))),
@@ -347,6 +347,22 @@ def test_unusable_output_directory_is_usage_error(monkeypatch, tmp_path, capsys,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "seeds, stem",
+    [([10**300], "small"), ([0], "s" * 245)],
+    ids=["seed", "stem"],
+)
+def test_an_artifact_that_cannot_be_written_is_usage_error(tmp_path, capsys, seeds, stem):
+    # a seed's CSV name, or the bound report's <stem>_bounds.json (257
+    # characters here), too long for the file system: one stderr line, exit 2
+    config = _write(tmp_path, f"{stem}.json", dict(SMALL_RUN, seeds=seeds, iterations=3))
+    out = tmp_path / "out"
+    assert main(["run", str(config), "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"cannot write {out}: ")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["run", "preset", "sweep"])
 def test_a_run_gone_nan_exits_with_the_invariant_code(monkeypatch, tmp_path, capsys, command):
     # seed 1 starts from NaN, so its mean-iterate check fails at k = 0: one
@@ -520,17 +536,17 @@ def test_a_sweep_builds_one_topology(tmp_path):
     one, eight = peak(1), peak(8)
     assert eight - one < 400 * 400 * 8
     configs = [cfg for _, cfg in expand_grid(sweep_doc(8))]
-    for name in ("topology", "plan.feasible", "plan.objective"):
+    for name in ("plan.topology", "plan.feasible", "plan.objective"):
         get = attrgetter(name)
         assert all(get(cfg) is get(configs[0]) for cfg in configs), name
     # a separate sweep document builds its own
-    assert expand_grid(sweep_doc(1))[0][1].topology is not configs[0].topology
+    assert expand_grid(sweep_doc(1))[0][1].plan.topology is not configs[0].plan.topology
 
 
 def test_a_point_with_another_box_builds_its_own_topology():
     base = parse_config(SMALL_RUN)
     same = parse_config(SMALL_RUN, like=base)
-    shared = [attrgetter(name) for name in ("topology", "plan.feasible", "plan.objective")]
+    shared = [attrgetter(name) for name in ("plan.topology", "plan.feasible", "plan.objective")]
     assert all(get(same) is get(base) for get in shared)
     ring = {"type": "edge_list", "edges": [[0, 1], [1, 2], [2, 0]]}
     # each pair differs in one field that fixes the built inputs: the

@@ -39,21 +39,28 @@ def _paths(excinfo):
     return [path for path, _ in excinfo.value.errors]
 
 
+def _roles(cfg):
+    """The plan's role assignment: its masks and (policy, agents) groups."""
+    plan = cfg.plan
+    groups = [(policy, agents.tolist()) for policy, agents in plan.attacks]
+    return plan.honest.tolist(), plan.quantizes.tolist(), groups
+
+
 def test_valid_document_round_trip():
     cfg = parse_config(_doc())
     assert cfg.n == 4 and cfg.p == 2
-    assert [i for i in range(cfg.n) if i not in cfg.attack] == [0, 1, 2]
+    assert np.flatnonzero(cfg.plan.honest).tolist() == [0, 1, 2]
     assert cfg.plan.quantizer.bits == 2
     assert cfg.plan.quantizer.interval_length.tolist() == [[1.0]] * 4
     assert build_bound_report(cfg, 0.0).interval_length == 1.0
-    assert set(cfg.attack) == {3}
+    assert cfg.plan.attacks == ()  # agent 3's zero policy is no group
     assert cfg.seeds == (0, 1)
     # parse from JSON text too: configs compare by identity, so compare
     # what each one built and holds
     text = parse_config(json.dumps(_doc()))
     assert text is not cfg and text != cfg
-    assert text.topology.edges.tolist() == cfg.topology.edges.tolist()
-    assert text.topology.weights.tobytes() == cfg.topology.weights.tobytes()
+    assert text.plan.topology.edges.tolist() == cfg.plan.topology.edges.tolist()
+    assert text.plan.topology.weights.tobytes() == cfg.plan.topology.weights.tobytes()
     for a, b in (
         (text.plan.feasible, cfg.plan.feasible),
         (text.plan.quantizer, cfg.plan.quantizer),
@@ -62,11 +69,9 @@ def test_valid_document_round_trip():
         assert all(np.array_equal(vars(a)[k], vars(b)[k]) for k in vars(a)), a
     assert text.plan.objective.x_star.tobytes() == cfg.plan.objective.x_star.tobytes()
     assert text.plan.objective.subgrad_bound == cfg.plan.objective.subgrad_bound
-    assert text.attack == cfg.attack
+    assert _roles(text) == _roles(cfg)
     assert text.plan.explicit_init is cfg.plan.explicit_init is None
-    fields = (
-        "plan.alpha", "plan.iterations", "seeds", "strict", "adversary_quantizes", "build_key",
-    )
+    fields = ("plan.alpha", "plan.iterations", "seeds", "strict", "build_key")
     assert all(attrgetter(name)(text) == attrgetter(name)(cfg) for name in fields)
     # a constant attack at p >= 2 compares and hashes by its value
     doc = _doc(
@@ -75,8 +80,8 @@ def test_valid_document_round_trip():
         attack={"kind": "constant", "value": [0.5, 0.25]},
     )
     constant = parse_config(doc)
-    assert parse_config(json.dumps(doc)).attack == constant.attack
-    assert hash(parse_config(doc).attack[2]) == hash(constant.attack[2])
+    assert _roles(parse_config(json.dumps(doc))) == _roles(constant)
+    assert hash(parse_config(doc).plan.attacks[0][0]) == hash(constant.plan.attacks[0][0])
 
 
 @pytest.mark.parametrize("lengths", [1.0, [1.0, 0.5, 1.0, 2.0]], ids=["shared", "per-agent"])
@@ -158,8 +163,9 @@ def test_per_agent_attack_mapping():
         },
     )
     cfg = parse_config(doc)
-    assert cfg.attack[2].kind == "constant"
-    assert cfg.attack[3].high == 0.5
+    groups = [(policy.kind, agents.tolist()) for policy, agents in cfg.plan.attacks]
+    assert groups == [("constant", [2]), ("uniform", [3])]
+    assert cfg.plan.attacks[1][0].high == 0.5
 
 
 def test_origin_must_be_inside_box():
@@ -237,9 +243,9 @@ def test_presets_are_valid_and_distinct():
         assert cfg.iterations == 200
         assert cfg.seeds == tuple(range(20))
         assert cfg.plan.alpha == 0.7
-    assert len(preset_config("fig2a").attack) == 10 - 7
+    assert np.count_nonzero(~preset_config("fig2a").plan.honest) == 10 - 7
     assert preset_config("fig2b").plan.quantizer.bits == 5
-    assert len(preset_config("fig2c").attack) == 10 - 3
+    assert np.count_nonzero(~preset_config("fig2c").plan.honest) == 10 - 3
 
 
 def test_preset_seed_override():
@@ -543,10 +549,10 @@ def test_integer_fields_take_numpy_integers_and_keep_python_ints(tmp_path):
         attack={"kind": "uniform", "range": [0.0, 0.5], "seed": np.int64(5)},
     )
     cfg = parse_config(doc)
-    values = [cfg.n, cfg.plan.quantizer.bits, *cfg.seeds, cfg.attack[3].seed]
+    values = [cfg.n, cfg.plan.quantizer.bits, *cfg.seeds, cfg.plan.attacks[0][0].seed]
     assert values == [4, 2, 0, 3, 5]
     assert all(type(value) is int for value in values)
-    assert cfg.topology.edges.tolist() == [[0, 1], [1, 2], [2, 3]]
+    assert cfg.plan.topology.edges.tolist() == [[0, 1], [1, 2], [2, 3]]
     artifacts = run_experiment(cfg, tmp_path)
     assert json.loads(artifacts.report_path.read_text())["bits"] == 2
 
@@ -602,8 +608,8 @@ def test_attack_norm_is_bounded_once_per_distinct_policy(monkeypatch, tmp_path):
     )
     cfg = parse_config(doc)
     run_experiment(cfg, tmp_path)
-    shared = cfg.attack[3]
-    assert cfg.attack[4] is cfg.attack[5] is shared
+    ((shared, agents),) = cfg.plan.attacks
+    assert agents.tolist() == [3, 4, 5]
     assert len(calls) == 1 and all(policy is shared for policy in calls)
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from stream_oracle import reference_attack_table
 from trace_oracle import reference_columns, reference_run
 
-from disopt import adversary, engine
+from disopt import adversary, config, engine
 from disopt.config import ExperimentConfig, parse_config, preset_document
 from disopt.engine import broadcast_phase, matrix_form_update, mean_recursion_residual
 from disopt.harness import expand_grid, run_single
@@ -171,10 +171,11 @@ def test_broadcast_matches_per_agent_oracle(n, p, bits, adversary_quantizes, see
     want_buffer, want_saturated = per_agent_broadcast(
         iterates, bits, lengths, midpoint, honest, adversary_quantizes
     )
-    # into NaN-filled buffers: every row is written, and ``out`` returned
+    # into NaN-filled buffers: a quantizer writes every row of ``out`` and
+    # returns it; exact mode returns the iterates themselves, copied nowhere
     out, scratch = np.full((2, n, p), np.nan)
     buffer = broadcast_phase(iterates, quant, full_precision, out=out, scratch=scratch)
-    assert buffer is out
+    assert buffer is (iterates if bits is None else out)
     assert np.array_equal(buffer, want_buffer)
     if honest.any():  # a run needs an honest agent
         saturated = run_saturation(iterates, quant, honest, adversary_quantizes)
@@ -299,7 +300,8 @@ def test_per_agent_policies_match_the_per_key_oracle(monkeypatch):
         iterations=40,
     )
     cfg = parse_config(doc)
-    assert cfg.attack[2] is not cfg.attack[6]
+    parsed = _parsed_attack(doc)
+    assert parsed[2] == parsed[6] and parsed[2] is not parsed[6]
     # one group per distinct nonzero policy, in order of first appearance
     assert [(policy.kind, agents.tolist()) for policy, agents in cfg.plan.attacks] == [
         ("uniform", [2, 6]),
@@ -348,19 +350,29 @@ def test_nan_state_fails_the_invariant_check():
         engine.run(plan, 0)
 
 
-def _oracle_run(cfg, seed):
-    """The per-round reference run of ``run_single(cfg, seed)``."""
+def _parsed_attack(doc) -> dict:
+    """The document's agent -> policy map as the parser reads it, zero
+    policies included: the roles apart from the plan's masks and groups."""
+    errors = {"attack": []}
+    attack = config._parse_attack(doc.get("attack"), doc["roles"], doc["p"], errors)
+    assert errors == {"attack": []}
+    return attack
+
+
+def _oracle_run(cfg, doc, seed):
+    """The per-round reference run of ``run_single(cfg, seed)``, with the
+    roles of ``doc``, the document ``cfg`` was parsed from."""
     plan = cfg.plan
     return reference_run(
-        cfg.attack,
+        _parsed_attack(doc),
         plan.quantizer,
-        cfg.topology,
+        plan.topology,
         plan.objective,
         plan.feasible,
         float(plan.alpha),
         plan.iterations,
         seed=seed,
-        adversary_quantizes=cfg.adversary_quantizes,
+        adversary_quantizes=doc.get("adversary_quantizes", False),
     )
 
 
@@ -438,8 +450,8 @@ def test_block_columns_match_the_per_round_oracle(
         result = run_single(cfg, seed)
     assert sizes == [rounds_per_block] * (blocks - 1) + [last]
 
-    traces, final = _oracle_run(cfg, seed)
-    honest = ~np.isin(np.arange(n), list(cfg.attack))
+    traces, final = _oracle_run(cfg, doc, seed)
+    honest = np.array([role == "honest" for role in doc["roles"]])
     want = reference_columns(traces, final, honest, cfg.plan.objective.x_star)
     got = result.traces
     assert len(got) == iterations
@@ -805,9 +817,8 @@ def test_the_plan_is_built_at_parse_time_and_kept(monkeypatch):
     points = [c for _, c in expand_grid({"base": _run_doc(), "grid": {"alpha": [0.2, 0.4]}})]
     configs = (cfg, *points)
     assert len(built) == 3 and all(c.plan is plan for c, plan in zip(configs, built))
-    assert {f.name for f in fields(ExperimentConfig)} == {
-        "plan", "topology", "attack", "adversary_quantizes", "seeds", "strict", "build_key",
-    }
+    assert {f.name for f in fields(ExperimentConfig)} == {"plan", "seeds", "strict", "build_key"}
+    assert "topology" in engine.RunPlan._fields and "weights" not in engine.RunPlan._fields
     plan = cfg.plan
     run_single(cfg, 0)
     run_single(cfg, 1)
@@ -817,11 +828,10 @@ def test_the_plan_is_built_at_parse_time_and_kept(monkeypatch):
     assert first.plan is not second.plan
     assert first.plan.feasible is second.plan.feasible
     assert first.plan.objective is second.plan.objective
-    assert first.topology is second.topology
+    assert first.plan.topology is second.plan.topology
     # O(n + p) and read-only: nothing of shape (n, p) or (K, ...) of its own
     arrays = [v for v in plan._asdict().values() if isinstance(v, np.ndarray)]
     arrays += [agents for _, agents in plan.attacks]
-    arrays = [a for a in arrays if a is not plan.weights]  # the topology's own
     assert all(not a.flags.writeable and a.size <= 3 + 2 for a in arrays)
 
 
