@@ -19,15 +19,17 @@ bit the same.
 Within a run, the round loop only advances the state, writing each
 round's iterates, quantized broadcasts, gradients, attack rows,
 attack-free update and projection residual into block buffers of at
-most ``BLOCK_BYTES`` each, all views of one workspace allocated once per
-run.  The network has one objective, which maps the whole (n, p) state
+most ``BLOCK_BYTES`` each, with their views, all of one workspace: a
+round slot's row views are made once with the workspace, never per
+round.  The network has one objective, which maps the whole (n, p) state
 to its gradients in one call; a round allocates nothing when it honours
 ``subgradient``'s ``out``.  A round is four calls, each through its
 module or class name: ``broadcast_phase`` (one
 ``UniformQuantizer.quantize``) and ``step`` (one ``matrix_form_update``),
 kept apart because ``bench/tracing.py`` wraps each and divides per-round
-metrics by their counts.  The projection is numpy's ``clip`` ufunc, called directly, not
-through ``ndarray.clip``'s Python wrapper.  After every block, each
+metrics by their counts.  It enters no numpy Python frame: the
+projection is numpy's ``clip`` ufunc and the broadcast's row copy
+``copyto``'s C function, each called directly.  After every block, each
 column of the run's :class:`Trace` is filled by one array reduction over
 the block, and the mean-iterate invariant is checked there.  Each attack
 group of the plan reaches a block as its agents' rows of one (K, A, p)
@@ -38,17 +40,23 @@ is the trace columns and a uniform attack's keyed table, drawn for all K
 rounds at once.
 
 A single run is sequential and fully deterministic given its seed.  Runs
-share their plan, read-only, and one more thing: inside an :func:`adversary.sharing_streams`
+share their plan, read-only, and, inside an :func:`adversary.sharing_streams`
 block, which the harness holds for one seed loop (one CLI invocation),
-runs whose keyed attack streams coincide read the one stream drawn first,
-kept until another stream is drawn or the block ends.  The block belongs
-to its thread (a context variable), so runs in separate threads share no
-state and may execute concurrently.
+two more things: runs whose keyed attack streams coincide read the one
+stream drawn first, kept until another stream is drawn or the block
+ends, and runs of one (block, n, p) shape in one thread run one after
+another in one workspace, built by the first and kept until another
+shape's run or the block's end.  Outside every block, each run builds
+its own.  The block belongs to its context (a context variable); a
+thread that runs in a copy of it shares its streams, which are
+read-only, but not its workspace, so runs in separate threads may
+execute concurrently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from threading import get_ident
 from typing import NamedTuple
 
 import numpy as np
@@ -61,9 +69,10 @@ from .operand import constant_operand, operand
 from .quantizer import UniformQuantizer
 from .topology import NetworkTopology
 
-# the round's ufuncs, bound once: a module global is one lookup, not two
+# the round's ufuncs, bound once: a module global is one lookup, not two;
+# ``copyto`` is the C function behind ``np.copyto``'s Python dispatcher
 _add, _subtract, _multiply, _matmul, _copyto = (
-    np.add, np.subtract, np.multiply, np.matmul, np.copyto
+    np.add, np.subtract, np.multiply, np.matmul, np.copyto._implementation
 )
 
 # Tolerance of the mean-iterate bookkeeping identity; it is an exact
@@ -75,11 +84,17 @@ MEAN_RECURSION_TOL = 1e-10
 # Rounding slack of the Lemma 1 comparison ``xi_bar_norm <= lemma1_rhs``.
 LEMMA1_TOL = 1e-12
 
-# Size of one (rounds, n, p) block buffer: a block holds
-# max(1, BLOCK_BYTES // (8 n p)) rounds, so the buffers stay bounded
-# however many rounds a run has.  Each reduction over a block allocates
-# a temporary as large as a buffer; small blocks keep them in cache.
+# Size of one (rounds, n, p) block buffer and its share of the round
+# slots' views: a block holds max(1, BLOCK_BYTES // (8 n p + _ROUND_VIEW_BYTES))
+# rounds, so the buffers and views stay bounded however many rounds a run
+# has.  Each reduction over a block allocates a temporary as large as a
+# buffer; small blocks keep them in cache.
 BLOCK_BYTES = 1 << 18
+
+# Upper bound on one round slot's prebuilt views and tuples (six row
+# views, a 5-tuple and step's 4-tuple: ~0.8-0.95 KB under tracemalloc,
+# numpy 2.4, Python 3.11).  At small n p they outweigh the round's rows.
+_ROUND_VIEW_BYTES = 1 << 10
 
 
 class BoundViolationError(RuntimeError):
@@ -391,10 +406,10 @@ class RunPlan(NamedTuple):
     policy, in order of first appearance, and an agent in none is attacked
     by zero.  ``explicit_init`` is kept as given: checked once and copied
     by every run, so it must not change (a config's is a read-only (n, p)
-    array).  The attack rows, the box rows and the workspace
-    belong to each run, so a plan kept for a whole seed-major sweep stays
-    small.  (A named tuple: immutable, and cheaper to define at import
-    than a frozen dataclass.)
+    array).  The attack rows, the box rows and the workspace belong to
+    the run or its seed loop, never to a plan, so a plan kept for a whole
+    seed-major sweep stays small.  (A named tuple: immutable, and cheaper
+    to define at import than a frozen dataclass.)
     """
 
     n: int
@@ -490,10 +505,26 @@ def plan(
         quantizes=operand(quantizes, bool),
         attack_norm=attack_norm,
         tolerance=tolerance,
-        block=min(iterations, max(1, BLOCK_BYTES // (8 * n * p))),
+        block=min(iterations, max(1, BLOCK_BYTES // (8 * n * p + _ROUND_VIEW_BYTES))),
         attacks=tuple((policy, operand(ids, np.uint32)) for policy, ids in groups.items()),
         explicit_init=explicit_init,
     )
+
+
+def _new_workspace(block: int, n: int, p: int) -> tuple:
+    """A run's buffers, views of one allocation: (states, broadcasts,
+    gradients, ``H_af``, xi, attack rows, the box's (lo, hi) rows, round
+    slots).  Round slot j is the (state, broadcast, xi, attack, ``step``'s
+    ``out``) views of round j of a block, ``out`` being (next state,
+    gradient, ``H_af``, xi); a slot's next state is the next slot's state
+    view.  The views and tuples are made by C iteration, as a zip makes
+    them."""
+    workspace = np.empty((6 * block + 3, n, p))
+    states = workspace[: block + 1]
+    buffers = workspace[block + 1 : 6 * block + 1].reshape(5, block, n, p)
+    state, sent, gradient, h_af, xi, attack = map(list, (states, *buffers))
+    slots = list(zip(state, sent, xi, attack, zip(state[1:], gradient, h_af, xi)))
+    return (states, *buffers, tuple(workspace[6 * block + 1 :]), slots)
 
 
 def run(plan: RunPlan, seed: int) -> RunResult:
@@ -502,8 +533,11 @@ def run(plan: RunPlan, seed: int) -> RunResult:
     Everything that depends on ``seed`` happens here: the initial
     iterates, the attack schedule (one :func:`adversary.attack_table` per
     attack group, of its policy reseeded for the run), the rounds and the
-    block reductions.  Runs of one plan share nothing writable, so they
-    may go in separate threads.
+    block reductions.  The run's buffers are its own outside a
+    :func:`adversary.sharing_streams` block, and the block's, shared by the
+    block's runs one after another, inside one; a run reads no buffer row
+    it has not written, so it also follows a run that raised.  Runs share
+    nothing writable across threads.
 
     Raises :class:`BoundViolationError` for the first round whose
     mean-iterate identity fails or yields NaN, once its block is reduced.
@@ -521,16 +555,13 @@ def run(plan: RunPlan, seed: int) -> RunResult:
     ]
     trace = Trace.empty(iterations, n, p)
 
-    # one allocation for all six buffers and the box bounds as (n, p) rows:
-    # freeing it lifts glibc's mmap threshold above its size, so later runs
-    # take it and the block temporaries from the heap, not from fresh
-    # page-faulting mappings
-    workspace = np.empty((6 * block + 3, n, p))
-    states = workspace[: block + 1]
-    broadcasts, gradients, h_attack_free, xi, attack_rows = workspace[
-        block + 1 : 6 * block + 1
-    ].reshape(5, block, n, p)
-    lo, hi = bounds = tuple(workspace[6 * block + 1 :])  # views made once, not per round
+    # inside a seed-loop block, the one workspace of its runs of this shape in
+    # this thread (a context copied into another thread, as asyncio.to_thread
+    # makes, shares the block)
+    key = (get_ident(), block, n, p)
+    workspace = adv._kept("workspace", key, lambda: _new_workspace(block, n, p))
+    states, broadcasts, gradients, h_attack_free, xi, attack_rows, bounds, slots = workspace
+    lo, hi = bounds
     lo[...], hi[...] = plan.feasible.lo, plan.feasible.hi
     attack_rows[...] = 0.0  # a row no group writes is zero in every round
     quantizer, full_precision = plan.quantizer, ~plan.quantizes[:, None]
@@ -540,24 +571,11 @@ def run(plan: RunPlan, seed: int) -> RunResult:
         m = min(block, iterations - start)
         for agents, table in schedule:
             attack_rows[:m, agents] = table[start : start + m]
-        rounds = zip(
-            states[:m], states[1 : m + 1], broadcasts[:m], gradients[:m],
-            h_attack_free[:m], xi[:m], attack_rows[:m],
-        )
-        for state, next_state, sent, gradient, h_af, xi_row, attack in rounds:
+        for state, sent, xi_row, attack, out in slots[:m]:
             # the round's residual row is the quantizer's scratch before it;
             # in exact mode the broadcast is the state itself
             sent = broadcast_phase(state, quantizer, full_precision, sent, xi_row)
-            step(
-                state,
-                sent,
-                attack,
-                weights,
-                objective,
-                bounds,
-                alpha,
-                (next_state, gradient, h_af, xi_row),
-            )
+            step(state, sent, attack, weights, objective, bounds, alpha, out)
         _record_block(
             trace,
             start,

@@ -77,7 +77,8 @@ def _run_seeds(scenarios: list, fold) -> None:
     Each run goes through the module's ``run_single`` name, so a wrapper
     installed there sees every run.  The loop is one
     :func:`adversary.sharing_streams` block, so the configs' runs of one
-    seed draw its keyed attack stream once.  A run's
+    seed draw its keyed attack stream once, and all runs of one shape
+    (the configs share n and p) use one workspace.  A run's
     :class:`engine.BoundViolationError` leaves with its ``scenario`` name
     and ``seed`` set.
     """

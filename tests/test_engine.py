@@ -1,6 +1,10 @@
+import contextvars
+import os
 import sys
 import threading
 import tracemalloc
+import types
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -13,7 +17,7 @@ from trace_oracle import reference_columns, reference_run
 from disopt import adversary, config, engine
 from disopt.config import ExperimentConfig, parse_config, preset_document
 from disopt.engine import broadcast_phase, matrix_form_update, mean_recursion_residual
-from disopt.harness import expand_grid, run_single
+from disopt.harness import expand_grid, run_experiment, run_single, sweep
 from disopt.objective import FeasibleSet, LocalObjective, make_objective
 from disopt.quantizer import UniformQuantizer
 from disopt.topology import build_complete, build_from_edge_list
@@ -387,7 +391,8 @@ def _blocked(monkeypatch, rounds_per_block, n, p):
         sizes.append(len(iterates) - 1)
         return record(trace, start, iterates, *rest)
 
-    monkeypatch.setattr(engine, "BLOCK_BYTES", 8 * n * p * rounds_per_block)
+    per_round = 8 * n * p + engine._ROUND_VIEW_BYTES  # a round's rows and views
+    monkeypatch.setattr(engine, "BLOCK_BYTES", per_round * rounds_per_block)
     monkeypatch.setattr(engine, "_record_block", counting)
     return sizes
 
@@ -552,8 +557,8 @@ def test_saturation_is_tested_once_per_block(monkeypatch):
     assert calls == [(4, 3, 2), (4, 3, 2), (2, 3, 2)]
 
 
-def _objective_going_nan(after: int) -> LocalObjective:
-    """f(x) = x^2/2 whose subgradient turns NaN from its call ``after`` on."""
+def _objective_going_nan(after: int, p: int = 1) -> LocalObjective:
+    """f(x) = ||x||^2/2 whose subgradient turns NaN from its call ``after`` on."""
     calls = 0
 
     def subgradient(x, out=None):
@@ -562,13 +567,13 @@ def _objective_going_nan(after: int) -> LocalObjective:
         return np.multiply(x, np.nan if calls > after else 1.0, out=out)
 
     return LocalObjective(
-        dimension=1,
+        dimension=p,
         evaluate=lambda x: 0.5 * float(x @ x),
         subgradient=subgradient,
         mu=1.0,
         lipschitz=1.0,
         subgrad_bound=1.0,
-        x_star=np.zeros(1),
+        x_star=np.zeros(p),
     )
 
 
@@ -610,6 +615,19 @@ def test_block_memory_does_not_grow_with_iterations():
     columns = sum(getattr(t, f.name).nbytes for f in fields(t))
     assert peak < columns + 12 * engine.BLOCK_BYTES < iterations * n * p * 8 / 2
 
+    # at n = p = 1 a round slot's views outweigh its rows many times over; a
+    # seed-loop block keeps them, and the block size counts them
+    cfg = parse_config(_run_doc(iterations=50_000))
+    tracemalloc.start()
+    try:
+        with adversary.sharing_streams():
+            result = run_single(cfg, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    t = result.traces
+    assert peak < sum(getattr(t, f.name).nbytes for f in fields(t)) + 12 * engine.BLOCK_BYTES
+
 
 def test_a_round_allocates_nothing():
     # a broadcast and a step into preallocated buffers, as the round loop
@@ -647,18 +665,17 @@ _REDUCTION_SPECIALS = np.array(
 )
 
 
-def _numpy_wrapper_entries(plan) -> dict:
-    """Entries into the functions of numpy's ``_methods.py`` and
-    ``fromnumeric.py``, its Python-level array-method and function
-    wrappers, during one run of ``plan``, keyed ``module.function``."""
-    modules = (np._core._methods, np._core.fromnumeric)
-    wrappers = {module.__file__: module.__name__ for module in modules}
+def _numpy_python_entries(plan) -> dict:
+    """Entries into the functions of numpy's Python files during one run of
+    ``plan``, keyed ``file:function`` with the file relative to numpy's
+    package directory."""
+    root = os.path.dirname(np.__file__) + os.sep
     entries: dict = {}
 
     def hook(frame, event, arg):
         code = frame.f_code
-        if event == "call" and code.co_filename in wrappers:
-            key = f"{wrappers[code.co_filename]}.{code.co_name}"
+        if event == "call" and code.co_filename.startswith(root):
+            key = f"{code.co_filename[len(root):]}:{code.co_name}"
             entries[key] = entries.get(key, 0) + 1
 
     engine.run(plan, 0)  # numpy's first-call set-up is not a run's cost
@@ -671,12 +688,18 @@ def _numpy_wrapper_entries(plan) -> dict:
 
 
 def test_a_round_enters_no_numpy_python_wrapper():
-    # one block each, so every wrapper entry left is per block, none per round
+    # one block each, so every numpy Python frame left is per run or per
+    # block, none per round
     short, long = (
-        _numpy_wrapper_entries(parse_config(dict(preset_document("fig2a"), iterations=k)).plan)
+        _numpy_python_entries(parse_config(dict(preset_document("fig2a"), iterations=k)).plan)
         for k in (2, 50)
     )
     assert short and short == long
+
+
+def test_the_broadcast_copy_is_numpys_c_copyto():
+    assert engine._copyto is np.copyto._implementation
+    assert isinstance(engine._copyto, types.BuiltinFunctionType)
 
 
 def test_the_projection_is_the_clip_ufunc():
@@ -857,6 +880,111 @@ def test_threads_running_one_plan_match_sequential_runs():
             a, b = getattr(got[seed].traces, f.name), getattr(want[seed].traces, f.name)
             assert a.tobytes() == b.tobytes(), (seed, f.name)
         assert got[seed].final_iterates.tobytes() == want[seed].final_iterates.tobytes()
+
+
+def _run_bytes(result) -> list:
+    traces = result.traces
+    return [getattr(traces, f.name).tobytes() for f in fields(traces)] + [
+        result.final_iterates.tobytes()
+    ]
+
+
+def test_threads_sharing_a_seed_loop_block_keep_their_own_workspace():
+    # each thread runs in a copy of the block's context, as asyncio.to_thread
+    # makes, so both see the block's memo; a shared workspace would mix runs
+    plan = engine.plan(**_plan_inputs(iterations=300))
+    seeds = [3, 4, 5, 6]
+    want = {seed: _run_bytes(engine.run(plan, seed)) for seed in seeds}
+    barrier = threading.Barrier(2)
+    got = {}
+
+    def worker(own):
+        barrier.wait()
+        for seed in own:
+            got[seed] = _run_bytes(engine.run(plan, seed))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with adversary.sharing_streams():
+            threads = [
+                threading.Thread(target=contextvars.copy_context().run, args=(worker, seeds[i::2]))
+                for i in range(2)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == want
+
+
+def test_runs_in_one_seed_loop_block_match_fresh_runs(monkeypatch):
+    # plans of one shape, over blocks of 3, 3 and 1 rounds, run back to back
+    # in one block, which keeps one workspace for all of them, and one plan
+    # that fails mid-run and leaves the buffers dirty: every run must equal
+    # a fresh one outside every block
+    n, p, iterations = 5, 2, 7
+    sizes = _blocked(monkeypatch, 3, n, p)
+    topology = build_complete(n)
+    boxes = (
+        FeasibleSet(lo=np.full(p, -1.0), hi=np.full(p, 1.0)),
+        FeasibleSet(lo=np.array([-0.5, -3.0]), hi=np.array([2.0, 0.25])),
+    )
+    constant = adversary.AttackPolicy("constant", value=(0.4, 0.1))
+    uniform = adversary.AttackPolicy("uniform", sign="negative", low=0.1, high=0.9, seed=5)
+    zero = adversary.AttackPolicy("zero")
+    attack_sets = (
+        {},
+        {3: constant, 4: constant},
+        {1: uniform, 4: uniform},
+        {2: zero},
+        {1: constant, 3: uniform, 4: zero},
+    )
+    objectives = [make_objective("quadratic", p, box) for box in boxes]
+    plans = [
+        engine.plan(attacks, quantizer, topology, objective, box, 0.3, iterations)
+        for box, objective in zip(boxes, objectives)
+        for attacks in attack_sets
+        for quantizer in (None, UniformQuantizer(bits=2, interval_length=2.0))
+    ]
+    failing = engine.plan({}, None, topology, _objective_going_nan(4, p), boxes[1], 0.3, iterations)
+    assert {plan.block for plan in plans} == {failing.block} == {3}
+    want = [_run_bytes(engine.run(plan, seed)) for seed, plan in enumerate(plans)]
+    half = len(plans) // 2
+    with adversary.sharing_streams():
+        got = [_run_bytes(engine.run(plan, seed)) for seed, plan in enumerate(plans[:half])]
+        with pytest.raises(engine.BoundViolationError, match="k=4"):
+            engine.run(failing, 0)
+        got += [_run_bytes(engine.run(plan, seed)) for seed, plan in enumerate(plans[half:], half)]
+    assert got == want
+    assert sizes == [3, 3, 1] * (len(plans) + half) + [3, 3] + [3, 3, 1] * (len(plans) - half)
+
+
+def test_a_seed_loop_builds_one_workspace(monkeypatch, tmp_path):
+    built = []
+    new_workspace = engine._new_workspace
+
+    def recording(*shape):
+        workspace = new_workspace(*shape)
+        built.append((shape, weakref.ref(workspace[0])))  # the states buffer
+        return workspace
+
+    monkeypatch.setattr(engine, "_new_workspace", recording)
+    cfg = parse_config(preset_document("fig2a", seeds=list(range(20))))
+    run_experiment(cfg, tmp_path / "run")
+    assert [shape for shape, _ in built] == [(200, 10, 1)]
+    # the points of a sweep differ in their plans, not in their shape
+    sweep({"base": preset_document("fig2a", seeds=[0, 1]), "grid": {"alpha": [0.3, 0.7]}}, tmp_path)
+    assert len(built) == 2
+    # outside every block, each run builds its own
+    engine.run(cfg.plan, 0)
+    engine.run(cfg.plan, 1)
+    assert len(built) == 4
+    assert adversary._SHARED.get() is None
+    assert [ref() for _, ref in built] == [None] * 4  # none outlives its seed loop or run
 
 
 def test_step_size_above_one_warns_from_the_run():
