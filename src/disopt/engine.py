@@ -31,13 +31,16 @@ metrics by their counts.  It enters no numpy Python frame: the
 projection is numpy's ``clip`` ufunc and the broadcast's row copy
 ``copyto``'s C function, each called directly.  After every block, each
 column of the run's :class:`Trace` is filled by one array reduction over
-the block, and the mean-iterate invariant is checked there.  Each attack
-group of the plan reaches a block as its agents' rows of one (K, A, p)
-:func:`adversary.attack_table` (a constant policy's is a broadcast view
-of its one row), written into the attack buffer, which is zeroed once per
-run.  The block buffers are bounded; what grows with the iteration count
-is the trace columns and a uniform attack's keyed table, drawn for all K
-rounds at once.
+the block, bit for bit ``ndarray.mean``'s or ``np.linalg.norm``'s value,
+and the mean-iterate invariant is checked there.  An agent-axis mean of a
+p > 1 block is summed by einsum's sequential loop, of a p = 1 one by
+``add.reduce``'s pairwise sum, as ``ndarray.mean(axis=1)`` sums each.
+Each attack group of the plan reaches a block as its agents' rows of one
+(K, A, p) :func:`adversary.attack_table` (a constant policy's is a
+broadcast view of its one row), written into the attack buffer, which is
+zeroed once per run.  The block buffers are bounded; what grows with the
+iteration count is the trace columns and a uniform attack's keyed table,
+drawn for all K rounds at once.
 
 A single run is sequential and fully deterministic given its seed.  Runs
 share their plan, read-only, and, inside an :func:`adversary.sharing_streams`
@@ -74,6 +77,10 @@ from .topology import NetworkTopology
 _add, _subtract, _multiply, _matmul, _copyto = (
     np.add, np.subtract, np.multiply, np.matmul, np.copyto._implementation
 )
+
+# the sum of a p > 1 block mean (see _means); with optimize=False, its
+# default, einsum's one Python frame hands the call to its C function
+_einsum = np.einsum
 
 # Tolerance of the mean-iterate bookkeeping identity; it is an exact
 # algebraic consequence of the update, so only rounding noise is allowed.
@@ -293,7 +300,22 @@ def _norms(x: np.ndarray) -> np.ndarray:
 
 def _means(x: np.ndarray) -> np.ndarray:
     """Means over axis 1: ``x.mean(axis=1)``'s own formula (a sum over the
-    axis divided by its length) without its Python wrapper, bit for bit."""
+    axis divided by its length) without its Python wrapper, bit for bit.
+
+    An (m, n, p) block with p > 1 is summed by einsum, whose sequential
+    loop runs over the p coordinates and adds the n agents one at a time,
+    in order, as ``add.reduce`` does there, at a quarter of its cost.  Its
+    vector loop adds row + sum where ``add.reduce`` adds sum + row: the
+    same value, except that where two different NaNs meet, the operand
+    order picks which one's bits the sum keeps, so a sum holding a NaN is
+    done again by ``add.reduce``.  A p = 1 block, or a 2-D one (the
+    per-agent norms), keeps ``add.reduce``: with the agent axis innermost
+    it sums pairwise, where einsum's unrolled loop would round
+    differently."""
+    if x.ndim == 3 and x.shape[2] > 1:
+        total = _einsum("ijk->ik", x)
+        if not np.isnan(total).any():
+            return total / x.shape[1]
     return np.add.reduce(x, axis=1) / x.shape[1]
 
 
@@ -317,11 +339,14 @@ def _record_block(
     The columns of a state get rows start..start+m; the next block
     writes the last one again, with the same value.  Each column is one
     reduction over the block, bit for bit the per-round value: axis means
-    (:func:`_means`) and row norms (:func:`_norms`) reduce each round's
-    rows in the same order as a single (n, p) array would.  The plan's
-    ``quantizes`` marks the agents whose broadcast is quantized.  In exact
-    mode (no quantizer) every broadcast is its agent's iterate, so
-    ``delta_bar`` is 0 without a norm.
+    (:func:`_means`: einsum at p > 1, ``add.reduce`` at p = 1 and over
+    the per-agent norms) and row norms (:func:`_norms`) reduce each
+    round's rows in the same order as a single (n, p) array would.  The
+    attack-free residual projects with the round's ``clip`` ufunc, the
+    one ``np.clip`` ends in.  The plan's ``quantizes`` marks the agents
+    whose broadcast is quantized.  In exact mode (no quantizer) every
+    broadcast is its agent's iterate, so ``delta_bar`` is 0 without a
+    norm.
     """
     quantizer, x_star = plan.quantizer, constant_operand(plan.objective.x_star)
     m = len(gradients)
@@ -345,7 +370,7 @@ def _record_block(
 
     xi_bar = _means(xi)
     xi_bar_norm = _norms(xi_bar)
-    xi_attack_free = h_attack_free - np.clip(h_attack_free, *bounds)
+    xi_attack_free = h_attack_free - _clip(h_attack_free, *bounds)
     trace.xi_bar[rows] = xi_bar
     trace.xi_bar_norm[rows] = xi_bar_norm
     trace.xi_bar_attack_free_norm[rows] = _norms(_means(xi_attack_free))

@@ -1,10 +1,11 @@
 """Byte digests of the artifacts the preset golden manifest does not cover.
 
 ``bench/golden_manifest.json`` pins the quantized presets at p = 1.  This
-file pins, in ``digests.json``, the SHA-256 of every file written by an
-exact-mode run at n = 40, p = 16 with constant attacks and
-``--per-agent``, and of a 4-point ``sweep_summary.csv``.  A change that
-alters no behaviour keeps every digest.
+file pins, in ``digests.json``, the SHA-256 of every file written with
+``--per-agent`` by an exact-mode run at n = 40, p = 16 with constant
+attacks and by a 3-bit quantized run at n = 12, p = 4 with uniform
+attacks, and of a 4-point ``sweep_summary.csv``.  A change that alters no
+behaviour keeps every digest.
 """
 
 import hashlib
@@ -35,6 +36,27 @@ EXACT_DOC = {
     "seeds": [0, 5],
 }
 
+# a quantized p > 1 trace: interleaved adversaries with keyed uniform draws
+# of both signs, and a box reaching past the quantization interval, so
+# broadcasts saturate
+QUANTIZED_DOC = {
+    "n": 12,
+    "p": 4,
+    "topology": {"type": "complete"},
+    "roles": ["adversarial" if i in (2, 5, 8, 11) else "honest" for i in range(12)],
+    "objective": {"name": "quadratic", "box": {"lo": -1.0, "hi": 0.5}},
+    "quantizer": {"bits": 3, "interval_length": 1.0, "midpoint": [0.0, 0.1, -0.1, 0.2]},
+    "attack": {
+        "2": {"kind": "uniform", "range": [0.0, 0.6], "seed": 3},
+        "5": {"kind": "uniform", "range": [0.1, 0.9], "sign": "negative", "seed": 4},
+        "8": {"kind": "uniform", "range": [0.0, 0.6], "seed": 3},
+        "11": {"kind": "uniform", "range": [0.0, 0.4], "sign": "negative", "seed": 9},
+    },
+    "alpha": 0.6,
+    "iterations": 40,
+    "seeds": [0, 3],
+}
+
 
 def _sweep_doc() -> dict:
     base = preset_document("fig2c")
@@ -49,12 +71,20 @@ def _digests(directory: Path) -> dict:
     }
 
 
-def test_exact_mode_per_agent_bytes_match_digests(tmp_path):
-    config = tmp_path / "exact.json"
-    config.write_text(json.dumps(EXACT_DOC))
+def _per_agent_run_digests(tmp_path, name: str, doc: dict) -> dict:
+    config = tmp_path / f"{name}.json"
+    config.write_text(json.dumps(doc))
     out = tmp_path / "out"
     assert main(["run", str(config), "--per-agent", "--out", str(out)]) == EXIT_OK
-    assert _digests(out) == DIGESTS["exact"]
+    return _digests(out)
+
+
+def test_exact_mode_per_agent_bytes_match_digests(tmp_path):
+    assert _per_agent_run_digests(tmp_path, "exact", EXACT_DOC) == DIGESTS["exact"]
+
+
+def test_quantized_per_agent_bytes_match_digests(tmp_path):
+    assert _per_agent_run_digests(tmp_path, "quantized", QUANTIZED_DOC) == DIGESTS["quantized"]
 
 
 def test_sweep_summary_bytes_match_digest(tmp_path):

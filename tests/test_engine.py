@@ -706,6 +706,29 @@ def test_the_projection_is_the_clip_ufunc():
     assert isinstance(engine._clip, np.ufunc) and engine._clip.__name__ == "clip"
 
 
+def test_block_means_of_a_wide_state_go_through_einsum(monkeypatch):
+    summed = []
+
+    def einsum(subscripts, x):
+        summed.append(x.shape)
+        return np.einsum(subscripts, x)
+
+    monkeypatch.setattr(engine, "_einsum", einsum)
+    wide, narrow = [(5, 400, 16), (1, 1, 2)], [(5, 400, 1), (5, 400), (1, 1)]
+    for shape in wide + narrow:
+        engine._means(np.ones(shape))
+    assert summed == wide
+
+
+@pytest.mark.parametrize("p", [2, 16])
+def test_a_wide_block_mean_meeting_two_nans_keeps_numpys_nan(p):
+    # -inf + inf gives the platform's default NaN, which then meets np.nan:
+    # which of the two a sum keeps depends on the order of its operands
+    x = np.repeat(np.array([-np.inf, np.inf, np.nan, 1.0])[None, :, None], p, axis=2)
+    with np.errstate(invalid="ignore"):
+        assert engine._means(x).tobytes() == x.mean(axis=1).tobytes()
+
+
 @pytest.mark.parametrize("p", [1, 16])
 def test_the_projection_equals_ndarray_clip_bit_for_bit(monkeypatch, p):
     # the round's inputs with the reduction specials scattered in, against
@@ -739,9 +762,18 @@ def test_the_projection_equals_ndarray_clip_bit_for_bit(monkeypatch, p):
         assert got.tobytes() == h.clip(lo, hi).tobytes()
 
 
-@pytest.mark.parametrize("m", [1, 5])
-@pytest.mark.parametrize("n", [1, 7, 8, 10, 400])
-@pytest.mark.parametrize("p", [1, 3, 16])
+@pytest.mark.parametrize(
+    "p, n, m",
+    [
+        (p, n, m)
+        # both branches of _means (p = 1 and p > 1) around numpy's unroll
+        # widths, at most 2**16 entries per round
+        for p in (1, 2, 3, 8, 16, 17, 64, 1024)
+        for n in (1, 7, 8, 9, 10, 400, 2048)
+        for m in (1, 5)
+        if n * p <= 1 << 16
+    ],
+)
 def test_block_reductions_equal_numpy_bit_for_bit(m, n, p):
     # magnitudes from subnormal to 1e200, whose square overflows, with signed
     # zeros, infinities and NaN scattered in
@@ -750,10 +782,13 @@ def test_block_reductions_equal_numpy_bit_for_bit(m, n, p):
     flat = x.reshape(-1)
     hits = rng.choice(flat.size, size=min(flat.size, 12), replace=False)
     flat[hits] = rng.choice(_REDUCTION_SPECIALS, size=hits.size)
+    # and entries of one magnitude, where the order of a sum shows in its
+    # rounding
+    level = rng.uniform(-1, 1, (m, n, p))
     with np.errstate(over="ignore", invalid="ignore"):
-        for block in (x, x[:, 0]):  # (m, n, p) rows and (m, p) means
+        for block in (x, x[:, 0], level):  # (m, n, p) rows and (m, p) means
             assert engine._norms(block).tobytes() == np.linalg.norm(block, axis=-1).tobytes()
-        for block in (x, np.linalg.norm(x, axis=-1)):
+        for block in (x, level, np.linalg.norm(x, axis=-1), np.linalg.norm(level, axis=-1)):
             assert engine._means(block).tobytes() == block.mean(axis=1).tobytes()
 
 
