@@ -12,9 +12,11 @@ one plan per sweep point stays small for a whole seed-major sweep; every
 (n, p) and (K, ...) array is built by :func:`run`, which does only the
 work of one seed.  Constants that meet the state in a ufunc are 0-d
 operands where their entries are bit-equal (the step size, the
-quantizer's midpoint, a constant x* in the block reductions), the form
-numpy serves without its broadcasting iterator, with every result bit for
-bit the same.
+quantizer's midpoint, a constant x* in the block reductions, and the
+box's bounds where each side is also nonzero), the form numpy serves
+without its broadcasting iterator, with every result bit for bit the
+same.  A box with a zero side keeps (n, p) bound rows: against a 0-d +0.0
+bound ``clip`` keeps a -0.0 entry, against rows it returns +0.0.
 
 Within a run, the round loop only advances the state, writing each
 round's iterates, quantized broadcasts, gradients, attack rows,
@@ -268,8 +270,9 @@ def step(
     and writes its subgradients into the gradient buffer through ``out``
     (or they are copied there, if it returns another array).  ``bounds``
     is the box's (lo, hi), arrays that broadcast against the state; the
-    run passes two (n, p) arrays, which ``clip`` reads without the buffer
-    it allocates for a (p,) bound.
+    run passes its plan's two 0-d operands, or, for a box with a zero or
+    per-coordinate side, two (n, p) rows, which ``clip`` reads without
+    the buffer it allocates for a (p,) bound.
 
     ``out`` is four (n, p) buffers, (next iterates, gradients, ``H_af``,
     ``xi``), which receive the results and are returned; ``xi`` holds the
@@ -283,7 +286,7 @@ def step(
     matrix_form_update(weights, iterates, broadcasts, gradients, alpha, h_attack_free, xi)
     h = _add(h_attack_free, attack_rows, next_iterates)
     # the projection is the clip ufunc: one call where np.maximum and
-    # np.minimum would be two
+    # np.minimum would be two; 0-d bounds take its constant-bound loop
     _clip(h, *bounds, xi)
     _subtract(h, xi, xi)
     # h - xi, not the clipped point: far outside the box they differ
@@ -291,11 +294,13 @@ def step(
     return out
 
 
-def _norms(x: np.ndarray) -> np.ndarray:
+def _norms(x: np.ndarray, squares: np.ndarray | None = None) -> np.ndarray:
     """Row norms over the last axis: ``np.linalg.norm(x, axis=-1)``'s own
     formula for a float array, without its Python wrapper and its
-    ``conj()`` copy, so bit for bit the same."""
-    return np.sqrt(np.add.reduce(np.multiply(x, x), axis=-1))
+    ``conj()`` copy, so bit for bit the same.  ``squares``, if given,
+    receives ``x * x``: ``x`` itself, when it is a temporary, spares the
+    block a second array of its size."""
+    return np.sqrt(np.add.reduce(_multiply(x, x, squares), axis=-1))
 
 
 def _means(x: np.ndarray) -> np.ndarray:
@@ -343,10 +348,12 @@ def _record_block(
     the per-agent norms) and row norms (:func:`_norms`) reduce each
     round's rows in the same order as a single (n, p) array would.  The
     attack-free residual projects with the round's ``clip`` ufunc, the
-    one ``np.clip`` ends in.  The plan's ``quantizes`` marks the agents
-    whose broadcast is quantized.  In exact mode (no quantizer) every
-    broadcast is its agent's iterate, so ``delta_bar`` is 0 without a
-    norm.
+    one ``np.clip`` ends in, into ``xi`` once ``xi_bar`` is taken from
+    it.  Only the attack groups' rows of a block can hold a nonzero
+    attack, so only theirs are normed; every other agent's norm is the
+    +0.0 a zero row has.  The plan's ``quantizes`` marks the agents whose
+    broadcast is quantized.  In exact mode (no quantizer) every broadcast
+    is its agent's iterate, so ``delta_bar`` is 0 without a norm.
     """
     quantizer, x_star = plan.quantizer, constant_operand(plan.objective.x_star)
     m = len(gradients)
@@ -356,26 +363,34 @@ def _record_block(
     states = slice(start, start + m + 1)
     trace.x_bar[states] = x_bar
     trace.err_all[states] = _norms(x_bar - x_star)
-    trace.err_honest[states] = _norms(_means(iterates[:, plan.honest]) - x_star)
-    trace.per_agent_err[states] = _norms(iterates - x_star)
+    honest = iterates.take(plan.honest, axis=1)
+    trace.err_honest[states] = _norms(_means(honest) - x_star)
+    gaps = iterates - x_star
+    trace.per_agent_err[states] = _norms(gaps, gaps)
     trace.grad_mean[rows] = _means(gradients)
     if quantizer is None:
         delta_bar = np.zeros(m)
         trace.saturation_count[rows] = 0
     else:
-        delta_bar = _means(_norms(entering - broadcasts))
+        errors = entering - broadcasts
+        delta_bar = _means(_norms(errors, errors))
         saturated = plan.quantizes & ~quantizer.in_range(entering).all(axis=2)
         trace.saturation_count[rows] = saturated.sum(axis=1)
     trace.delta_bar[rows] = delta_bar
 
     xi_bar = _means(xi)
     xi_bar_norm = _norms(xi_bar)
-    xi_attack_free = h_attack_free - _clip(h_attack_free, *bounds)
+    _clip(h_attack_free, *bounds, xi)  # xi is spent: its mean is taken
+    _subtract(h_attack_free, xi, xi)
     trace.xi_bar[rows] = xi_bar
     trace.xi_bar_norm[rows] = xi_bar_norm
-    trace.xi_bar_attack_free_norm[rows] = _norms(_means(xi_attack_free))
+    trace.xi_bar_attack_free_norm[rows] = _norms(_means(xi))
     trace.mean_attack[rows] = _means(attacks)
-    trace.mean_attack_norm[rows] = _means(_norms(attacks))
+    attack_norms = np.zeros((m, plan.n))
+    for _, agents in plan.attacks:
+        group_rows = attacks.take(agents, axis=1)
+        attack_norms[:, agents] = _norms(group_rows, group_rows)
+    trace.mean_attack_norm[rows] = _means(attack_norms)
 
     lemma1_rhs = lemma1_bound(delta_bar, plan.objective.subgrad_bound, plan.alpha, plan.n)
     trace.lemma1_rhs[rows] = lemma1_rhs
@@ -426,15 +441,20 @@ class RunPlan(NamedTuple):
 
     It holds O(n + p) data of its own, every array read-only, and refers
     to the topology, the box, the objective and the quantizer without
-    copying them.  ``honest``, ``quantizes`` and ``attacks`` are the run's
-    one role assignment: ``attacks`` holds one group per distinct nonzero
-    policy, in order of first appearance, and an agent in none is attacked
-    by zero.  ``explicit_init`` is kept as given: checked once and copied
-    by every run, so it must not change (a config's is a read-only (n, p)
-    array).  The attack rows, the box rows and the workspace belong to
-    the run or its seed loop, never to a plan, so a plan kept for a whole
-    seed-major sweep stays small.  (A named tuple: immutable, and cheaper
-    to define at import than a frozen dataclass.)
+    copying them.  ``honest`` (the honest agents' ids, ascending, which the
+    block reductions gather by), ``quantizes`` (a mask) and ``attacks`` are
+    the run's one role assignment: ``attacks`` holds one group per distinct
+    nonzero policy, in order of first appearance, and an agent in none is
+    attacked by zero.  ``bounds`` is the box's (lo, hi) as two
+    0-d operands when each side's entries are bit-equal and nonzero, the
+    bounds every run's projection reads; for any other box it is None,
+    and each run clips against (n, p) rows of its workspace instead.
+    ``explicit_init`` is kept as given: checked once and copied by every
+    run, so it must not change (a config's is a read-only (n, p) array).
+    The attack rows, the box rows and the workspace belong to the run or
+    its seed loop, never to a plan, so a plan kept for a whole seed-major
+    sweep stays small.  (A named tuple: immutable, and cheaper to define
+    at import than a frozen dataclass.)
     """
 
     n: int
@@ -445,12 +465,13 @@ class RunPlan(NamedTuple):
     topology: NetworkTopology
     feasible: FeasibleSet
     objective: LocalObjective
-    honest: np.ndarray
+    honest: np.ndarray  # the honest agents' ids
     quantizes: np.ndarray
     attack_norm: float  # ||e||, the largest attack-norm bound
     tolerance: float
     block: int
     attacks: tuple  # (policy, uint32 agent ids) per distinct nonzero policy
+    bounds: tuple | None  # the box's 0-d (lo, hi), or None: the run's rows
     explicit_init: object
 
 
@@ -475,7 +496,7 @@ def plan(
     or is None for exact communication.  ``objective`` is the network's,
     of the box's dimension, with x* inside the box; its x* and L-bar are
     the run's.  The plan keeps the topology itself and the map as the
-    ``honest`` mask and the attack groups: equal policies are one group,
+    ``honest`` ids and the attack groups: equal policies are one group,
     and a zero policy none.  Raises ``ValueError`` for an input no run can
     take.
     """
@@ -517,6 +538,9 @@ def plan(
         if policy.kind != "zero":
             groups.setdefault(policy, []).append(agent)
     quantizes = honest | adversary_quantizes
+    # a 0-d bound is bit for bit the rows' except at a signed zero
+    bounds = tuple(map(constant_operand, (feasible.lo, feasible.hi)))
+    constant = all(bound.ndim == 0 and bound != 0 for bound in bounds)
     return RunPlan(
         n=n,
         p=p,
@@ -526,12 +550,13 @@ def plan(
         topology=topology,
         feasible=feasible,
         objective=objective,
-        honest=operand(honest, bool),
+        honest=operand(np.flatnonzero(honest), np.intp),
         quantizes=operand(quantizes, bool),
         attack_norm=attack_norm,
         tolerance=tolerance,
         block=min(iterations, max(1, BLOCK_BYTES // (8 * n * p + _ROUND_VIEW_BYTES))),
         attacks=tuple((policy, operand(ids, np.uint32)) for policy, ids in groups.items()),
+        bounds=bounds if constant else None,
         explicit_init=explicit_init,
     )
 
@@ -585,9 +610,11 @@ def run(plan: RunPlan, seed: int) -> RunResult:
     # makes, shares the block)
     key = (get_ident(), block, n, p)
     workspace = adv._kept("workspace", key, lambda: _new_workspace(block, n, p))
-    states, broadcasts, gradients, h_attack_free, xi, attack_rows, bounds, slots = workspace
-    lo, hi = bounds
-    lo[...], hi[...] = plan.feasible.lo, plan.feasible.hi
+    states, broadcasts, gradients, h_attack_free, xi, attack_rows, rows, slots = workspace
+    bounds = plan.bounds
+    if bounds is None:  # a box with a zero or a per-coordinate side
+        lo, hi = bounds = rows
+        lo[...], hi[...] = plan.feasible.lo, plan.feasible.hi
     attack_rows[...] = 0.0  # a row no group writes is zero in every round
     quantizer, full_precision = plan.quantizer, ~plan.quantizes[:, None]
     weights, objective, alpha = plan.topology.weights, plan.objective, plan.alpha

@@ -8,8 +8,10 @@ the error bound; :meth:`UniformQuantizer.in_range` flags them.  It takes
 an input of any shape whose trailing axes match the midpoint, so the
 engine checks a whole block of rounds' states in one call.
 
-The step, the half interval and the level cap ``2**(bits-1)`` are fixed
-when the quantizer is built, not per call, as read-only float64 arrays
+The step, the half interval and the level cap's reach ``2**(bits-1)``
+steps, to which an offset's magnitude is clamped before it is divided by
+the step (so no offset overflows), are fixed when the quantizer is
+built, not per call, as read-only float64 arrays
 (:func:`disopt.operand.operand`), the cheaper operand of a numpy call.
 So is the midpoint the arithmetic reads: one 0-d operand when its entries
 are bit-equal (:func:`disopt.operand.constant_operand`), else the vector,
@@ -52,7 +54,7 @@ class UniformQuantizer:
     midpoint: float | np.ndarray = 0.0
     step: np.ndarray = field(init=False, repr=False)
     _half: np.ndarray = field(init=False, repr=False)
-    _cap: np.ndarray = field(init=False, repr=False)
+    _reach: np.ndarray = field(init=False, repr=False)
     _mid: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -70,7 +72,8 @@ class UniformQuantizer:
         constants = {
             "step": step,
             "_half": self.interval_length / 2,
-            "_cap": float(2 ** (self.bits - 1)),
+            # the level cap times the step: exact, a power-of-two multiple
+            "_reach": float(2 ** (self.bits - 1)) * step,
         }
         for name, value in constants.items():
             object.__setattr__(self, name, operand(value))
@@ -104,18 +107,20 @@ class UniformQuantizer:
             out = np.empty(np.broadcast(x, self.step).shape)
         if scratch is None:
             scratch = np.empty_like(out)
-        # mid + copysign(step * min(floor(|offset| / step + 0.5), cap), offset),
+        # mid + copysign(step * floor(min(|offset|, cap step) / step + 0.5), offset),
         # bit for bit sign(offset) * step * count: a NaN offset keeps its
         # sign bit, and a -0 offset (x = -0 at mid = +0) gives mid + -0 =
-        # mid + 0.  ``out`` goes positionally (it costs less), except to
-        # np.minimum, which deprecates that form.
+        # mid + 0.  Clamping the offset to the cap's reach before dividing
+        # gives the cap's count exactly, and no offset / step overflows.
+        # ``out`` goes positionally (it costs less), except to np.minimum,
+        # which deprecates that form.
         mid, step = self._mid, self.step
         offset = _subtract(x, mid, scratch)
         count = _absolute(offset, out)
+        _minimum(count, self._reach, out=count)
         _divide(count, step, count)
         _add(count, _ONE_HALF, count)
         _floor(count, count)
-        _minimum(count, self._cap, out=count)
         _multiply(count, step, count)
         _copysign(count, offset, out)
         return _add(mid, out, out)

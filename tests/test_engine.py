@@ -408,18 +408,26 @@ def _blocked(monkeypatch, rounds_per_block, n, p):
     rounds_per_block=st.integers(min_value=1, max_value=6),
     blocks=st.integers(min_value=2, max_value=5),
     last=st.integers(min_value=1, max_value=6),
+    box=st.sampled_from(["constant", "per-coordinate", "zero lower side"]),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 @example(  # every kind in one map, over four blocks
     n=5, p=2, adversaries=3, attack="mixed", bits=2, adversary_quantizes=False,
-    rounds_per_block=3, blocks=4, last=2, seed=7,
+    rounds_per_block=3, blocks=4, last=2, box="constant", seed=7,
+)
+@example(  # the same against (n, p) bound rows
+    n=5, p=2, adversaries=3, attack="mixed", bits=2, adversary_quantizes=False,
+    rounds_per_block=3, blocks=4, last=2, box="per-coordinate", seed=7,
 )
 def test_block_columns_match_the_per_round_oracle(
-    n, p, adversaries, attack, bits, adversary_quantizes, rounds_per_block, blocks, last, seed
+    n, p, adversaries, attack, bits, adversary_quantizes, rounds_per_block, blocks, last, box,
+    seed,
 ):
     # runs span 2-5 blocks, the last one partial whenever last < rounds_per_block;
     # "mixed" is a per-agent map whose adversaries cycle through constant,
-    # uniform and zero, so a second group follows the first
+    # uniform and zero, so a second group follows the first.  A constant box
+    # with nonzero sides is clipped against 0-d bounds, any other against
+    # (n, p) rows (a per-coordinate box at p = 1 is constant)
     adversaries = min(adversaries, n - 1)
     last = min(last, rounds_per_block)
     iterations = (blocks - 1) * rounds_per_block + last
@@ -438,9 +446,13 @@ def test_block_columns_match_the_per_round_oracle(
     policy = policies.get(attack) or {
         str(n - adversaries + j): policies[kinds[j % 3]] for j in range(adversaries)
     }
+    lo, hi = (0.0 if box == "zero lower side" else -1.0), 1.0
+    if box == "per-coordinate":
+        lo, hi = rng.uniform(-2.0, -0.5, size=p).tolist(), rng.uniform(0.5, 2.0, size=p).tolist()
     doc = _run_doc(
         n=n,
         p=p,
+        objective={"name": "quadratic", "box": {"lo": lo, "hi": hi}},
         roles=["honest"] * (n - adversaries) + ["adversarial"] * adversaries,
         quantizer=None if bits is None else {"bits": bits, "interval_length": 1.0},
         adversary_quantizes=adversary_quantizes,
@@ -454,6 +466,7 @@ def test_block_columns_match_the_per_round_oracle(
         cfg = parse_config(doc)
         result = run_single(cfg, seed)
     assert sizes == [rounds_per_block] * (blocks - 1) + [last]
+    assert (cfg.plan.bounds is None) == (box == "zero lower side" or (box != "constant" and p > 1))
 
     traces, final = _oracle_run(cfg, doc, seed)
     honest = np.array([role == "honest" for role in doc["roles"]])
@@ -631,7 +644,8 @@ def test_block_memory_does_not_grow_with_iterations():
 
 def test_a_round_allocates_nothing():
     # a broadcast and a step into preallocated buffers, as the round loop
-    # runs them; one (n, p) temporary would be 32 KiB
+    # runs them, with either bound form the run passes the box in: a plan's
+    # 0-d bounds or the run's (n, p) rows; one (n, p) temporary would be 32 KiB
     n = p = 64
     box = FeasibleSet(lo=np.full(p, -1.0), hi=np.full(p, 1.0))
     quantizer = UniformQuantizer(bits=3, interval_length=1.0)
@@ -641,23 +655,25 @@ def test_a_round_allocates_nothing():
     state, sent, attack, next_state, gradient, h_af, xi = np.random.default_rng(0).uniform(
         -1.5, 1.5, size=(7, n, p)
     )
-    bounds = np.full((n, p), -1.0), np.full((n, p), 1.0)  # as the run passes the box
     alpha = np.array(0.5)
+    zero_d, rows = _box_plan(box, n).bounds, _box_rows(box, n)
+    assert [bound.shape for bound in zero_d + rows] == [(), (), (n, p), (n, p)]
 
-    def one_round():
+    def one_round(bounds):
         broadcast_phase(state, quantizer, full_precision, sent, xi)
         out = (next_state, gradient, h_af, xi)
         engine.step(state, sent, attack, weights, objective, bounds, alpha, out)
 
-    one_round()  # numpy's first-call set-up is not a round's cost
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        one_round()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - before < 1024
+    for bounds in (zero_d, rows):
+        one_round(bounds)  # numpy's first-call set-up is not a round's cost
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            one_round(bounds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 1024
 
 
 _REDUCTION_SPECIALS = np.array(
@@ -732,7 +748,8 @@ def test_a_wide_block_mean_meeting_two_nans_keeps_numpys_nan(p):
 @pytest.mark.parametrize("p", [1, 16])
 def test_the_projection_equals_ndarray_clip_bit_for_bit(monkeypatch, p):
     # the round's inputs with the reduction specials scattered in, against
-    # (n, p) bounds, as the run passes the box, holding both signed zeros
+    # (n, p) bounds, as the run passes a box with a zero side, holding both
+    # signed zeros
     n = 10
     rng = np.random.default_rng(p)
     state, sent, attack = rng.uniform(-2, 2, (3, n, p))
@@ -760,6 +777,93 @@ def test_the_projection_equals_ndarray_clip_bit_for_bit(monkeypatch, p):
     for lo, hi in ((np.zeros_like(h), np.ones_like(h)), (np.array(0.0), np.array(1.0))):
         got = engine._clip(h, lo, hi, np.empty_like(h))
         assert got.tobytes() == h.clip(lo, hi).tobytes()
+
+
+def _box_plan(box: FeasibleSet, n: int, iterations: int = 1) -> engine.RunPlan:
+    """The plan of an exact-mode run of n honest agents on ``box``."""
+    objective = make_objective("quadratic", box.dimension, box)
+    return engine.plan({}, None, build_complete(n), objective, box, 0.5, iterations)
+
+
+def _box_rows(box: FeasibleSet, n: int) -> tuple:
+    """The (n, p) (lo, hi) rows a run of n agents fills for ``box``."""
+    return tuple(np.tile(side, (n, 1)) for side in (box.lo, box.hi))
+
+
+def _step_bounds(monkeypatch) -> list:
+    """Make every round's ``step`` record a copy of the bounds it is passed."""
+    seen = []
+    step = engine.step
+
+    def recording(*args):
+        seen.append(tuple(bound.copy() for bound in args[5]))
+        return step(*args)
+
+    monkeypatch.setattr(engine, "step", recording)
+    return seen
+
+
+@pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (-2.0, 3.0), (-0.5, 5e-324)])
+@pytest.mark.parametrize("p", [1, 3])
+def test_a_constant_nonzero_box_gives_0d_clip_bounds(monkeypatch, lo, hi, p):
+    plan = _box_plan(FeasibleSet(lo=np.full(p, lo), hi=np.full(p, hi)), 4, iterations=3)
+    assert [bound.shape for bound in plan.bounds] == [(), ()]
+    assert [float(bound) for bound in plan.bounds] == [lo, hi]
+    assert not any(bound.flags.writeable for bound in plan.bounds)
+    seen = _step_bounds(monkeypatch)
+    engine.run(plan, 0)
+    assert len(seen) == 3
+    for bounds in seen:
+        assert [bound.tobytes() for bound in bounds] == [b.tobytes() for b in plan.bounds]
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (0.0, 1.0),  # a zero lower side
+        (-1.0, -0.0),  # a zero upper side, of either sign
+        (-1.0, 0.0),
+        ([-1.0, -2.0], [1.0, 2.0]),  # per-coordinate bounds
+        ([-1.0, -1.0], [1.0, 2.0]),  # one side constant, the other not
+    ],
+)
+def test_a_zero_or_per_coordinate_box_keeps_row_clip_bounds(monkeypatch, lo, hi):
+    n, p = 4, 2
+    box = FeasibleSet(lo=np.broadcast_to(lo, p), hi=np.broadcast_to(hi, p))
+    plan = _box_plan(box, n, iterations=2)
+    assert plan.bounds is None
+    seen = _step_bounds(monkeypatch)
+    engine.run(plan, 0)
+    want = [row.tobytes() for row in _box_rows(box, n)]
+    assert len(seen) == 2
+    for bounds in seen:
+        assert [bound.tobytes() for bound in bounds] == want
+
+
+@pytest.mark.parametrize("shape", [(10, 3), (5, 10, 3)])
+def test_0d_and_row_clip_bounds_agree_except_at_a_signed_zero(shape):
+    # the specials as a round's (n, p) state and as a block's (m, n, p)
+    # attack-free update, each at several places
+    size = int(np.prod(shape))
+    h = np.random.default_rng(size).permutation(np.resize(_REDUCTION_SPECIALS, size))
+    h = h.reshape(shape)
+    n, p = shape[-2:]
+
+    def clipped(lo, hi):
+        zero_d = engine._clip(h, np.array(lo), np.array(hi), np.empty(shape))
+        rows = engine._clip(h, np.full((n, p), lo), np.full((n, p), hi), np.empty(shape))
+        return zero_d.tobytes(), rows.tobytes()
+
+    for lo, hi in [(-1.0, 1.0), (-2.0, 3.0), (-1e200, 1e-160), (-np.inf, 5e-324)]:
+        zero_d, rows = clipped(lo, hi)
+        assert zero_d == rows == h.clip(lo, hi).tobytes()
+    # a zero entry whose sign differs from a zero bound's: the 0-d bound keeps
+    # the entry's zero and the rows give the bound's, so a plan keeps rows
+    # for a box with a zero side
+    h = np.full(shape, -0.0)
+    assert clipped(0.0, 1.0) == (h.tobytes(), np.zeros(shape).tobytes())
+    h = np.zeros(shape)
+    assert clipped(-1.0, -0.0) == (h.tobytes(), np.full(shape, -0.0).tobytes())
 
 
 @pytest.mark.parametrize(

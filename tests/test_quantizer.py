@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -191,10 +192,11 @@ def test_cached_constants_match_the_per_call_oracle(
     x = np.array(data.draw(st.lists(_ENTRIES, min_size=n * p, max_size=n * p)))
     x = x.reshape(n, p)
     q = UniformQuantizer(bits=bits, interval_length=interval, midpoint=midpoint)
-    with np.errstate(all="ignore"):  # offset / step overflows at large bits
-        got, want = q.quantize(x), reference_quantize(q, x)
-        out, scratch = np.full((2, *want.shape), np.nan)
-        into = q.quantize(x, out=out, scratch=scratch)
+    with np.errstate(all="ignore"):  # the oracle's offset / step overflows at large bits
+        want = reference_quantize(q, x)
+    got = q.quantize(x)
+    out, scratch = np.full((2, *want.shape), np.nan)
+    into = q.quantize(x, out=out, scratch=scratch)
     assert np.array_equal(got, want, equal_nan=True)
     # into NaN-filled buffers: the same values, and ``out`` returned
     assert into is out
@@ -289,6 +291,21 @@ def test_a_negative_zero_at_a_positive_zero_midpoint_quantizes_to_the_midpoint()
         got = q.quantize(x)
         assert got.tobytes() == np.zeros_like(x).tobytes()
         assert got.tobytes() == reference_quantize(q, x).tobytes()
+
+
+def test_an_offset_far_outside_the_interval_saturates_without_overflow():
+    # the step, 1e-246 / 2**209, is ~1.2e-309, so 0.5 / step overflows; the
+    # offset is clamped to the cap's reach before it is divided, so the call
+    # gives the outermost level with no warning, under any error state
+    q = UniformQuantizer(bits=209, interval_length=1e-246)
+    reach = q.step * 2.0**208
+    x = np.array([0.5, -0.5, np.inf, -np.inf, 1e-246, -reach])
+    want = np.array([reach, -reach, reach, -reach, reach, -reach])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert q.quantize(x).tobytes() == want.tobytes()
+        with np.errstate(all="raise"):
+            assert q.quantize(x).tobytes() == want.tobytes()
 
 
 def test_replace_recomputes_the_cached_constants():
