@@ -4,22 +4,12 @@ Every generated vector has all entries strictly of one sign, and
 generation is a pure function of (seed, agent id, iteration), so replays
 are bit-identical regardless of call order.
 
-The keyed stream.  A uniform policy's attack of agent i at iteration k
-is ``sgn * (low + (high - low) * u)``, with ``u`` the first p doubles of
-``numpy.random.default_rng(numpy.random.SeedSequence((seed, i, k)))``:
-the entropy words are the seed's 32-bit words followed by i and k (one
-word each, so both lie in [0, 2**32)), mixed into a 4-word pool and
-expanded to the 128-bit state and increment of a PCG64 generator, whose
-XSL-RR outputs ``x`` give ``u = (x >> 11) * 2**-53``.  ``attack_table``
-computes these four stages over a whole (k, agent) grid at once in uint64
-array arithmetic, bit for bit equal to drawing each key alone.  Its
-constants are 0-d uint32/uint64 arrays built at import (see
-:mod:`disopt.operand`), and SeedSequence's hash-constant chains, the same
-on every call with as many entropy words, are built once per length.
-
-No sweep axis changes the stream, only the affine map applied to it, so
-inside a :func:`sharing_streams` block (the harness's seed loop) a table
-whose stream equals the last one drawn there reuses it.
+A uniform policy's attack of agent i at iteration k is
+``sgn * (low + (high - low) * u)``, with ``u`` the first p doubles of
+``numpy.random.default_rng(numpy.random.SeedSequence((seed, i, k)))``.
+:func:`attack_table` computes that keyed stream over a whole (k, agent)
+grid at once in uint64 array arithmetic, SeedSequence's entropy mixing
+and PCG64's XSL-RR output, bit for bit equal to drawing each key alone.
 """
 
 from __future__ import annotations
@@ -225,10 +215,8 @@ def _uniform_stream(seed: int, agents: np.ndarray, rounds: np.ndarray, p: int) -
 
 
 # Inside a sharing_streams block, what the block keeps: a dict of slot ->
-# (key, value), holding in "stream" the last keyed stream drawn there and in
-# "workspace" the last run workspace ``engine.run`` built there; None
-# outside every block.  A ContextVar, so a block in one thread is invisible
-# to the others.
+# (key, value); None outside every block.  A ContextVar, so a block in one
+# thread is invisible to the others.
 _SHARED: ContextVar = ContextVar("disopt_shared_stream", default=None)
 
 
@@ -253,8 +241,7 @@ def sharing_streams():
 def _kept(slot: str, key, build):
     """Inside a :func:`sharing_streams` block, the value the block keeps in
     ``slot`` if it was built for ``key``, else ``build()``, kept there in
-    place of the last one, which is dropped first so that two are never
-    alive.  Outside every block, ``build()``."""
+    place of the last one, dropped first.  Outside every block, ``build()``."""
     shared = _SHARED.get()
     if shared is None:
         return build()
@@ -281,18 +268,11 @@ def attack_table(policy: AttackPolicy, agents, rounds, p: int) -> np.ndarray:
     """Attack vectors e_i(k) of the listed adversaries at the listed rounds.
 
     Returns a (len(rounds), len(agents), p) array; entry [r, a] is the
-    attack of ``agents[a]`` at iteration ``rounds[r]``.  A uniform
-    policy's entries are ``sgn * (low + (high - low) * u)``, where ``u``
-    is the keyed stream ``default_rng(SeedSequence((seed, agent, k)))
-    .random(p)``, reproduced bit for bit over the whole grid in uint64
-    array arithmetic (or reused inside a :func:`sharing_streams` block),
-    in a new writable array, as is a zero policy's table.  A constant
-    policy's table is its one signed row, the same at every round, as a
-    read-only ``np.broadcast_to`` view: no copy, and no per-round memory.
-    Agent ids and rounds must lie in [0, 2**32): a larger index would
-    enter the stream as two words.  A 1-d uint32 ndarray of them is taken as it is, unchecked
-    and unconverted (the engine passes ``np.arange(K, dtype=np.uint32)``);
-    any other sequence is read one Python int at a time.
+    attack of ``agents[a]`` at iteration ``rounds[r]``.  A uniform or zero
+    policy's table is a new writable array; a constant policy's is a
+    read-only ``np.broadcast_to`` view of its one signed row.  Agent ids
+    and rounds must lie in [0, 2**32), or ``ValueError`` is raised; a 1-d
+    uint32 ndarray of them is taken as it is, unchecked.
     """
     if p < 1:
         raise ValueError(f"dimension must be >= 1, got {p}")
@@ -311,12 +291,8 @@ def attack_table(policy: AttackPolicy, agents, rounds, p: int) -> np.ndarray:
 
 
 def attack_vector(policy: AttackPolicy, agent: int, k: int, p: int) -> np.ndarray:
-    """Attack vector e(k) for one adversary at one iteration.
-
-    One key per call costs ~0.25-0.5 ms for a uniform policy, the fixed
-    cost of the keyed kernel; a caller drawing many keys calls
-    :func:`attack_table` once over all of them.
-    """
+    """Attack vector e(k) for one adversary at one iteration: one key of
+    :func:`attack_table`, which a caller drawing many keys calls once."""
     return attack_table(policy, [agent], [k], p)[0, 0]
 
 

@@ -4,11 +4,10 @@ per-iteration error bound used as an overlay against simulation traces.
 Everything here is a pure function of scalars, except that Lemma 1's
 bound also takes an array of per-round quantization errors.  Hypothesis
 violations (non-contractive factor, step size above 1) do not raise: the
-value is still computed and a ``RuntimeWarning`` is emitted so harnesses
-can surface the tension instead of hiding it.
-:func:`recursion_bound` and :meth:`BoundReport.per_k_bound` evaluate one
-formula, and :func:`neighborhood_size` is its k -> oo tail.  Only the
-first warns: a report states the hypotheses as flags.
+value is still computed and a ``RuntimeWarning`` is emitted, except by
+:meth:`BoundReport.per_k_bound`, whose report states the hypotheses as
+flags.  It and :func:`recursion_bound` evaluate one formula, and
+:func:`neighborhood_size` is its k -> oo tail.
 """
 
 from __future__ import annotations

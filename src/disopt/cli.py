@@ -1,18 +1,10 @@
-"""Command-line experiment runner.
+"""Command-line experiment runner: ``disopt run``, ``sweep`` and ``preset``.
 
-Subcommands: ``run <config.json>``, ``sweep <grid.json>``, and
-``preset <name>``.  Exit codes: 0 on success, 1 when strict mode
-(``--strict``, or the config's or a sweep base's ``"strict": true``) finds
-a projection-error bound violation at an unsaturated step, 2 on usage or
-config errors, 3 when a run fails an invariant check (its state went NaN
-or broke the mean-iterate identity), reported as one stderr line naming
-the scenario, the seed and the round k.
-``run`` and ``sweep`` read their file the same way, as UTF-8 JSON, so a
-file that cannot be read or decoded is the usage error ``cannot read
-<path>``, and malformed JSON in either is the config error ``<document>:
-malformed JSON``; an output directory that cannot be made is a usage
-error, found before any seed runs, and so is an artifact that cannot be
-written in it (a file name too long for the file system).
+``main`` returns one of the ``EXIT_*`` codes: 1 when strict mode finds a
+projection-error bound violation at an unsaturated step, 2 for a usage or
+config error (a file that cannot be read, an artifact that cannot be
+written), 3 when a run fails an invariant check.  README's "Command line"
+section is the user's reference.
 """
 
 from __future__ import annotations

@@ -1,15 +1,10 @@
 """Experiment configuration: JSON schema, validation, and presets.
 
 ``parse_config`` validates an entire document and raises a single
-:class:`ConfigError` carrying every violation with its field path, so a
-user can fix a config in one pass.  One table, ``_FIELDS``, gives every
-field's dotted path, checker and default (``_POLICY_FIELDS`` those of an
-attack policy); its rows are also each object's only allowed keys.  The
-rules that compare fields (roles against n, the box, the per-agent interval
-lengths, the attack map, init) run after the table, and each files its
-errors under its field, so errors come out in table order.  A valid
-document's run inputs and its role assignment are built once, at parse
-time, into the one :class:`engine.RunPlan` its config holds.
+:class:`ConfigError` carrying every violation with its field path, in
+the order of the field table ``_FIELDS``, so a user can fix a config in
+one pass.  A valid document's run inputs are built once, into the
+:class:`engine.RunPlan` its config holds.
 """
 
 from __future__ import annotations
@@ -35,8 +30,8 @@ ADVERSARIAL = "adversarial"
 # Largest bit count whose step divisor 2**bits is a finite float.
 MAX_BITS = sys.float_info.max_exp - 1
 
-# Largest agent count n.  A complete graph's (n, n) Metropolis weights are
-# 32 MiB at the cap, and building them peaks near 136 MiB (tracemalloc).
+# Largest agent count n: a complete graph's (n, n) Metropolis weights are
+# 32 MiB at the cap.
 MAX_AGENTS = 2**11
 
 # Largest dimension p.  A scalar box, midpoint or constant attack value
@@ -72,14 +67,10 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     """A validated experiment scenario: its run plan and how to run it.
 
-    :func:`parse_config` builds the topology, the feasible set, the network
-    objective (which holds x*) and the broadcast quantizer (one interval
-    length per agent row; None in exact-communication mode) once, and
-    ``plan`` is their :class:`engine.RunPlan`, which also holds the roles
-    (``honest``, the attack groups, and ``quantizes``).  Beside it the
-    config keeps only the seeds, strictness and ``build_key``, the fields
-    that fix the first three, which ``parse_config``'s ``like`` compares.
-    Configs compare by identity: their components hold arrays.
+    ``plan`` is the :class:`engine.RunPlan` of the config's run inputs and
+    roles.  ``build_key`` holds the fields that fix its topology, box and
+    objective, which ``parse_config``'s ``like`` compares.  Configs compare
+    by identity: their components hold arrays.
     """
 
     plan: engine.RunPlan
@@ -376,16 +367,13 @@ def read_document(document):
 
 
 def parse_config(document, like: ExperimentConfig | None = None) -> ExperimentConfig:
-    """Validate a JSON document (text, path contents, or parsed dict),
-    build its run inputs (the topology, feasible set, objective and
-    quantizer) and plan its runs with :func:`engine.plan`, whose plan
-    holds them and the roles.
+    """Validate a JSON document (text, path contents, or parsed dict) and
+    plan its runs with :func:`engine.plan`; raises :class:`ConfigError`.
 
-    When the fields that fix the first three (n, p, the graph, the
-    objective's name and the box, by ``repr``, so a -0.0 bound differs
-    from 0.0) equal ``like``'s ``build_key``, the config takes ``like``'s
-    built topology, feasible set and objective instead of building its
-    own: the points of one sweep share them.
+    When the fields that fix the topology, box and objective (n, p, the
+    graph, the objective's name and the box, by ``repr``, so a -0.0 bound
+    differs from 0.0) equal ``like``'s ``build_key``, the config shares
+    ``like``'s built topology, feasible set and objective.
     """
     document = read_document(document)
     if not isinstance(document, dict):
@@ -514,4 +502,6 @@ def preset_document(name: str, seeds=None) -> dict:
 
 
 def preset_config(name: str, seeds=None) -> ExperimentConfig:
+    """The parsed config of a named preset, optionally with other seeds;
+    ``KeyError`` for an unknown name."""
     return parse_config(preset_document(name, seeds=seeds))

@@ -5,57 +5,13 @@ iterate, adversaries their full-precision one), then every agent mixes
 the received values, takes a subgradient step, adversaries add their
 perturbation, and the result is projected back onto the feasible set.
 
-A run is split by what its seed changes.  :func:`plan` validates a
-config's inputs once and fixes everything its seeds share in a
-:class:`RunPlan`.  It holds only O(n + p) data of its own, read-only, so
-one plan per sweep point stays small for a whole seed-major sweep; every
-(n, p) and (K, ...) array is built by :func:`run`, which does only the
-work of one seed.  Constants that meet the state in a ufunc are 0-d
-operands where their entries are bit-equal (the step size, the
-quantizer's midpoint, a constant x* in the block reductions, and the
-box's bounds where each side is also nonzero), the form numpy serves
-without its broadcasting iterator, with every result bit for bit the
-same.  A box with a zero side keeps (n, p) bound rows: against a 0-d +0.0
-bound ``clip`` keeps a -0.0 entry, against rows it returns +0.0.
-
-Within a run, the round loop only advances the state, writing each
-round's iterates, quantized broadcasts, gradients, attack rows,
-attack-free update and projection residual into block buffers of at
-most ``BLOCK_BYTES`` each, with their views, all of one workspace: a
-round slot's row views are made once with the workspace, never per
-round.  The network has one objective, which maps the whole (n, p) state
-to its gradients in one call; a round allocates nothing when it honours
-``subgradient``'s ``out``.  A round is four calls, each through its
-module or class name: ``broadcast_phase`` (one
-``UniformQuantizer.quantize``) and ``step`` (one ``matrix_form_update``),
-kept apart because ``bench/tracing.py`` wraps each and divides per-round
-metrics by their counts.  It enters no numpy Python frame: the
-projection is numpy's ``clip`` ufunc and the broadcast's row copy
-``copyto``'s C function, each called directly.  After every block, each
-column of the run's :class:`Trace` is filled by one array reduction over
-the block, bit for bit ``ndarray.mean``'s or ``np.linalg.norm``'s value,
-and the mean-iterate invariant is checked there.  An agent-axis mean of a
-p > 1 block is summed by einsum's sequential loop, of a p = 1 one by
-``add.reduce``'s pairwise sum, as ``ndarray.mean(axis=1)`` sums each.
-Each attack group of the plan reaches a block as its agents' rows of one
-(K, A, p) :func:`adversary.attack_table` (a constant policy's is a
-broadcast view of its one row), written into the attack buffer, which is
-zeroed once per run.  The block buffers are bounded; what grows with the
-iteration count is the trace columns and a uniform attack's keyed table,
-drawn for all K rounds at once.
-
-A single run is sequential and fully deterministic given its seed.  Runs
-share their plan, read-only, and, inside an :func:`adversary.sharing_streams`
-block, which the harness holds for one seed loop (one CLI invocation),
-two more things: runs whose keyed attack streams coincide read the one
-stream drawn first, kept until another stream is drawn or the block
-ends, and runs of one (block, n, p) shape in one thread run one after
-another in one workspace, built by the first and kept until another
-shape's run or the block's end.  Outside every block, each run builds
-its own.  The block belongs to its context (a context variable); a
-thread that runs in a copy of it shares its streams, which are
-read-only, but not its workspace, so runs in separate threads may
-execute concurrently.
+:func:`plan` validates a config's inputs once and returns the read-only
+:class:`RunPlan` that its seeds share; :func:`run` does one seed's work.
+A run is deterministic given its plan and seed.  Each column of its
+:class:`Trace` equals numpy's per-round ``ndarray.mean`` or
+``np.linalg.norm`` value bit for bit (a NaN mean aside, which fails the
+run: see :func:`_means`).  A run's memory grows with its round count only
+through the trace columns and a uniform attack's table.
 """
 
 from __future__ import annotations
@@ -74,14 +30,13 @@ from .operand import constant_operand, operand
 from .quantizer import UniformQuantizer
 from .topology import NetworkTopology
 
-# the round's ufuncs, bound once: a module global is one lookup, not two;
-# ``copyto`` is the C function behind ``np.copyto``'s Python dispatcher
+# the round's ufuncs, bound once; ``copyto`` is the C function behind
+# ``np.copyto``'s Python dispatcher
 _add, _subtract, _multiply, _matmul, _copyto = (
     np.add, np.subtract, np.multiply, np.matmul, np.copyto._implementation
 )
 
-# the sum of a p > 1 block mean (see _means); with optimize=False, its
-# default, einsum's one Python frame hands the call to its C function
+# the sum of a p > 1 block mean (see _means)
 _einsum = np.einsum
 
 # Tolerance of the mean-iterate bookkeeping identity; it is an exact
@@ -93,16 +48,13 @@ MEAN_RECURSION_TOL = 1e-10
 # Rounding slack of the Lemma 1 comparison ``xi_bar_norm <= lemma1_rhs``.
 LEMMA1_TOL = 1e-12
 
-# Size of one (rounds, n, p) block buffer and its share of the round
-# slots' views: a block holds max(1, BLOCK_BYTES // (8 n p + _ROUND_VIEW_BYTES))
-# rounds, so the buffers and views stay bounded however many rounds a run
-# has.  Each reduction over a block allocates a temporary as large as a
-# buffer; small blocks keep them in cache.
+# Size of one (rounds, n, p) block buffer and its round slots' views: a
+# block holds max(1, BLOCK_BYTES // (8 n p + _ROUND_VIEW_BYTES)) rounds, so
+# a run's buffers and views stay bounded however many rounds it has.
 BLOCK_BYTES = 1 << 18
 
-# Upper bound on one round slot's prebuilt views and tuples (six row
-# views, a 5-tuple and step's 4-tuple: ~0.8-0.95 KB under tracemalloc,
-# numpy 2.4, Python 3.11).  At small n p they outweigh the round's rows.
+# Upper bound on one round slot's prebuilt views and tuples, which
+# outweigh the round's rows at small n p.
 _ROUND_VIEW_BYTES = 1 << 10
 
 
@@ -126,7 +78,7 @@ class Trace:
     quantization error magnitudes, and ``saturation_count`` the number of
     quantizing agents with some coordinate of their entering iterate
     outside the quantizer range (NaN counts as outside; always 0 in exact
-    mode).  Like every column, it is reduced once per block of rounds.
+    mode).
 
     ``xi_bar`` is the mean projection residual of the update as run, with
     each adversary's attack ``e_i(k)`` inside the projected point.
@@ -189,6 +141,9 @@ class Trace:
 
 @dataclass(frozen=True)
 class RunResult:
+    """One run's :class:`Trace` and its final (n, p) iterates, a copy the
+    caller owns."""
+
     traces: Trace
     final_iterates: np.ndarray
 
@@ -212,8 +167,7 @@ def broadcast_phase(
     (n, 1) boolean column ``full_precision`` is true, which send the
     iterate itself; with ``quantizer`` None (exact communication) every
     agent does, so ``iterates`` itself is returned and no buffer is
-    written.  Saturation is not tested here: the trace's
-    ``saturation_count`` tests a whole block of rounds at once.
+    written.
 
     With a quantizer the result is written into the (n, p) buffer ``out``
     and returned; ``scratch`` is an (n, p) buffer the quantizer may
@@ -241,8 +195,8 @@ def matrix_form_update(
     Evaluated as ``((X - Q) + W Q) - alpha G`` into the (n, p) buffer
     ``out``, which is returned; ``scratch`` is an (n, p) buffer that holds
     ``W Q`` and then ``alpha G``; neither may alias an input or the
-    other.  ``alpha`` may be a float or a 0-d float64 array, the cheaper
-    operand, with the same result.
+    other.  ``alpha`` may be a float or a 0-d float64 array, with the same
+    result.
     """
     mixing = _matmul(weights, broadcasts, scratch)
     _subtract(iterates, broadcasts, out)
@@ -269,10 +223,7 @@ def step(
     for honest agents).  The network ``objective`` reads the whole state
     and writes its subgradients into the gradient buffer through ``out``
     (or they are copied there, if it returns another array).  ``bounds``
-    is the box's (lo, hi), arrays that broadcast against the state; the
-    run passes its plan's two 0-d operands, or, for a box with a zero or
-    per-coordinate side, two (n, p) rows, which ``clip`` reads without
-    the buffer it allocates for a (p,) bound.
+    is the box's (lo, hi), arrays that broadcast against the state.
 
     ``out`` is four (n, p) buffers, (next iterates, gradients, ``H_af``,
     ``xi``), which receive the results and are returned; ``xi`` holds the
@@ -283,10 +234,10 @@ def step(
     result = objective.subgradient(iterates, out=gradients)
     if result is not gradients:  # an objective that ignored ``out``
         gradients[...] = result
+    # a call of its own, as broadcast_phase is: the benchmark's tracer
+    # wraps each by name to time the mixing and broadcast phases
     matrix_form_update(weights, iterates, broadcasts, gradients, alpha, h_attack_free, xi)
     h = _add(h_attack_free, attack_rows, next_iterates)
-    # the projection is the clip ufunc: one call where np.maximum and
-    # np.minimum would be two; 0-d bounds take its constant-bound loop
     _clip(h, *bounds, xi)
     _subtract(h, xi, xi)
     # h - xi, not the clipped point: far outside the box they differ
@@ -295,32 +246,24 @@ def step(
 
 
 def _norms(x: np.ndarray, squares: np.ndarray | None = None) -> np.ndarray:
-    """Row norms over the last axis: ``np.linalg.norm(x, axis=-1)``'s own
-    formula for a float array, without its Python wrapper and its
-    ``conj()`` copy, so bit for bit the same.  ``squares``, if given,
-    receives ``x * x``: ``x`` itself, when it is a temporary, spares the
-    block a second array of its size."""
+    """Row norms over the last axis, bit for bit ``np.linalg.norm(x,
+    axis=-1)`` for a float array.  ``squares``, if given, receives
+    ``x * x`` and may be ``x`` itself."""
     return np.sqrt(np.add.reduce(_multiply(x, x, squares), axis=-1))
 
 
 def _means(x: np.ndarray) -> np.ndarray:
-    """Means over axis 1: ``x.mean(axis=1)``'s own formula (a sum over the
-    axis divided by its length) without its Python wrapper, bit for bit.
+    """Means over axis 1, bit for bit ``x.mean(axis=1)``, except that a
+    p > 1 sum holding two different NaNs may keep either one's payload.
 
-    An (m, n, p) block with p > 1 is summed by einsum, whose sequential
-    loop runs over the p coordinates and adds the n agents one at a time,
-    in order, as ``add.reduce`` does there, at a quarter of its cost.  Its
-    vector loop adds row + sum where ``add.reduce`` adds sum + row: the
-    same value, except that where two different NaNs meet, the operand
-    order picks which one's bits the sum keeps, so a sum holding a NaN is
-    done again by ``add.reduce``.  A p = 1 block, or a 2-D one (the
-    per-agent norms), keeps ``add.reduce``: with the agent axis innermost
-    it sums pairwise, where einsum's unrolled loop would round
-    differently."""
+    An (m, n, p) block with p > 1 is summed by einsum, which adds the n
+    agents in order as ``add.reduce`` does there.  A p = 1 block, or a 2-D
+    one, keeps ``add.reduce``, whose pairwise sum einsum does not follow.
+    A NaN mean fails the run's mean-iterate check, so no payload reaches
+    a returned trace."""
     if x.ndim == 3 and x.shape[2] > 1:
         total = _einsum("ijk->ik", x)
-        if not np.isnan(total).any():
-            return total / x.shape[1]
+        return total / x.shape[1]
     return np.add.reduce(x, axis=1) / x.shape[1]
 
 
@@ -343,17 +286,8 @@ def _record_block(
     recorded, ``bounds`` the box's (lo, hi) that ``step`` clipped with.
     The columns of a state get rows start..start+m; the next block
     writes the last one again, with the same value.  Each column is one
-    reduction over the block, bit for bit the per-round value: axis means
-    (:func:`_means`: einsum at p > 1, ``add.reduce`` at p = 1 and over
-    the per-agent norms) and row norms (:func:`_norms`) reduce each
-    round's rows in the same order as a single (n, p) array would.  The
-    attack-free residual projects with the round's ``clip`` ufunc, the
-    one ``np.clip`` ends in, into ``xi`` once ``xi_bar`` is taken from
-    it.  Only the attack groups' rows of a block can hold a nonzero
-    attack, so only theirs are normed; every other agent's norm is the
-    +0.0 a zero row has.  The plan's ``quantizes`` marks the agents whose
-    broadcast is quantized.  In exact mode (no quantizer) every broadcast
-    is its agent's iterate, so ``delta_bar`` is 0 without a norm.
+    reduction over the block, bit for bit the per-round value.  ``xi`` is
+    overwritten.
     """
     quantizer, x_star = plan.quantizer, constant_operand(plan.objective.x_star)
     m = len(gradients)
@@ -441,20 +375,15 @@ class RunPlan(NamedTuple):
 
     It holds O(n + p) data of its own, every array read-only, and refers
     to the topology, the box, the objective and the quantizer without
-    copying them.  ``honest`` (the honest agents' ids, ascending, which the
-    block reductions gather by), ``quantizes`` (a mask) and ``attacks`` are
-    the run's one role assignment: ``attacks`` holds one group per distinct
-    nonzero policy, in order of first appearance, and an agent in none is
-    attacked by zero.  ``bounds`` is the box's (lo, hi) as two
-    0-d operands when each side's entries are bit-equal and nonzero, the
-    bounds every run's projection reads; for any other box it is None,
-    and each run clips against (n, p) rows of its workspace instead.
-    ``explicit_init`` is kept as given: checked once and copied by every
-    run, so it must not change (a config's is a read-only (n, p) array).
-    The attack rows, the box rows and the workspace belong to the run or
-    its seed loop, never to a plan, so a plan kept for a whole seed-major
-    sweep stays small.  (A named tuple: immutable, and cheaper to define
-    at import than a frozen dataclass.)
+    copying them, so one plan can serve every seed and thread.
+    ``honest`` (the honest agents' ids, ascending), ``quantizes`` (a mask)
+    and ``attacks`` are the run's one role assignment: ``attacks`` holds
+    one group per distinct nonzero policy, in order of first appearance,
+    and an agent in none is attacked by zero.  ``bounds`` is the box's
+    (lo, hi) as two 0-d operands when each side's entries are bit-equal
+    and nonzero; for any other box it is None, and each run clips against
+    (n, p) rows of its workspace instead.  ``explicit_init`` is kept as
+    given and copied by every run, so it must not change.
     """
 
     n: int
@@ -495,10 +424,7 @@ def plan(
     growing it, and a vector midpoint match the state's trailing axes),
     or is None for exact communication.  ``objective`` is the network's,
     of the box's dimension, with x* inside the box; its x* and L-bar are
-    the run's.  The plan keeps the topology itself and the map as the
-    ``honest`` ids and the attack groups: equal policies are one group,
-    and a zero policy none.  Raises ``ValueError`` for an input no run can
-    take.
+    the run's.  Raises ``ValueError`` for an input no run can take.
     """
     if iterations < 1:
         raise ValueError(f"need at least one iteration, got {iterations}")
@@ -538,7 +464,8 @@ def plan(
         if policy.kind != "zero":
             groups.setdefault(policy, []).append(agent)
     quantizes = honest | adversary_quantizes
-    # a 0-d bound is bit for bit the rows' except at a signed zero
+    # a 0-d bound is bit for bit the rows' except at a signed zero: against a
+    # 0-d +0.0 bound clip keeps a -0.0 entry, against rows it returns +0.0
     bounds = tuple(map(constant_operand, (feasible.lo, feasible.hi)))
     constant = all(bound.ndim == 0 and bound != 0 for bound in bounds)
     return RunPlan(
@@ -567,8 +494,7 @@ def _new_workspace(block: int, n: int, p: int) -> tuple:
     slots).  Round slot j is the (state, broadcast, xi, attack, ``step``'s
     ``out``) views of round j of a block, ``out`` being (next state,
     gradient, ``H_af``, xi); a slot's next state is the next slot's state
-    view.  The views and tuples are made by C iteration, as a zip makes
-    them."""
+    view."""
     workspace = np.empty((6 * block + 3, n, p))
     states = workspace[: block + 1]
     buffers = workspace[block + 1 : 6 * block + 1].reshape(5, block, n, p)
@@ -580,14 +506,11 @@ def _new_workspace(block: int, n: int, p: int) -> tuple:
 def run(plan: RunPlan, seed: int) -> RunResult:
     """Execute one deterministic run of ``plan.iterations`` rounds.
 
-    Everything that depends on ``seed`` happens here: the initial
-    iterates, the attack schedule (one :func:`adversary.attack_table` per
-    attack group, of its policy reseeded for the run), the rounds and the
-    block reductions.  The run's buffers are its own outside a
-    :func:`adversary.sharing_streams` block, and the block's, shared by the
-    block's runs one after another, inside one; a run reads no buffer row
-    it has not written, so it also follows a run that raised.  Runs share
-    nothing writable across threads.
+    The run's buffers are its own outside a
+    :func:`adversary.sharing_streams` block, and inside one shared by the
+    block's runs of one shape in one thread, one after another; a run
+    reads no buffer row it has not written, so it also follows a run that
+    raised.  Runs share nothing writable across threads.
 
     Raises :class:`BoundViolationError` for the first round whose
     mean-iterate identity fails or yields NaN, once its block is reduced.
@@ -605,9 +528,8 @@ def run(plan: RunPlan, seed: int) -> RunResult:
     ]
     trace = Trace.empty(iterations, n, p)
 
-    # inside a seed-loop block, the one workspace of its runs of this shape in
-    # this thread (a context copied into another thread, as asyncio.to_thread
-    # makes, shares the block)
+    # keyed by thread: a context copied into another thread shares the
+    # seed-loop block, but not its workspace
     key = (get_ident(), block, n, p)
     workspace = adv._kept("workspace", key, lambda: _new_workspace(block, n, p))
     states, broadcasts, gradients, h_attack_free, xi, attack_rows, rows, slots = workspace

@@ -2,8 +2,7 @@
 
 One CSV trace per seed, one JSON bound report per scenario, and a CSV
 summary for parameter sweeps.  Re-runs of the same config and seed write
-the same bytes on one numpy build, OpenBLAS kernel and BLAS thread count:
-the mixing product goes through BLAS, whose summation order follows both.
+the same bytes on one numpy build, OpenBLAS kernel and BLAS thread count.
 """
 
 from __future__ import annotations
@@ -76,9 +75,7 @@ def _run_seeds(scenarios: list, fold) -> None:
     The configs share one seed list (a sweep's points take the base's).
     Each run goes through the module's ``run_single`` name, so a wrapper
     installed there sees every run.  The loop is one
-    :func:`adversary.sharing_streams` block, so the configs' runs of one
-    seed draw its keyed attack stream once, and all runs of one shape
-    (the configs share n and p) use one workspace.  A run's
+    :func:`adversary.sharing_streams` block.  A run's
     :class:`engine.BoundViolationError` leaves with its ``scenario`` name
     and ``seed`` set.
     """
@@ -220,9 +217,8 @@ def expand_grid(grid_doc) -> list:
 
     Every grid point is validated before anything runs; an invalid point
     aborts the whole sweep with its field path.  No grid axis changes n,
-    p, the graph or the box, so every point takes the first point's built
-    topology, feasible set and objective (``parse_config``'s ``like``):
-    one of each per sweep document, never shared with another one.
+    p, the graph or the box, so every point shares the first point's
+    topology, feasible set and objective.
     """
     grid_doc = read_document(grid_doc)
     if not isinstance(grid_doc, dict) or "base" not in grid_doc:

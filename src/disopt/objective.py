@@ -69,11 +69,7 @@ class LocalObjective:
     iterate, to the (n, p) array whose row i is agent i's subgradient of
     f_i at ``x[i]``.  With ``out``, an (n, p) float array that does not
     overlap ``x``, it writes them there and returns ``out``; without, it
-    returns a new array.  The engine makes one call per round, reading the
-    whole state and passing the round's gradient buffer as ``out``, so
-    ``subgradient`` must not write to ``x``.  It should fill ``out``;
-    another array returned instead is copied into the gradient buffer,
-    which costs that array's allocation every round.  ``evaluate(x)``
+    returns a new array; it must not write to ``x``.  ``evaluate(x)``
     gives each row's f_i(x[i]) over the last axis.
 
     The metadata holds for every agent: each f_i is ``mu``-strongly
@@ -104,13 +100,11 @@ class LocalObjective:
 
 
 def quadratic_suite(n: int, p: int, feasible: FeasibleSet) -> list:
-    """The benchmark objective, held n times: every agent's f_i(x) is
-    0.5 ||x||^2.
+    """n references to one objective whose every f_i(x) is 0.5 ||x||^2.
 
     The subgradient is the state itself, mu = lipschitz = 1, and the
-    minimizer x* = 0 must be feasible, so the box has to contain the
-    origin.  The subgradient bound is the largest norm on the box
-    (attained at a corner).  The list holds n references to one object.
+    subgradient bound is the box's largest norm.  The minimizer x* = 0
+    must be feasible, so the box has to contain the origin.
     """
     if n < 1 or p < 1:
         raise ValueError(f"need n >= 1 and p >= 1, got n={n}, p={p}")

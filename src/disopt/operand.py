@@ -1,18 +1,9 @@
-"""Constants of the hot numpy calls, held as arrays.
+"""Constants of the hot numpy calls, held as read-only arrays.
 
-A ufunc call on a small array costs less with an array operand than with
-a Python scalar, which numpy converts on every call (on a (10, 1) float
-array, ``np.add(x, 0.5, out=o)`` takes ~650 ns, against ~400 ns with two
-arrays; a uint64 ufunc with a Python int, ~1.9 µs against ~1.1 µs).  The
-quantizer, the engine and the attack kernel build their per-call
-constants once with :func:`operand`, read-only, so that a misdirected
-``out=`` raises instead of changing a shared constant.
-
-A vector operand whose entries are all bit-equal, such as a (1,) or a
-constant (p,) midpoint, costs more than the same value as a 0-d operand,
-which spares numpy its broadcasting iterator (``np.subtract(x, mid, o)`` on
-a (10, 1) ``x``: ~1.04 µs with a (1,) ``mid`` against ~0.46 µs with a 0-d
-one); :func:`constant_operand` makes that choice once.
+An array operand costs a ufunc call less than a Python scalar, which numpy
+converts on every call, and a 0-d one less than a vector whose entries
+are all bit-equal.  They are read-only, so a misdirected ``out=`` raises
+instead of changing a constant that every call shares.
 """
 
 from __future__ import annotations

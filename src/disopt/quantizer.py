@@ -1,25 +1,12 @@
-"""Uniform fixed-step quantizer applied independently per coordinate.
+"""Uniform mid-tread quantizer applied independently per coordinate.
 
-Step size is ``interval_length / 2**bits``.  For inputs whose offset
-from the midpoint stays within half the interval, the per-coordinate
-error never exceeds ``interval_length / 2**(bits + 1)``.  Out-of-range
-coordinates saturate to the end-of-range level, which silently breaks
-the error bound; :meth:`UniformQuantizer.in_range` flags them.  It takes
-an input of any shape whose trailing axes match the midpoint, so the
-engine checks a whole block of rounds' states in one call.
-
-The step, the half interval and the level cap's reach ``2**(bits-1)``
-steps, to which an offset's magnitude is clamped before it is divided by
-the step (so no offset overflows), are fixed when the quantizer is
-built, not per call, as read-only float64 arrays
-(:func:`disopt.operand.operand`), the cheaper operand of a numpy call.
-So is the midpoint the arithmetic reads: one 0-d operand when its entries
-are bit-equal (:func:`disopt.operand.constant_operand`), else the vector,
-while ``midpoint`` keeps its shape for the shape check.
-``dataclasses.replace`` builds a new quantizer and so recomputes them.
-:meth:`UniformQuantizer.quantize` can write into caller-supplied
-buffers, so the engine's broadcast allocates nothing per round, and its
-ufuncs are bound once, at import, so a call looks none of them up.
+Levels are ``midpoint + m * step`` with ``step = interval_length / 2**bits``
+and ``|m| <= 2**(bits-1)``: 2**bits + 1 levels, one of them the midpoint.
+For inputs whose offset from the midpoint stays within half the interval,
+the per-coordinate error never exceeds ``interval_length / 2**(bits + 1)``.
+Out-of-range coordinates saturate to the end-of-range level, which
+silently breaks the error bound; :meth:`UniformQuantizer.in_range` flags
+them.
 
 ``interval_length`` is positive: a scalar, or an array that broadcasts
 against the input, such as an (n, 1) column giving each row of an (n, p)
@@ -41,7 +28,7 @@ from .operand import constant_operand, operand
 _ONE_HALF = operand(0.5)
 _FLOAT64 = np.dtype(float)
 
-# quantize's ufuncs, bound once: a module global is one lookup, not two
+# quantize's ufuncs, bound once
 _subtract, _absolute, _divide, _add, _floor, _minimum, _multiply, _copysign = (
     np.subtract, np.absolute, np.divide, np.add, np.floor, np.minimum, np.multiply, np.copysign
 )
@@ -49,6 +36,15 @@ _subtract, _absolute, _divide, _add, _floor, _minimum, _multiply, _copysign = (
 
 @dataclass(frozen=True, eq=False)
 class UniformQuantizer:
+    """The quantizer of ``bits`` bits over ``interval_length`` around
+    ``midpoint`` (see the module docstring).
+
+    Its step and the constants of :meth:`quantize` are computed when it is
+    built, as read-only arrays, so ``dataclasses.replace`` builds a new
+    one.  Raises ``ValueError`` for bits below 1, an interval length that
+    is not positive, or a step that underflows to 0.
+    """
+
     bits: int
     interval_length: float | np.ndarray
     midpoint: float | np.ndarray = 0.0
@@ -90,10 +86,9 @@ class UniformQuantizer:
         return x
 
     def quantize(self, x, out=None, scratch=None) -> np.ndarray:
-        """Nearest quantization level per coordinate, ties resolved by floor.
-
-        Levels are ``midpoint + m * step`` with ``|m| <= 2**(bits-1)``;
-        out-of-range offsets clamp to the outermost level.
+        """Nearest quantization level per coordinate; a tie rounds away
+        from the midpoint, and an out-of-range offset clamps to the
+        outermost level.
 
         The result is written into ``out`` and returned.  ``out`` has the
         shape ``x`` broadcast against the interval length (an (n, 1)
@@ -107,12 +102,10 @@ class UniformQuantizer:
             out = np.empty(np.broadcast(x, self.step).shape)
         if scratch is None:
             scratch = np.empty_like(out)
-        # mid + copysign(step * floor(min(|offset|, cap step) / step + 0.5), offset),
-        # bit for bit sign(offset) * step * count: a NaN offset keeps its
-        # sign bit, and a -0 offset (x = -0 at mid = +0) gives mid + -0 =
-        # mid + 0.  Clamping the offset to the cap's reach before dividing
-        # gives the cap's count exactly, and no offset / step overflows.
-        # ``out`` goes positionally (it costs less), except to np.minimum,
+        # mid + copysign(step * floor(min(|offset|, cap step) / step + 0.5), offset):
+        # a NaN offset keeps its sign bit, and a -0 offset (x = -0 at mid =
+        # +0) gives mid + -0 = mid + 0.  Clamped before the divide, no offset
+        # / step overflows.  ``out`` goes positionally, except to np.minimum,
         # which deprecates that form.
         mid, step = self._mid, self.step
         offset = _subtract(x, mid, scratch)

@@ -5,12 +5,8 @@ The mixing matrix is built with the Metropolis rule
 entry absorbing the remaining row mass.  This yields a symmetric doubly
 stochastic matrix on any connected undirected graph without global
 coordination, which is why it is the default here.
-
-A topology is stored as arrays: the sorted (E, 2) edge index with
-``i < j`` in every row, the degree vector and the (n, n) weights.  One
-builder, :func:`build_from_edge_list`, makes every topology with array
-operations over a boolean adjacency matrix; :func:`build_complete` hands
-it the upper-triangle pairs.
+:func:`build_from_edge_list` builds every topology, and :func:`validate`
+reports on its invariants.
 """
 
 from __future__ import annotations

@@ -9,7 +9,8 @@ import numpy as np
 
 
 def reference_quantize(q, x) -> np.ndarray:
-    """Nearest level per coordinate, ties by floor, clamped to the range."""
+    """Nearest level per coordinate, ties away from the midpoint, clamped
+    to the range."""
     x = np.asarray(x, dtype=float)
     offset = x - q.midpoint
     step = q.interval_length / 2**q.bits

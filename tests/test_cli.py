@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import re
 import tempfile
 import tracemalloc
 import weakref
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from disopt.cli import EXIT_INVARIANT, EXIT_OK, EXIT_STRICT, EXIT_USAGE, main
+from disopt.cli import EXIT_INVARIANT, EXIT_OK, EXIT_STRICT, EXIT_USAGE, _build_parser, main
 from disopt.config import MAX_AGENTS, MAX_DIMENSION, parse_config, preset_document
 from disopt import adversary, engine, harness
 from disopt.config import ConfigError
@@ -65,6 +66,28 @@ def test_readme_example_config_runs(tmp_path):
     assert sorted(path.name for path in out.iterdir()) == [
         "example_bounds.json", "example_seed0.csv", "example_seed1.csv", "example_seed2.csv",
     ]
+
+
+def test_readme_command_line_matches_the_parser():
+    readme = " ".join((Path(__file__).parents[1] / "README.md").read_text().split())
+    section = readme.split("## Command line", 1)[1]
+    synopsis = section.split("```", 2)[1].split(" disopt ")[1:]
+    documented = {line.split()[0]: set(re.findall(r"--[a-z-]+", line)) for line in synopsis}
+    subparsers = _build_parser()._subparsers._group_actions[0].choices
+    defined = {
+        command: {s for a in sub._actions for s in a.option_strings if s.startswith("--")}
+        - {"--help"}
+        for command, sub in subparsers.items()
+    }
+    assert documented == defined
+    exit_codes = re.search(r"Exit codes: (.*?)\. ", section).group(1)
+    for code, meaning in [
+        (EXIT_OK, "on success"),
+        (EXIT_STRICT, "in strict mode"),
+        (EXIT_USAGE, "on usage or config errors"),
+        (EXIT_INVARIANT, "when a run fails an invariant check"),
+    ]:
+        assert f"{code} {meaning}" in exit_codes
 
 
 def test_run_per_agent_columns(tmp_path):

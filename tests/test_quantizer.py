@@ -24,6 +24,11 @@ def test_midpoint_maps_to_itself():
 
 def test_hand_evaluated_levels():
     q = UniformQuantizer(bits=2, interval_length=1.0)
+    # mid-tread: 2**bits + 1 levels, the midpoint among them
+    levels = np.unique(q.quantize(np.linspace(-1.0, 1.0, 801)))
+    assert np.array_equal(levels, [-0.5, -0.25, 0.0, 0.25, 0.5])
+    # a tie rounds away from the midpoint
+    assert np.array_equal(q.quantize([-0.125, 0.125, -0.375]), [-0.25, 0.25, -0.5])
     assert q.quantize(np.array([0.3])) == pytest.approx(0.25)
     assert q.quantization_error(np.array([0.3])) == pytest.approx(0.05)
     q1 = UniformQuantizer(bits=1, interval_length=1.0)
