@@ -3,8 +3,8 @@
 ``main`` returns one of the ``EXIT_*`` codes: 1 when strict mode finds a
 projection-error bound violation at an unsaturated step, 2 for a usage or
 config error (a file that cannot be read, an artifact that cannot be
-written), 3 when a run fails an invariant check.  README's "Command line"
-section is the user's reference.
+written) or a run out of memory, 3 when a run fails an invariant check.
+README's "Command line" section is the user's reference.
 """
 
 from __future__ import annotations
@@ -146,6 +146,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except OSError as exc:  # the output directory or an artifact in it
         print(f"cannot write {outdir}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # a run holds all its rounds in memory
+        print(f"out of memory: {exc}" if str(exc) else "out of memory", file=sys.stderr)
         return EXIT_USAGE
     except BoundViolationError as exc:
         print(f"invariant violated in {exc.scenario}, seed {exc.seed}: {exc}", file=sys.stderr)

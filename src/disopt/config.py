@@ -3,8 +3,13 @@
 ``parse_config`` validates an entire document and raises a single
 :class:`ConfigError` carrying every violation with its field path, in
 the order of the field table ``_FIELDS``, so a user can fix a config in
-one pass.  A valid document's run inputs are built once, into the
-:class:`engine.RunPlan` its config holds.
+one pass.  The topology, box, objective and quantizer are built during
+validation, each once its fields are valid, and a build's own error
+(a disconnected graph, a box without the origin) is filed under its
+field with the others.  No graph is built while n or p is invalid, so a
+document over a count limit builds nothing of its size.  A valid
+document's run inputs are built once, into the :class:`engine.RunPlan`
+its config holds.
 """
 
 from __future__ import annotations
@@ -342,16 +347,16 @@ def _parse_attack(doc, roles, p, errors) -> dict:
     return attack
 
 
-def _check_step(step, bits, midpoint, box_lo, box_hi) -> None:
-    """The quantizer's smallest step must be positive, and an iterate's
-    offset from the midpoint divided by it must stay finite."""
-    if step == 0:
-        raise _Invalid(f"the step interval_length / 2**{bits} underflows to 0")
-    if midpoint and box_lo and box_hi:
+def _check_step(quantizer, midpoint, box_lo, box_hi) -> None:
+    """An iterate's offset from the midpoint divided by the quantizer's
+    smallest step must stay finite."""
+    if box_lo and box_hi:
+        # in Python floats: numpy's divide warns on the overflow it tests for
+        step = float(quantizer.step.min())
         reach = max(max(hi - mid, mid - lo) for lo, mid, hi in zip(box_lo, midpoint, box_hi))
         if reach / step == math.inf:
             raise _Invalid(
-                f"the step interval_length / 2**{bits} is too small for objective.box: "
+                f"the step interval_length / 2**{quantizer.bits} is too small for objective.box: "
                 f"an offset of {reach:g} from the midpoint overflows as a step count"
             )
 
@@ -373,7 +378,7 @@ def parse_config(document, like: ExperimentConfig | None = None) -> ExperimentCo
     When the fields that fix the topology, box and objective (n, p, the
     graph, the objective's name and the box, by ``repr``, so a -0.0 bound
     differs from 0.0) equal ``like``'s ``build_key``, the config shares
-    ``like``'s built topology, feasible set and objective.
+    ``like``'s built topology, feasible set and objective, and builds none.
     """
     document = read_document(document)
     if not isinstance(document, dict):
@@ -386,10 +391,15 @@ def parse_config(document, like: ExperimentConfig | None = None) -> ExperimentCo
     def fail(field, message):
         errors[field].append((field, message))
 
-    def inside(vec):  # within the box componentwise
-        return all(lo <= x <= hi for lo, x, hi in zip(box_lo, vec, box_hi))
+    def build(field, make, *args):  # make(*args), or None with its ValueError filed
+        try:
+            return make(*args)
+        except ValueError as exc:
+            fail(field, str(exc))
+            return None
 
-    # ---- rules that compare fields, each filed under its field
+    # ---- rules that compare fields, and the components built from valid
+    # fields, each judging them; every error is filed under its field
     n, p, roles = v.get("n"), v.get("p"), v.get("roles")
     if roles is not None and n is not None and len(roles) != n:
         fail("roles", f"expected length {n}, got {len(roles)}")
@@ -399,24 +409,35 @@ def parse_config(document, like: ExperimentConfig | None = None) -> ExperimentCo
         roles = None
 
     box_lo, box_hi = v.get("objective.box.lo"), v.get("objective.box.hi")
-    if box_lo and box_hi:
-        if not all(lo < hi for lo, hi in zip(box_lo, box_hi)):
-            fail("objective.box", "requires lo < hi componentwise")
-        elif v.get("objective.name") == "quadratic" and not inside([0] * p):
-            fail("objective.box", "quadratic objective needs the origin inside the box")
+    kind, edges, name = v.get("topology.type"), v.get("topology.edges"), v.get("objective.name")
+    key = (n, p, kind, edges, name, repr(box_lo), repr(box_hi))
+    if like is not None and key == like.build_key:  # a valid config's key: no field is invalid
+        topology, feasible, objective = like.plan.topology, like.plan.feasible, like.plan.objective
+    else:
+        topology = feasible = objective = None
+        # no graph while n or p is invalid: n * p may be past its cap
+        if n and p and kind == "complete":
+            topology = build("topology", build_complete, n)
+        elif n and p and edges is not None:
+            topology = build("topology", build_from_edge_list, n, edges)
+        if box_lo and box_hi:
+            feasible = build("objective.box", FeasibleSet, np.array(box_lo), np.array(box_hi))
+        if feasible is not None and name:
+            objective = build("objective.box", make_objective, name, p, feasible)
 
-    lengths = None
+    quantizer = None
     midpoint, bits = v.get("quantizer.midpoint"), v.get("quantizer.bits")
     if v.get("quantizer") is not None and n is not None:
         try:
             lengths = _as_vector(v["quantizer.interval_length"], n)
             if any(length <= 0 for length in lengths):
                 raise _Invalid("must be positive")
-            if bits is not None:
-                _check_step(min(lengths) / 2**bits, bits, midpoint, box_lo, box_hi)
-        except _Invalid as exc:
+            if bits is not None and midpoint:
+                quantizer = UniformQuantizer(bits, np.array(lengths)[:, None], np.array(midpoint))
+                _check_step(quantizer, midpoint, box_lo, box_hi)
+        except ValueError as exc:  # _Invalid, or the quantizer's step underflow
             fail("quantizer.interval_length", str(exc))
-    if midpoint and box_lo and box_hi and not inside(midpoint):
+    if midpoint and feasible is not None and not feasible.contains(midpoint):
         fail("quantizer.midpoint", "must lie inside objective.box")
 
     attack = _parse_attack(v.get("attack"), roles, p, errors)
@@ -434,29 +455,13 @@ def parse_config(document, like: ExperimentConfig | None = None) -> ExperimentCo
             or arr.shape != (n or len(arr), p or arr.shape[1])  # as far as n and p are known
         ):
             fail("init", f"expected an ({n}, {p}) array of numbers")
-        elif box_lo and box_hi and not np.all((arr >= box_lo) & (arr <= box_hi)):
+        elif feasible is not None and not feasible.contains(arr):
             fail("init", "every initial point must lie inside objective.box")
         else:
             init = operand(arr)
 
     if any(errors.values()):
         raise ConfigError([error for found in errors.values() for error in found])
-    kind, edges, name = v["topology.type"], v["topology.edges"], v["objective.name"]
-    key = (n, p, kind, edges, name, repr(box_lo), repr(box_hi))
-    if like is not None and key == like.build_key:
-        topology, feasible, objective = like.plan.topology, like.plan.feasible, like.plan.objective
-    else:
-        # a disconnected graph and similar structural errors surface with
-        # a field path too
-        try:
-            topology = build_complete(n) if kind == "complete" else build_from_edge_list(n, edges)
-        except ValueError as exc:
-            raise ConfigError([("topology", str(exc))]) from exc
-        feasible = FeasibleSet(lo=np.array(box_lo), hi=np.array(box_hi))
-        objective = make_objective(name, p, feasible)
-    quantizer = None
-    if bits is not None:
-        quantizer = UniformQuantizer(bits, np.array(lengths)[:, None], np.array(midpoint))
     plan = engine.plan(
         attack, quantizer, topology, objective, feasible, v["alpha"], v["iterations"],
         explicit_init=init, adversary_quantizes=v["adversary_quantizes"],

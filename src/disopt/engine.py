@@ -355,7 +355,7 @@ def _checked_init(explicit, n: int, feasible: FeasibleSet) -> None:
         raise ValueError(
             f"explicit init has shape {x0.shape}, expected {(n, feasible.dimension)}"
         )
-    if not np.all((x0 >= feasible.lo) & (x0 <= feasible.hi)):
+    if not feasible.contains(x0):
         raise ValueError("explicit initial point outside the feasible set")
 
 
@@ -418,7 +418,8 @@ def plan(
     """Validate a run's inputs and fix everything its seeds share.
 
     ``attacks`` maps each adversarial agent, an integer id in [0, n), to its
-    :class:`AttackPolicy`; every other agent is honest.  ``quantizer``
+    :class:`AttackPolicy`, a constant one of p entries; every other agent
+    is honest.  ``alpha`` is positive and finite.  ``quantizer``
     encodes every broadcast (its interval length may be an (n, 1) column,
     one per agent; its step must broadcast to the (n, p) state without
     growing it, and a vector midpoint match the state's trailing axes),
@@ -433,6 +434,8 @@ def plan(
         raise ValueError(f"objective dimension {objective.dimension} != box dimension {p}")
     if not feasible.contains(objective.x_star):  # NaN is outside too
         raise ValueError("the objective's x* lies outside the box")
+    if not np.isfinite(alpha):
+        raise ValueError(f"step size must be finite, got {alpha}")
     if alpha <= 0:
         raise ValueError(f"step size must be positive, got {alpha}")
     for agent, policy in attacks.items():
@@ -442,6 +445,10 @@ def plan(
             raise ValueError(f"agent ids must lie in [0, {n}), got {agent}")
         if not isinstance(policy, adv.AttackPolicy):
             raise ValueError(f"agent {agent}'s attack must be an AttackPolicy, got {policy!r}")
+        if policy.kind == "constant" and len(policy.value) != p:
+            raise ValueError(
+                f"agent {agent}'s constant attack has dimension {len(policy.value)}, expected {p}"
+            )
     honest = np.ones(n, dtype=bool)
     honest[list(attacks)] = False
     if not honest.any():

@@ -32,7 +32,7 @@ class FeasibleSet:
         if lo.shape != hi.shape:
             raise ValueError(f"bound shapes differ: {lo.shape} vs {hi.shape}")
         if not np.all(lo < hi):
-            raise ValueError("box requires lo < hi componentwise")
+            raise ValueError("requires lo < hi componentwise")
 
     @property
     def dimension(self) -> int:
@@ -40,8 +40,8 @@ class FeasibleSet:
 
     def _check(self, h) -> np.ndarray:
         h = np.asarray(h, dtype=float)
-        if h.shape != self.lo.shape:
-            raise ValueError(f"expected shape {self.lo.shape}, got {h.shape}")
+        if h.shape[-1:] != self.lo.shape:
+            raise ValueError(f"expected trailing shape {self.lo.shape}, got {h.shape}")
         return h
 
     def projection_error(self, h) -> np.ndarray:
@@ -52,6 +52,8 @@ class FeasibleSet:
         return h - np.clip(h, self.lo, self.hi)
 
     def contains(self, x) -> bool:
+        """Whether ``x``, a point or an array of points along its leading
+        axes, lies in the box; NaN lies outside."""
         x = self._check(x)
         return bool(np.all(x >= self.lo) and np.all(x <= self.hi))
 
@@ -112,7 +114,7 @@ def quadratic_suite(n: int, p: int, feasible: FeasibleSet) -> list:
         raise ValueError(f"box dimension {feasible.dimension} != p={p}")
     origin = np.zeros(p)
     if not feasible.contains(origin):
-        raise ValueError("box must contain the origin so the minimizer stays feasible")
+        raise ValueError("quadratic objective needs the origin inside the box")
 
     def evaluate(x):
         x = np.asarray(x, dtype=float)

@@ -386,6 +386,25 @@ def test_an_artifact_that_cannot_be_written_is_usage_error(tmp_path, capsys, see
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "error, line",
+    [
+        (MemoryError("Unable to allocate 16 GiB"), "out of memory: Unable to allocate 16 GiB\n"),
+        (MemoryError(), "out of memory\n"),
+    ],
+)
+def test_a_run_out_of_memory_is_usage_error(monkeypatch, tmp_path, capsys, error, line):
+    # a run holds all its rounds: 2**32 of them once ended in a raw
+    # traceback and exit 1, the strict code
+    def exhausted(config, seed):
+        raise error
+
+    monkeypatch.setattr(harness, "run_single", exhausted)
+    config = _write(tmp_path, "small.json", SMALL_RUN)
+    assert main(["run", str(config), "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert capsys.readouterr().err == line
+
+
 @pytest.mark.parametrize("command", ["run", "preset", "sweep"])
 def test_a_run_gone_nan_exits_with_the_invariant_code(monkeypatch, tmp_path, capsys, command):
     # seed 1 starts from NaN, so its mean-iterate check fails at k = 0: one

@@ -590,6 +590,46 @@ def test_topology_built_once_per_config(monkeypatch, tmp_path):
     assert artifacts.seeds == (0, 1, 2)
 
 
+def test_a_graph_error_is_reported_with_the_other_errors():
+    # the graph was once built after the other errors were raised, so its
+    # error came only on a second run
+    doc = _doc(alpha=-1, topology={"type": "edge_list", "edges": [[0, 1], [2, 3]]})
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(doc)
+    assert excinfo.value.errors == [
+        ("alpha", "must be a number in (0, 1e+50], got -1"),
+        ("topology", "graph is disconnected"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "topology, graph",
+    [
+        ({"type": "complete"}, "build_complete"),
+        ({"type": "edge_list", "edges": [[0, 1], [1, 2], [2, 3]]}, "build_from_edge_list"),
+    ],
+)
+def test_each_component_is_built_once_per_parse(monkeypatch, topology, graph):
+    calls = []
+    for name in ("build_complete", "build_from_edge_list", "FeasibleSet", "make_objective",
+                 "UniformQuantizer"):
+        real = getattr(config_module, name)
+
+        def counting(*args, real=real, name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(config_module, name, counting)
+    first = parse_config(_doc(topology=topology))
+    assert calls == [graph, "FeasibleSet", "make_objective", "UniformQuantizer"]
+    # a matching ``like`` lends its topology, box and objective
+    calls.clear()
+    second = parse_config(_doc(topology=topology, alpha=0.3), like=first)
+    assert calls == ["UniformQuantizer"]
+    for name in ("topology", "feasible", "objective"):
+        assert getattr(second.plan, name) is getattr(first.plan, name)
+
+
 def test_attack_norm_is_bounded_once_per_distinct_policy(monkeypatch, tmp_path):
     # three adversaries share one policy: the plan, built once for all
     # three seeds, evaluates it once, and the report reads the plan's bound

@@ -954,6 +954,14 @@ def _plan_inputs(**overrides) -> dict:
             {"quantizer": UniformQuantizer(1, 1.0, np.zeros(3))},
             r"quantizer.midpoint of shape \(3,\) does not match \(3, 1\)",
         ),
+        # a non-finite step once ran, to die at k = 0 with an invariant error
+        ({"alpha": np.nan}, "step size must be finite, got nan"),
+        ({"alpha": np.inf}, "step size must be finite, got inf"),
+        # a constant value of the wrong length once raised only mid-run
+        (
+            {"attacks": {2: adversary.AttackPolicy(kind="constant", value=(0.1, 0.2))}},
+            "agent 2's constant attack has dimension 2, expected 1",
+        ),
     ],
 )
 def test_the_plan_rejects_what_no_run_can_take(overrides, message):

@@ -31,6 +31,10 @@ def test_projection_error_examples():
 def test_dimension_mismatch_raises():
     with pytest.raises(ValueError, match="shape"):
         BOX2.projection_error(np.array([1.0, 2.0, 3.0]))
+    # an array of points is checked by its trailing shape
+    with pytest.raises(ValueError, match="shape"):
+        BOX2.contains(np.zeros((3, 3)))
+    assert BOX2.contains(np.zeros((3, 2))) and not BOX2.contains([[0.0, 0.0], [2.0, 0.0]])
 
 
 @settings(max_examples=200, deadline=None)
