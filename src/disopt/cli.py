@@ -30,7 +30,7 @@ STRICT_HELP = (
     "Lemma 1's attack-free bound at an unsaturated step; the fig2c preset "
     "trips it at seed 0, k=170"
 )
-PER_AGENT_HELP = "include per-agent error columns"
+PER_AGENT_HELP = "also write each seed's per-agent errors as <name>_seed<s>_agents.npy"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -82,7 +82,7 @@ def _report_config_error(exc: ConfigError) -> None:
 
 
 def _finish(artifacts, strict: bool) -> int:
-    for path in artifacts.csv_paths:
+    for path in (*artifacts.csv_paths, *artifacts.agent_paths):
         print(f"wrote {path}")
     if artifacts.report_path:
         print(f"wrote {artifacts.report_path}")
@@ -136,9 +136,7 @@ def main(argv=None) -> int:
             summary = sweep(text, outdir)
             print(f"wrote {outdir / 'sweep_summary.csv'} ({len(summary.rows)} grid points)")
             return _strict_exit(summary.strict_violations, summary.strict)
-        artifacts = run_experiment(
-            config, outdir, name=name, include_agents=args.per_agent
-        )
+        artifacts = run_experiment(config, outdir, name=name, include_agents=args.per_agent)
         return _finish(artifacts, args.strict or config.strict)
 
     except ConfigError as exc:

@@ -28,6 +28,7 @@ from .config import _object, _range, _rule, check_value, read_document
 class ExperimentArtifacts:
     seeds: tuple
     csv_paths: tuple
+    agent_paths: tuple  # one <name>_seed<s>_agents.npy per seed with include_agents, else ()
     report_path: Path | None
     strict_violations: tuple  # (seed, k): the projection-error bound failed unsaturated
     bound_overflow_k: int | None  # first k whose theorem bound is inf
@@ -90,16 +91,11 @@ def _run_seeds(scenarios: list, fold) -> None:
                 fold(index, seed, result)
 
 
-def write_trace_csv(
-    path: Path,
-    result: engine.RunResult,
-    theorem_cells: list | None,
-    include_agents: bool = False,
-) -> None:
+def write_trace_csv(path: Path, result: engine.RunResult, theorem_cells: list | None) -> None:
     """Trace rows k = 0..K, row K being the final state.
 
-    The columns of a state (mean errors, theorem bound, per-agent errors)
-    have K+1 values; the per-round columns are blank in row K.
+    The columns of a state (mean errors, theorem bound) have K+1 values;
+    the per-round columns are blank in row K.
     ``theorem_cells`` is the scenario's :meth:`BoundReport.bound_column`
     formatted once for all its seeds (K+1 ``repr`` strings), or None in
     exact-communication mode.
@@ -127,9 +123,6 @@ def write_trace_csv(
         theorem_cells or itertools.repeat(""),
         [*map(str, t.saturation_count.tolist()), ""],
     ]
-    if include_agents:
-        header += [f"err_agent_{i}" for i in range(t.per_agent_err.shape[1])]
-        columns.append(",".join(map(repr, row)) for row in t.per_agent_err.tolist())
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for cells in zip(*columns):
@@ -142,7 +135,13 @@ def run_experiment(
     name: str = "experiment",
     include_agents: bool = False,
 ) -> ExperimentArtifacts:
-    """Run every seed of a scenario and write its CSV/JSON artifacts."""
+    """Run every seed of a scenario and write its CSV/JSON artifacts.
+
+    With ``include_agents``, each seed's ``traces.per_agent_err`` also goes
+    to ``<name>_seed<s>_agents.npy``: one C-order (K+1, n) float64 array
+    in numpy's ``.npy`` format, row k the state entering round k and row K
+    the final state, every value bit for bit.
+    """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     results = []
@@ -151,11 +150,14 @@ def run_experiment(
     theorem_bounds = report.bound_column(config.iterations) if report else None
     theorem_cells = [*map(repr, theorem_bounds)] if theorem_bounds else None
 
-    csv_paths = []
+    csv_paths, agent_paths = [], []
     for seed, result in zip(config.seeds, results):
         path = outdir / f"{name}_seed{seed}.csv"
-        write_trace_csv(path, result, theorem_cells, include_agents=include_agents)
+        write_trace_csv(path, result, theorem_cells)
         csv_paths.append(path)
+        if include_agents:
+            agent_paths.append(outdir / f"{name}_seed{seed}_agents.npy")
+            np.save(agent_paths[-1], result.traces.per_agent_err)
 
     report_path = None
     if report is not None:
@@ -172,6 +174,7 @@ def run_experiment(
     return ExperimentArtifacts(
         seeds=config.seeds,
         csv_paths=tuple(csv_paths),
+        agent_paths=tuple(agent_paths),
         report_path=report_path,
         strict_violations=tuple(
             (seed, k)

@@ -169,6 +169,30 @@ def test_criterion_4_projection_error_dominance(preset_runs, capsys):
     )
 
 
+def test_every_preset_state_lies_in_the_box(preset_runs, capsys):
+    """Every agent's final iterate and every recorded mean iterate
+    ``x_bar[k]`` lie in the box [lo, hi]: each update ends with the
+    projection onto it, and the box is convex.  NaN lies outside."""
+    outside = []
+    states = 0
+    for name, (cfg, results) in preset_runs.items():
+        lo, hi = cfg.plan.feasible.lo, cfg.plan.feasible.hi
+        for seed, result in zip(cfg.seeds, results):
+            rows = np.concatenate([result.final_iterates, result.traces.x_bar])
+            states += len(rows)
+            if not np.all((lo <= rows) & (rows <= hi)):
+                outside.append((name, seed))
+    passed = not outside
+    _report(
+        capsys,
+        "box",
+        passed,
+        f"{len(outside)} of {sum(len(r) for _, r in preset_runs.values())} preset seed runs "
+        f"leave the box over {states} states" + "".join(f", {n} seed {s}" for n, s in outside[:3]),
+    )
+    assert outside == []
+
+
 def test_criterion_5_ordinal_reproduction(preset_runs, capsys):
     """Seed-averaged final honest error orders fig2b < fig2a < fig2c."""
     means = {}

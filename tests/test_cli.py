@@ -94,8 +94,41 @@ def test_run_per_agent_columns(tmp_path):
     cfg = _write(tmp_path, "small.json", SMALL_RUN)
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out), "--per-agent"]) == EXIT_OK
-    header = (out / "small_seed0.csv").read_text().splitlines()[0]
-    assert "err_agent_0" in header and "err_agent_2" in header
+    # one column per agent 0..2, one row per state k = 0..K
+    agents = np.load(out / "small_seed0_agents.npy")
+    assert agents.shape == (SMALL_RUN["iterations"] + 1, 3) and agents.dtype == np.float64
+    assert len((out / "small_seed0.csv").read_text().splitlines()[0].split(",")) == 8
+
+
+def test_per_agent_npy_is_the_traces_per_agent_err_bit_for_bit(tmp_path, capsys):
+    # long enough that the engine reduces the trace over several blocks
+    doc = {
+        **SMALL_RUN,
+        "n": 5,
+        "p": 3,
+        "roles": ["honest"] * 3 + ["adversarial"] * 2,
+        "attack": {"kind": "uniform", "range": [0.0, 0.4], "seed": 3},
+        "iterations": 1000,
+    }
+    config = parse_config(doc)
+    assert config.plan.block < config.iterations / 3
+    cfg = _write(tmp_path, "blocks.json", doc)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out), "--per-agent"]) == EXIT_OK
+    printed = capsys.readouterr().out.splitlines()
+    for seed in config.seeds:
+        path = out / f"blocks_seed{seed}_agents.npy"
+        assert f"wrote {path}" in printed
+        want = run_single(config, seed).traces.per_agent_err
+        got = np.load(path)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    # without --per-agent: the same CSV and JSON bytes, and no .npy
+    plain = tmp_path / "plain"
+    assert main(["run", str(cfg), "--out", str(plain)]) == EXIT_OK
+    names = ["blocks_bounds.json", "blocks_seed0.csv", "blocks_seed1.csv"]
+    assert sorted(path.name for path in plain.iterdir()) == names
+    assert all((plain / name).read_bytes() == (out / name).read_bytes() for name in names)
 
 
 def test_per_agent_closing_row_is_the_final_state(tmp_path):
@@ -112,6 +145,7 @@ def test_per_agent_closing_row_is_the_final_state(tmp_path):
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out), "--per-agent"]) == EXIT_OK
     last = (out / "wide_seed0.csv").read_text().splitlines()[-1].split(",")
+    agents = np.load(out / "wide_seed0_agents.npy")
 
     config = parse_config(doc)
     x_star = config.plan.objective.x_star
@@ -122,8 +156,9 @@ def test_per_agent_closing_row_is_the_final_state(tmp_path):
         repr(float(np.linalg.norm(final.mean(axis=0) - x_star, axis=-1))),
         repr(float(np.linalg.norm(final[honest].mean(axis=0) - x_star, axis=-1))),
     ]
-    assert last[3:6] == ["", "", ""] and last[7] == ""
-    assert last[8:] == list(map(repr, np.linalg.norm(final - x_star, axis=-1).tolist()))
+    assert last[3:6] == ["", "", ""] and last[7:] == [""]
+    assert len(agents) == config.iterations + 1
+    assert agents[-1].tobytes() == np.linalg.norm(final - x_star, axis=-1).tobytes()
 
 
 def test_missing_config_is_usage_error(tmp_path, capsys):

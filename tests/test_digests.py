@@ -4,8 +4,10 @@
 file pins, in ``digests.json``, the SHA-256 of every file written with
 ``--per-agent`` by an exact-mode run at n = 40, p = 16 with constant
 attacks and by a 3-bit quantized run at n = 12, p = 4 with uniform
-attacks, and of a 4-point ``sweep_summary.csv``.  A change that alters no
-behaviour keeps every digest.
+attacks: each seed's CSV and its ``_agents.npy`` of per-agent errors, and
+the quantized run's bound report.  It also pins a 4-point
+``sweep_summary.csv``.  A change that alters no behaviour keeps every
+digest.
 """
 
 import hashlib
