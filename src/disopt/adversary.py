@@ -14,8 +14,6 @@ and PCG64's XSL-RR output, bit for bit equal to drawing each key alone.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from functools import cache
 
@@ -214,54 +212,24 @@ def _uniform_stream(seed: int, agents: np.ndarray, rounds: np.ndarray, p: int) -
     return out
 
 
-# Inside a sharing_streams block, what the block keeps: a dict of slot ->
-# (key, value); None outside every block.  A ContextVar, so a block in one
-# thread is invisible to the others.
-_SHARED: ContextVar = ContextVar("disopt_shared_stream", default=None)
-
-
-@contextmanager
-def sharing_streams():
-    """Within the block, a uniform :func:`attack_table` whose keyed stream
-    is the last one drawn in the block (same derived seed, agent ids,
-    rounds and p) reuses it instead of drawing it again, and
-    :func:`engine.run` reuses the workspace of the last run of its shape.
-
-    Only that last stream is kept, read-only, and only that workspace;
-    both are dropped when the block ends.  Outside every block each call
-    draws its stream, and each run builds its workspace.
-    """
-    token = _SHARED.set({})
-    try:
-        yield
-    finally:
-        _SHARED.reset(token)
-
-
-def _kept(slot: str, key, build):
-    """Inside a :func:`sharing_streams` block, the value the block keeps in
-    ``slot`` if it was built for ``key``, else ``build()``, kept there in
-    place of the last one, dropped first.  Outside every block, ``build()``."""
-    shared = _SHARED.get()
-    if shared is None:
-        return build()
-    kept = shared.get(slot)
-    if kept is None or kept[0] != key:
-        shared[slot] = kept = None
-        shared[slot] = kept = key, build()
-    return kept[1]
+# the last keyed stream drawn, under its key: one entry (one per thread if
+# threads draw at once), cleared before each new draw so that memory never
+# holds two, and never rebound
+_last_stream: dict = {}
 
 
 def _keyed_stream(seed: int, agents: np.ndarray, rounds: np.ndarray, p: int) -> np.ndarray:
-    """:func:`_uniform_stream`, read-only, or inside a :func:`sharing_streams`
-    block the last stream drawn there when its key matches."""
-
-    def draw():
+    """:func:`_uniform_stream`, read-only: the last stream drawn when its
+    key (seed, p, agent ids, rounds) matches, else a new draw kept in its
+    place, so a sweep's grid points draw each seed's stream once."""
+    key = (seed, p, agents.tobytes(), rounds.tobytes())
+    stream = _last_stream.get(key)
+    if stream is None:
+        _last_stream.clear()
         stream = _uniform_stream(seed, agents, rounds, p)
         stream.flags.writeable = False
-        return stream
-
-    return _kept("stream", (seed, p, agents.tobytes(), rounds.tobytes()), draw)
+        _last_stream[key] = stream
+    return stream
 
 
 def attack_table(policy: AttackPolicy, agents, rounds, p: int) -> np.ndarray:

@@ -347,28 +347,17 @@ def _parse_attack(doc, roles, p, errors) -> dict:
     return attack
 
 
-def _check_step(quantizer, midpoint, box_lo, box_hi) -> None:
-    """An iterate's offset from the midpoint divided by the quantizer's
-    smallest step must stay finite."""
-    if box_lo and box_hi:
-        # in Python floats: numpy's divide warns on the overflow it tests for
-        step = float(quantizer.step.min())
-        reach = max(max(hi - mid, mid - lo) for lo, mid, hi in zip(box_lo, midpoint, box_hi))
-        if reach / step == math.inf:
-            raise _Invalid(
-                f"the step interval_length / 2**{quantizer.bits} is too small for objective.box: "
-                f"an offset of {reach:g} from the midpoint overflows as a step count"
-            )
-
-
-def read_document(document):
-    """A parsed JSON document: ``document`` itself, or its text decoded."""
-    if not isinstance(document, str):
-        return document
-    try:
-        return json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise ConfigError([("<document>", f"malformed JSON: {exc}")]) from exc
+def read_document(document) -> dict:
+    """A parsed JSON document: ``document`` itself, or its text decoded;
+    a :class:`ConfigError` unless it is an object."""
+    if isinstance(document, str):
+        try:
+            document = json.loads(document)
+        except json.JSONDecodeError as exc:
+            raise ConfigError([("<document>", f"malformed JSON: {exc}")]) from exc
+    if not isinstance(document, dict):
+        raise ConfigError([("<document>", "top level must be an object")])
+    return document
 
 
 def parse_config(document, like: ExperimentConfig | None = None) -> ExperimentConfig:
@@ -381,8 +370,6 @@ def parse_config(document, like: ExperimentConfig | None = None) -> ExperimentCo
     ``like``'s built topology, feasible set and objective, and builds none.
     """
     document = read_document(document)
-    if not isinstance(document, dict):
-        raise ConfigError([("<document>", "top level must be an object")])
 
     errors = {path: [] for path in ("", *_FIELDS)}
     v: dict = {}
@@ -434,7 +421,6 @@ def parse_config(document, like: ExperimentConfig | None = None) -> ExperimentCo
                 raise _Invalid("must be positive")
             if bits is not None and midpoint:
                 quantizer = UniformQuantizer(bits, np.array(lengths)[:, None], np.array(midpoint))
-                _check_step(quantizer, midpoint, box_lo, box_hi)
         except ValueError as exc:  # _Invalid, or the quantizer's step underflow
             fail("quantizer.interval_length", str(exc))
     if midpoint and feasible is not None and not feasible.contains(midpoint):

@@ -16,8 +16,8 @@ through the trace columns and a uniform attack's table.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, fields
-from threading import get_ident
 from typing import NamedTuple
 
 import numpy as np
@@ -495,6 +495,10 @@ def plan(
     )
 
 
+# each thread's spare workspace, which a run takes and puts back (see run)
+_spare = threading.local()
+
+
 def _new_workspace(block: int, n: int, p: int) -> tuple:
     """A run's buffers, views of one allocation: (states, broadcasts,
     gradients, ``H_af``, xi, attack rows, the box's (lo, hi) rows, round
@@ -513,11 +517,13 @@ def _new_workspace(block: int, n: int, p: int) -> tuple:
 def run(plan: RunPlan, seed: int) -> RunResult:
     """Execute one deterministic run of ``plan.iterations`` rounds.
 
-    The run's buffers are its own outside a
-    :func:`adversary.sharing_streams` block, and inside one shared by the
-    block's runs of one shape in one thread, one after another; a run
-    reads no buffer row it has not written, so it also follows a run that
-    raised.  Runs share nothing writable across threads.
+    The run takes its thread's spare workspace when the spare's (block,
+    n, p) matches, else drops the spare and builds its own, and leaves
+    its workspace as the thread's spare when it returns (one that raises
+    drops it).  So runs of one shape in one thread reuse one workspace,
+    one after another, a run started inside a run builds its own, and
+    runs share nothing writable across threads.  A run reads no buffer
+    row it has not written.
 
     Raises :class:`BoundViolationError` for the first round whose
     mean-iterate identity fails or yields NaN, once its block is reduced.
@@ -535,10 +541,10 @@ def run(plan: RunPlan, seed: int) -> RunResult:
     ]
     trace = Trace.empty(iterations, n, p)
 
-    # keyed by thread: a context copied into another thread shares the
-    # seed-loop block, but not its workspace
-    key = (get_ident(), block, n, p)
-    workspace = adv._kept("workspace", key, lambda: _new_workspace(block, n, p))
+    workspace, _spare.workspace = getattr(_spare, "workspace", None), None
+    if workspace is None or workspace[0].shape != (block + 1, n, p):
+        workspace = None  # dropped before the build: memory never holds two
+        workspace = _new_workspace(block, n, p)
     states, broadcasts, gradients, h_attack_free, xi, attack_rows, rows, slots = workspace
     bounds = plan.bounds
     if bounds is None:  # a box with a zero or a per-coordinate side
@@ -579,4 +585,5 @@ def run(plan: RunPlan, seed: int) -> RunResult:
             )
         states[0] = states[m]
 
+    _spare.workspace = workspace
     return RunResult(traces=trace, final_iterates=states[0].copy())

@@ -18,7 +18,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import engine
-from .adversary import sharing_streams
 from .bounds import BoundReport
 from .config import PRESETS, ConfigError, ExperimentConfig, parse_config, preset_document
 from .config import _object, _range, _rule, check_value, read_document
@@ -75,20 +74,20 @@ def _run_seeds(scenarios: list, fold) -> None:
 
     The configs share one seed list (a sweep's points take the base's).
     Each run goes through the module's ``run_single`` name, so a wrapper
-    installed there sees every run.  The loop is one
-    :func:`adversary.sharing_streams` block.  A run's
-    :class:`engine.BoundViolationError` leaves with its ``scenario`` name
-    and ``seed`` set.
+    installed there sees every run.  Seed-major, a sweep's points draw
+    each seed's keyed attack stream once (:func:`adversary.attack_table`
+    keeps the last one), and runs of one shape reuse one workspace
+    (:func:`engine.run`).  A run's :class:`engine.BoundViolationError`
+    leaves with its ``scenario`` name and ``seed`` set.
     """
-    with sharing_streams():
-        for seed in scenarios[0][1].seeds:
-            for index, (name, config) in enumerate(scenarios):
-                try:
-                    result = run_single(config, seed)
-                except engine.BoundViolationError as exc:
-                    exc.scenario, exc.seed = name, seed
-                    raise
-                fold(index, seed, result)
+    for seed in scenarios[0][1].seeds:
+        for index, (name, config) in enumerate(scenarios):
+            try:
+                result = run_single(config, seed)
+            except engine.BoundViolationError as exc:
+                exc.scenario, exc.seed = name, seed
+                raise
+            fold(index, seed, result)
 
 
 def write_trace_csv(path: Path, result: engine.RunResult, theorem_cells: list | None) -> None:
@@ -224,7 +223,7 @@ def expand_grid(grid_doc) -> list:
     topology, feasible set and objective.
     """
     grid_doc = read_document(grid_doc)
-    if not isinstance(grid_doc, dict) or "base" not in grid_doc:
+    if "base" not in grid_doc:
         raise ConfigError([("base", "sweep document needs a 'base' config or preset name")])
     base = check_value("base", _BASE, grid_doc["base"])
     axes = check_value("grid", _object, grid_doc.get("grid", {}))
@@ -236,7 +235,7 @@ def expand_grid(grid_doc) -> list:
         raise ConfigError([(k, "unknown key") for k in extra])
 
     names = [k for k in _GRID_KEYS if k in axes]
-    value_lists = [check_value("grid", _AXIS, axes[k]) for k in names]
+    value_lists = [check_value(f"grid.{k}", _AXIS, axes[k]) for k in names]
     if not names:
         raise ConfigError([("grid", "empty grid: provide at least one axis")])
 

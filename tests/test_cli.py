@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -129,6 +130,38 @@ def test_per_agent_npy_is_the_traces_per_agent_err_bit_for_bit(tmp_path, capsys)
     names = ["blocks_bounds.json", "blocks_seed0.csv", "blocks_seed1.csv"]
     assert sorted(path.name for path in plain.iterdir()) == names
     assert all((plain / name).read_bytes() == (out / name).read_bytes() for name in names)
+
+
+def test_a_step_whose_inverse_overflows_runs(tmp_path):
+    # 1e-246 / 2**209 is about 1.2e-309: quantize clamps |offset| before it
+    # divides by the step, so every cell stays finite
+    doc = preset_document("fig2a", seeds=[0, 1])
+    doc["quantizer"].update(bits=209, interval_length=1e-246)
+    out = tmp_path / "out"
+    assert main(["run", str(_write(tmp_path, "tiny.json", doc)), "--out", str(out)]) == EXIT_OK
+    for seed in (0, 1):
+        rows = list(csv.reader((out / f"tiny_seed{seed}.csv").read_text().splitlines()))
+        cells = [float(cell) for row in rows[1:] for cell in row if cell]
+        assert len(rows) == 202 and all(map(math.isfinite, cells))
+
+
+def test_runs_after_other_invocations_write_the_golden_bytes(tmp_path, capsys):
+    # one process runs a config of another shape, then a preset of fig2c's
+    # shape, whose last workspace and keyed stream fig2c's runs find: its
+    # files and strict list must be a fresh process's, in any test order
+    other = _write(tmp_path, "other.json", dict(SMALL_RUN, iterations=7))
+    assert main(["run", str(other), "--out", str(tmp_path / "other")]) == EXIT_OK
+    assert main(["preset", "fig2a", "--seeds", "2", "--out", str(tmp_path / "a")]) == EXIT_OK
+    capsys.readouterr()
+    out = tmp_path / "c"
+    assert main(["preset", "fig2c", "--strict", "--out", str(out)]) == EXIT_STRICT
+    manifest = json.loads((Path(__file__).parents[1] / "bench" / "golden_manifest.json").read_text())
+    want = {name: digest for name, digest in manifest["files"].items() if name.startswith("fig2c_")}
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
+    assert len(want) == 21 and written == want
+    assert capsys.readouterr().err == (
+        "projection-error bound violated at 1 unsaturated step(s), e.g. [(0, 170)]\n"
+    )
 
 
 def test_per_agent_closing_row_is_the_final_state(tmp_path):
@@ -372,10 +405,14 @@ def test_malformed_sweep_document_is_usage_error(tmp_path, capsys, base, axes, p
         ({"base": "fig2a", "grid": {"beta": [1], "alpha": [0.5]}}, [("grid.beta", "unknown grid axis")]),
         ({"base": "fig2a", "grid": {}}, [("grid", "empty grid: provide at least one axis")]),
         ({"base": "fig2a"}, [("grid", "empty grid: provide at least one axis")]),
-        ({"base": "fig2a", "grid": {"alpha": []}}, [("grid", "every axis must be a nonempty list")]),
-        ({"base": "fig2a", "grid": {"alpha": 0.5}}, [("grid", "every axis must be a nonempty list")]),
+        ({"base": "fig2a", "grid": {"alpha": []}}, [("grid.alpha", "every axis must be a nonempty list")]),
+        ({"base": "fig2a", "grid": {"alpha": 0.5}}, [("grid.alpha", "every axis must be a nonempty list")]),
+        (["fig2a"], [("<document>", "top level must be an object")]),
     ],
-    ids=["no-base", "unknown-key", "unknown-axis", "empty-grid", "no-grid", "empty-axis", "scalar-axis"],
+    ids=[
+        "no-base", "unknown-key", "unknown-axis", "empty-grid", "no-grid", "empty-axis",
+        "scalar-axis", "non-object",
+    ],
 )
 def test_every_sweep_check_reports_its_exact_message(doc, errors):
     with pytest.raises(ConfigError) as excinfo:
@@ -554,20 +591,24 @@ def test_a_sweep_honours_its_bases_strict_mode(tmp_path, capsys, strict):
     assert summary.strict is strict and summary.strict_violations == (({"alpha": 0.7}, 0, 170),)
 
 
-def test_no_keyed_stream_outlives_the_sweep_that_drew_it(monkeypatch, tmp_path):
+def test_at_most_one_keyed_stream_is_alive(monkeypatch, tmp_path):
+    # the points of a sweep draw each seed's stream once, and every earlier
+    # stream is freed before a new draw; the last one stays, read-only
     streams = []
     real = adversary._uniform_stream
 
     def recording(*args):
+        assert [ref() for ref in streams] == [None] * len(streams)
         stream = real(*args)
         streams.append(weakref.ref(stream))
         return stream
 
     monkeypatch.setattr(adversary, "_uniform_stream", recording)
+    adversary._last_stream.clear()
     sweep(_fig2c_sweep({"alpha": [0.5, 0.7]}, 10, [0, 1]), tmp_path)
     assert len(streams) == 2
-    assert adversary._SHARED.get() is None
-    assert [ref() for ref in streams] == [None, None]
+    [kept] = adversary._last_stream.values()
+    assert streams[0]() is None and kept is streams[1]()
 
 
 def _sweep_peak(tmp_path, grid: dict) -> int:

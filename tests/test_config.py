@@ -196,14 +196,12 @@ def test_per_agent_interval_lengths():
     [
         (3e-294, 225, "the step interval_length / 2**225 underflows to 0"),
         ([1.0, 1.0, 2.0**-52, 1.0], 1023, "the step interval_length / 2**1023 underflows to 0"),
-        # 1e-246 / 2**209 is about 1.2e-309, and 1 / 1.2e-309 overflows
-        (1e-246, 209, "the step interval_length / 2**209 is too small for objective.box: "
-         "an offset of 1 from the midpoint overflows as a step count"),
+        # a step whose inverse overflows is accepted: quantize clamps |offset|
+        # before it divides by the step (1e-246 / 2**209 is about 1.2e-309)
+        (1e-246, 209, None),
         (1e-246, 200, None),
-        # a reach of 1 is 2**1023 steps of 2**-1023, and 2**1024 steps of 2**-1024
         (1.0, 1023, None),
-        ([1.0, 1.0, 0.5, 1.0], 1023, "the step interval_length / 2**1023 is too small for "
-         "objective.box: an offset of 1 from the midpoint overflows as a step count"),
+        ([1.0, 1.0, 0.5, 1.0], 1023, None),
     ],
 )
 def test_a_step_the_quantizer_cannot_divide_by_is_a_config_error(length, bits, message):

@@ -1,4 +1,3 @@
-import contextvars
 import os
 import sys
 import threading
@@ -635,14 +634,13 @@ def test_block_memory_does_not_grow_with_iterations():
     columns = sum(getattr(t, f.name).nbytes for f in fields(t))
     assert peak < columns + 12 * engine.BLOCK_BYTES < iterations * n * p * 8 / 2
 
-    # at n = p = 1 a round slot's views outweigh its rows many times over; a
-    # seed-loop block keeps them, and the block size counts them
+    # at n = p = 1 a round slot's views outweigh its rows many times over; the
+    # workspace a run keeps holds them, and the block size counts them
     cfg = parse_config(_run_doc(iterations=50_000))
     tracemalloc.start()
     try:
-        with adversary.sharing_streams():
-            result = run_single(cfg, 0)
-            peak = tracemalloc.get_traced_memory()[1]
+        result = run_single(cfg, 0)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     t = result.traces
@@ -1041,43 +1039,70 @@ def _run_bytes(result) -> list:
     ]
 
 
-def test_threads_sharing_a_seed_loop_block_keep_their_own_workspace():
-    # each thread runs in a copy of the block's context, as asyncio.to_thread
-    # makes, so both see the block's memo; a shared workspace would mix runs
+def test_threads_keep_their_own_workspace():
+    # two threads run one plan's seeds at once, switching often, each after
+    # a run of the same shape in it; a shared workspace would mix runs
     plan = engine.plan(**_plan_inputs(iterations=300))
     seeds = [3, 4, 5, 6]
     want = {seed: _run_bytes(engine.run(plan, seed)) for seed in seeds}
     barrier = threading.Barrier(2)
-    got = {}
+    got, kept = {}, []
 
     def worker(own):
+        engine.run(plan, 0)
         barrier.wait()
         for seed in own:
             got[seed] = _run_bytes(engine.run(plan, seed))
+        kept.append(engine._spare.workspace[0])  # the states buffer
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        with adversary.sharing_streams():
-            threads = [
-                threading.Thread(target=contextvars.copy_context().run, args=(worker, seeds[i::2]))
-                for i in range(2)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
+        threads = [threading.Thread(target=worker, args=(seeds[i::2],)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert got == want
+    main = engine._spare.workspace[0]
+    assert len(kept) == 2
+    pairs = [(kept[0], kept[1]), (kept[0], main), (kept[1], main)]
+    assert not any(np.shares_memory(a, b) for a, b in pairs)
 
 
-def test_runs_in_one_seed_loop_block_match_fresh_runs(monkeypatch):
+def _in_new_thread(function):
+    """``function()`` called in a thread of its own, which holds no
+    workspace yet."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(function()))
+    thread.start()
+    thread.join()
+    return out[0]
+
+
+def _recording_builds(monkeypatch) -> list:
+    """Empty this thread's spare workspace and return the list of the
+    (block, n, p) shapes of the workspaces that runs build from now on."""
+    builds = []
+    new_workspace = engine._new_workspace
+
+    def recording(*shape):
+        builds.append(shape)
+        return new_workspace(*shape)
+
+    monkeypatch.setattr(engine, "_new_workspace", recording)
+    monkeypatch.setattr(engine._spare, "workspace", None, raising=False)
+    return builds
+
+
+def test_runs_reusing_a_workspace_match_fresh_runs(monkeypatch):
     # plans of one shape, over blocks of 3, 3 and 1 rounds, run back to back
-    # in one block, which keeps one workspace for all of them, and one plan
-    # that fails mid-run and leaves the buffers dirty: every run must equal
-    # a fresh one outside every block
+    # in one thread, which keeps one workspace for all of them, and one plan
+    # that fails mid-run and drops the buffers it dirtied: every run must
+    # equal a fresh one, run in a new thread
     n, p, iterations = 5, 2, 7
     sizes = _blocked(monkeypatch, 3, n, p)
     topology = build_complete(n)
@@ -1104,14 +1129,18 @@ def test_runs_in_one_seed_loop_block_match_fresh_runs(monkeypatch):
     ]
     failing = engine.plan({}, None, topology, _objective_going_nan(4, p), boxes[1], 0.3, iterations)
     assert {plan.block for plan in plans} == {failing.block} == {3}
-    want = [_run_bytes(engine.run(plan, seed)) for seed, plan in enumerate(plans)]
+    want = [
+        _in_new_thread(lambda: _run_bytes(engine.run(plan, seed)))
+        for seed, plan in enumerate(plans)
+    ]
+    builds = _recording_builds(monkeypatch)
     half = len(plans) // 2
-    with adversary.sharing_streams():
-        got = [_run_bytes(engine.run(plan, seed)) for seed, plan in enumerate(plans[:half])]
-        with pytest.raises(engine.BoundViolationError, match="k=4"):
-            engine.run(failing, 0)
-        got += [_run_bytes(engine.run(plan, seed)) for seed, plan in enumerate(plans[half:], half)]
+    got = [_run_bytes(engine.run(plan, seed)) for seed, plan in enumerate(plans[:half])]
+    with pytest.raises(engine.BoundViolationError, match="k=4"):
+        engine.run(failing, 0)
+    got += [_run_bytes(engine.run(plan, seed)) for seed, plan in enumerate(plans[half:], half)]
     assert got == want
+    assert builds == [(3, n, p)] * 2  # the failing run took the first and raised
     assert sizes == [3, 3, 1] * (len(plans) + half) + [3, 3] + [3, 3, 1] * (len(plans) - half)
 
 
@@ -1120,23 +1149,47 @@ def test_a_seed_loop_builds_one_workspace(monkeypatch, tmp_path):
     new_workspace = engine._new_workspace
 
     def recording(*shape):
+        # a new shape drops the thread's last workspace before its build
+        assert [ref() for _, ref in built] == [None] * len(built)
         workspace = new_workspace(*shape)
         built.append((shape, weakref.ref(workspace[0])))  # the states buffer
         return workspace
 
     monkeypatch.setattr(engine, "_new_workspace", recording)
+    monkeypatch.setattr(engine._spare, "workspace", None, raising=False)
     cfg = parse_config(preset_document("fig2a", seeds=list(range(20))))
     run_experiment(cfg, tmp_path / "run")
     assert [shape for shape, _ in built] == [(200, 10, 1)]
-    # the points of a sweep differ in their plans, not in their shape
+    # the points of a sweep differ in their plans, not in their shape, and
+    # so do later runs of the same shape
     sweep({"base": preset_document("fig2a", seeds=[0, 1]), "grid": {"alpha": [0.3, 0.7]}}, tmp_path)
-    assert len(built) == 2
-    # outside every block, each run builds its own
     engine.run(cfg.plan, 0)
-    engine.run(cfg.plan, 1)
-    assert len(built) == 4
-    assert adversary._SHARED.get() is None
-    assert [ref() for _, ref in built] == [None] * 4  # none outlives its seed loop or run
+    assert len(built) == 1
+    engine.run(parse_config(_run_doc(iterations=7)).plan, 0)
+    assert [shape for shape, _ in built] == [(200, 10, 1), (7, 1, 1)]
+    assert built[-1][1]() is engine._spare.workspace[0]  # the one kept after the run
+
+
+def test_a_run_inside_a_run_builds_its_own_workspace(monkeypatch):
+    # an objective that runs a plan of the same shape from its first
+    # subgradient call: the inner run may not take the outer one's buffers
+    inner = engine.plan(**_plan_inputs(iterations=30))
+    quadratic = inner.objective
+    inner_runs = []
+
+    def subgradient(x, out=None):
+        if not inner_runs:
+            inner_runs.append(_run_bytes(engine.run(inner, 1)))
+        return quadratic.subgradient(x, out=out)
+
+    objective = replace(quadratic, subgradient=subgradient)
+    outer = engine.plan(**_plan_inputs(iterations=30, objective=objective))
+    want = _in_new_thread(lambda: _run_bytes(engine.run(outer, 0)))
+    inner_want = inner_runs.pop()
+    built = _recording_builds(monkeypatch)
+    assert _run_bytes(engine.run(outer, 0)) == want
+    assert inner_runs == [inner_want]
+    assert built == [(30, 3, 1)] * 2
 
 
 def test_step_size_above_one_warns_from_the_run():
