@@ -21,6 +21,7 @@ from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
+from numpy._core.multiarray import c_einsum as _c_einsum
 from numpy._core.umath import clip as _clip
 
 from . import adversary as adv
@@ -56,6 +57,11 @@ BLOCK_BYTES = 1 << 18
 # Upper bound on one round slot's prebuilt views and tuples, which
 # outweigh the round's rows at small n p.
 _ROUND_VIEW_BYTES = 1 << 10
+
+# Smallest complete graph that mixes in the rank-one form (see
+# matrix_form_update): one agent-axis sum in place of the BLAS product W Q.
+# Below it the product is as fast or faster at every p measured.
+RANK_ONE_AGENTS = 128
 
 
 class BoundViolationError(RuntimeError):
@@ -189,17 +195,37 @@ def matrix_form_update(
     alpha: float | np.ndarray,
     out: np.ndarray,
     scratch: np.ndarray,
+    rank_one: tuple | None = None,
 ) -> np.ndarray:
-    """Pre-projection update H = W X + (I - W)(X - Q) - alpha G.
+    """Pre-projection update H = W X + (I - W)(X - Q) - alpha G, in one
+    of two forms.
 
-    Evaluated as ``((X - Q) + W Q) - alpha G`` into the (n, p) buffer
-    ``out``, which is returned; ``scratch`` is an (n, p) buffer that holds
-    ``W Q`` and then ``alpha G``; neither may alias an input or the
-    other.  ``alpha`` may be a float or a 0-d float64 array, with the same
-    result.
+    With ``rank_one`` None, ``((X - Q) + W Q) - alpha G``: the product
+    W Q goes through BLAS, whose summation order follows its CPU kernel
+    and thread count.  ``rank_one`` is (c, column, total) when W is a
+    complete graph's c 1 1^T + diag(d - c): c the 0-d off-diagonal weight,
+    column the d - c - 1 of each row, as an (n, 1) column or broadcast to
+    (n, p) rows (which numpy multiplies without buffering), and total a
+    (p,) buffer.  Then ``((X + column Q) + c sum_j Q_j) - alpha G``: the
+    sum over agents goes through einsum's fixed-order loop into ``total``,
+    no BLAS, and ``weights`` is not read.  :func:`plan` picks the rank-one
+    form for a complete graph of at least :data:`RANK_ONE_AGENTS` agents.
+
+    The result goes into the (n, p) buffer ``out``, which is returned;
+    ``scratch`` is an (n, p) buffer that holds ``W Q`` (c sum_j Q_j in
+    every row, in the rank-one form) and then ``alpha G``; no buffer may
+    alias an input or another.  ``alpha`` may be a float or a 0-d float64
+    array, with the same result.
     """
-    mixing = _matmul(weights, broadcasts, scratch)
-    _subtract(iterates, broadcasts, out)
+    if rank_one is None:
+        mixing = _matmul(weights, broadcasts, scratch)
+        _subtract(iterates, broadcasts, out)
+    else:
+        c, column, total = rank_one
+        _c_einsum("ij->j", broadcasts, out=total)
+        mixing = scratch
+        _copyto(mixing, _multiply(c, total, total))
+        _add(iterates, _multiply(column, broadcasts, out), out)
     _add(out, mixing, out)
     return _subtract(out, _multiply(alpha, gradients, scratch), out)
 
@@ -213,6 +239,7 @@ def step(
     bounds: tuple,
     alpha: float | np.ndarray,
     out: tuple,
+    rank_one: tuple | None = None,
 ):
     """Advance the network one round.
 
@@ -224,6 +251,8 @@ def step(
     and writes its subgradients into the gradient buffer through ``out``
     (or they are copied there, if it returns another array).  ``bounds``
     is the box's (lo, hi), arrays that broadcast against the state.
+    ``weights`` and ``rank_one`` are the mixing, as
+    :func:`matrix_form_update` takes them.
 
     ``out`` is four (n, p) buffers, (next iterates, gradients, ``H_af``,
     ``xi``), which receive the results and are returned; ``xi`` holds the
@@ -236,7 +265,9 @@ def step(
         gradients[...] = result
     # a call of its own, as broadcast_phase is: the benchmark's tracer
     # wraps each by name to time the mixing and broadcast phases
-    matrix_form_update(weights, iterates, broadcasts, gradients, alpha, h_attack_free, xi)
+    matrix_form_update(
+        weights, iterates, broadcasts, gradients, alpha, h_attack_free, xi, rank_one
+    )
     h = _add(h_attack_free, attack_rows, next_iterates)
     _clip(h, *bounds, xi)
     _subtract(h, xi, xi)
@@ -289,7 +320,7 @@ def _record_block(
     reduction over the block, bit for bit the per-round value.  ``xi`` is
     overwritten.
     """
-    quantizer, x_star = plan.quantizer, constant_operand(plan.objective.x_star)
+    quantizer, x_star = plan.quantizer, plan.x_star
     m = len(gradients)
     rows = slice(start, start + m)
     entering = iterates[:-1]
@@ -382,8 +413,15 @@ class RunPlan(NamedTuple):
     and an agent in none is attacked by zero.  ``bounds`` is the box's
     (lo, hi) as two 0-d operands when each side's entries are bit-equal
     and nonzero; for any other box it is None, and each run clips against
-    (n, p) rows of its workspace instead.  ``explicit_init`` is kept as
-    given and copied by every run, so it must not change.
+    (n, p) rows of its workspace instead.  ``x_star`` is the objective's
+    x* as a constant operand.  ``rank_one`` selects the mixing form of
+    :func:`matrix_form_update`: for a complete graph of at least
+    :data:`RANK_ONE_AGENTS` agents it is (c, column), the off-diagonal
+    weight as a 0-d operand and the (n, 1) column d - c - 1, both read from
+    the built W (its diagonal d may differ between rows); for any other
+    graph it is None, and each round multiplies by W through BLAS.
+    ``explicit_init`` is kept as given and copied by every run, so it must
+    not change.
     """
 
     n: int
@@ -401,6 +439,8 @@ class RunPlan(NamedTuple):
     block: int
     attacks: tuple  # (policy, uint32 agent ids) per distinct nonzero policy
     bounds: tuple | None  # the box's 0-d (lo, hi), or None: the run's rows
+    x_star: np.ndarray  # the objective's x*, a constant operand
+    rank_one: tuple | None  # a complete graph's (c, d - c - 1), or None: W Q
     explicit_init: object
 
 
@@ -475,6 +515,10 @@ def plan(
     # 0-d +0.0 bound clip keeps a -0.0 entry, against rows it returns +0.0
     bounds = tuple(map(constant_operand, (feasible.lo, feasible.hi)))
     constant = all(bound.ndim == 0 and bound != 0 for bound in bounds)
+    rank_one = None
+    if n >= RANK_ONE_AGENTS and len(topology.edges) == n * (n - 1) // 2:
+        c = topology.weights[0, 1]
+        rank_one = (operand(c), operand(np.diagonal(topology.weights)[:, None] - c - 1.0))
     return RunPlan(
         n=n,
         p=p,
@@ -491,6 +535,8 @@ def plan(
         block=min(iterations, max(1, BLOCK_BYTES // (8 * n * p + _ROUND_VIEW_BYTES))),
         attacks=tuple((policy, operand(ids, np.uint32)) for policy, ids in groups.items()),
         bounds=bounds if constant else None,
+        x_star=constant_operand(objective.x_star),
+        rank_one=rank_one,
         explicit_init=explicit_init,
     )
 
@@ -501,17 +547,19 @@ _spare = threading.local()
 
 def _new_workspace(block: int, n: int, p: int) -> tuple:
     """A run's buffers, views of one allocation: (states, broadcasts,
-    gradients, ``H_af``, xi, attack rows, the box's (lo, hi) rows, round
-    slots).  Round slot j is the (state, broadcast, xi, attack, ``step``'s
-    ``out``) views of round j of a block, ``out`` being (next state,
-    gradient, ``H_af``, xi); a slot's next state is the next slot's state
-    view."""
-    workspace = np.empty((6 * block + 3, n, p))
+    gradients, ``H_af``, xi, attack rows, the (n, p) rows of the box's lo
+    and hi and of the rank-one column, the (p,) agent sum of the rank-one
+    mixing, round slots).  Round slot j is the (state, broadcast, xi,
+    attack, ``step``'s ``out``) views of round j of a block, ``out`` being
+    (next state, gradient, ``H_af``, xi); a slot's next state is the next
+    slot's state view."""
+    flat = np.empty((6 * block + 4) * n * p + p)
+    workspace = flat[:-p].reshape(6 * block + 4, n, p)
     states = workspace[: block + 1]
     buffers = workspace[block + 1 : 6 * block + 1].reshape(5, block, n, p)
     state, sent, gradient, h_af, xi, attack = map(list, (states, *buffers))
     slots = list(zip(state, sent, xi, attack, zip(state[1:], gradient, h_af, xi)))
-    return (states, *buffers, tuple(workspace[6 * block + 1 :]), slots)
+    return (states, *buffers, tuple(workspace[6 * block + 1 :]), flat[-p:], slots)
 
 
 def run(plan: RunPlan, seed: int) -> RunResult:
@@ -545,11 +593,16 @@ def run(plan: RunPlan, seed: int) -> RunResult:
     if workspace is None or workspace[0].shape != (block + 1, n, p):
         workspace = None  # dropped before the build: memory never holds two
         workspace = _new_workspace(block, n, p)
-    states, broadcasts, gradients, h_attack_free, xi, attack_rows, rows, slots = workspace
+    states, broadcasts, gradients, h_attack_free, xi, attack_rows, rows, total, slots = workspace
+    lo, hi, column = rows
     bounds = plan.bounds
     if bounds is None:  # a box with a zero or a per-coordinate side
-        lo, hi = bounds = rows
+        bounds = lo, hi
         lo[...], hi[...] = plan.feasible.lo, plan.feasible.hi
+    rank_one = plan.rank_one
+    if rank_one is not None:  # the column as full rows: numpy would buffer
+        column[...] = rank_one[1]  # an (n, 1) operand on every call
+        rank_one = (rank_one[0], column, total)
     attack_rows[...] = 0.0  # a row no group writes is zero in every round
     quantizer, full_precision = plan.quantizer, ~plan.quantizes[:, None]
     weights, objective, alpha = plan.topology.weights, plan.objective, plan.alpha
@@ -562,7 +615,7 @@ def run(plan: RunPlan, seed: int) -> RunResult:
             # the round's residual row is the quantizer's scratch before it;
             # in exact mode the broadcast is the state itself
             sent = broadcast_phase(state, quantizer, full_precision, sent, xi_row)
-            step(state, sent, attack, weights, objective, bounds, alpha, out)
+            step(state, sent, attack, weights, objective, bounds, alpha, out, rank_one)
         _record_block(
             trace,
             start,

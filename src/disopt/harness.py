@@ -2,7 +2,9 @@
 
 One CSV trace per seed, one JSON bound report per scenario, and a CSV
 summary for parameter sweeps.  Re-runs of the same config and seed write
-the same bytes on one numpy build, OpenBLAS kernel and BLAS thread count.
+the same bytes on one numpy build, OpenBLAS kernel and BLAS thread count;
+a complete graph of at least ``engine.RANK_ONE_AGENTS`` agents mixes
+without BLAS, so its bytes hold under any kernel and thread count too.
 """
 
 from __future__ import annotations

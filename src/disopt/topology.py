@@ -104,8 +104,12 @@ def build_from_edge_list(n: int, edges: Iterable) -> NetworkTopology:
 def build_complete(n: int) -> NetworkTopology:
     """Complete graph on ``n`` agents.
 
-    With the Metropolis rule every off-diagonal weight is exactly 1/n,
-    so the mixing step is plain averaging.
+    With the Metropolis rule every off-diagonal weight is exactly
+    c = fl(1/n).  Each diagonal entry d is 1 minus its row's float sum, so
+    it equals c only up to that sum's rounding, a few ulps of 1, and it
+    can differ between rows.  So W Q is c times the sum of the broadcasts
+    plus (d - c) times each agent's own: the mean broadcast only up to
+    rounding.
     """
     if n < 1:
         raise TopologyError(f"agent count must be >= 1, got {n}")

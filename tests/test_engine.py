@@ -1,3 +1,4 @@
+import itertools
 import os
 import sys
 import threading
@@ -5,6 +6,7 @@ import tracemalloc
 import types
 import weakref
 from dataclasses import fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -519,6 +521,97 @@ def test_interleaved_objectives_match_the_per_round_oracle(bits):
     assert np.array_equal(result.final_iterates, final)
 
 
+@pytest.mark.parametrize("n, p", [(engine.RANK_ONE_AGENTS, 3), (150, 1), (150, 3)])
+@pytest.mark.parametrize("bits", [None, 2])
+@pytest.mark.parametrize("box", ["constant", "per-coordinate"])
+def test_rank_one_mixing_matches_the_per_round_oracle(monkeypatch, n, p, bits, box):
+    # complete graphs that mix in the rank-one form, over blocks of 3, 3 and
+    # 1 rounds, with constant and uniform adversaries that push past the box
+    # (a per-coordinate one at p > 1 is clipped against (n, p) rows); at
+    # n = 150 the rows' d - c - 1 take two values
+    seed = 5
+    rng = np.random.default_rng(n)
+    lo, hi = -1.0, 1.0
+    if box == "per-coordinate":
+        lo, hi = rng.uniform(-2.0, -0.5, size=p).tolist(), rng.uniform(0.5, 2.0, size=p).tolist()
+    adversaries = range(4, n, 9)
+    policies = (
+        {"kind": "constant", "value": rng.uniform(0.05, 0.9, size=p).tolist()},
+        {"kind": "uniform", "range": [0.0, 0.8], "sign": "negative", "seed": 3},
+    )
+    doc = _run_doc(
+        n=n,
+        p=p,
+        objective={"name": "quadratic", "box": {"lo": lo, "hi": hi}},
+        roles=["adversarial" if i in adversaries else "honest" for i in range(n)],
+        quantizer=None if bits is None else {"bits": bits, "interval_length": 1.0},
+        attack={str(agent): policies[j % 2] for j, agent in enumerate(adversaries)},
+        alpha=0.4,
+        iterations=7,
+    )
+    sizes = _blocked(monkeypatch, 3, n, p)
+    cfg = parse_config(doc)
+    result = run_single(cfg, seed)
+    assert cfg.plan.rank_one is not None
+    assert (cfg.plan.bounds is None) == (box == "per-coordinate" and p > 1)
+    assert sizes == [3, 3, 1]
+
+    traces, final = _oracle_run(cfg, doc, seed)
+    honest = np.array([role == "honest" for role in doc["roles"]])
+    want = reference_columns(traces, final, honest, cfg.plan.objective.x_star)
+    for name, column in want.items():
+        assert np.array_equal(getattr(result.traces, name), column), name
+    assert np.array_equal(result.final_iterates, final)
+
+
+@pytest.mark.parametrize("n, p", [(engine.RANK_ONE_AGENTS, 1), (150, 3)])
+def test_rank_one_mixing_is_within_its_rounding_bound_of_the_exact_product(n, p):
+    # exact mode (Q = X) with no gradient, so H is W Q alone.  Against W Q
+    # in exact rationals, W's entries read as the floats they are, each
+    # entry is off by at most (n + 4) eps times the size of its terms,
+    # c sum_j |Q_j| + |Q_i|: n - 1 additions in the agent sum and five
+    # more roundings, each within eps/2 of its result
+    box = FeasibleSet(lo=np.full(p, -1.0), hi=np.full(p, 1.0))
+    plan = engine.plan(
+        {}, None, build_complete(n), make_objective("quadratic", p, box), box, 0.5, 1
+    )
+    q = np.random.default_rng(n).uniform(-1.0, 1.0, size=(n, p))
+    out, scratch = np.full((2, n, p), np.nan)
+    rank_one = (*plan.rank_one, np.full(p, np.nan))
+    w = plan.topology.weights
+    got = matrix_form_update(w, q, q, np.zeros((n, p)), 0.5, out, scratch, rank_one)
+    assert got is out
+
+    exact_w = [[Fraction(x) for x in row] for row in w.tolist()]
+    exact_q = [[Fraction(x) for x in row] for row in q.tolist()]
+    c = float(plan.rank_one[0])
+    scale = c * np.abs(q).sum(axis=0) + np.abs(q)
+    for i in range(n):
+        exact = [sum(exact_w[i][j] * exact_q[j][k] for j in range(n)) for k in range(p)]
+        error = [abs(Fraction(got[i, k]) - exact[k]) for k in range(p)]
+        bound = (n + 4) * np.finfo(float).eps * scale[i]
+        assert all(e <= Fraction(b) for e, b in zip(error, bound)), i
+
+
+def test_the_rank_one_form_starts_at_a_complete_graph_of_128_agents():
+    def plan_of(topology):
+        return engine.plan(**_plan_inputs(topology=topology, attacks={}))
+
+    assert engine.RANK_ONE_AGENTS == 128
+    below, at = plan_of(build_complete(127)), plan_of(build_complete(128))
+    assert below.rank_one is None
+    c, column = at.rank_one
+    w = at.topology.weights
+    assert c.shape == () and c == w[0, 1] and column.shape == (128, 1)
+    assert np.array_equal(column[:, 0], np.diag(w) - w[0, 1] - 1.0)
+    assert not c.flags.writeable and not column.flags.writeable
+    # the rule reads the graph, not how the config wrote it
+    listed = build_from_edge_list(128, list(itertools.combinations(range(128), 2)))
+    assert plan_of(listed).rank_one is not None
+    ring = build_from_edge_list(400, [(i, (i + 1) % 400) for i in range(400)])
+    assert plan_of(ring).rank_one is None
+
+
 def test_an_objective_ignoring_out_fills_the_gradient_rows():
     # its subgradient returns a new array whatever ``out`` is; step passes
     # the gradient buffer as ``out``, whose rows must receive that array,
@@ -663,18 +756,23 @@ def test_a_round_allocates_nothing():
     alpha = np.array(0.5)
     zero_d, rows = _box_plan(box, n).bounds, _box_rows(box, n)
     assert [bound.shape for bound in zero_d + rows] == [(), (), (n, p), (n, p)]
+    # and either mixing form: the BLAS product or a complete graph's rank
+    # one, its column broadcast to (n, p) rows as a run passes it
+    c = weights[0, 1]
+    column = np.broadcast_to(np.diag(weights)[:, None] - c - 1.0, (n, p)).copy()
+    rank_one = (np.array(c), column, np.empty(p))
 
-    def one_round(bounds):
+    def one_round(bounds, mixing):
         broadcast_phase(state, quantizer, full_precision, sent, xi)
         out = (next_state, gradient, h_af, xi)
-        engine.step(state, sent, attack, weights, objective, bounds, alpha, out)
+        engine.step(state, sent, attack, weights, objective, bounds, alpha, out, mixing)
 
-    for bounds in (zero_d, rows):
-        one_round(bounds)  # numpy's first-call set-up is not a round's cost
+    for bounds, mixing in ((zero_d, None), (rows, None), (zero_d, rank_one)):
+        one_round(bounds, mixing)  # numpy's first-call set-up is not a round's cost
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            one_round(bounds)
+            one_round(bounds, mixing)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -710,12 +808,16 @@ def _numpy_python_entries(plan) -> dict:
 
 def test_a_round_enters_no_numpy_python_wrapper():
     # one block each, so every numpy Python frame left is per run or per
-    # block, none per round
-    short, long = (
-        _numpy_python_entries(parse_config(dict(preset_document("fig2a"), iterations=k)).plan)
-        for k in (2, 50)
-    )
-    assert short and short == long
+    # block, none per round; at 128 agents the graph mixes in rank one
+    for n in (10, engine.RANK_ONE_AGENTS):
+        roles = ["honest"] * (n - 3) + ["adversarial"] * 3
+        short, long = (
+            _numpy_python_entries(
+                parse_config(dict(preset_document("fig2a"), n=n, roles=roles, iterations=k)).plan
+            )
+            for k in (2, 50)
+        )
+        assert short and short == long, n
 
 
 def test_the_broadcast_copy_is_numpys_c_copyto():

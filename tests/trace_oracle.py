@@ -8,6 +8,9 @@ come from this round's own ``in_range`` test, not from the engine.  The
 broadcast and the update are written out here from the quantizer's
 per-call reference and the update's formula, so a fault in the engine's
 ``broadcast_phase`` or ``matrix_form_update`` shows as a column mismatch.
+The update takes the engine's rule for its mixing form: a complete graph
+of at least ``engine.RANK_ONE_AGENTS`` agents mixes as c times the sum of
+the broadcasts plus (d - c) times each one, any other graph as W Q.
 """
 
 from dataclasses import dataclass
@@ -50,15 +53,29 @@ def state_columns(iterates, honest, x_star) -> dict:
     )
 
 
+def mixed_update(iterates, broadcasts, gradients, weights, edges, alpha):
+    """The attack-free update X + (W - I) Q - alpha G in the form the
+    engine's rule picks from the graph's size and edge count."""
+    n = len(weights)
+    if n >= engine.RANK_ONE_AGENTS and len(edges) == n * (n - 1) // 2:
+        c = weights[0, 1]
+        column = np.diag(weights)[:, None] - c - 1.0
+        total = np.einsum("ij->j", broadcasts)  # agents added in order
+        return iterates + column * broadcasts + c * total - alpha * gradients
+    return iterates - broadcasts + weights @ broadcasts - alpha * gradients
+
+
 def reference_step(
-    k, iterates, broadcasts, saturated, honest, attack_rows, weights,
+    k, iterates, broadcasts, saturated, honest, attack_rows, topology,
     objective, feasible, alpha,
 ):
     """Advance one round; returns (next iterates, that round's trace)."""
     n = iterates.shape[0]
     gradients = objective.subgradient(iterates)  # a new array, not through ``out``
 
-    h_attack_free = iterates - broadcasts + weights @ broadcasts - alpha * gradients
+    h_attack_free = mixed_update(
+        iterates, broadcasts, gradients, topology.weights, topology.edges, alpha
+    )
     h = h_attack_free + attack_rows
     xi = h - np.clip(h, feasible.lo, feasible.hi)
     next_iterates = h - xi
@@ -123,7 +140,7 @@ def reference_run(
             saturated = quantizes & ~quantizer.in_range(iterates).all(axis=1)
         attack_rows = attack_table[k]
         iterates, trace = reference_step(
-            k, iterates, broadcasts, saturated, honest, attack_rows, topology.weights,
+            k, iterates, broadcasts, saturated, honest, attack_rows, topology,
             objective, feasible, alpha,
         )
         predicted = trace.x_bar - alpha * trace.grad_mean - trace.xi_bar + trace.mean_attack
