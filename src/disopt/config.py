@@ -44,8 +44,9 @@ MAX_AGENTS = 2**11
 # vector is built; 2**16 keeps one expanded vector near 2 MB.
 MAX_DIMENSION = 2**16
 
-# Largest state size n * p: a run's workspace holds at least nine (n, p)
-# float arrays, 72 MiB at the cap.
+# Largest state size n * p: a run's workspace holds at least eight (n, p)
+# float arrays, 64 MiB at the cap (and the plan of a per-coordinate box
+# two more).
 MAX_STATE = 2**20
 
 # Largest iteration count: the keyed attack stream takes each round index

@@ -250,7 +250,8 @@ def step(
     for honest agents).  The network ``objective`` reads the whole state
     and writes its subgradients into the gradient buffer through ``out``
     (or they are copied there, if it returns another array).  ``bounds``
-    is the box's (lo, hi), arrays that broadcast against the state.
+    is the box's (lo, hi), arrays that broadcast against the state (a
+    plan's are 0-d or of the state's shape, which clip does not buffer).
     ``weights`` and ``rank_one`` are the mixing, as
     :func:`matrix_form_update` takes them.
 
@@ -307,14 +308,13 @@ def _record_block(
     h_attack_free: np.ndarray,
     xi: np.ndarray,
     attacks: np.ndarray,
-    bounds: tuple,
     plan: RunPlan,
 ) -> None:
     """Fill the trace rows of the rounds start..start+m-1 of one block.
 
     ``iterates`` holds the m+1 states of the block, the others the m
     rounds' (n, p) rows, ``xi`` the projection residuals ``step``
-    recorded, ``bounds`` the box's (lo, hi) that ``step`` clipped with.
+    recorded against ``plan.bounds``.
     The columns of a state get rows start..start+m; the next block
     writes the last one again, with the same value.  Each column is one
     reduction over the block, bit for bit the per-round value.  ``xi`` is
@@ -345,7 +345,7 @@ def _record_block(
 
     xi_bar = _means(xi)
     xi_bar_norm = _norms(xi_bar)
-    _clip(h_attack_free, *bounds, xi)  # xi is spent: its mean is taken
+    _clip(h_attack_free, *plan.bounds, xi)  # xi is spent: its mean is taken
     _subtract(h_attack_free, xi, xi)
     trace.xi_bar[rows] = xi_bar
     trace.xi_bar_norm[rows] = xi_bar_norm
@@ -380,14 +380,15 @@ def mean_recursion_residual(
     return np.max(np.abs(predicted - trace.x_bar[start + 1 : stop + 1]), axis=1)
 
 
-def _checked_init(explicit, n: int, feasible: FeasibleSet) -> None:
-    x0 = np.asarray(explicit, dtype=float)
+def _checked_init(explicit, n: int, feasible: FeasibleSet) -> np.ndarray:
+    x0 = operand(explicit)
     if x0.shape != (n, feasible.dimension):
         raise ValueError(
             f"explicit init has shape {x0.shape}, expected {(n, feasible.dimension)}"
         )
     if not feasible.contains(x0):
         raise ValueError("explicit initial point outside the feasible set")
+    return x0
 
 
 def initial_iterates(
@@ -404,24 +405,26 @@ def initial_iterates(
 class RunPlan(NamedTuple):
     """The part of a run that no seed changes, built once by :func:`plan`.
 
-    It holds O(n + p) data of its own, every array read-only, and refers
+    It holds O(n + p) data of its own besides the (n, p) copies of an
+    explicit initial state and of a per-coordinate box side, every array
+    read-only, and refers
     to the topology, the box, the objective and the quantizer without
     copying them, so one plan can serve every seed and thread.
     ``honest`` (the honest agents' ids, ascending), ``quantizes`` (a mask)
     and ``attacks`` are the run's one role assignment: ``attacks`` holds
     one group per distinct nonzero policy, in order of first appearance,
     and an agent in none is attacked by zero.  ``bounds`` is the box's
-    (lo, hi) as two 0-d operands when each side's entries are bit-equal
-    and nonzero; for any other box it is None, and each run clips against
-    (n, p) rows of its workspace instead.  ``x_star`` is the objective's
-    x* as a constant operand.  ``rank_one`` selects the mixing form of
+    (lo, hi): a side whose entries are bit-equal as a 0-d operand, any
+    other as an (n, p) tile, the state's shape, which numpy clips against
+    without buffering.  ``x_star`` is the objective's x* as a constant
+    operand.  ``rank_one`` selects the mixing form of
     :func:`matrix_form_update`: for a complete graph of at least
     :data:`RANK_ONE_AGENTS` agents it is (c, column), the off-diagonal
     weight as a 0-d operand and the (n, 1) column d - c - 1, both read from
     the built W (its diagonal d may differ between rows); for any other
     graph it is None, and each round multiplies by W through BLAS.
-    ``explicit_init`` is kept as given and copied by every run, so it must
-    not change.
+    ``explicit_init`` is a read-only copy of the checked initial iterates,
+    or None.
     """
 
     n: int
@@ -438,10 +441,10 @@ class RunPlan(NamedTuple):
     tolerance: float
     block: int
     attacks: tuple  # (policy, uint32 agent ids) per distinct nonzero policy
-    bounds: tuple | None  # the box's 0-d (lo, hi), or None: the run's rows
+    bounds: tuple  # the box's (lo, hi), each side 0-d or an (n, p) tile
     x_star: np.ndarray  # the objective's x*, a constant operand
     rank_one: tuple | None  # a complete graph's (c, d - c - 1), or None: W Q
-    explicit_init: object
+    explicit_init: np.ndarray | None
 
 
 def plan(
@@ -494,7 +497,7 @@ def plan(
     if not honest.any():
         raise ValueError("at least one honest agent is required")
     if explicit_init is not None:
-        _checked_init(explicit_init, n, feasible)
+        explicit_init = _checked_init(explicit_init, n, feasible)
     if quantizer is not None:
         step, mid = quantizer.step.shape, quantizer.midpoint.shape
         if len(step) > 2 or any(s not in (1, t) for s, t in zip(step[::-1], (p, n))):
@@ -511,10 +514,10 @@ def plan(
         if policy.kind != "zero":
             groups.setdefault(policy, []).append(agent)
     quantizes = honest | adversary_quantizes
-    # a 0-d bound is bit for bit the rows' except at a signed zero: against a
-    # 0-d +0.0 bound clip keeps a -0.0 entry, against rows it returns +0.0
-    bounds = tuple(map(constant_operand, (feasible.lo, feasible.hi)))
-    constant = all(bound.ndim == 0 and bound != 0 for bound in bounds)
+    # a (p,) side is tiled to the state's shape: numpy buffers a broadcast
+    # operand on every clip call
+    sides = map(constant_operand, (feasible.lo, feasible.hi))
+    bounds = tuple(operand(np.tile(side, (n, 1))) if side.ndim else side for side in sides)
     rank_one = None
     if n >= RANK_ONE_AGENTS and len(topology.edges) == n * (n - 1) // 2:
         c = topology.weights[0, 1]
@@ -534,7 +537,7 @@ def plan(
         tolerance=tolerance,
         block=min(iterations, max(1, BLOCK_BYTES // (8 * n * p + _ROUND_VIEW_BYTES))),
         attacks=tuple((policy, operand(ids, np.uint32)) for policy, ids in groups.items()),
-        bounds=bounds if constant else None,
+        bounds=bounds,
         x_star=constant_operand(objective.x_star),
         rank_one=rank_one,
         explicit_init=explicit_init,
@@ -547,19 +550,19 @@ _spare = threading.local()
 
 def _new_workspace(block: int, n: int, p: int) -> tuple:
     """A run's buffers, views of one allocation: (states, broadcasts,
-    gradients, ``H_af``, xi, attack rows, the (n, p) rows of the box's lo
-    and hi and of the rank-one column, the (p,) agent sum of the rank-one
-    mixing, round slots).  Round slot j is the (state, broadcast, xi,
-    attack, ``step``'s ``out``) views of round j of a block, ``out`` being
-    (next state, gradient, ``H_af``, xi); a slot's next state is the next
-    slot's state view."""
-    flat = np.empty((6 * block + 4) * n * p + p)
-    workspace = flat[:-p].reshape(6 * block + 4, n, p)
+    gradients, ``H_af``, xi, attack rows, the (n, p) rows of the rank-one
+    column, the (p,) agent sum of the rank-one mixing, round slots), so
+    (6 block + 2) n p + p float64s.  Round slot j is the (state, broadcast,
+    xi, attack, ``step``'s ``out``) views of round j of a block, ``out``
+    being (next state, gradient, ``H_af``, xi); a slot's next state is the
+    next slot's state view."""
+    flat = np.empty((6 * block + 2) * n * p + p)
+    workspace = flat[:-p].reshape(6 * block + 2, n, p)
     states = workspace[: block + 1]
     buffers = workspace[block + 1 : 6 * block + 1].reshape(5, block, n, p)
     state, sent, gradient, h_af, xi, attack = map(list, (states, *buffers))
     slots = list(zip(state, sent, xi, attack, zip(state[1:], gradient, h_af, xi)))
-    return (states, *buffers, tuple(workspace[6 * block + 1 :]), flat[-p:], slots)
+    return (states, *buffers, workspace[6 * block + 1], flat[-p:], slots)
 
 
 def run(plan: RunPlan, seed: int) -> RunResult:
@@ -593,12 +596,7 @@ def run(plan: RunPlan, seed: int) -> RunResult:
     if workspace is None or workspace[0].shape != (block + 1, n, p):
         workspace = None  # dropped before the build: memory never holds two
         workspace = _new_workspace(block, n, p)
-    states, broadcasts, gradients, h_attack_free, xi, attack_rows, rows, total, slots = workspace
-    lo, hi, column = rows
-    bounds = plan.bounds
-    if bounds is None:  # a box with a zero or a per-coordinate side
-        bounds = lo, hi
-        lo[...], hi[...] = plan.feasible.lo, plan.feasible.hi
+    states, broadcasts, gradients, h_attack_free, xi, attack_rows, column, total, slots = workspace
     rank_one = plan.rank_one
     if rank_one is not None:  # the column as full rows: numpy would buffer
         column[...] = rank_one[1]  # an (n, 1) operand on every call
@@ -606,6 +604,7 @@ def run(plan: RunPlan, seed: int) -> RunResult:
     attack_rows[...] = 0.0  # a row no group writes is zero in every round
     quantizer, full_precision = plan.quantizer, ~plan.quantizes[:, None]
     weights, objective, alpha = plan.topology.weights, plan.objective, plan.alpha
+    bounds = plan.bounds
     states[0] = initial_iterates(n, plan.feasible, seed, plan.explicit_init)
     for start in range(0, iterations, block):
         m = min(block, iterations - start)
@@ -625,7 +624,6 @@ def run(plan: RunPlan, seed: int) -> RunResult:
             h_attack_free[:m],
             xi[:m],
             attack_rows[:m],
-            bounds,
             plan,
         )
         residual = mean_recursion_residual(trace, alpha, start, start + m)

@@ -23,7 +23,9 @@ def constant_operand(value) -> np.ndarray:
     bit-equal (compared as bytes, so ``[0.0, -0.0]`` keeps its vector),
     else of its own shape.  Both forms give the same elementwise results,
     and the same result shape against an operand whose trailing axes
-    already have the value's shape."""
+    already have the value's shape, with one exception: clip against a
+    zero bound.  A 0-d bound keeps a zero entry of the other sign, where
+    a vector bound returns the bound's zero."""
     array = np.asarray(value, dtype=float)
     flat = array.reshape(-1)
     if flat.size and flat.tobytes() == np.full_like(flat, flat[0]).tobytes():

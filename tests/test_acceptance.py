@@ -4,6 +4,7 @@ Each test prints a single PASS/FAIL line outside pytest's capture so the
 run log shows the verdict for every criterion even when the test passes.
 """
 
+import json
 import time
 from types import SimpleNamespace
 
@@ -21,7 +22,8 @@ from disopt.bounds import (
     recursion_bound,
     subgradient_admissible,
 )
-from disopt.config import parse_config, preset_config
+from disopt.cli import EXIT_STRICT, main
+from disopt.config import parse_config, preset_config, preset_document
 from disopt.engine import LEMMA1_TOL, mean_recursion_residual
 from disopt.harness import build_bound_report, run_experiment, run_single
 from disopt.objective import FeasibleSet, LocalObjective
@@ -191,6 +193,97 @@ def test_every_preset_state_lies_in_the_box(preset_runs, capsys):
         f"leave the box over {states} states" + "".join(f", {n} seed {s}" for n, s in outside[:3]),
     )
     assert outside == []
+
+
+def test_criterion_4_gap_with_a_constant_attack(tmp_path, capsys):
+    """The criterion-4 gap needs no attack stream: fig2c with a constant
+    attack of 1.0 fails Lemma 1's attack-free bound unsaturated, so
+    ``disopt run --strict`` exits 1, and at every such step (a) and (b)
+    of criterion 4 hold.  (At 0.3 or 0.6 no step shows the gap.)"""
+    doc = dict(
+        preset_document("fig2c"),
+        attack={"kind": "constant", "value": [1.0], "sign": "positive"},
+    )
+    path = tmp_path / "constant.json"
+    path.write_text(json.dumps(doc))
+    code = main(["run", str(path), "--strict", "--out", str(tmp_path / "out")])
+    cfg = parse_config(doc)
+    gaps, attack_free, attack_term = [], [], []
+    for seed in cfg.seeds:
+        result = run_single(cfg, seed)
+        t = result.traces
+        for k in result.unsaturated_lemma1_violations:
+            gaps.append((seed, k))
+            if not t.xi_bar_attack_free_norm[k] <= t.lemma1_rhs[k] + LEMMA1_TOL:
+                attack_free.append((seed, k))
+            bound = t.xi_bar_attack_free_norm[k] + t.mean_attack_norm[k] + LEMMA1_TOL
+            if not t.xi_bar_norm[k] <= bound:
+                attack_term.append((seed, k))
+    passed = code == EXIT_STRICT and gaps and not attack_free and not attack_term
+    _report(
+        capsys,
+        "4, constant attack",
+        passed,
+        f"exit {code}, {len(gaps)} unsaturated gap step(s), first {gaps[:1]}; "
+        f"(a) fails at {len(attack_free)}, (b) at {len(attack_term)}",
+    )
+    assert code == EXIT_STRICT
+    assert gaps
+    assert attack_free == [] and attack_term == []
+
+
+def test_unsaturated_quantization_error_is_within_the_honest_bound(preset_runs, capsys):
+    """At every step with no saturated broadcast, each honest agent's
+    quantization error is at most sqrt(p) l_i / 2**(b+1) and an adversary,
+    which broadcasts in full precision, has none, so the n agents'
+    ``n * delta_bar`` is at most sqrt(p) times the honest agents' sum of
+    l_i / 2**(b+1), up to a few ulps of rounding."""
+    beyond = []
+    steps = 0
+    for name, (cfg, results) in preset_runs.items():
+        plan = cfg.plan
+        per_agent = np.broadcast_to(plan.quantizer.error_bound(), (plan.n, 1))
+        bound = np.sqrt(plan.p) * float(per_agent[plan.honest].sum())
+        for seed, result in zip(cfg.seeds, results):
+            t = result.traces
+            unsaturated = np.flatnonzero(t.saturation_count == 0)
+            steps += unsaturated.size
+            total = plan.n * t.delta_bar[unsaturated]
+            over = unsaturated[~(total <= bound + 4 * np.spacing(bound))]
+            beyond += [(name, seed, k) for k in over.tolist()]
+    passed = not beyond
+    _report(
+        capsys,
+        "delta",
+        passed,
+        f"n delta_bar beyond the honest bound at {len(beyond)} of {steps} unsaturated steps"
+        + "".join(f", {n} seed {s} k={k}" for n, s, k in beyond[:3]),
+    )
+    assert beyond == []
+
+
+def test_the_quadratic_gradient_mean_is_the_mean_iterate(preset_runs, capsys):
+    """Every f_i(x) = ||x||^2 / 2 has the subgradient x at the agent's own
+    iterate, so ``grad_mean[k]`` is ``x_bar[k]`` bit for bit: on every
+    preset run, and on a p = 16 one."""
+    wide = parse_config(dict(preset_document("fig2a", seeds=[0, 1]), p=16))
+    runs = dict(preset_runs, wide=(wide, [run_single(wide, seed) for seed in wide.seeds]))
+    differ = [
+        (name, seed)
+        for name, (cfg, results) in runs.items()
+        for seed, result in zip(cfg.seeds, results)
+        if result.traces.grad_mean.tobytes() != result.traces.x_bar[:-1].tobytes()
+    ]
+    passed = not differ
+    _report(
+        capsys,
+        "gradient",
+        passed,
+        f"grad_mean differs from x_bar at {len(differ)} of "
+        f"{sum(len(r) for _, r in runs.values())} runs"
+        + "".join(f", {n} seed {s}" for n, s in differ[:3]),
+    )
+    assert differ == []
 
 
 def test_criterion_5_ordinal_reproduction(preset_runs, capsys):

@@ -145,9 +145,7 @@ def test_saturation_counts_a_nan_row_but_not_a_full_precision_adversary():
             adversary_quantizes=adversary_quantizes,
         )
         trace = engine.Trace.empty(1, 3, 1)
-        engine._record_block(
-            trace, 0, states, rows, rows, rows, rows, rows, np.array([[[-1.0]], [[1.0]]]), plan
-        )
+        engine._record_block(trace, 0, states, rows, rows, rows, rows, rows, plan)
         assert trace.saturation_count[0] == want
 
 
@@ -416,7 +414,7 @@ def _blocked(monkeypatch, rounds_per_block, n, p):
     n=5, p=2, adversaries=3, attack="mixed", bits=2, adversary_quantizes=False,
     rounds_per_block=3, blocks=4, last=2, box="constant", seed=7,
 )
-@example(  # the same against (n, p) bound rows
+@example(  # the same against (n, p) tiles
     n=5, p=2, adversaries=3, attack="mixed", bits=2, adversary_quantizes=False,
     rounds_per_block=3, blocks=4, last=2, box="per-coordinate", seed=7,
 )
@@ -427,8 +425,8 @@ def test_block_columns_match_the_per_round_oracle(
     # runs span 2-5 blocks, the last one partial whenever last < rounds_per_block;
     # "mixed" is a per-agent map whose adversaries cycle through constant,
     # uniform and zero, so a second group follows the first.  A constant box
-    # with nonzero sides is clipped against 0-d bounds, any other against
-    # (n, p) rows (a per-coordinate box at p = 1 is constant)
+    # is clipped against 0-d bounds, a zero side included, and a
+    # per-coordinate one against (n, p) tiles (at p = 1 it is constant)
     adversaries = min(adversaries, n - 1)
     last = min(last, rounds_per_block)
     iterations = (blocks - 1) * rounds_per_block + last
@@ -467,7 +465,8 @@ def test_block_columns_match_the_per_round_oracle(
         cfg = parse_config(doc)
         result = run_single(cfg, seed)
     assert sizes == [rounds_per_block] * (blocks - 1) + [last]
-    assert (cfg.plan.bounds is None) == (box == "zero lower side" or (box != "constant" and p > 1))
+    vector = box == "per-coordinate" and p > 1
+    assert [bound.shape for bound in cfg.plan.bounds] == [(n, p) if vector else ()] * 2
 
     traces, final = _oracle_run(cfg, doc, seed)
     honest = np.array([role == "honest" for role in doc["roles"]])
@@ -527,7 +526,7 @@ def test_interleaved_objectives_match_the_per_round_oracle(bits):
 def test_rank_one_mixing_matches_the_per_round_oracle(monkeypatch, n, p, bits, box):
     # complete graphs that mix in the rank-one form, over blocks of 3, 3 and
     # 1 rounds, with constant and uniform adversaries that push past the box
-    # (a per-coordinate one at p > 1 is clipped against (n, p) rows); at
+    # (a per-coordinate one at p > 1 is clipped against (n, p) tiles); at
     # n = 150 the rows' d - c - 1 take two values
     seed = 5
     rng = np.random.default_rng(n)
@@ -553,7 +552,8 @@ def test_rank_one_mixing_matches_the_per_round_oracle(monkeypatch, n, p, bits, b
     cfg = parse_config(doc)
     result = run_single(cfg, seed)
     assert cfg.plan.rank_one is not None
-    assert (cfg.plan.bounds is None) == (box == "per-coordinate" and p > 1)
+    vector = box == "per-coordinate" and p > 1
+    assert [bound.shape for bound in cfg.plan.bounds] == [(n, p) if vector else ()] * 2
     assert sizes == [3, 3, 1]
 
     traces, final = _oracle_run(cfg, doc, seed)
@@ -742,8 +742,9 @@ def test_block_memory_does_not_grow_with_iterations():
 
 def test_a_round_allocates_nothing():
     # a broadcast and a step into preallocated buffers, as the round loop
-    # runs them, with either bound form the run passes the box in: a plan's
-    # 0-d bounds or the run's (n, p) rows; one (n, p) temporary would be 32 KiB
+    # runs them, with either form a plan holds a box side in: 0-d for a
+    # constant side, an (n, p) tile otherwise; one (n, p) temporary would be
+    # 32 KiB
     n = p = 64
     box = FeasibleSet(lo=np.full(p, -1.0), hi=np.full(p, 1.0))
     quantizer = UniformQuantizer(bits=3, interval_length=1.0)
@@ -754,8 +755,9 @@ def test_a_round_allocates_nothing():
         -1.5, 1.5, size=(7, n, p)
     )
     alpha = np.array(0.5)
-    zero_d, rows = _box_plan(box, n).bounds, _box_rows(box, n)
-    assert [bound.shape for bound in zero_d + rows] == [(), (), (n, p), (n, p)]
+    sides = FeasibleSet(lo=np.linspace(-1.5, -0.5, p), hi=np.linspace(0.5, 1.5, p))
+    zero_d, tiles = _box_plan(box, n).bounds, _box_plan(sides, n).bounds
+    assert [bound.shape for bound in zero_d + tiles] == [(), (), (n, p), (n, p)]
     # and either mixing form: the BLAS product or a complete graph's rank
     # one, its column broadcast to (n, p) rows as a run passes it
     c = weights[0, 1]
@@ -767,7 +769,7 @@ def test_a_round_allocates_nothing():
         out = (next_state, gradient, h_af, xi)
         engine.step(state, sent, attack, weights, objective, bounds, alpha, out, mixing)
 
-    for bounds, mixing in ((zero_d, None), (rows, None), (zero_d, rank_one)):
+    for bounds, mixing in ((zero_d, None), (tiles, None), (zero_d, rank_one)):
         one_round(bounds, mixing)  # numpy's first-call set-up is not a round's cost
         tracemalloc.start()
         try:
@@ -846,8 +848,7 @@ def test_block_means_of_a_wide_state_go_through_einsum(monkeypatch):
 @pytest.mark.parametrize("p", [1, 16])
 def test_the_projection_equals_ndarray_clip_bit_for_bit(monkeypatch, p):
     # the round's inputs with the reduction specials scattered in, against
-    # (n, p) bounds, as the run passes a box with a zero side, holding both
-    # signed zeros
+    # (n, p) bounds holding both signed zeros
     n = 10
     rng = np.random.default_rng(p)
     state, sent, attack = rng.uniform(-2, 2, (3, n, p))
@@ -881,11 +882,6 @@ def _box_plan(box: FeasibleSet, n: int, iterations: int = 1) -> engine.RunPlan:
     """The plan of an exact-mode run of n honest agents on ``box``."""
     objective = make_objective("quadratic", box.dimension, box)
     return engine.plan({}, None, build_complete(n), objective, box, 0.5, iterations)
-
-
-def _box_rows(box: FeasibleSet, n: int) -> tuple:
-    """The (n, p) (lo, hi) rows a run of n agents fills for ``box``."""
-    return tuple(np.tile(side, (n, 1)) for side in (box.lo, box.hi))
 
 
 def _step_bounds(monkeypatch) -> list:
@@ -925,17 +921,26 @@ def test_a_constant_nonzero_box_gives_0d_clip_bounds(monkeypatch, lo, hi, p):
         ([-1.0, -1.0], [1.0, 2.0]),  # one side constant, the other not
     ],
 )
-def test_a_zero_or_per_coordinate_box_keeps_row_clip_bounds(monkeypatch, lo, hi):
+def test_a_zero_or_per_coordinate_box_gives_plan_clip_bounds(monkeypatch, lo, hi):
+    # a side whose entries are bit-equal, a zero of either sign included, is
+    # 0-d; any other is a read-only (n, p) tile of it; every round clips
+    # against the plan's own pair
     n, p = 4, 2
     box = FeasibleSet(lo=np.broadcast_to(lo, p), hi=np.broadcast_to(hi, p))
     plan = _box_plan(box, n, iterations=2)
-    assert plan.bounds is None
+    want = []
+    for side, bound in zip((box.lo, box.hi), plan.bounds):
+        constant = side.tobytes() == np.full(p, side[0]).tobytes()
+        assert bound.shape == (() if constant else (n, p))
+        assert np.broadcast_to(bound, (n, p)).tobytes() == np.tile(side, (n, 1)).tobytes()
+        assert not bound.flags.writeable
+        want.append(bound.tobytes())
     seen = _step_bounds(monkeypatch)
     engine.run(plan, 0)
-    want = [row.tobytes() for row in _box_rows(box, n)]
     assert len(seen) == 2
     for bounds in seen:
         assert [bound.tobytes() for bound in bounds] == want
+        assert [bound.shape for bound in bounds] == [b.shape for b in plan.bounds]
 
 
 @pytest.mark.parametrize("shape", [(10, 3), (5, 10, 3)])
@@ -956,8 +961,9 @@ def test_0d_and_row_clip_bounds_agree_except_at_a_signed_zero(shape):
         zero_d, rows = clipped(lo, hi)
         assert zero_d == rows == h.clip(lo, hi).tobytes()
     # a zero entry whose sign differs from a zero bound's: the 0-d bound keeps
-    # the entry's zero and the rows give the bound's, so a plan keeps rows
-    # for a box with a zero side
+    # the entry's zero and the rows give the bound's.  A constant box with a
+    # zero side clips through the 0-d form, and no artifact shows the sign:
+    # every value written is a norm, a bound or a count
     h = np.full(shape, -0.0)
     assert clipped(0.0, 1.0) == (h.tobytes(), np.zeros(shape).tobytes())
     h = np.zeros(shape)
@@ -1067,6 +1073,23 @@ def _plan_inputs(**overrides) -> dict:
 def test_the_plan_rejects_what_no_run_can_take(overrides, message):
     with pytest.raises(ValueError, match=message):
         engine.plan(**_plan_inputs(**overrides))
+
+
+def test_a_plan_keeps_its_own_copy_of_the_initial_iterates():
+    # a run is deterministic given its plan and seed: changing the caller's
+    # array after plan() changes no run, and the plan's copy is read-only
+    init = np.array([[0.5], [-0.25], [0.75]])
+    plan = engine.plan(**_plan_inputs(explicit_init=init))
+    before = [engine.run(plan, seed) for seed in (0, 1)]
+    init[...] = 0.0
+    assert not plan.explicit_init.flags.writeable
+    assert not np.shares_memory(plan.explicit_init, init)
+    for seed, want in zip((0, 1), before):
+        got = engine.run(plan, seed)
+        assert got.final_iterates.tobytes() == want.final_iterates.tobytes()
+        for f in fields(got.traces):
+            assert getattr(got.traces, f.name).tobytes() == getattr(want.traces, f.name).tobytes()
+    assert plan.explicit_init[:, 0].tolist() == [0.5, -0.25, 0.75]
 
 
 def test_the_plan_is_built_at_parse_time_and_kept(monkeypatch):
