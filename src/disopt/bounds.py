@@ -96,7 +96,17 @@ def lemma1_bound(mean_quant_error, subgrad_bound: float, alpha: float, n: int):
     returned) when alpha > 1, which is outside the hypothesis under
     which the bound is derived.
     """
-    if np.any(np.asarray(mean_quant_error) < 0) or subgrad_bound < 0 or alpha < 0:
+    if np.any(np.asarray(mean_quant_error) < 0):
+        raise ValueError("inputs must be nonnegative")
+    return SQRT8 * mean_quant_error + lemma1_offset(subgrad_bound, alpha, n, stacklevel=3)
+
+
+def lemma1_offset(subgrad_bound: float, alpha: float, n: int, stacklevel: int = 2):
+    """The Delta-free term sqrt(2)*Lbar*alpha/n of :func:`lemma1_bound`,
+    which is ``SQRT8 * Delta`` plus this value, bit for bit, so a caller
+    with many rounds of Delta evaluates it once.  Validates and warns as
+    :func:`lemma1_bound` does."""
+    if subgrad_bound < 0 or alpha < 0:
         raise ValueError("inputs must be nonnegative")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -104,9 +114,9 @@ def lemma1_bound(mean_quant_error, subgrad_bound: float, alpha: float, n: int):
         warnings.warn(
             f"projection-error bound assumes alpha <= 1, got {alpha}",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=stacklevel,
         )
-    return SQRT8 * mean_quant_error + SQRT2 * subgrad_bound * alpha / n
+    return SQRT2 * subgrad_bound * alpha / n
 
 
 def neighborhood_size(

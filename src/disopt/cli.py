@@ -10,6 +10,7 @@ README's "Command line" section is the user's reference.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -33,7 +34,10 @@ STRICT_HELP = (
 PER_AGENT_HELP = "also write each seed's per-agent errors as <name>_seed<s>_agents.npy"
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``parse_args``
+    leaves it as it was, so every ``main`` call shares it."""
     parser = argparse.ArgumentParser(
         prog="disopt",
         description=(

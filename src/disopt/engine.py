@@ -10,8 +10,9 @@ perturbation, and the result is projected back onto the feasible set.
 A run is deterministic given its plan and seed.  Each column of its
 :class:`Trace` equals numpy's per-round ``ndarray.mean`` or
 ``np.linalg.norm`` value bit for bit (a NaN mean aside, which fails the
-run: see :func:`_means`).  A run's memory grows with its round count only
-through the trace columns and a uniform attack's table.
+run: see :func:`_means`), except ``per_agent_err``, which is the einsum
+norm of :func:`_agent_norms`.  A run's memory grows with its round count
+only through the trace columns and a uniform attack's table.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from numpy._core.multiarray import c_einsum as _c_einsum
 from numpy._core.umath import clip as _clip
 
 from . import adversary as adv
-from .bounds import lemma1_bound
+from .bounds import SQRT8, lemma1_offset
 from .objective import FeasibleSet, LocalObjective
 from .operand import constant_operand, operand
 from .quantizer import UniformQuantizer
@@ -35,6 +36,10 @@ from .topology import NetworkTopology
 # ``np.copyto``'s Python dispatcher
 _add, _subtract, _multiply, _matmul, _copyto = (
     np.add, np.subtract, np.multiply, np.matmul, np.copyto._implementation
+)
+# and the block's
+_divide, _sqrt, _less_equal, _logical_and, _logical_not, _all = (
+    np.divide, np.sqrt, np.less_equal, np.logical_and, np.logical_not, np.logical_and.reduce
 )
 
 # the sum of a p > 1 block mean (see _means)
@@ -80,7 +85,10 @@ class Trace:
     Columns are (K,) scalars, (K, n) per-agent values and (K, p) vectors.
     The columns of a state, ``x_bar``, ``err_all``, ``err_honest`` and
     ``per_agent_err``, have K+1 rows: row k is the state entering round k
-    and row K the final one.  ``delta_bar`` is the mean of the per-agent
+    and row K the final one.  ``per_agent_err`` holds each agent's
+    ``||x_i - x*||`` as ``sqrt(einsum("ij,ij->i", gaps, gaps))``, whose
+    order of summation is not ``np.linalg.norm``'s: the two can differ in
+    the last bits.  ``delta_bar`` is the mean of the per-agent
     quantization error magnitudes, and ``saturation_count`` the number of
     quantizing agents with some coordinate of their entering iterate
     outside the quantizer range (NaN counts as outside; always 0 in exact
@@ -277,16 +285,25 @@ def step(
     return out
 
 
-def _norms(x: np.ndarray, squares: np.ndarray | None = None) -> np.ndarray:
+def _norms(x: np.ndarray, squares: np.ndarray | None = None, out=None) -> np.ndarray:
     """Row norms over the last axis, bit for bit ``np.linalg.norm(x,
     axis=-1)`` for a float array.  ``squares``, if given, receives
-    ``x * x`` and may be ``x`` itself."""
-    return np.sqrt(np.add.reduce(_multiply(x, x, squares), axis=-1))
+    ``x * x`` and may be ``x`` itself; ``out``, if given, the norms."""
+    return _sqrt(_add.reduce(_multiply(x, x, squares), axis=-1, out=out), out)
 
 
-def _means(x: np.ndarray) -> np.ndarray:
+def _agent_norms(gaps: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Row norms of an (m, n, p) block into the (m, n) ``out``, bit for bit
+    ``sqrt(einsum("ij,ij->i", row, row))`` per round: einsum's summation
+    order, not ``np.linalg.norm``'s, and about a fourth of its time at p =
+    16.  Only the per-agent errors take this form."""
+    return _sqrt(_c_einsum("ijk,ijk->ij", gaps, gaps, out=out), out)
+
+
+def _means(x: np.ndarray, out=None) -> np.ndarray:
     """Means over axis 1, bit for bit ``x.mean(axis=1)``, except that a
     p > 1 sum holding two different NaNs may keep either one's payload.
+    ``out``, if given, receives them.
 
     An (m, n, p) block with p > 1 is summed by einsum, which adds the n
     agents in order as ``add.reduce`` does there.  A p = 1 block, or a 2-D
@@ -294,72 +311,99 @@ def _means(x: np.ndarray) -> np.ndarray:
     A NaN mean fails the run's mean-iterate check, so no payload reaches
     a returned trace."""
     if x.ndim == 3 and x.shape[2] > 1:
-        total = _einsum("ijk->ik", x)
-        return total / x.shape[1]
-    return np.add.reduce(x, axis=1) / x.shape[1]
+        total = _einsum("ijk->ik", x, out=out)
+    else:
+        total = _add.reduce(x, axis=1, out=out)
+    return _divide(total, x.shape[1], total)
+
+
+def _record_states(
+    trace: Trace, start: int, states: np.ndarray, plan: RunPlan, scratch: np.ndarray
+) -> None:
+    """Fill ``err_all``, ``err_honest`` and ``per_agent_err`` for the m
+    states start..start+m-1, whose ``x_bar`` rows are written.
+    ``scratch`` is a spent C-contiguous buffer of the states' shape,
+    overwritten."""
+    m, h, p = len(states), len(plan.honest), plan.p
+    x_star, span = plan.x_star, slice(start, start + m)
+    gap = trace.x_bar[span] - x_star
+    _norms(gap, gap, trace.err_all[span])
+    # take writes into a C-contiguous ``out`` directly, else through a copy
+    honest = np.ndarray((m, h, p), buffer=scratch)
+    gap = _subtract(_means(states.take(plan.honest, 1, honest, "clip")), x_star)
+    _norms(gap, gap, trace.err_honest[span])
+    _agent_norms(_subtract(states, x_star, scratch), trace.per_agent_err[span])
+
+
+def _record_attacks(
+    trace: Trace, rows: slice, attacks: np.ndarray, squares: np.ndarray, agent_rows: np.ndarray
+) -> None:
+    """Fill ``mean_attack`` and ``mean_attack_norm`` for the rounds
+    ``rows`` from their (m, n, p) attack rows.  ``squares`` and the (m, n)
+    ``agent_rows`` are spent buffers, overwritten."""
+    _means(attacks, trace.mean_attack[rows])
+    # an honest row is zero, its norm 0.0, as each group's own rows would give
+    _means(_norms(attacks, squares, agent_rows), trace.mean_attack_norm[rows])
 
 
 def _record_block(
     trace: Trace,
     start: int,
     iterates: np.ndarray,
-    broadcasts: np.ndarray,
-    gradients: np.ndarray,
-    h_attack_free: np.ndarray,
-    xi: np.ndarray,
-    attacks: np.ndarray,
+    workspace: _Workspace,
     plan: RunPlan,
+    quantizer: UniformQuantizer | None,
+    lemma1_term: float,
+    attacks: np.ndarray | None,
 ) -> None:
     """Fill the trace rows of the rounds start..start+m-1 of one block.
 
-    ``iterates`` holds the m+1 states of the block, the others the m
-    rounds' (n, p) rows, ``xi`` the projection residuals ``step``
-    recorded against ``plan.bounds``.
-    The columns of a state get rows start..start+m; the next block
-    writes the last one again, with the same value.  Each column is one
-    reduction over the block, bit for bit the per-round value.  ``xi`` is
-    overwritten.
-    """
-    quantizer, x_star = plan.quantizer, plan.x_star
-    m = len(gradients)
-    rows = slice(start, start + m)
-    entering = iterates[:-1]
-    x_bar = _means(iterates)
-    states = slice(start, start + m + 1)
-    trace.x_bar[states] = x_bar
-    trace.err_all[states] = _norms(x_bar - x_star)
-    honest = iterates.take(plan.honest, axis=1)
-    trace.err_honest[states] = _norms(_means(honest) - x_star)
-    gaps = iterates - x_star
-    trace.per_agent_err[states] = _norms(gaps, gaps)
-    trace.grad_mean[rows] = _means(gradients)
-    if quantizer is None:
-        delta_bar = np.zeros(m)
-        trace.saturation_count[rows] = 0
-    else:
-        errors = entering - broadcasts
-        delta_bar = _means(_norms(errors, errors))
-        saturated = plan.quantizes & ~quantizer.in_range(entering).all(axis=2)
-        trace.saturation_count[rows] = saturated.sum(axis=1)
-    trace.delta_bar[rows] = delta_bar
+    ``iterates`` holds the m+1 states of the block, the workspace's first
+    m rows of each buffer the m rounds' rows, ``xi`` the projection
+    residuals ``step`` recorded against ``plan.bounds``.  ``quantizer`` is
+    the run's (the plan's, tiled), and ``lemma1_term`` Lemma 1's
+    Delta-free term.  ``attacks`` holds the rounds' attack rows, or is None
+    when the run has filled its attack columns once (an attack that is the
+    same in every round); in exact mode the run has filled ``delta_bar``,
+    ``saturation_count`` and ``lemma1_rhs`` too.
 
-    xi_bar = _means(xi)
-    xi_bar_norm = _norms(xi_bar)
+    ``x_bar`` gets rows start..start+m, for the mean-iterate check; the
+    next block writes the last one again, with the same value.  The other
+    columns of a state get the m entering states' rows, and the final
+    state's in the run's last block.  Each column is one reduction over
+    the block, bit for bit the per-round value, written into the trace's
+    own rows.  The buffers of broadcasts, gradients, ``H_af`` and ``xi``
+    are overwritten.
+    """
+    m = len(iterates) - 1
+    rows, entering = slice(start, start + m), iterates[:-1]
+    broadcasts, gradients = workspace.broadcasts[:m], workspace.gradients[:m]
+    h_attack_free, xi = workspace.h_attack_free[:m], workspace.xi[:m]
+    agent_rows = workspace.agent_rows[:m]
+    _means(iterates, trace.x_bar[start : start + m + 1])
+    _means(gradients, trace.grad_mean[rows])
+    xi_bar = _means(xi, trace.xi_bar[rows])
+    xi_bar_norm = _norms(xi_bar, out=trace.xi_bar_norm[rows])
     _clip(h_attack_free, *plan.bounds, xi)  # xi is spent: its mean is taken
     _subtract(h_attack_free, xi, xi)
-    trace.xi_bar[rows] = xi_bar
-    trace.xi_bar_norm[rows] = xi_bar_norm
-    trace.xi_bar_attack_free_norm[rows] = _norms(_means(xi))
-    trace.mean_attack[rows] = _means(attacks)
-    attack_norms = np.zeros((m, plan.n))
-    for _, agents in plan.attacks:
-        group_rows = attacks.take(agents, axis=1)
-        attack_norms[:, agents] = _norms(group_rows, group_rows)
-    trace.mean_attack_norm[rows] = _means(attack_norms)
-
-    lemma1_rhs = lemma1_bound(delta_bar, plan.objective.subgrad_bound, plan.alpha, plan.n)
-    trace.lemma1_rhs[rows] = lemma1_rhs
-    trace.lemma1_ok[rows] = xi_bar_norm <= lemma1_rhs + LEMMA1_TOL
+    _norms(_means(xi), out=trace.xi_bar_attack_free_norm[rows])
+    if quantizer is not None:
+        errors = _subtract(entering, broadcasts, broadcasts)
+        delta_bar = _means(_norms(errors, errors, agent_rows), trace.delta_bar[rows])
+        # xi is spent: its first bytes hold the per-coordinate mask
+        inside = quantizer.in_range(entering, gradients, np.ndarray(entering.shape, bool, xi))
+        saturated = _logical_not(_all(inside, axis=-1))
+        # counted as floats, exactly: a bool sum into intp would buffer a cast
+        _copyto(agent_rows, _logical_and(plan.quantizes, saturated, saturated))
+        trace.saturation_count[rows] = _add.reduce(agent_rows, axis=1)
+        rhs = trace.lemma1_rhs[rows]
+        _add(_multiply(SQRT8, delta_bar, rhs), lemma1_term, rhs)
+    states = iterates if start + m == len(trace) else entering  # the final one once
+    _record_states(trace, start, states, plan, workspace.spent[: len(states)])
+    if attacks is not None:
+        _record_attacks(trace, rows, attacks, gradients, agent_rows)
+    bound = _add(trace.lemma1_rhs[rows], LEMMA1_TOL)
+    _less_equal(xi_bar_norm, bound, trace.lemma1_ok[rows])
 
 
 def mean_recursion_residual(
@@ -548,21 +592,46 @@ def plan(
 _spare = threading.local()
 
 
-def _new_workspace(block: int, n: int, p: int) -> tuple:
-    """A run's buffers, views of one allocation: (states, broadcasts,
-    gradients, ``H_af``, xi, attack rows, the (n, p) rows of the rank-one
-    column, the (p,) agent sum of the rank-one mixing, round slots), so
-    (6 block + 2) n p + p float64s.  Round slot j is the (state, broadcast,
-    xi, attack, ``step``'s ``out``) views of round j of a block, ``out``
+class _Workspace(NamedTuple):
+    """A run's buffers, views of one allocation of (6 block + 6) n p +
+    block n + p float64s.  A slot of ``slots`` is the (state, broadcast,
+    xi, attack, ``step``'s ``out``) views of one round of a block, ``out``
     being (next state, gradient, ``H_af``, xi); a slot's next state is the
     next slot's state view."""
-    flat = np.empty((6 * block + 2) * n * p + p)
-    workspace = flat[:-p].reshape(6 * block + 2, n, p)
+
+    states: np.ndarray  # (block + 1, n, p)
+    broadcasts: np.ndarray  # (block, n, p), as are the next four
+    gradients: np.ndarray
+    h_attack_free: np.ndarray
+    xi: np.ndarray
+    attack_rows: np.ndarray
+    spent: np.ndarray  # (2 block, n, p): the gradients and H_af, as one
+    column: np.ndarray  # (n, p) rows of the rank-one column
+    quantizer_rows: np.ndarray  # (4, n, p) rows of the quantizer's operands
+    agent_rows: np.ndarray  # (block, n) per-agent values of a block
+    total: np.ndarray  # (p,) agent sum of the rank-one mixing
+    slots: list
+
+
+def _new_workspace(block: int, n: int, p: int) -> _Workspace:
+    """A run's buffers (see :class:`_Workspace`), unwritten."""
+    rows = 6 * block + 6
+    flat = np.empty(rows * n * p + block * n + p)
+    workspace = flat[: rows * n * p].reshape(rows, n, p)
     states = workspace[: block + 1]
     buffers = workspace[block + 1 : 6 * block + 1].reshape(5, block, n, p)
     state, sent, gradient, h_af, xi, attack = map(list, (states, *buffers))
     slots = list(zip(state, sent, xi, attack, zip(state[1:], gradient, h_af, xi)))
-    return (states, *buffers, workspace[6 * block + 1], flat[-p:], slots)
+    return _Workspace(
+        states,
+        *buffers,
+        spent=workspace[2 * block + 1 : 4 * block + 1],
+        column=workspace[6 * block + 1],
+        quantizer_rows=workspace[6 * block + 2 :],
+        agent_rows=flat[rows * n * p : -p].reshape(block, n),
+        total=flat[-p:],
+        slots=slots,
+    )
 
 
 def run(plan: RunPlan, seed: int) -> RunResult:
@@ -576,6 +645,13 @@ def run(plan: RunPlan, seed: int) -> RunResult:
     runs share nothing writable across threads.  A run reads no buffer
     row it has not written.
 
+    What no round changes is done once per run: a constant attack's rows
+    are written, the rank-one column and the quantizer's broadcast
+    operands are tiled into workspace rows, Lemma 1's Delta-free term is
+    evaluated (warning once when alpha > 1), and the columns that no round
+    changes (the attack columns when every attack is constant; the
+    quantization columns in exact mode) are filled.
+
     Raises :class:`BoundViolationError` for the first round whose
     mean-iterate identity fails or yields NaN, once its block is reduced.
     Projection-error bound failures do not raise: they are recorded per
@@ -583,28 +659,45 @@ def run(plan: RunPlan, seed: int) -> RunResult:
     ``unsaturated_lemma1_violations``.
     """
     n, p, iterations, block = plan.n, plan.p, plan.iterations, plan.block
-    rounds = np.arange(iterations, dtype=np.uint32)
-    # per group, its agents and their (K, A, p) table: round k's attack of
-    # agents[a] is table[k, a]
-    schedule = [
-        (agents, adv.attack_table(adv.reseed(policy, seed), agents, rounds, p))
-        for policy, agents in plan.attacks
-    ]
+    objective, alpha = plan.objective, plan.alpha
+    lemma1_term = lemma1_offset(objective.subgrad_bound, alpha, n)
     trace = Trace.empty(iterations, n, p)
 
     workspace, _spare.workspace = getattr(_spare, "workspace", None), None
-    if workspace is None or workspace[0].shape != (block + 1, n, p):
+    if workspace is None or workspace.states.shape != (block + 1, n, p):
         workspace = None  # dropped before the build: memory never holds two
         workspace = _new_workspace(block, n, p)
-    states, broadcasts, gradients, h_attack_free, xi, attack_rows, column, total, slots = workspace
+    states, attack_rows, slots = workspace.states, workspace.attack_rows, workspace.slots
     rank_one = plan.rank_one
     if rank_one is not None:  # the column as full rows: numpy would buffer
-        column[...] = rank_one[1]  # an (n, 1) operand on every call
-        rank_one = (rank_one[0], column, total)
+        workspace.column[...] = rank_one[1]  # an (n, 1) operand on every call
+        rank_one = (rank_one[0], workspace.column, workspace.total)
+    quantizer = plan.quantizer
+    if quantizer is None:
+        trace.delta_bar[...] = 0.0
+        trace.saturation_count[...] = 0
+        trace.lemma1_rhs[...] = lemma1_term  # SQRT8 * 0.0 + the term, bit for bit
+    else:
+        quantizer = quantizer.tiled(workspace.quantizer_rows)
     attack_rows[...] = 0.0  # a row no group writes is zero in every round
-    quantizer, full_precision = plan.quantizer, ~plan.quantizes[:, None]
-    weights, objective, alpha = plan.topology.weights, plan.objective, plan.alpha
-    bounds = plan.bounds
+    rounds = np.arange(iterations, dtype=np.uint32)
+    # per group whose rows change from round to round, its agents and their
+    # (K, A, p) table: round k's attack of agents[a] is table[k, a]
+    schedule = []
+    for policy, agents in plan.attacks:
+        table = adv.attack_table(adv.reseed(policy, seed), agents, rounds, p)
+        if policy.kind == "constant":  # the same row in every round
+            attack_rows[:, agents] = table[0]
+        else:
+            schedule.append((agents, table))
+    if not schedule:  # every round's attack rows are these: one round's columns
+        _record_attacks(
+            trace, slice(0, 1), attack_rows[:1], workspace.gradients[:1], workspace.agent_rows[:1]
+        )
+        trace.mean_attack[1:] = trace.mean_attack[0]
+        trace.mean_attack_norm[1:] = trace.mean_attack_norm[0]
+    full_precision = ~plan.quantizes[:, None]
+    weights, bounds = plan.topology.weights, plan.bounds
     states[0] = initial_iterates(n, plan.feasible, seed, plan.explicit_init)
     for start in range(0, iterations, block):
         m = min(block, iterations - start)
@@ -619,12 +712,11 @@ def run(plan: RunPlan, seed: int) -> RunResult:
             trace,
             start,
             states[: m + 1],
-            broadcasts[:m],
-            gradients[:m],
-            h_attack_free[:m],
-            xi[:m],
-            attack_rows[:m],
+            workspace,
             plan,
+            quantizer,
+            lemma1_term,
+            attack_rows[:m] if schedule else None,
         )
         residual = mean_recursion_residual(trace, alpha, start, start + m)
         failed = np.flatnonzero(~(residual <= plan.tolerance))  # NaN fails too

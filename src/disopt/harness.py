@@ -141,7 +141,10 @@ def run_experiment(
     With ``include_agents``, each seed's ``traces.per_agent_err`` also goes
     to ``<name>_seed<s>_agents.npy``: one C-order (K+1, n) float64 array
     in numpy's ``.npy`` format, row k the state entering round k and row K
-    the final state, every value bit for bit.
+    the final state, every value bit for bit the trace's: each agent's
+    ``||x_i - x*||`` as ``sqrt(einsum("ij,ij->i", gaps, gaps))`` over the
+    (n, p) gaps ``x - x*``, whose order of summation is not
+    ``np.linalg.norm``'s, so the two can differ in the last bits.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)

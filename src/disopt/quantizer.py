@@ -18,6 +18,7 @@ not a zero-length interval.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,10 +29,11 @@ from .operand import constant_operand, operand
 _ONE_HALF = operand(0.5)
 _FLOAT64 = np.dtype(float)
 
-# quantize's ufuncs, bound once
+# quantize's and in_range's ufuncs, bound once
 _subtract, _absolute, _divide, _add, _floor, _minimum, _multiply, _copysign = (
     np.subtract, np.absolute, np.divide, np.add, np.floor, np.minimum, np.multiply, np.copysign
 )
+_less_equal = np.less_equal
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,10 +130,33 @@ class UniformQuantizer:
         # one rounding, where dividing by 2 ** (bits + 1) overflows at bits = 1023
         return np.ldexp(self.interval_length, -(self.bits + 1))
 
-    def in_range(self, x) -> np.ndarray:
+    def tiled(self, rows: np.ndarray) -> UniformQuantizer:
+        """This quantizer with each operand that an (n, p) input would
+        broadcast (an (n, 1) interval, a (p,) midpoint) written out in full
+        into one of ``rows``, four (n, p) rows the caller owns and keeps
+        unchanged while it uses the result: numpy buffers a broadcast
+        operand on every call.  The result gives the same bytes; it is
+        this quantizer when no operand broadcasts."""
+        names = [
+            name for name in ("_mid", "step", "_reach", "_half")
+            if getattr(self, name).ndim and getattr(self, name).shape != rows.shape[1:]
+        ]
+        if not names:
+            return self
+        tiled = copy.copy(self)
+        for name, row in zip(names, rows):
+            row[...] = getattr(self, name)
+            object.__setattr__(tiled, name, row)
+        return tiled
+
+    def in_range(self, x, scratch=None, out=None) -> np.ndarray:
         """Per-coordinate mask of inputs inside the quantization interval
-        (NaN is outside); ``x`` may have any leading axes."""
-        return np.abs(self._checked(x) - self._mid) <= self._half
+        (NaN is outside); ``x`` may have any leading axes.  ``scratch``, a
+        float64 buffer of the mask's shape, holds the offsets from the
+        midpoint, and the bool ``out`` receives the mask; either is
+        allocated when None."""
+        offset = _subtract(self._checked(x), self._mid, scratch)
+        return _less_equal(_absolute(offset, offset), self._half, out)
 
     def saturates(self, x) -> bool:
         """True when any coordinate falls outside the quantization interval."""

@@ -21,6 +21,7 @@ from disopt.config import MAX_AGENTS, MAX_DIMENSION, parse_config, preset_docume
 from disopt import adversary, engine, harness
 from disopt.config import ConfigError
 from disopt.harness import expand_grid, run_experiment, run_single, sweep
+from trace_oracle import agent_norms
 
 
 def _write(tmp_path, name, doc):
@@ -164,8 +165,22 @@ def test_runs_after_other_invocations_write_the_golden_bytes(tmp_path, capsys):
     )
 
 
+def test_invocations_share_one_parser(tmp_path, capsys):
+    # a failed parse, a run and a preset in one process, through the one
+    # parser built for the first of them
+    parser = _build_parser()
+    with pytest.raises(SystemExit):
+        main(["run", "--no-such-option"])
+    config = _write(tmp_path, "small.json", SMALL_RUN)
+    assert main(["run", str(config), "--out", str(tmp_path / "r")]) == EXIT_OK
+    assert main(["preset", "fig2a", "--seeds", "1", "--out", str(tmp_path / "a")]) == EXIT_OK
+    assert _build_parser() is parser
+    capsys.readouterr()
+
+
 def test_per_agent_closing_row_is_the_final_state(tmp_path):
-    # every error is norm(..., axis=-1), the one form of every row
+    # every error of a mean is norm(..., axis=-1), and every per-agent error
+    # the einsum norm, each the one form of every row
     doc = {
         **SMALL_RUN,
         "n": 5,
@@ -191,7 +206,7 @@ def test_per_agent_closing_row_is_the_final_state(tmp_path):
     ]
     assert last[3:6] == ["", "", ""] and last[7:] == [""]
     assert len(agents) == config.iterations + 1
-    assert agents[-1].tobytes() == np.linalg.norm(final - x_star, axis=-1).tobytes()
+    assert agents[-1].tobytes() == agent_norms(final - x_star).tobytes()
 
 
 def test_missing_config_is_usage_error(tmp_path, capsys):

@@ -4,6 +4,7 @@ import sys
 import threading
 import tracemalloc
 import types
+import warnings
 import weakref
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from stream_oracle import reference_attack_table
-from trace_oracle import reference_columns, reference_run
+from trace_oracle import agent_norms, reference_columns, reference_run
 
 from disopt import adversary, config, engine
 from disopt.config import ExperimentConfig, parse_config, preset_document
@@ -135,17 +136,20 @@ def test_saturation_counts_a_nan_row_but_not_a_full_precision_adversary():
     # a NaN state never survives a run's invariant check, so the block
     # column is filled directly: one round, three agents, the NaN row honest
     quant = UniformQuantizer(bits=2, interval_length=1.0)
-    states = np.zeros((2, 3, 1))
-    states[0, :, 0] = [np.nan, 0.1, 3.0]
-    rows = np.zeros((1, 3, 1))
     for adversary_quantizes, want in ((False, 1), (True, 2)):
         plan = engine.plan(
             {2: adversary.AttackPolicy(kind="zero")}, quant, build_complete(3),
             make_objective("quadratic", 1, BOX1), BOX1, 0.5, 1,
             adversary_quantizes=adversary_quantizes,
         )
+        workspace = engine._new_workspace(1, 3, 1)
+        workspace.states[...] = workspace.broadcasts[...] = 0.0
+        workspace.gradients[...] = workspace.h_attack_free[...] = workspace.xi[...] = 0.0
+        workspace.states[0, :, 0] = [np.nan, 0.1, 3.0]
         trace = engine.Trace.empty(1, 3, 1)
-        engine._record_block(trace, 0, states, rows, rows, rows, rows, rows, plan)
+        states, attacks = workspace.states, workspace.attack_rows
+        attacks[...] = 0.0
+        engine._record_block(trace, 0, states, workspace, plan, quant, 0.0, attacks)
         assert trace.saturation_count[0] == want
 
 
@@ -641,9 +645,9 @@ def test_saturation_is_tested_once_per_block(monkeypatch):
     calls = []
     in_range = UniformQuantizer.in_range
 
-    def counting(self, x):
+    def counting(self, x, *buffers):
         calls.append(np.shape(x))
-        return in_range(self, x)
+        return in_range(self, x, *buffers)
 
     sizes = _blocked(monkeypatch, 4, n=3, p=2)
     cfg = parse_config(
@@ -763,22 +767,72 @@ def test_a_round_allocates_nothing():
     c = weights[0, 1]
     column = np.broadcast_to(np.diag(weights)[:, None] - c - 1.0, (n, p)).copy()
     rank_one = (np.array(c), column, np.empty(p))
+    # and a quantizer of per-agent intervals and a vector midpoint, its
+    # operands tiled to (n, p) rows as a run tiles them: the same bytes
+    per_agent = UniformQuantizer(3, np.linspace(0.5, 2.0, n)[:, None], np.linspace(-0.1, 0.1, p))
+    tiled = per_agent.tiled(np.full((4, n, p), np.nan))
+    assert tiled is not per_agent
+    assert tiled.quantize(state, sent, xi).tobytes() == per_agent.quantize(state).tobytes()
 
-    def one_round(bounds, mixing):
+    def one_round(bounds, mixing, quantizer):
         broadcast_phase(state, quantizer, full_precision, sent, xi)
         out = (next_state, gradient, h_af, xi)
         engine.step(state, sent, attack, weights, objective, bounds, alpha, out, mixing)
 
-    for bounds, mixing in ((zero_d, None), (tiles, None), (zero_d, rank_one)):
-        one_round(bounds, mixing)  # numpy's first-call set-up is not a round's cost
+    for bounds, mixing, q in (
+        (zero_d, None, quantizer), (tiles, None, quantizer), (zero_d, rank_one, quantizer),
+        (zero_d, rank_one, tiled),
+    ):
+        one_round(bounds, mixing, q)  # numpy's first-call set-up is not a round's cost
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            one_round(bounds, mixing)
+            one_round(bounds, mixing, q)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak - before < 1024
+
+
+@pytest.mark.parametrize("mode", ["exact", "quantized"])
+def test_a_block_allocates_nothing(mode):
+    # one block's reductions at the wide network's shape, as a run calls
+    # them: the exact run's attacks are constant, so the run fills their
+    # columns and the block gets None; the quantized run's are drawn per
+    # round, its interval is per agent and its midpoint a vector.  One
+    # (n, p) state row would be 51 kB and the block's iterates - x* 256 kB;
+    # what a block may allocate is its (m, n) bool masks and (m, p) means
+    m, n, p = 5, 400, 16
+    rng = np.random.default_rng(0)
+    box = FeasibleSet(lo=np.full(p, -1.0), hi=np.full(p, 1.0))
+    quantizer, policy = None, adversary.AttackPolicy("constant", value=(0.05,) * p)
+    if mode == "quantized":
+        quantizer = UniformQuantizer(3, rng.uniform(0.5, 2.0, (n, 1)), rng.uniform(-0.1, 0.1, p))
+        policy = adversary.AttackPolicy("uniform", low=0.0, high=0.5, seed=3)
+    attacks = dict.fromkeys(range(2, n, 5), policy)
+    objective = make_objective("quadratic", p, box)
+    plan = engine.plan(attacks, quantizer, build_complete(n), objective, box, 0.5, m)
+    assert plan.block == m
+    workspace = engine._new_workspace(m, n, p)
+    for buffer in workspace[:6]:
+        buffer[...] = rng.uniform(-1.5, 1.5, buffer.shape)
+    if quantizer is not None:
+        quantizer = quantizer.tiled(workspace.quantizer_rows)
+    rows = None if mode == "exact" else workspace.attack_rows
+    trace = engine.Trace.empty(m, n, p)
+
+    def one_block():
+        engine._record_block(trace, 0, workspace.states, workspace, plan, quantizer, 0.1, rows)
+
+    one_block()  # numpy's first-call set-up is not a block's cost
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        one_block()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 8 * 1024
 
 
 _REDUCTION_SPECIALS = np.array(
@@ -834,9 +888,9 @@ def test_the_projection_is_the_clip_ufunc():
 def test_block_means_of_a_wide_state_go_through_einsum(monkeypatch):
     summed = []
 
-    def einsum(subscripts, x):
+    def einsum(subscripts, x, **out):
         summed.append(x.shape)
-        return np.einsum(subscripts, x)
+        return np.einsum(subscripts, x, **out)
 
     monkeypatch.setattr(engine, "_einsum", einsum)
     wide, narrow = [(5, 400, 16), (1, 1, 2)], [(5, 400, 1), (5, 400), (1, 1)]
@@ -996,6 +1050,9 @@ def test_block_reductions_equal_numpy_bit_for_bit(m, n, p):
     with np.errstate(over="ignore", invalid="ignore"):
         for block in (x, x[:, 0], level):  # (m, n, p) rows and (m, p) means
             assert engine._norms(block).tobytes() == np.linalg.norm(block, axis=-1).tobytes()
+        for block in (x, level):  # the per-agent errors' own form, round by round
+            got = engine._agent_norms(block, np.full((m, n), np.nan))
+            assert got.tobytes() == np.array([agent_norms(state) for state in block]).tobytes()
         for block in (x, level, np.linalg.norm(x, axis=-1), np.linalg.norm(level, axis=-1)):
             got, want = engine._means(block), block.mean(axis=1)
             if block.ndim == 3 and p > 1:
@@ -1321,6 +1378,63 @@ def test_step_size_above_one_warns_from_the_run():
     cfg = parse_config(_run_doc(alpha=1.5, iterations=3))
     with pytest.warns(RuntimeWarning, match="projection-error bound assumes alpha <= 1"):
         run_single(cfg, 0)
+
+
+@pytest.mark.parametrize(
+    "attack, per_run",
+    [
+        ({}, True),  # no adversary: zero attack columns
+        ({"kind": "zero"}, True),
+        ({"kind": "constant", "value": [0.3, 0.1]}, True),
+        ({"kind": "uniform", "range": [0.0, 0.5], "seed": 1}, False),
+        (
+            {
+                "3": {"kind": "constant", "value": [0.3, 0.1]},
+                "4": {"kind": "uniform", "range": [0.0, 0.5]},
+            },
+            False,
+        ),
+    ],
+)
+def test_attack_columns_that_no_round_changes_are_filled_once_per_run(monkeypatch, attack, per_run):
+    # three blocks; a run whose every attack is constant hands no block its
+    # attack rows, and its columns still equal the per-round oracle's
+    sizes = _blocked(monkeypatch, 3, n=5, p=2)
+    handed = []
+    record = engine._record_block
+
+    def recording(*args):
+        handed.append(args[-1] is not None)
+        return record(*args)
+
+    monkeypatch.setattr(engine, "_record_block", recording)
+    roles = ["honest"] * 3 + ["adversarial" if attack else "honest"] * 2
+    doc = _run_doc(n=5, p=2, roles=roles, iterations=8)
+    doc["objective"] = {"name": "quadratic", "box": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]}}
+    if attack:
+        doc["attack"] = attack
+    cfg = parse_config(doc)
+    result = run_single(cfg, 0)
+    assert sizes == [3, 3, 2] and handed == [not per_run] * 3
+    traces, final = _oracle_run(cfg, doc, 0)
+    honest = np.array([role == "honest" for role in doc["roles"]])
+    want = reference_columns(traces, final, honest, cfg.plan.objective.x_star)
+    for name in ("mean_attack", "mean_attack_norm", "xi_bar", "lemma1_ok"):
+        assert getattr(result.traces, name).tobytes() == want[name].tobytes(), name
+
+
+def test_the_step_size_warning_comes_once_per_run(monkeypatch):
+    # four blocks under an "always" filter, which would show a warning
+    # raised per block once per block
+    sizes = _blocked(monkeypatch, 2, n=1, p=1)
+    cfg = parse_config(_run_doc(alpha=1.5, iterations=7))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        engine.run(cfg.plan, 0)
+    assert sizes == [2, 2, 2, 1]
+    assert [str(w.message) for w in caught] == [
+        "projection-error bound assumes alpha <= 1, got 1.5"
+    ]
 
 
 def test_trace_length_and_clear():

@@ -210,6 +210,22 @@ def test_cached_constants_match_the_per_call_oracle(
     # a leading block axis changes nothing per coordinate
     block = np.stack([x, -x])
     assert np.array_equal(q.in_range(block), reference_in_range(q, block))
+    # and into caller buffers, the mask over the first bytes of a float one
+    scratch, spent = np.full(block.shape, np.nan), np.full(block.shape, np.nan)
+    mask = q.in_range(block, scratch, np.ndarray(block.shape, bool, spent))
+    assert np.array_equal(mask, reference_in_range(q, block))
+
+
+def _tiled(q, shape):
+    """``q`` tiled into NaN-filled rows for an input of ``shape``."""
+    tiled = q.tiled(np.full((4, *shape), np.nan))
+    # a tiled operand is the operand written out in full; any other is kept
+    for name in ("_mid", "step", "_reach", "_half"):
+        got, want = getattr(tiled, name), getattr(q, name)
+        assert got is want or (
+            got.shape == shape and np.array_equal(got, np.broadcast_to(want, shape))
+        )
+    return tiled
 
 
 def _offset_grid(bits: int) -> np.ndarray:
@@ -254,6 +270,12 @@ def test_levels_match_the_oracle_bit_for_bit(bits, interval, midpoint):
     assert q.quantize(x).tobytes() == want
     out, scratch = np.full((2, *x.shape), np.nan)
     assert q.quantize(x, out=out, scratch=scratch).tobytes() == want
+    # and with each broadcast operand written out in full to the input's shape
+    tiled = _tiled(q, x.shape)
+    assert (tiled is q) == (np.ndim(interval) == 0 and np.ndim(midpoint) == 0)
+    out, scratch = np.full((2, *x.shape), np.nan)
+    assert tiled.quantize(x, out=out, scratch=scratch).tobytes() == want
+    assert tiled.in_range(x).tobytes() == reference_in_range(q, x).tobytes()
 
 
 _COLUMN = np.array([[0.5], [1.0], [3.0]])  # an (n, 1) interval column

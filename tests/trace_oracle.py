@@ -2,8 +2,10 @@
 
 One round at a time, as the engine ran before its trace became columns:
 each round's trace quantities are reduced from that round's (n, p) rows
-alone and kept as one :class:`IterationTrace` per round.  The engine's
-block reductions must give every column bit for bit.  Saturation flags
+alone and kept as one :class:`IterationTrace` per round: numpy's ``mean``
+and ``np.linalg.norm``, except that a per-agent error is the einsum norm
+of :func:`agent_norms`.  The engine's block reductions must give every
+column bit for bit.  Saturation flags
 come from this round's own ``in_range`` test, not from the engine.  The
 broadcast and the update are written out here from the quantizer's
 per-call reference and the update's formula, so a fault in the engine's
@@ -49,8 +51,14 @@ def state_columns(iterates, honest, x_star) -> dict:
         x_bar=x_bar,
         err_all=float(np.linalg.norm(x_bar - x_star, axis=-1)),
         err_honest=float(np.linalg.norm(iterates[honest].mean(axis=0) - x_star, axis=-1)),
-        per_agent_err=np.linalg.norm(iterates - x_star, axis=-1),
+        per_agent_err=agent_norms(iterates - x_star),
     )
+
+
+def agent_norms(gaps):
+    """Each row's norm in the per-agent errors' form, einsum's sum of
+    squares: not ``np.linalg.norm``'s summation order."""
+    return np.sqrt(np.einsum("ij,ij->i", gaps, gaps))
 
 
 def mixed_update(iterates, broadcasts, gradients, weights, edges, alpha):
