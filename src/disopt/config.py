@@ -25,7 +25,7 @@ import numpy as np
 from . import engine
 from .adversary import MAX_KEY, AttackPolicy
 from .objective import FeasibleSet, make_objective
-from .quantizer import UniformQuantizer
+from .quantizer import UniformQuantizer, check_interval_lengths
 from .operand import operand
 from .topology import build_complete, build_from_edge_list
 
@@ -44,9 +44,8 @@ MAX_AGENTS = 2**11
 # vector is built; 2**16 keeps one expanded vector near 2 MB.
 MAX_DIMENSION = 2**16
 
-# Largest state size n * p: a run's workspace holds at least eight (n, p)
-# float arrays, 64 MiB at the cap (and the plan of a per-coordinate box
-# two more).
+# Largest state size n * p: a run's workspace holds at least seven (n, p)
+# float arrays, 56 MiB at the cap, and its plan up to seven (n, p) tiles.
 MAX_STATE = 2**20
 
 # Largest iteration count: the keyed attack stream takes each round index
@@ -417,12 +416,10 @@ def parse_config(document, like: ExperimentConfig | None = None) -> ExperimentCo
     midpoint, bits = v.get("quantizer.midpoint"), v.get("quantizer.bits")
     if v.get("quantizer") is not None and n is not None:
         try:
-            lengths = _as_vector(v["quantizer.interval_length"], n)
-            if any(length <= 0 for length in lengths):
-                raise _Invalid("must be positive")
+            lengths = check_interval_lengths(_as_vector(v["quantizer.interval_length"], n))
             if bits is not None and midpoint:
-                quantizer = UniformQuantizer(bits, np.array(lengths)[:, None], np.array(midpoint))
-        except ValueError as exc:  # _Invalid, or the quantizer's step underflow
+                quantizer = UniformQuantizer(bits, lengths[:, None], np.array(midpoint))
+        except ValueError as exc:  # _Invalid, or the quantizer's length or step rule
             fail("quantizer.interval_length", str(exc))
     if midpoint and feasible is not None and not feasible.contains(midpoint):
         fail("quantizer.midpoint", "must lie inside objective.box")

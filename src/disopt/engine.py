@@ -28,7 +28,7 @@ from numpy._core.umath import clip as _clip
 from . import adversary as adv
 from .bounds import SQRT8, lemma1_offset
 from .objective import FeasibleSet, LocalObjective
-from .operand import constant_operand, operand
+from .operand import constant_operand, operand, round_operand
 from .quantizer import UniformQuantizer
 from .topology import NetworkTopology
 
@@ -212,9 +212,9 @@ def matrix_form_update(
     W Q goes through BLAS, whose summation order follows its CPU kernel
     and thread count.  ``rank_one`` is (c, column, total) when W is a
     complete graph's c 1 1^T + diag(d - c): c the 0-d off-diagonal weight,
-    column the d - c - 1 of each row, as an (n, 1) column or broadcast to
-    (n, p) rows (which numpy multiplies without buffering), and total a
-    (p,) buffer.  Then ``((X + column Q) + c sum_j Q_j) - alpha G``: the
+    column the d - c - 1 of each row, 0-d or in full (n, p) rows as a plan
+    holds it (see :func:`~disopt.operand.round_operand`), and total a (p,)
+    buffer.  Then ``((X + column Q) + c sum_j Q_j) - alpha G``: the
     sum over agents goes through einsum's fixed-order loop into ``total``,
     no BLAS, and ``weights`` is not read.  :func:`plan` picks the rank-one
     form for a complete graph of at least :data:`RANK_ONE_AGENTS` agents.
@@ -352,7 +352,6 @@ def _record_block(
     iterates: np.ndarray,
     workspace: _Workspace,
     plan: RunPlan,
-    quantizer: UniformQuantizer | None,
     lemma1_term: float,
     attacks: np.ndarray | None,
 ) -> None:
@@ -360,12 +359,12 @@ def _record_block(
 
     ``iterates`` holds the m+1 states of the block, the workspace's first
     m rows of each buffer the m rounds' rows, ``xi`` the projection
-    residuals ``step`` recorded against ``plan.bounds``.  ``quantizer`` is
-    the run's (the plan's, tiled), and ``lemma1_term`` Lemma 1's
-    Delta-free term.  ``attacks`` holds the rounds' attack rows, or is None
-    when the run has filled its attack columns once (an attack that is the
-    same in every round); in exact mode the run has filled ``delta_bar``,
-    ``saturation_count`` and ``lemma1_rhs`` too.
+    residuals ``step`` recorded against ``plan.bounds``, and
+    ``lemma1_term`` is Lemma 1's Delta-free term.  ``attacks`` holds the
+    rounds' attack rows, or is None when the run has filled its attack
+    columns once (an attack that is the same in every round); in exact
+    mode the run has filled ``delta_bar``, ``saturation_count`` and
+    ``lemma1_rhs`` too.
 
     ``x_bar`` gets rows start..start+m, for the mean-iterate check; the
     next block writes the last one again, with the same value.  The other
@@ -387,11 +386,11 @@ def _record_block(
     _clip(h_attack_free, *plan.bounds, xi)  # xi is spent: its mean is taken
     _subtract(h_attack_free, xi, xi)
     _norms(_means(xi), out=trace.xi_bar_attack_free_norm[rows])
-    if quantizer is not None:
+    if plan.quantizer is not None:
         errors = _subtract(entering, broadcasts, broadcasts)
         delta_bar = _means(_norms(errors, errors, agent_rows), trace.delta_bar[rows])
         # xi is spent: its first bytes hold the per-coordinate mask
-        inside = quantizer.in_range(entering, gradients, np.ndarray(entering.shape, bool, xi))
+        inside = plan.quantizer.in_range(entering, gradients, np.ndarray(entering.shape, bool, xi))
         saturated = _logical_not(_all(inside, axis=-1))
         # counted as floats, exactly: a bool sum into intp would buffer a cast
         _copyto(agent_rows, _logical_and(plan.quantizes, saturated, saturated))
@@ -449,24 +448,27 @@ def initial_iterates(
 class RunPlan(NamedTuple):
     """The part of a run that no seed changes, built once by :func:`plan`.
 
-    It holds O(n + p) data of its own besides the (n, p) copies of an
-    explicit initial state and of a per-coordinate box side, every array
-    read-only, and refers
-    to the topology, the box, the objective and the quantizer without
-    copying them, so one plan can serve every seed and thread.
-    ``honest`` (the honest agents' ids, ascending), ``quantizes`` (a mask)
-    and ``attacks`` are the run's one role assignment: ``attacks`` holds
-    one group per distinct nonzero policy, in order of first appearance,
-    and an agent in none is attacked by zero.  ``bounds`` is the box's
-    (lo, hi): a side whose entries are bit-equal as a 0-d operand, any
-    other as an (n, p) tile, the state's shape, which numpy clips against
-    without buffering.  ``x_star`` is the objective's x* as a constant
-    operand.  ``rank_one`` selects the mixing form of
-    :func:`matrix_form_update`: for a complete graph of at least
+    It holds O(n + p) data of its own besides a copy of an explicit
+    initial state and its round operands, every array read-only, and
+    refers to the topology, the box and the objective without copying
+    them, so one plan can serve every seed and thread.  ``honest`` (the
+    honest agents' ids, ascending), ``quantizes`` (a mask) and ``attacks``
+    are the run's one role assignment: ``attacks`` holds one group per
+    distinct nonzero policy, in order of first appearance, and an agent in
+    none is attacked by zero.
+
+    Every operand a round reads is a round operand of the (n, p) state
+    (see :func:`~disopt.operand.round_operand`): 0-d when its entries are
+    bit-equal, else an (n, p) tile, which numpy reads without buffering.
+    They are ``bounds``, the box's (lo, hi); ``quantizer``, the config's
+    quantizer :meth:`~disopt.quantizer.UniformQuantizer.tiled` to (n, p),
+    or None; and ``rank_one``'s column.  ``rank_one`` selects the mixing
+    form of :func:`matrix_form_update`: for a complete graph of at least
     :data:`RANK_ONE_AGENTS` agents it is (c, column), the off-diagonal
-    weight as a 0-d operand and the (n, 1) column d - c - 1, both read from
-    the built W (its diagonal d may differ between rows); for any other
-    graph it is None, and each round multiplies by W through BLAS.
+    weight as a 0-d operand and the column d - c - 1 of each row, both
+    read from the built W (its diagonal d may differ between rows); for
+    any other graph it is None, and each round multiplies by W through
+    BLAS.  ``x_star`` is the objective's x* as a constant operand.
     ``explicit_init`` is a read-only copy of the checked initial iterates,
     or None.
     """
@@ -475,7 +477,7 @@ class RunPlan(NamedTuple):
     p: int
     iterations: int
     alpha: np.ndarray  # the step size, a 0-d operand
-    quantizer: UniformQuantizer | None
+    quantizer: UniformQuantizer | None  # the config's, tiled to (n, p)
     topology: NetworkTopology
     feasible: FeasibleSet
     objective: LocalObjective
@@ -558,20 +560,17 @@ def plan(
         if policy.kind != "zero":
             groups.setdefault(policy, []).append(agent)
     quantizes = honest | adversary_quantizes
-    # a (p,) side is tiled to the state's shape: numpy buffers a broadcast
-    # operand on every clip call
-    sides = map(constant_operand, (feasible.lo, feasible.hi))
-    bounds = tuple(operand(np.tile(side, (n, 1))) if side.ndim else side for side in sides)
     rank_one = None
     if n >= RANK_ONE_AGENTS and len(topology.edges) == n * (n - 1) // 2:
         c = topology.weights[0, 1]
-        rank_one = (operand(c), operand(np.diagonal(topology.weights)[:, None] - c - 1.0))
+        column = np.diagonal(topology.weights)[:, None] - c - 1.0
+        rank_one = (operand(c), round_operand(column, (n, p)))
     return RunPlan(
         n=n,
         p=p,
         iterations=iterations,
         alpha=operand(alpha),
-        quantizer=quantizer,
+        quantizer=quantizer and quantizer.tiled((n, p)),
         topology=topology,
         feasible=feasible,
         objective=objective,
@@ -581,7 +580,7 @@ def plan(
         tolerance=tolerance,
         block=min(iterations, max(1, BLOCK_BYTES // (8 * n * p + _ROUND_VIEW_BYTES))),
         attacks=tuple((policy, operand(ids, np.uint32)) for policy, ids in groups.items()),
-        bounds=bounds,
+        bounds=(round_operand(feasible.lo, (n, p)), round_operand(feasible.hi, (n, p))),
         x_star=constant_operand(objective.x_star),
         rank_one=rank_one,
         explicit_init=explicit_init,
@@ -593,7 +592,7 @@ _spare = threading.local()
 
 
 class _Workspace(NamedTuple):
-    """A run's buffers, views of one allocation of (6 block + 6) n p +
+    """A run's buffers, views of one allocation of (6 block + 1) n p +
     block n + p float64s.  A slot of ``slots`` is the (state, broadcast,
     xi, attack, ``step``'s ``out``) views of one round of a block, ``out``
     being (next state, gradient, ``H_af``, xi); a slot's next state is the
@@ -606,8 +605,6 @@ class _Workspace(NamedTuple):
     xi: np.ndarray
     attack_rows: np.ndarray
     spent: np.ndarray  # (2 block, n, p): the gradients and H_af, as one
-    column: np.ndarray  # (n, p) rows of the rank-one column
-    quantizer_rows: np.ndarray  # (4, n, p) rows of the quantizer's operands
     agent_rows: np.ndarray  # (block, n) per-agent values of a block
     total: np.ndarray  # (p,) agent sum of the rank-one mixing
     slots: list
@@ -615,19 +612,17 @@ class _Workspace(NamedTuple):
 
 def _new_workspace(block: int, n: int, p: int) -> _Workspace:
     """A run's buffers (see :class:`_Workspace`), unwritten."""
-    rows = 6 * block + 6
+    rows = 6 * block + 1
     flat = np.empty(rows * n * p + block * n + p)
     workspace = flat[: rows * n * p].reshape(rows, n, p)
     states = workspace[: block + 1]
-    buffers = workspace[block + 1 : 6 * block + 1].reshape(5, block, n, p)
+    buffers = workspace[block + 1 :].reshape(5, block, n, p)
     state, sent, gradient, h_af, xi, attack = map(list, (states, *buffers))
     slots = list(zip(state, sent, xi, attack, zip(state[1:], gradient, h_af, xi)))
     return _Workspace(
         states,
         *buffers,
         spent=workspace[2 * block + 1 : 4 * block + 1],
-        column=workspace[6 * block + 1],
-        quantizer_rows=workspace[6 * block + 2 :],
         agent_rows=flat[rows * n * p : -p].reshape(block, n),
         total=flat[-p:],
         slots=slots,
@@ -646,11 +641,10 @@ def run(plan: RunPlan, seed: int) -> RunResult:
     row it has not written.
 
     What no round changes is done once per run: a constant attack's rows
-    are written, the rank-one column and the quantizer's broadcast
-    operands are tiled into workspace rows, Lemma 1's Delta-free term is
-    evaluated (warning once when alpha > 1), and the columns that no round
-    changes (the attack columns when every attack is constant; the
-    quantization columns in exact mode) are filled.
+    are written, Lemma 1's Delta-free term is evaluated (warning once when
+    alpha > 1), and the columns that no round changes (the attack columns
+    when every attack is constant; the quantization columns in exact mode)
+    are filled.  The plan's operands are used as they are.
 
     Raises :class:`BoundViolationError` for the first round whose
     mean-iterate identity fails or yields NaN, once its block is reduced.
@@ -668,17 +662,12 @@ def run(plan: RunPlan, seed: int) -> RunResult:
         workspace = None  # dropped before the build: memory never holds two
         workspace = _new_workspace(block, n, p)
     states, attack_rows, slots = workspace.states, workspace.attack_rows, workspace.slots
-    rank_one = plan.rank_one
-    if rank_one is not None:  # the column as full rows: numpy would buffer
-        workspace.column[...] = rank_one[1]  # an (n, 1) operand on every call
-        rank_one = (rank_one[0], workspace.column, workspace.total)
+    rank_one = plan.rank_one and (*plan.rank_one, workspace.total)
     quantizer = plan.quantizer
     if quantizer is None:
         trace.delta_bar[...] = 0.0
         trace.saturation_count[...] = 0
         trace.lemma1_rhs[...] = lemma1_term  # SQRT8 * 0.0 + the term, bit for bit
-    else:
-        quantizer = quantizer.tiled(workspace.quantizer_rows)
     attack_rows[...] = 0.0  # a row no group writes is zero in every round
     rounds = np.arange(iterations, dtype=np.uint32)
     # per group whose rows change from round to round, its agents and their
@@ -714,7 +703,6 @@ def run(plan: RunPlan, seed: int) -> RunResult:
             states[: m + 1],
             workspace,
             plan,
-            quantizer,
             lemma1_term,
             attack_rows[:m] if schedule else None,
         )

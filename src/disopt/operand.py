@@ -12,8 +12,8 @@ import numpy as np
 
 
 def operand(value, dtype=float) -> np.ndarray:
-    """``value`` as a read-only array of ``dtype``."""
-    array = np.array(value, dtype=dtype)
+    """``value`` as a read-only C-order array of ``dtype``."""
+    array = np.array(value, dtype=dtype, order="C")
     array.flags.writeable = False
     return array
 
@@ -31,3 +31,13 @@ def constant_operand(value) -> np.ndarray:
     if flat.size and flat.tobytes() == np.full_like(flat, flat[0]).tobytes():
         return operand(flat[0])
     return operand(array)
+
+
+def round_operand(value, shape) -> np.ndarray:
+    """``value`` as an operand of a round's ``shape`` state: the 0-d
+    :func:`constant_operand` when its entries are bit-equal, else a
+    read-only C-order copy broadcast to ``shape`` in full, which numpy
+    reads without buffering (it buffers a broadcast operand on every
+    call)."""
+    array = constant_operand(value)
+    return operand(np.broadcast_to(array, shape)) if array.ndim else array

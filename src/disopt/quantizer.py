@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operand import constant_operand, operand
+from .operand import constant_operand, operand, round_operand
 
 # the 0.5 that rounds a step count to nearest
 _ONE_HALF = operand(0.5)
@@ -34,6 +34,16 @@ _subtract, _absolute, _divide, _add, _floor, _minimum, _multiply, _copysign = (
     np.subtract, np.absolute, np.divide, np.add, np.floor, np.minimum, np.multiply, np.copysign
 )
 _less_equal = np.less_equal
+
+
+def check_interval_lengths(lengths) -> np.ndarray:
+    """``lengths`` as a float64 array; raises ``ValueError`` naming the
+    first entry that is not positive (NaN is not)."""
+    length = np.asarray(lengths, dtype=float)
+    bad = length[~(length > 0)]
+    if bad.size:
+        raise ValueError(f"interval lengths must be positive, got {bad[0]}")
+    return length
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,9 +68,7 @@ class UniformQuantizer:
     def __post_init__(self):
         if int(self.bits) != self.bits or self.bits < 1:
             raise ValueError(f"bits must be a positive integer, got {self.bits}")
-        length = np.asarray(self.interval_length, dtype=float)
-        if not np.all(length > 0):  # NaN fails too
-            raise ValueError(f"interval lengths must be positive, got {self.interval_length}")
+        check_interval_lengths(self.interval_length)
         mid = np.asarray(self.midpoint, dtype=float)
         object.__setattr__(self, "midpoint", mid)
         step = self.interval_length / 2**self.bits
@@ -130,23 +138,15 @@ class UniformQuantizer:
         # one rounding, where dividing by 2 ** (bits + 1) overflows at bits = 1023
         return np.ldexp(self.interval_length, -(self.bits + 1))
 
-    def tiled(self, rows: np.ndarray) -> UniformQuantizer:
-        """This quantizer with each operand that an (n, p) input would
-        broadcast (an (n, 1) interval, a (p,) midpoint) written out in full
-        into one of ``rows``, four (n, p) rows the caller owns and keeps
-        unchanged while it uses the result: numpy buffers a broadcast
-        operand on every call.  The result gives the same bytes; it is
-        this quantizer when no operand broadcasts."""
-        names = [
-            name for name in ("_mid", "step", "_reach", "_half")
-            if getattr(self, name).ndim and getattr(self, name).shape != rows.shape[1:]
-        ]
-        if not names:
-            return self
+    def tiled(self, shape) -> UniformQuantizer:
+        """This quantizer with each operand of :meth:`quantize` and
+        :meth:`in_range` as a round operand of a ``shape`` input (see
+        :func:`~disopt.operand.round_operand`): 0-d when its entries are
+        bit-equal, else a read-only copy written out in full to ``shape``.
+        The result gives the same bytes."""
         tiled = copy.copy(self)
-        for name, row in zip(names, rows):
-            row[...] = getattr(self, name)
-            object.__setattr__(tiled, name, row)
+        for name in ("_mid", "step", "_reach", "_half"):
+            object.__setattr__(tiled, name, round_operand(getattr(self, name), shape))
         return tiled
 
     def in_range(self, x, scratch=None, out=None) -> np.ndarray:

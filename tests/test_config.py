@@ -379,7 +379,7 @@ _QUANT = {"bits": 2, "interval_length": 1.0, "midpoint": 0.0}
         ),
         (
             {"quantizer": dict(_QUANT, interval_length=0.0)},
-            [("quantizer.interval_length", "must be positive")],
+            [("quantizer.interval_length", "interval lengths must be positive, got 0.0")],
         ),
         (
             {"quantizer": dict(_QUANT, midpoint=2.0)},
@@ -477,7 +477,7 @@ _QUANT = {"bits": 2, "interval_length": 1.0, "midpoint": 0.0}
                 ("objective.box", "requires lo < hi componentwise"),
                 ("quantizer.r", "unknown key"),
                 ("quantizer.bits", "expected an integer in [1, 1023], got 0"),
-                ("quantizer.interval_length", "must be positive"),
+                ("quantizer.interval_length", "interval lengths must be positive, got -1.0"),
                 ("quantizer.midpoint", "expected a number or a list of numbers"),
                 ("attack.9", "not an adversarial agent"),
                 ("attack.x", "expected an agent id"),
@@ -509,7 +509,7 @@ _QUANT = {"bits": 2, "interval_length": 1.0, "midpoint": 0.0}
             {"roles": ["honest"] * 3, "quantizer": dict(_QUANT, interval_length=-1.0)},
             [
                 ("roles", "expected length 4, got 3"),
-                ("quantizer.interval_length", "must be positive"),
+                ("quantizer.interval_length", "interval lengths must be positive, got -1.0"),
             ],
         ),
     ],

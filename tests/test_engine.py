@@ -149,7 +149,7 @@ def test_saturation_counts_a_nan_row_but_not_a_full_precision_adversary():
         trace = engine.Trace.empty(1, 3, 1)
         states, attacks = workspace.states, workspace.attack_rows
         attacks[...] = 0.0
-        engine._record_block(trace, 0, states, workspace, plan, quant, 0.0, attacks)
+        engine._record_block(trace, 0, states, workspace, plan, 0.0, attacks)
         assert trace.saturation_count[0] == want
 
 
@@ -604,16 +604,83 @@ def test_the_rank_one_form_starts_at_a_complete_graph_of_128_agents():
     assert engine.RANK_ONE_AGENTS == 128
     below, at = plan_of(build_complete(127)), plan_of(build_complete(128))
     assert below.rank_one is None
-    c, column = at.rank_one
-    w = at.topology.weights
-    assert c.shape == () and c == w[0, 1] and column.shape == (128, 1)
-    assert np.array_equal(column[:, 0], np.diag(w) - w[0, 1] - 1.0)
-    assert not c.flags.writeable and not column.flags.writeable
+    # d - c - 1 is -1.0 in every row at 128 agents, a 0-d column; at 150 it
+    # takes two values, so the column is an (n, p) tile
+    for plan, shape in ((at, ()), (plan_of(build_complete(150)), (150, 1))):
+        c, column = plan.rank_one
+        w = plan.topology.weights
+        assert c.shape == () and c == w[0, 1] and column.shape == shape
+        want = np.diag(w)[:, None] - w[0, 1] - 1.0
+        assert np.array_equal(np.broadcast_to(column, want.shape), want)
+        assert not c.flags.writeable and not column.flags.writeable
+    assert float(at.rank_one[1]) == -1.0
     # the rule reads the graph, not how the config wrote it
     listed = build_from_edge_list(128, list(itertools.combinations(range(128), 2)))
     assert plan_of(listed).rank_one is not None
     ring = build_from_edge_list(400, [(i, (i + 1) % 400) for i in range(400)])
     assert plan_of(ring).rank_one is None
+
+
+_GRAPHS = {  # built once: a complete graph of 150 agents takes milliseconds
+    "complete-128": build_complete(128),
+    "complete-150": build_complete(150),
+    "ring": build_from_edge_list(10, [(i, (i + 1) % 10) for i in range(10)]),
+}
+
+
+@pytest.mark.parametrize("p", [1, 3])
+@pytest.mark.parametrize("graph", list(_GRAPHS))
+@pytest.mark.parametrize("box", ["constant", "per-coordinate"])
+@pytest.mark.parametrize("interval", [None, "scalar", "equal", "differing"])
+@pytest.mark.parametrize("midpoint", ["zero", "vector"])
+def test_each_round_operand_of_a_plan_is_0d_or_a_full_tile(p, graph, box, interval, midpoint):
+    # every operand a round reads: 0-d when the source's entries are
+    # bit-equal, else a read-only C-order (n, p) copy of them, so numpy
+    # buffers none of them on any call
+    topology = _GRAPHS[graph]
+    n = topology.n
+    feasible = FeasibleSet(lo=np.full(p, -1.0), hi=np.full(p, 1.0))
+    if box == "per-coordinate":
+        feasible = FeasibleSet(lo=np.linspace(-2.0, -1.0, p), hi=np.linspace(1.0, 2.0, p))
+    lengths = {
+        None: None, "scalar": 0.5, "equal": np.full((n, 1), 0.5),
+        "differing": np.linspace(0.5, 2.0, n)[:, None],
+    }[interval]
+    mid = 0.0 if midpoint == "zero" else np.linspace(-0.25, 0.25, p)
+    quantizer = None if lengths is None else UniformQuantizer(2, lengths, mid)
+    objective = make_objective("quadratic", p, feasible)
+    plan = engine.plan({}, quantizer, topology, objective, feasible, 0.5, 1)
+
+    sources = {"bounds[0]": feasible.lo, "bounds[1]": feasible.hi}
+    operands = dict(zip(sources, plan.bounds))
+    if plan.rank_one is not None:
+        w = topology.weights
+        sources["column"] = np.diag(w)[:, None] - w[0, 1] - 1.0
+        operands["column"] = plan.rank_one[1]
+    assert (plan.rank_one is None) == (graph == "ring")
+    if quantizer is not None:
+        for name in ("_mid", "step", "_reach", "_half"):
+            sources[name], operands[name] = getattr(quantizer, name), getattr(plan.quantizer, name)
+        # what the bound report reads is the source's
+        assert plan.quantizer.bits == 2 and plan.quantizer.interval_length is lengths
+    for name, operand in operands.items():
+        want = np.broadcast_to(sources[name], (n, p)).tobytes()
+        assert not operand.flags.writeable, name
+        assert operand.shape == (() if want == want[:8] * (n * p) else (n, p)), name
+        assert operand.ndim == 0 or operand.flags.c_contiguous, name
+        assert np.broadcast_to(operand, (n, p)).tobytes() == want, name
+    if interval == "equal":  # one length per agent, all equal: no tile
+        assert all(operands[name].ndim == 0 for name in ("step", "_reach", "_half"))
+
+
+@pytest.mark.parametrize("block, n, p", [(1, 1, 1), (3, 4, 2), (5, 400, 16)])
+def test_a_workspace_is_one_allocation_of_its_documented_size(block, n, p):
+    # (6 block + 1) n p + block n + p float64s: the (block + 1) states, five
+    # (block, n, p) buffers, the (block, n) agent rows and the (p,) total
+    workspace = engine._new_workspace(block, n, p)
+    arrays = [buffer for buffer in workspace if isinstance(buffer, np.ndarray)]
+    assert len({id(array.base) for array in arrays}) == 1
+    assert arrays[0].base.nbytes == 8 * ((6 * block + 1) * n * p + block * n + p)
 
 
 def test_an_objective_ignoring_out_fills_the_gradient_rows():
@@ -746,52 +813,61 @@ def test_block_memory_does_not_grow_with_iterations():
 
 def test_a_round_allocates_nothing():
     # a broadcast and a step into preallocated buffers, as the round loop
-    # runs them, with either form a plan holds a box side in: 0-d for a
-    # constant side, an (n, p) tile otherwise; one (n, p) temporary would be
-    # 32 KiB
-    n = p = 64
+    # runs them, with the operands each plan holds: a box side 0-d when
+    # constant, else an (n, p) tile; the BLAS product W Q, or a complete
+    # graph's rank one, its column 0-d at 128 agents and a tile at 150; one
+    # shared interval, or per-agent intervals and a vector midpoint, tiled.
+    # One (n, p) temporary would be 32 KiB at n = 64
+    p = 64
     box = FeasibleSet(lo=np.full(p, -1.0), hi=np.full(p, 1.0))
-    quantizer = UniformQuantizer(bits=3, interval_length=1.0)
-    objective = make_objective("quadratic", p, box)
-    weights = build_complete(n).weights
-    full_precision = (np.arange(n) >= 60)[:, None]
-    state, sent, attack, next_state, gradient, h_af, xi = np.random.default_rng(0).uniform(
-        -1.5, 1.5, size=(7, n, p)
-    )
-    alpha = np.array(0.5)
     sides = FeasibleSet(lo=np.linspace(-1.5, -0.5, p), hi=np.linspace(0.5, 1.5, p))
-    zero_d, tiles = _box_plan(box, n).bounds, _box_plan(sides, n).bounds
-    assert [bound.shape for bound in zero_d + tiles] == [(), (), (n, p), (n, p)]
-    # and either mixing form: the BLAS product or a complete graph's rank
-    # one, its column broadcast to (n, p) rows as a run passes it
-    c = weights[0, 1]
-    column = np.broadcast_to(np.diag(weights)[:, None] - c - 1.0, (n, p)).copy()
-    rank_one = (np.array(c), column, np.empty(p))
-    # and a quantizer of per-agent intervals and a vector midpoint, its
-    # operands tiled to (n, p) rows as a run tiles them: the same bytes
-    per_agent = UniformQuantizer(3, np.linspace(0.5, 2.0, n)[:, None], np.linspace(-0.1, 0.1, p))
-    tiled = per_agent.tiled(np.full((4, n, p), np.nan))
-    assert tiled is not per_agent
-    assert tiled.quantize(state, sent, xi).tobytes() == per_agent.quantize(state).tobytes()
+    shared = UniformQuantizer(bits=3, interval_length=1.0)
 
-    def one_round(bounds, mixing, quantizer):
-        broadcast_phase(state, quantizer, full_precision, sent, xi)
-        out = (next_state, gradient, h_af, xi)
-        engine.step(state, sent, attack, weights, objective, bounds, alpha, out, mixing)
+    def per_agent(n):
+        return UniformQuantizer(3, np.linspace(0.5, 2.0, n)[:, None], np.linspace(-0.1, 0.1, p))
 
-    for bounds, mixing, q in (
-        (zero_d, None, quantizer), (tiles, None, quantizer), (zero_d, rank_one, quantizer),
-        (zero_d, rank_one, tiled),
-    ):
-        one_round(bounds, mixing, q)  # numpy's first-call set-up is not a round's cost
+    def plan_of(n, feasible, quantizer):
+        objective = make_objective("quadratic", p, feasible)
+        return engine.plan({}, quantizer, build_complete(n), objective, feasible, 0.5, 1)
+
+    plans = [
+        plan_of(64, box, shared), plan_of(64, sides, shared), plan_of(64, box, per_agent(64)),
+        plan_of(128, box, shared), plan_of(150, box, per_agent(150)),
+    ]
+    assert [bound.shape for bound in plans[0].bounds + plans[1].bounds] == [()] * 2 + [(64, p)] * 2
+    assert [plan.rank_one and plan.rank_one[1].shape for plan in plans] == [None] * 3 + [
+        (), (150, p)
+    ]
+    # the tiled quantizer gives the bytes of the one it tiles
+    for plan in plans[2], plans[4]:
+        state = np.random.default_rng(plan.n).uniform(-1.5, 1.5, (plan.n, p))
+        tiled, source = plan.quantizer, per_agent(plan.n)
+        assert tiled.step.shape == tiled._mid.shape == (plan.n, p)
+        assert tiled.quantize(state).tobytes() == source.quantize(state).tobytes()
+
+    for plan in plans:
+        n = plan.n
+        full_precision = (np.arange(n) >= n - 4)[:, None]
+        state, sent, attack, next_state, gradient, h_af, xi = np.random.default_rng(0).uniform(
+            -1.5, 1.5, size=(7, n, p)
+        )
+        mixing = plan.rank_one and (*plan.rank_one, np.empty(p))
+        weights, objective, bounds = plan.topology.weights, plan.objective, plan.bounds
+
+        def one_round():
+            broadcast_phase(state, plan.quantizer, full_precision, sent, xi)
+            out = (next_state, gradient, h_af, xi)
+            engine.step(state, sent, attack, weights, objective, bounds, plan.alpha, out, mixing)
+
+        one_round()  # numpy's first-call set-up is not a round's cost
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            one_round(bounds, mixing, q)
+            one_round()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - before < 1024
+        assert peak - before < 1024, n
 
 
 @pytest.mark.parametrize("mode", ["exact", "quantized"])
@@ -816,13 +892,11 @@ def test_a_block_allocates_nothing(mode):
     workspace = engine._new_workspace(m, n, p)
     for buffer in workspace[:6]:
         buffer[...] = rng.uniform(-1.5, 1.5, buffer.shape)
-    if quantizer is not None:
-        quantizer = quantizer.tiled(workspace.quantizer_rows)
     rows = None if mode == "exact" else workspace.attack_rows
     trace = engine.Trace.empty(m, n, p)
 
     def one_block():
-        engine._record_block(trace, 0, workspace.states, workspace, plan, quantizer, 0.1, rows)
+        engine._record_block(trace, 0, workspace.states, workspace, plan, 0.1, rows)
 
     one_block()  # numpy's first-call set-up is not a block's cost
     tracemalloc.start()

@@ -217,14 +217,13 @@ def test_cached_constants_match_the_per_call_oracle(
 
 
 def _tiled(q, shape):
-    """``q`` tiled into NaN-filled rows for an input of ``shape``."""
-    tiled = q.tiled(np.full((4, *shape), np.nan))
-    # a tiled operand is the operand written out in full; any other is kept
+    """``q`` tiled for an input of ``shape``."""
+    tiled = q.tiled(shape)
+    # each operand is 0-d or written out in full, read-only, with q's values
     for name in ("_mid", "step", "_reach", "_half"):
         got, want = getattr(tiled, name), getattr(q, name)
-        assert got is want or (
-            got.shape == shape and np.array_equal(got, np.broadcast_to(want, shape))
-        )
+        assert got.shape in ((), shape) and not got.flags.writeable
+        assert np.array_equal(np.broadcast_to(got, shape), np.broadcast_to(want, shape))
     return tiled
 
 
@@ -272,7 +271,8 @@ def test_levels_match_the_oracle_bit_for_bit(bits, interval, midpoint):
     assert q.quantize(x, out=out, scratch=scratch).tobytes() == want
     # and with each broadcast operand written out in full to the input's shape
     tiled = _tiled(q, x.shape)
-    assert (tiled is q) == (np.ndim(interval) == 0 and np.ndim(midpoint) == 0)
+    zero_d = all(getattr(tiled, name).ndim == 0 for name in ("_mid", "step", "_reach", "_half"))
+    assert zero_d == (np.ndim(interval) == 0 and np.ndim(midpoint) == 0)
     out, scratch = np.full((2, *x.shape), np.nan)
     assert tiled.quantize(x, out=out, scratch=scratch).tobytes() == want
     assert tiled.in_range(x).tobytes() == reference_in_range(q, x).tobytes()
