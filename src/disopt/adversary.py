@@ -265,7 +265,9 @@ def attack_vector(policy: AttackPolicy, agent: int, k: int, p: int) -> np.ndarra
 
 
 def max_attack_norm(policy: AttackPolicy, p: int) -> float:
-    """Time-uniform upper bound on ||e(k)|| over all agents and iterations."""
+    """Time-uniform upper bound on ||e(k)|| over all agents and iterations.
+    A bound, not a trace column: a constant policy's is
+    ``np.linalg.norm``'s, which need not match the trace's einsum norm."""
     if policy.kind == "zero":
         return 0.0
     if policy.kind == "constant":

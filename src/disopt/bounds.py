@@ -29,9 +29,9 @@ class AssumptionError(ValueError):
 
 
 def _check_moduli(mu: float, lipschitz: float) -> None:
-    if mu <= 0:
+    if not mu > 0:  # NaN fails each check
         raise AssumptionError(f"strong convexity modulus must be positive, got {mu}")
-    if mu > lipschitz:
+    if not mu <= lipschitz:
         raise AssumptionError(f"modulus {mu} exceeds Lipschitz constant {lipschitz}")
 
 
@@ -76,14 +76,14 @@ def quantizer_admissible(interval_length: float, bits: int) -> bool:
     """True iff the interval length stays within 2**bits / sqrt(6)."""
     if bits < 1:
         raise ValueError(f"bits must be >= 1, got {bits}")
-    if interval_length <= 0:
+    if not interval_length > 0:
         raise ValueError(f"interval length must be positive, got {interval_length}")
     return interval_length <= 2**bits / SQRT6
 
 
 def subgradient_admissible(subgrad_bound: float, alpha: float) -> bool:
     """True iff the uniform subgradient bound stays within 1/(sqrt(6)*alpha)."""
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError(f"step size must be positive, got {alpha}")
     return subgrad_bound <= 1.0 / (SQRT6 * alpha)
 
@@ -96,7 +96,7 @@ def lemma1_bound(mean_quant_error, subgrad_bound: float, alpha: float, n: int):
     returned) when alpha > 1, which is outside the hypothesis under
     which the bound is derived.
     """
-    if np.any(np.asarray(mean_quant_error) < 0):
+    if not np.all(np.asarray(mean_quant_error) >= 0):
         raise ValueError("inputs must be nonnegative")
     return SQRT8 * mean_quant_error + lemma1_offset(subgrad_bound, alpha, n, stacklevel=3)
 
@@ -106,7 +106,7 @@ def lemma1_offset(subgrad_bound: float, alpha: float, n: int, stacklevel: int = 
     which is ``SQRT8 * Delta`` plus this value, bit for bit, so a caller
     with many rounds of Delta evaluates it once.  Validates and warns as
     :func:`lemma1_bound` does."""
-    if subgrad_bound < 0 or alpha < 0:
+    if not (subgrad_bound >= 0 and alpha >= 0):
         raise ValueError("inputs must be nonnegative")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -134,7 +134,7 @@ def neighborhood_size(
     """
     if bits < 1:
         raise ValueError(f"bits must be >= 1, got {bits}")
-    if min(interval_length, subgrad_bound, alpha, attack_norm) < 0:
+    if not all(v >= 0 for v in (interval_length, subgrad_bound, alpha, attack_norm)):
         raise ValueError("inputs must be nonnegative")
     return _recursion_kernel(0, 0.0, 0.0, bits, interval_length, subgrad_bound, alpha, attack_norm)
 

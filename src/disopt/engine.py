@@ -7,12 +7,12 @@ perturbation, and the result is projected back onto the feasible set.
 
 :func:`plan` validates a config's inputs once and returns the read-only
 :class:`RunPlan` that its seeds share; :func:`run` does one seed's work.
-A run is deterministic given its plan and seed.  Each column of its
-:class:`Trace` equals numpy's per-round ``ndarray.mean`` or
-``np.linalg.norm`` value bit for bit (a NaN mean aside, which fails the
-run: see :func:`_means`), except ``per_agent_err``, which is the einsum
-norm of :func:`_agent_norms`.  A run's memory grows with its round count
-only through the trace columns and a uniform attack's table.
+A run is deterministic given its plan and seed.  Each mean column of its
+:class:`Trace` equals numpy's per-round ``ndarray.mean`` value bit for bit
+(a NaN mean aside, which fails the run: see :func:`_means`), and each norm
+column the per-round einsum norm of :func:`_norms`.  A run's memory grows
+with its round count only through the trace columns and a uniform attack's
+table.
 """
 
 from __future__ import annotations
@@ -86,9 +86,8 @@ class Trace:
     The columns of a state, ``x_bar``, ``err_all``, ``err_honest`` and
     ``per_agent_err``, have K+1 rows: row k is the state entering round k
     and row K the final one.  ``per_agent_err`` holds each agent's
-    ``||x_i - x*||`` as ``sqrt(einsum("ij,ij->i", gaps, gaps))``, whose
-    order of summation is not ``np.linalg.norm``'s: the two can differ in
-    the last bits.  ``delta_bar`` is the mean of the per-agent
+    ``||x_i - x*||``; it and every other norm column are the one row norm
+    of :func:`_norms`.  ``delta_bar`` is the mean of the per-agent
     quantization error magnitudes, and ``saturation_count`` the number of
     quantizing agents with some coordinate of their entering iterate
     outside the quantizer range (NaN counts as outside; always 0 in exact
@@ -285,19 +284,12 @@ def step(
     return out
 
 
-def _norms(x: np.ndarray, squares: np.ndarray | None = None, out=None) -> np.ndarray:
-    """Row norms over the last axis, bit for bit ``np.linalg.norm(x,
-    axis=-1)`` for a float array.  ``squares``, if given, receives
-    ``x * x`` and may be ``x`` itself; ``out``, if given, the norms."""
-    return _sqrt(_add.reduce(_multiply(x, x, squares), axis=-1, out=out), out)
-
-
-def _agent_norms(gaps: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Row norms of an (m, n, p) block into the (m, n) ``out``, bit for bit
-    ``sqrt(einsum("ij,ij->i", row, row))`` per round: einsum's summation
-    order, not ``np.linalg.norm``'s, and about a fourth of its time at p =
-    16.  Only the per-agent errors take this form."""
-    return _sqrt(_c_einsum("ijk,ijk->ij", gaps, gaps, out=out), out)
+def _norms(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Row norms over the last axis into ``out``, the trace's one norm:
+    ``sqrt(einsum("...k,...k->...", x, x))``, bit for bit per round.  At
+    p <= 2 einsum's sum of squares gives ``np.linalg.norm(x, axis=-1)``'s
+    bits too; above it the two can differ in the last bits."""
+    return _sqrt(_c_einsum("...k,...k->...", x, x, out=out), out)
 
 
 def _means(x: np.ndarray, out=None) -> np.ndarray:
@@ -326,24 +318,21 @@ def _record_states(
     overwritten."""
     m, h, p = len(states), len(plan.honest), plan.p
     x_star, span = plan.x_star, slice(start, start + m)
-    gap = trace.x_bar[span] - x_star
-    _norms(gap, gap, trace.err_all[span])
+    _norms(trace.x_bar[span] - x_star, trace.err_all[span])
     # take writes into a C-contiguous ``out`` directly, else through a copy
     honest = np.ndarray((m, h, p), buffer=scratch)
     gap = _subtract(_means(states.take(plan.honest, 1, honest, "clip")), x_star)
-    _norms(gap, gap, trace.err_honest[span])
-    _agent_norms(_subtract(states, x_star, scratch), trace.per_agent_err[span])
+    _norms(gap, trace.err_honest[span])
+    _norms(_subtract(states, x_star, scratch), trace.per_agent_err[span])
 
 
-def _record_attacks(
-    trace: Trace, rows: slice, attacks: np.ndarray, squares: np.ndarray, agent_rows: np.ndarray
-) -> None:
+def _record_attacks(trace: Trace, rows: slice, attacks: np.ndarray, agent_rows: np.ndarray) -> None:
     """Fill ``mean_attack`` and ``mean_attack_norm`` for the rounds
-    ``rows`` from their (m, n, p) attack rows.  ``squares`` and the (m, n)
-    ``agent_rows`` are spent buffers, overwritten."""
+    ``rows`` from their (m, n, p) attack rows.  The (m, n) ``agent_rows``
+    is a spent buffer, overwritten."""
     _means(attacks, trace.mean_attack[rows])
     # an honest row is zero, its norm 0.0, as each group's own rows would give
-    _means(_norms(attacks, squares, agent_rows), trace.mean_attack_norm[rows])
+    _means(_norms(attacks, agent_rows), trace.mean_attack_norm[rows])
 
 
 def _record_block(
@@ -382,13 +371,13 @@ def _record_block(
     _means(iterates, trace.x_bar[start : start + m + 1])
     _means(gradients, trace.grad_mean[rows])
     xi_bar = _means(xi, trace.xi_bar[rows])
-    xi_bar_norm = _norms(xi_bar, out=trace.xi_bar_norm[rows])
+    xi_bar_norm = _norms(xi_bar, trace.xi_bar_norm[rows])
     _clip(h_attack_free, *plan.bounds, xi)  # xi is spent: its mean is taken
     _subtract(h_attack_free, xi, xi)
-    _norms(_means(xi), out=trace.xi_bar_attack_free_norm[rows])
+    _norms(_means(xi), trace.xi_bar_attack_free_norm[rows])
     if plan.quantizer is not None:
         errors = _subtract(entering, broadcasts, broadcasts)
-        delta_bar = _means(_norms(errors, errors, agent_rows), trace.delta_bar[rows])
+        delta_bar = _means(_norms(errors, agent_rows), trace.delta_bar[rows])
         # xi is spent: its first bytes hold the per-coordinate mask
         inside = plan.quantizer.in_range(entering, gradients, np.ndarray(entering.shape, bool, xi))
         saturated = _logical_not(_all(inside, axis=-1))
@@ -400,7 +389,7 @@ def _record_block(
     states = iterates if start + m == len(trace) else entering  # the final one once
     _record_states(trace, start, states, plan, workspace.spent[: len(states)])
     if attacks is not None:
-        _record_attacks(trace, rows, attacks, gradients, agent_rows)
+        _record_attacks(trace, rows, attacks, agent_rows)
     bound = _add(trace.lemma1_rhs[rows], LEMMA1_TOL)
     _less_equal(xi_bar_norm, bound, trace.lemma1_ok[rows])
 
@@ -680,9 +669,7 @@ def run(plan: RunPlan, seed: int) -> RunResult:
         else:
             schedule.append((agents, table))
     if not schedule:  # every round's attack rows are these: one round's columns
-        _record_attacks(
-            trace, slice(0, 1), attack_rows[:1], workspace.gradients[:1], workspace.agent_rows[:1]
-        )
+        _record_attacks(trace, slice(0, 1), attack_rows[:1], workspace.agent_rows[:1])
         trace.mean_attack[1:] = trace.mean_attack[0]
         trace.mean_attack_norm[1:] = trace.mean_attack_norm[0]
     full_precision = ~plan.quantizes[:, None]

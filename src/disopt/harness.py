@@ -143,8 +143,7 @@ def run_experiment(
     in numpy's ``.npy`` format, row k the state entering round k and row K
     the final state, every value bit for bit the trace's: each agent's
     ``||x_i - x*||`` as ``sqrt(einsum("ij,ij->i", gaps, gaps))`` over the
-    (n, p) gaps ``x - x*``, whose order of summation is not
-    ``np.linalg.norm``'s, so the two can differ in the last bits.
+    (n, p) gaps ``x - x*``, the row norm every trace norm takes.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)

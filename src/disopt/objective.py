@@ -93,7 +93,7 @@ class LocalObjective:
 
     def __post_init__(self):
         _check_moduli(self.mu, self.lipschitz)
-        if self.subgrad_bound < 0:
+        if not self.subgrad_bound >= 0:
             raise ValueError("subgradient bound must be nonnegative")
         x_star = operand(self.x_star)
         if x_star.shape != (self.dimension,):

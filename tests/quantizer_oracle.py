@@ -16,7 +16,10 @@ def reference_quantize(q, x) -> np.ndarray:
     step = q.interval_length / 2**q.bits
     steps = np.floor(np.abs(offset) / step + 0.5)
     steps = np.minimum(steps, 2 ** (q.bits - 1))
-    return q.midpoint + np.sign(offset) * step * steps
+    # a NaN input's level is that one NaN: the product of two NaNs, sign
+    # and steps, may carry either's sign, which IEEE 754 leaves to the kernel
+    level = np.where(np.isnan(offset), offset, np.sign(offset) * step * steps)
+    return q.midpoint + level
 
 
 def reference_in_range(q, x) -> np.ndarray:

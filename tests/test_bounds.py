@@ -14,12 +14,14 @@ from disopt.bounds import (
     constants,
     contraction_factor,
     lemma1_bound,
+    lemma1_offset,
     neighborhood_size,
     quantizer_admissible,
     recursion_bound,
     subgradient_admissible,
 )
 from disopt.config import MAX_ITERATIONS
+from disopt.objective import LocalObjective
 
 REL = 1e-12
 
@@ -35,6 +37,38 @@ def test_constants_reject_bad_moduli():
         constants(0.0, 1.0)
     with pytest.raises(AssumptionError):
         constants(2.0, 1.0)
+
+
+NAN = float("nan")
+
+
+def _objective(mu: float, subgrad_bound: float) -> LocalObjective:
+    return LocalObjective(1, lambda x: 0.0, lambda x: x, mu, 1.0, subgrad_bound, np.zeros(1))
+
+
+@pytest.mark.parametrize(
+    "function, args, error, message",
+    [
+        (constants, (NAN, 1.0), AssumptionError, "must be positive"),
+        (constants, (0.5, NAN), AssumptionError, "exceeds"),
+        (_objective, (NAN, 1.0), AssumptionError, "must be positive"),
+        (_objective, (1.0, NAN), ValueError, "nonnegative"),
+        (lemma1_bound, (NAN, 0.1, 0.7, 10), ValueError, "nonnegative"),
+        (lemma1_bound, (np.array([0.25, NAN]), 0.1, 0.7, 10), ValueError, "nonnegative"),
+        (lemma1_offset, (NAN, 0.7, 10), ValueError, "nonnegative"),
+        (lemma1_offset, (0.1, NAN, 10), ValueError, "nonnegative"),
+        # a NaN in each position: a check on min() of the inputs passes some
+        (neighborhood_size, (NAN, 2, 0.1, 0.7, 0.0), ValueError, "nonnegative"),
+        (neighborhood_size, (1.0, 2, NAN, 0.7, 0.0), ValueError, "nonnegative"),
+        (neighborhood_size, (1.0, 2, 0.1, NAN, 0.0), ValueError, "nonnegative"),
+        (neighborhood_size, (1.0, 2, 0.1, 0.7, NAN), ValueError, "nonnegative"),
+        (quantizer_admissible, (NAN, 1), ValueError, "must be positive"),
+        (subgradient_admissible, (1.0, NAN), ValueError, "must be positive"),
+    ],
+)
+def test_a_nan_input_fails_the_check_a_negative_one_fails(function, args, error, message):
+    with pytest.raises(error, match=message):
+        function(*args)
 
 
 def test_contraction_factor_examples():

@@ -21,7 +21,7 @@ from disopt.config import MAX_AGENTS, MAX_DIMENSION, parse_config, preset_docume
 from disopt import adversary, engine, harness
 from disopt.config import ConfigError
 from disopt.harness import expand_grid, run_experiment, run_single, sweep
-from trace_oracle import agent_norms
+from trace_oracle import norms
 
 
 def _write(tmp_path, name, doc):
@@ -201,12 +201,12 @@ def test_per_agent_closing_row_is_the_final_state(tmp_path):
     honest = config.plan.honest
     assert last[0] == str(config.iterations)
     assert last[1:3] == [
-        repr(float(np.linalg.norm(final.mean(axis=0) - x_star, axis=-1))),
-        repr(float(np.linalg.norm(final[honest].mean(axis=0) - x_star, axis=-1))),
+        repr(float(norms(final.mean(axis=0) - x_star))),
+        repr(float(norms(final[honest].mean(axis=0) - x_star))),
     ]
     assert last[3:6] == ["", "", ""] and last[7:] == [""]
     assert len(agents) == config.iterations + 1
-    assert agents[-1].tobytes() == agent_norms(final - x_star).tobytes()
+    assert agents[-1].tobytes() == norms(final - x_star).tobytes()
 
 
 def test_missing_config_is_usage_error(tmp_path, capsys):

@@ -3,10 +3,9 @@
 One round at a time, as the engine ran before its trace became columns:
 each round's trace quantities are reduced from that round's (n, p) rows
 alone and kept as one :class:`IterationTrace` per round: numpy's ``mean``
-and ``np.linalg.norm``, except that a per-agent error is the einsum norm
-of :func:`agent_norms`.  The engine's block reductions must give every
-column bit for bit.  Saturation flags
-come from this round's own ``in_range`` test, not from the engine.  The
+and the einsum row norm of :func:`norms`.  The engine's block reductions
+must give every column bit for bit.  Saturation flags come from this
+round's own ``in_range`` test, not from the engine.  The
 broadcast and the update are written out here from the quantizer's
 per-call reference and the update's formula, so a fault in the engine's
 ``broadcast_phase`` or ``matrix_form_update`` shows as a column mismatch.
@@ -49,16 +48,16 @@ def state_columns(iterates, honest, x_star) -> dict:
     x_bar = iterates.mean(axis=0)
     return dict(
         x_bar=x_bar,
-        err_all=float(np.linalg.norm(x_bar - x_star, axis=-1)),
-        err_honest=float(np.linalg.norm(iterates[honest].mean(axis=0) - x_star, axis=-1)),
-        per_agent_err=agent_norms(iterates - x_star),
+        err_all=float(norms(x_bar - x_star)),
+        err_honest=float(norms(iterates[honest].mean(axis=0) - x_star)),
+        per_agent_err=norms(iterates - x_star),
     )
 
 
-def agent_norms(gaps):
-    """Each row's norm in the per-agent errors' form, einsum's sum of
-    squares: not ``np.linalg.norm``'s summation order."""
-    return np.sqrt(np.einsum("ij,ij->i", gaps, gaps))
+def norms(x):
+    """Row norms over the last axis, the trace's one form: the square root
+    of einsum's sum of squares."""
+    return np.sqrt(np.einsum("...k,...k->...", x, x))
 
 
 def mixed_update(iterates, broadcasts, gradients, weights, edges, alpha):
@@ -88,9 +87,9 @@ def reference_step(
     xi = h - np.clip(h, feasible.lo, feasible.hi)
     next_iterates = h - xi
 
-    delta_bar = float(np.mean(np.linalg.norm(iterates - broadcasts, axis=-1)))
+    delta_bar = float(np.mean(norms(iterates - broadcasts)))
     xi_bar = xi.mean(axis=0)
-    xi_bar_norm = float(np.linalg.norm(xi_bar, axis=-1))
+    xi_bar_norm = float(norms(xi_bar))
     xi_attack_free = h_attack_free - np.clip(h_attack_free, feasible.lo, feasible.hi)
     lemma1_rhs = lemma1_bound(delta_bar, objective.subgrad_bound, alpha, n)
 
@@ -102,9 +101,9 @@ def reference_step(
         delta_bar=delta_bar,
         xi_bar=xi_bar,
         xi_bar_norm=xi_bar_norm,
-        xi_bar_attack_free_norm=float(np.linalg.norm(xi_attack_free.mean(axis=0), axis=-1)),
+        xi_bar_attack_free_norm=float(norms(xi_attack_free.mean(axis=0))),
         mean_attack=attack_rows.mean(axis=0),
-        mean_attack_norm=float(np.mean(np.linalg.norm(attack_rows, axis=-1))),
+        mean_attack_norm=float(np.mean(norms(attack_rows))),
         saturation_count=int(saturated.sum()),
         lemma1_rhs=lemma1_rhs,
         lemma1_ok=xi_bar_norm <= lemma1_rhs + engine.LEMMA1_TOL,
